@@ -10,17 +10,19 @@
 //! Three suites:
 //!
 //! * [`bigfloat_suite`] — serial micro-benchmarks of the arbitrary-
-//!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits), plus
-//!   the retired bit-by-bit restoring division as a baseline row so a
-//!   single run shows the Knuth-D speedup;
+//!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits, and the
+//!   oracle's own mixed-width `mul` of a 128- or 256-bit state by a
+//!   53-bit coefficient), plus the retired bit-by-bit restoring
+//!   division as a baseline row so a single run shows the Knuth-D
+//!   speedup;
 //! * [`hdr_suite`] — the tiered backend's fast rungs: `HdrFloat`
 //!   (binary64 mantissa, software exponent) per-op and forward-pass
 //!   timings next to the same work on the 256-bit BigFloat path, so
 //!   the ladder speedup is measured from one binary rather than
 //!   asserted;
 //! * [`oracle_suite`] — the end-to-end 256-bit oracle passes the
-//!   figures pay for: the shared Figure 9/11 p-value sweep and the
-//!   Figure 10 VICAR forward sweep, run cache-off so the arithmetic is
+//!   figures pay for: the shared Figure 9/11 p-value sweep and both
+//!   Figure 10 VICAR forward sweeps, run cache-off so the arithmetic is
 //!   actually exercised.
 //!
 //! Timing methodology: each entry runs `iters` iterations per
@@ -168,10 +170,15 @@ fn operand_pool(prec: u32, count: usize, mut state: u64) -> Result<Vec<BigFloat>
 /// The bigfloat precisions the suite times.
 pub const BIGFLOAT_PRECS: [u32; 3] = [128, 256, 1024];
 
+/// The state precisions of the suite's mixed-width `mul/{prec}x53` rows.
+pub const MIXED_MUL_PRECS: [u32; 2] = [128, 256];
+
 /// Builds the bigfloat kernel suite: `add`/`mul`/`div` at each of
 /// [`BIGFLOAT_PRECS`], plus a `div-restoring` baseline row per
 /// precision (the retired bit-by-bit division, kept callable exactly so
-/// the Knuth-D speedup stays measurable from one binary).
+/// the Knuth-D speedup stays measurable from one binary), plus a
+/// `mul/{prec}x53` row per [`MIXED_MUL_PRECS`] entry: a state times a
+/// 53-bit coefficient, the product shape every oracle sweep runs.
 ///
 /// The kernels are serial, so the document's `threads` is always 1.
 #[must_use]
@@ -226,6 +233,21 @@ pub fn bigfloat_suite(scale: Scale) -> BenchDoc {
             reps,
             || {
                 black_box(testing::div_restoring(black_box(&a), black_box(&b), prec));
+            },
+        ));
+    }
+    let coeffs = operand_pool(53, 64, 0xBE7C_0035).expect("53 bits is inside MIN_PREC..=MAX_PREC");
+    for prec in MIXED_MUL_PRECS {
+        let pool = operand_pool(prec, 64, 0xBE7C_1000 + u64::from(prec))
+            .expect("MIXED_MUL_PRECS are whole limbs inside MIN_PREC..=MAX_PREC");
+        let ctx = Context::new(prec);
+        let (a, b) = (&pool[1], &coeffs[2]);
+        entries.push(time_entry(
+            &format!("bigfloat/mul/{prec}x53"),
+            (base / u64::from(prec / 128)).max(64),
+            reps,
+            || {
+                black_box(ctx.mul(black_box(a), black_box(b)));
             },
         ));
     }
@@ -350,9 +372,9 @@ pub fn hdr_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
 /// * `oracle/fig09-fig11` — the p-value sweep over the shared
 ///   Figure 9/11 accuracy corpus (one sweep serves both figures, so it
 ///   is one entry);
-/// * `oracle/fig10` — the Figure 10 VICAR forward sweep at the scale's
-///   short sequence length, exactly the work `fig10`'s report pays for
-///   per panel.
+/// * `oracle/fig10` and `oracle/fig10-long` — the Figure 10 VICAR
+///   forward sweeps at the scale's short and long sequence lengths,
+///   exactly the work `fig10`'s report pays for in panels (a) and (b).
 #[must_use]
 pub fn oracle_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
     let rt = rt.with_cache_mode(CacheMode::Off);
@@ -369,16 +391,22 @@ pub fn oracle_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
         ));
     }));
 
-    let (t_len, _, models, h) = fig10_vicar::scale_params(scale);
-    let base = StdRng::seed_from_u64(0xF16_0000 + t_len as u64);
-    entries.push(time_entry("oracle/fig10", 1, reps, || {
-        black_box(rt.par_map_seeded(models, &base, |_, stream| {
-            let model =
-                compstat_hmm::dirichlet_hmm(stream, h, fig10_vicar::SYMBOLS, fig10_vicar::ALPHA);
-            let obs = compstat_hmm::uniform_observations(stream, fig10_vicar::SYMBOLS, t_len);
-            compstat_hmm::forward_oracle(&model, &obs, &ctx)
+    let (t_short, t_long, models, h) = fig10_vicar::scale_params(scale);
+    for (id, t_len) in [("oracle/fig10", t_short), ("oracle/fig10-long", t_long)] {
+        let base = StdRng::seed_from_u64(0xF16_0000 + t_len as u64);
+        entries.push(time_entry(id, 1, reps, || {
+            black_box(rt.par_map_seeded(models, &base, |_, stream| {
+                let model = compstat_hmm::dirichlet_hmm(
+                    stream,
+                    h,
+                    fig10_vicar::SYMBOLS,
+                    fig10_vicar::ALPHA,
+                );
+                let obs = compstat_hmm::uniform_observations(stream, fig10_vicar::SYMBOLS, t_len);
+                compstat_hmm::forward_oracle(&model, &obs, &ctx)
+            }));
         }));
-    }));
+    }
 
     BenchDoc {
         suite: "oracle".into(),
@@ -517,11 +545,14 @@ mod tests {
         // Tiny custom pass over the suite's id grid (the real suite's
         // iteration budgets are for release-mode benchmarking).
         let doc = bigfloat_suite_smoke();
-        for prec in BIGFLOAT_PRECS {
-            for op in ["add", "mul", "div", "div-restoring"] {
-                let id = format!("bigfloat/{op}/{prec}");
-                assert!(doc.entries.iter().any(|e| e.id == id), "missing {id}");
-            }
+        let ids = BIGFLOAT_PRECS
+            .iter()
+            .flat_map(|prec| {
+                ["add", "mul", "div", "div-restoring"].map(|op| format!("bigfloat/{op}/{prec}"))
+            })
+            .chain(MIXED_MUL_PRECS.map(|prec| format!("bigfloat/mul/{prec}x53")));
+        for id in ids {
+            assert!(doc.entries.iter().any(|e| e.id == id), "missing {id}");
         }
         assert!(BenchDoc::from_json(&doc.to_json()).is_ok());
     }
@@ -530,6 +561,14 @@ mod tests {
     /// measure (the real [`bigfloat_suite`] iteration counts are sized
     /// for release-mode benchmarking, not a debug unit test).
     fn bigfloat_suite_smoke() -> BenchDoc {
+        let coeffs = operand_pool(53, 4, 53).unwrap();
+        let mixed = MIXED_MUL_PRECS.map(|prec| {
+            let pool = operand_pool(prec, 4, u64::from(prec)).unwrap();
+            let ctx = Context::new(prec);
+            time_entry(&format!("bigfloat/mul/{prec}x53"), 2, 2, || {
+                black_box(ctx.mul(&pool[0], &coeffs[0]));
+            })
+        });
         let entries = BIGFLOAT_PRECS
             .iter()
             .flat_map(|&prec| {
@@ -547,6 +586,7 @@ mod tests {
                     })
                 })
             })
+            .chain(mixed)
             .collect();
         BenchDoc {
             suite: "bigfloat".into(),

@@ -6,16 +6,20 @@
 //! bit, which is sufficient for correct RNE results of `+ - * /`.
 //!
 //! Two kernel tiers sit below the `Context` API. Operands that fit the
-//! hot fixed widths (anything up to 256-bit precision) route through
-//! the allocation-free const-generic kernels in [`crate::limb::fixed`];
-//! everything else falls back to the general slice kernels. Division is
+//! inline widths (anything up to 320-bit precision) route through the
+//! const-generic kernels in [`crate::limb::fixed`] on stack arrays, which
+//! feed the rounding core directly, so `add`/`sub`/`mul` never touch the
+//! heap there. That includes the mixed `N x 1`-limb products the oracle
+//! runs most (a 256-bit state times a 53-bit `from_f64` coefficient).
+//! Everything wider falls back to the general slice kernels. Division is
 //! word-at-a-time ([`crate::limb::div_rem_knuth`]) at every width. The
 //! tiers are bit-identical by construction — both feed the single
-//! rounding point — and are cross-checked by differential tests (see
+//! rounding point — and are cross-checked by differential tests against
+//! the general kernels and the retired bit-indexed rounding (see
 //! `testing`).
 
-use crate::limb::{self, Limb};
-use crate::repr::{BigFloat, Kind, Sign, DEFAULT_PREC, MAX_PREC, MIN_PREC};
+use crate::limb;
+use crate::repr::{BigFloat, Kind, Sign, DEFAULT_PREC, INLINE_LIMBS, MAX_PREC, MIN_PREC};
 
 /// An arithmetic context carrying the target precision.
 ///
@@ -126,17 +130,30 @@ fn place_with_headroom(src: &[u64], wl: usize) -> Vec<u64> {
     arr
 }
 
-fn add_signed(a: &BigFloat, b: &BigFloat, negate_b: bool, prec: u32) -> BigFloat {
-    add_signed_with(a, b, negate_b, prec, false)
+/// Which kernels compute a result: the production tiers, or the general
+/// slice kernels finished by the retired bit-indexed rounding — the
+/// differential reference behind `testing::*_general`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Path {
+    Fast,
+    Reference,
 }
 
-fn add_signed_with(
-    a: &BigFloat,
-    b: &BigFloat,
-    negate_b: bool,
-    prec: u32,
-    force_general: bool,
-) -> BigFloat {
+impl Path {
+    /// Rounds a raw magnitude through this path's rounding.
+    fn round(self, sign: Sign, exp_of_top: i128, raw: &[u64], sticky: bool, prec: u32) -> BigFloat {
+        match self {
+            Path::Fast => BigFloat::from_raw_wide(sign, exp_of_top, raw, sticky, prec),
+            Path::Reference => BigFloat::from_raw_bitwise(sign, exp_of_top, raw, sticky, prec),
+        }
+    }
+}
+
+fn add_signed(a: &BigFloat, b: &BigFloat, negate_b: bool, prec: u32) -> BigFloat {
+    add_signed_with(a, b, negate_b, prec, Path::Fast)
+}
+
+fn add_signed_with(a: &BigFloat, b: &BigFloat, negate_b: bool, prec: u32, path: Path) -> BigFloat {
     let (sa, ka, ea, la, _) = a.parts();
     let (sb0, kb, eb, lb, _) = b.parts();
     let sb = if negate_b && !matches!(kb, Kind::Zero | Kind::Nan) {
@@ -157,10 +174,10 @@ fn add_signed_with(
         (_, Kind::Inf) => return BigFloat::special(Kind::Inf, sb, prec),
         (Kind::Zero, Kind::Zero) => return BigFloat::special(Kind::Zero, Sign::Pos, prec),
         (Kind::Zero, Kind::Normal) => {
-            let r = b.round_to(prec);
+            let r = round_with(b, prec, path);
             return if negate_b { r.neg() } else { r };
         }
-        (Kind::Normal, Kind::Zero) => return a.round_to(prec),
+        (Kind::Normal, Kind::Zero) => return round_with(a, prec, path),
         (Kind::Normal, Kind::Normal) => {}
     }
 
@@ -176,22 +193,34 @@ fn add_signed_with(
         (sb, eb, lb, sa, ea, la)
     };
 
-    // Fixed-width fast paths: everything up to 256-bit precision with
-    // operands no wider than the target stays on the stack.
-    if !force_general {
+    // Fixed-width fast paths: every operand and target width up to the
+    // inline limit stays on the stack.
+    if path == Path::Fast {
         match lx.len().max(ly.len()).max(nlimbs(prec)) + 2 {
             3 => return add_core_fixed::<3>(sx, ex, lx, sy, ey, ly, prec),
             4 => return add_core_fixed::<4>(sx, ex, lx, sy, ey, ly, prec),
             5 => return add_core_fixed::<5>(sx, ex, lx, sy, ey, ly, prec),
             6 => return add_core_fixed::<6>(sx, ex, lx, sy, ey, ly, prec),
+            7 => return add_core_fixed::<7>(sx, ex, lx, sy, ey, ly, prec),
             _ => {}
         }
     }
-    add_core_general(sx, ex, lx, sy, ey, ly, prec)
+    add_core_general(sx, ex, lx, sy, ey, ly, prec, path)
+}
+
+/// `x.round_to(prec)` through `path`'s rounding.
+fn round_with(x: &BigFloat, prec: u32, path: Path) -> BigFloat {
+    match (path, x.parts()) {
+        (Path::Reference, (sign, Kind::Normal, exp, limbs, _)) => {
+            BigFloat::from_raw_bitwise(sign, i128::from(exp), limbs, false, prec)
+        }
+        _ => x.round_to(prec),
+    }
 }
 
 /// The magnitude add/sub core over heap buffers of `wl` limbs — the
 /// general path for arbitrary widths.
+#[allow(clippy::too_many_arguments)] // the operand pair plus the path; a struct would only rename them
 fn add_core_general(
     sx: Sign,
     ex: i64,
@@ -200,6 +229,7 @@ fn add_core_general(
     ey: i64,
     ly: &[u64],
     prec: u32,
+    path: Path,
 ) -> BigFloat {
     let wl = lx.len().max(ly.len()).max(nlimbs(prec)) + 2;
     let top_pos = wl as u64 * 64 - 2;
@@ -248,7 +278,7 @@ fn add_core_general(
         return BigFloat::special(Kind::Zero, Sign::Pos, prec);
     };
     let exp_of_top = ex as i128 - (top_pos as i128 - h as i128);
-    BigFloat::from_raw_wide(sx, exp_of_top, out, sticky, prec)
+    path.round(sx, exp_of_top, &out, sticky, prec)
 }
 
 /// The same magnitude add/sub core over `[u64; W]` stack buffers —
@@ -311,7 +341,7 @@ fn add_core_fixed<const W: usize>(
         return BigFloat::special(Kind::Zero, Sign::Pos, prec);
     };
     let exp_of_top = ex as i128 - (top_pos as i128 - h as i128);
-    BigFloat::from_raw_wide(sx, exp_of_top, out.to_vec(), sticky, prec)
+    BigFloat::from_raw_wide(sx, exp_of_top, &out, sticky, prec)
 }
 
 fn cmp_magnitude(a: &[u64], b: &[u64]) -> core::cmp::Ordering {
@@ -343,10 +373,10 @@ fn cmp_magnitude(a: &[u64], b: &[u64]) -> core::cmp::Ordering {
 }
 
 fn mul_impl(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
-    mul_impl_with(a, b, prec, false)
+    mul_impl_with(a, b, prec, Path::Fast)
 }
 
-fn mul_impl_with(a: &BigFloat, b: &BigFloat, prec: u32, force_general: bool) -> BigFloat {
+fn mul_impl_with(a: &BigFloat, b: &BigFloat, prec: u32, path: Path) -> BigFloat {
     let (sa, ka, ea, la, _) = a.parts();
     let (sb, kb, eb, lb, _) = b.parts();
     let sign = sa.xor(sb);
@@ -359,34 +389,53 @@ fn mul_impl_with(a: &BigFloat, b: &BigFloat, prec: u32, force_general: bool) -> 
         (Kind::Zero, _) | (_, Kind::Zero) => return BigFloat::special(Kind::Zero, Sign::Pos, prec),
         (Kind::Normal, Kind::Normal) => {}
     }
-    // The significand product is exact in every tier; the fixed-width
-    // kernels just do it without heap allocation or length dispatch.
-    let out: Vec<u64> = match (la.len(), lb.len()) {
-        _ if force_general => mul_slices(la, lb),
-        (1, 1) => {
-            let (lo, hi) = Limb::widening_mul(la[0], lb[0]);
-            vec![lo, hi]
-        }
-        (2, 2) => {
-            let a2: &[u64; 2] = la.try_into().expect("len checked");
-            let b2: &[u64; 2] = lb.try_into().expect("len checked");
-            limb::fixed::mul::<u64, 2, 4>(a2, b2).to_vec()
-        }
-        (4, 4) => {
-            let a4: &[u64; 4] = la.try_into().expect("len checked");
-            let b4: &[u64; 4] = lb.try_into().expect("len checked");
-            limb::fixed::mul::<u64, 4, 8>(a4, b4).to_vec()
-        }
-        _ => mul_slices(la, lb),
-    };
     let top_a = la.len() as i128 * 64 - 1;
     let top_b = lb.len() as i128 * 64 - 1;
-    let h = limb::highest_bit(&out).expect("product of normals is nonzero");
-    // Exponents combine in i128: |ea + eb| plus bit-index adjustments
-    // cannot overflow it, and from_raw_wide saturates to Inf/Zero when
-    // the final exponent leaves the i64 range.
-    let exp_of_top = ea as i128 + eb as i128 - top_a - top_b + h as i128;
-    BigFloat::from_raw_wide(sign, exp_of_top, out, false, prec)
+    // The significand product is exact in every tier; the fixed-width
+    // kernels just do it on the stack and hand it straight to rounding.
+    let round = |out: &[u64]| {
+        let h = limb::highest_bit(out).expect("product of normals is nonzero");
+        // Exponents combine in i128: |ea + eb| plus bit-index adjustments
+        // cannot overflow it, and rounding saturates to Inf/Zero when the
+        // final exponent leaves the i64 range.
+        let exp_of_top = ea as i128 + eb as i128 - top_a - top_b + h as i128;
+        path.round(sign, exp_of_top, out, false, prec)
+    };
+    if path == Path::Reference {
+        return round(&mul_slices(la, lb));
+    }
+    match (la.len(), lb.len()) {
+        (_, 1) => mul_by_limb(la, lb[0], round),
+        (1, _) => mul_by_limb(lb, la[0], round),
+        (2, 2) => round(&limb::fixed::mul::<u64, 2, 4>(fixed_ref(la), fixed_ref(lb))),
+        (4, 4) => round(&limb::fixed::mul::<u64, 4, 8>(fixed_ref(la), fixed_ref(lb))),
+        (m, n) if m + n <= 2 * INLINE_LIMBS => {
+            let mut buf = [0u64; 2 * INLINE_LIMBS];
+            let out = &mut buf[..m + n];
+            limb::mul(la, lb, out);
+            round(out)
+        }
+        _ => round(&mul_slices(la, lb)),
+    }
+}
+
+/// `a * b` for a one-limb `b` (a 53-bit `from_f64` coefficient, say):
+/// the `N x 1` kernel on the stack up to the inline width, the general
+/// slice kernel above it.
+fn mul_by_limb(a: &[u64], b: u64, round: impl Fn(&[u64]) -> BigFloat) -> BigFloat {
+    match a.len() {
+        1 => round(&limb::fixed::mul_1::<u64, 1, 2>(fixed_ref(a), b)),
+        2 => round(&limb::fixed::mul_1::<u64, 2, 3>(fixed_ref(a), b)),
+        3 => round(&limb::fixed::mul_1::<u64, 3, 4>(fixed_ref(a), b)),
+        4 => round(&limb::fixed::mul_1::<u64, 4, 5>(fixed_ref(a), b)),
+        5 => round(&limb::fixed::mul_1::<u64, 5, 6>(fixed_ref(a), b)),
+        _ => round(&mul_slices(a, &[b])),
+    }
+}
+
+/// Views a slice whose length the caller matched as a fixed array.
+fn fixed_ref<const N: usize>(limbs: &[u64]) -> &[u64; N] {
+    limbs.try_into().expect("length matched by the caller")
 }
 
 fn mul_slices(la: &[u64], lb: &[u64]) -> Vec<u64> {
@@ -440,7 +489,7 @@ fn div_impl(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
     // a/b = (Q + r/B) · 2^E with E = ea - eb + top_b - top_a - 64k, so
     // bit i of Q has weight 2^(i+E) and the top bit carries E + h.
     let exp_of_top = ea as i128 - eb as i128 + top_b - top_a - 64 * k as i128 + h as i128;
-    BigFloat::from_raw_wide(sign, exp_of_top, q, sticky, prec)
+    BigFloat::from_raw_wide(sign, exp_of_top, &q, sticky, prec)
 }
 
 /// The pre-rewrite restoring bit-by-bit division, kept as a slow
@@ -485,32 +534,42 @@ fn div_impl_restoring(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
     };
     // Bit (qbits-1) of q carries weight 2^0 of the aligned ratio.
     let exp_of_top = ea as i128 - eb as i128 - (qbits as i128 - 1) + h as i128;
-    BigFloat::from_raw_wide(sign, exp_of_top, q, sticky, prec)
+    BigFloat::from_raw_wide(sign, exp_of_top, &q, sticky, prec)
 }
 
-/// Differential-test hooks: the general slice kernels and the retired
-/// restoring division, callable directly so test suites can prove the
-/// specialized fast paths bit-identical to them. Not a public API.
+/// Differential-test hooks: the general slice kernels, the retired
+/// bit-indexed rounding and the retired restoring division, callable
+/// directly so test suites can prove the specialized fast paths and the
+/// rounding core bit-identical to them. Not a public API.
 #[doc(hidden)]
 pub mod testing {
     use super::*;
 
-    /// Addition forced through the general slice kernels.
+    /// Addition forced through the general slice kernels and the
+    /// bit-indexed rounding.
     #[must_use]
     pub fn add_general(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
-        add_signed_with(a, b, false, prec, true)
+        add_signed_with(a, b, false, prec, Path::Reference)
     }
 
-    /// Subtraction forced through the general slice kernels.
+    /// Subtraction forced through the general slice kernels and the
+    /// bit-indexed rounding.
     #[must_use]
     pub fn sub_general(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
-        add_signed_with(a, b, true, prec, true)
+        add_signed_with(a, b, true, prec, Path::Reference)
     }
 
-    /// Multiplication forced through the general slice kernels.
+    /// Multiplication forced through the general slice kernel and the
+    /// bit-indexed rounding.
     #[must_use]
     pub fn mul_general(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
-        mul_impl_with(a, b, prec, true)
+        mul_impl_with(a, b, prec, Path::Reference)
+    }
+
+    /// `x.round_to(prec)` through the bit-indexed rounding.
+    #[must_use]
+    pub fn round_general(x: &BigFloat, prec: u32) -> BigFloat {
+        round_with(x, prec, Path::Reference)
     }
 
     /// Division via the pre-rewrite restoring bit-by-bit algorithm.

@@ -1,6 +1,5 @@
 //! Conversions between [`BigFloat`] and machine types.
 
-use crate::limb;
 use crate::repr::{BigFloat, Kind, Sign};
 
 impl BigFloat {
@@ -33,14 +32,14 @@ impl BigFloat {
                 } else {
                     // Subnormal: value = frac * 2^-1074.
                     let top = 63 - frac.leading_zeros() as i64;
-                    BigFloat::from_raw(sign, top - 1074, vec![frac], false, 53)
+                    BigFloat::from_raw(sign, top - 1074, &[frac], false, 53)
                 }
             }
             _ => {
                 let sig = frac | (1u64 << 52);
                 // value = 1.frac * 2^(biased-1023); top bit (bit 52) has
                 // that exponent.
-                BigFloat::from_raw(sign, biased - 1023, vec![sig], false, 53)
+                BigFloat::from_raw(sign, biased - 1023, &[sig], false, 53)
             }
         }
     }
@@ -57,10 +56,8 @@ impl BigFloat {
         if sig == 0 {
             return BigFloat::zero();
         }
-        let limbs = vec![sig as u64, (sig >> 64) as u64];
-        let top = limb::highest_bit(&limbs).expect("nonzero");
-        let _ = top;
-        BigFloat::from_raw(sign, exp_of_top, limbs, false, 128)
+        let limbs = [sig as u64, (sig >> 64) as u64];
+        BigFloat::from_raw(sign, exp_of_top, &limbs, false, 128)
     }
 
     /// Converts to the nearest `f64` (round to nearest, ties to even),

@@ -41,7 +41,7 @@ impl BigFloat {
         let rem = limb::div_small_in_place(&mut ext, d);
         let h = limb::highest_bit(&ext).expect("quotient of nonzero by small is nonzero");
         let exp_of_top = exp - (top_before - h as i64);
-        BigFloat::from_raw(sign, exp_of_top, ext, rem != 0, prec)
+        BigFloat::from_raw(sign, exp_of_top, &ext, rem != 0, prec)
     }
 }
 

@@ -12,8 +12,9 @@
 //! kernels:
 //!
 //! - [`fixed`] — const-generic `[L; N]` kernels for the hot fixed
-//!   widths (128/256-bit operands). No heap, no length dispatch, and
-//!   the inner loops fully unroll at monomorphization time.
+//!   widths (operands up to 320 bits, including `N x 1`-limb
+//!   products). No heap, no length dispatch, and the inner loops fully
+//!   unroll at monomorphization time.
 //! - [`div_rem_knuth`] — word-at-a-time long division (Knuth's
 //!   Algorithm D), O(n·m) limb operations instead of the O(bits·n)
 //!   restoring bit loop it replaced.
@@ -500,8 +501,8 @@ pub fn add_bit<L: Limb>(limbs: &mut [L], idx: u64) -> bool {
 
 /// Allocation-free const-generic kernels for fixed operand widths.
 ///
-/// These are the hot paths `Context::{add,sub,mul}` routes 128/256-bit
-/// work through: the array length is a compile-time constant, so the
+/// These are the hot paths `Context::{add,sub,mul}` routes work up to
+/// 320 bits through: the array length is a compile-time constant, so the
 /// inner loops fully unroll and nothing touches the heap. Results are
 /// bit-identical to the general slice kernels (cross-checked by tests
 /// and by the goldens diff gate).
@@ -568,6 +569,26 @@ pub mod fixed {
             }
             out[i + N] = carry;
         }
+        out
+    }
+
+    /// Full `N x 1 -> N+1` limb product: a wide value times one limb,
+    /// the shape of an oracle state times a 53-bit coefficient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `N1 != N + 1` (checked once, optimized out).
+    #[inline]
+    pub fn mul_1<L: Limb, const N: usize, const N1: usize>(a: &[L; N], b: L) -> [L; N1] {
+        assert!(N1 == N + 1, "output width must be one limb wider");
+        let mut out = [L::ZERO; N1];
+        let mut carry = L::ZERO;
+        for i in 0..N {
+            let (lo, hi) = a[i].carrying_mul_add(b, carry, L::ZERO);
+            out[i] = lo;
+            carry = hi;
+        }
+        out[N] = carry;
         out
     }
 }
@@ -847,5 +868,9 @@ mod tests {
         let mut p_small2 = [0u64; 4];
         mul(&a2, &b2, &mut p_small2);
         assert_eq!(p_small, p_small2);
+        let p_one: [u64; 5] = fixed::mul_1(&a, b[3]);
+        let mut p_one2 = [0u64; 5];
+        mul(&a, &b[3..], &mut p_one2);
+        assert_eq!(p_one, p_one2);
     }
 }

@@ -11,6 +11,66 @@ pub const MIN_PREC: u32 = 2;
 /// Default working precision (matches the paper's 256-bit MPFR oracle).
 pub const DEFAULT_PREC: u32 = 256;
 
+/// Significand limbs a value holds inline: 320 bits, which covers the
+/// oracle (256), measurement (192) and binary64 (53) precisions. Wider
+/// values spill to the heap.
+pub(crate) const INLINE_LIMBS: usize = 5;
+
+/// Significand storage: inline up to [`INLINE_LIMBS`] limbs, a heap
+/// vector above that. Only [`Limbs::as_slice`] is visible to the
+/// arithmetic, so which variant holds a value never affects results.
+#[derive(Clone)]
+enum Limbs {
+    Inline { len: u8, buf: [u64; INLINE_LIMBS] },
+    Heap(Vec<u64>),
+}
+
+impl Limbs {
+    const EMPTY: Limbs = Limbs::Inline {
+        len: 0,
+        buf: [0; INLINE_LIMBS],
+    };
+
+    /// `n` zero limbs; allocates only when `n > INLINE_LIMBS`.
+    fn zeroed(n: usize) -> Limbs {
+        if n <= INLINE_LIMBS {
+            Limbs::Inline {
+                len: n as u8,
+                buf: [0; INLINE_LIMBS],
+            }
+        } else {
+            Limbs::Heap(vec![0; n])
+        }
+    }
+
+    fn from_slice(limbs: &[u64]) -> Limbs {
+        let mut out = Limbs::zeroed(limbs.len());
+        out.as_mut_slice().copy_from_slice(limbs);
+        out
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Limbs::Inline { len, buf } => &buf[..usize::from(*len)],
+            Limbs::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u64] {
+        match self {
+            Limbs::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Limbs::Heap(v) => v,
+        }
+    }
+}
+
+/// Prints as the limb list, whichever variant holds it.
+impl core::fmt::Debug for Limbs {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// Sign of a [`BigFloat`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Sign {
@@ -93,7 +153,7 @@ pub struct BigFloat {
     /// Binary exponent: value magnitude lies in `[2^exp, 2^(exp+1))`.
     exp: i64,
     /// Significand limbs, little-endian, top bit of the last limb set.
-    limbs: Vec<u64>,
+    limbs: Limbs,
     /// Precision (significant bits) this value was rounded to.
     prec: u32,
 }
@@ -106,7 +166,7 @@ impl BigFloat {
             sign: Sign::Pos,
             kind: Kind::Zero,
             exp: 0,
-            limbs: Vec::new(),
+            limbs: Limbs::EMPTY,
             prec: DEFAULT_PREC,
         }
     }
@@ -118,7 +178,7 @@ impl BigFloat {
             sign,
             kind: Kind::Inf,
             exp: 0,
-            limbs: Vec::new(),
+            limbs: Limbs::EMPTY,
             prec: DEFAULT_PREC,
         }
     }
@@ -130,7 +190,7 @@ impl BigFloat {
             sign: Sign::Pos,
             kind: Kind::Nan,
             exp: 0,
-            limbs: Vec::new(),
+            limbs: Limbs::EMPTY,
             prec: DEFAULT_PREC,
         }
     }
@@ -197,7 +257,7 @@ impl BigFloat {
     /// set (the explicit leading `1.` of the significand).
     #[must_use]
     pub fn limbs(&self) -> &[u64] {
-        &self.limbs
+        self.limbs.as_slice()
     }
 
     /// Negation (exact).
@@ -251,13 +311,11 @@ impl BigFloat {
     /// bit — i.e. the raw value is `limbs * 2^(exp - top)`. `sticky_in`
     /// reports whether nonzero bits were already discarded below the
     /// represented ones.
-    ///
-    /// This is the single rounding point shared by all arithmetic.
     #[must_use]
     pub(crate) fn from_raw(
         sign: Sign,
         exp_of_top_bit: i64,
-        limbs: Vec<u64>,
+        limbs: &[u64],
         sticky_in: bool,
         prec: u32,
     ) -> BigFloat {
@@ -269,84 +327,81 @@ impl BigFloat {
     /// `i64` exponents plus bit-index adjustments cannot overflow it)
     /// and the final value saturates to infinity/zero if it leaves the
     /// `i64` range, mirroring [`BigFloat::mul_pow2`].
+    ///
+    /// This is the single rounding point shared by all arithmetic. `raw`
+    /// is only read, so the fixed-width kernels pass their stack arrays
+    /// straight in. Rather than shifting and masking `raw` bit by bit,
+    /// it copies out the `ceil(prec/64)`-limb window whose top bit is
+    /// the value's top bit, plus one guard limb below it, as whole-limb
+    /// reads. The round bit, the sticky bits and the kept bits then all
+    /// lie in that window. When `prec` is a multiple of 64, the guard
+    /// limb is exactly the discarded part.
     #[must_use]
+    #[inline]
     pub(crate) fn from_raw_wide(
         sign: Sign,
         exp_of_top_bit: i128,
-        mut limbs: Vec<u64>,
+        raw: &[u64],
         sticky_in: bool,
         prec: u32,
     ) -> BigFloat {
         debug_assert!((MIN_PREC..=MAX_PREC).contains(&prec));
-        let Some(top) = limb::highest_bit(&limbs) else {
+        let Some(top) = limb::highest_bit(raw) else {
             // All bits zero. If sticky is set the true value was a tiny
             // nonzero residue; rounding to nearest still yields zero.
             return BigFloat::zero();
         };
-        // Bit index (from LSB) of the lowest *kept* bit.
-        // We keep bits [top - prec + 1 ..= top].
-        let keep_low = top as i64 - prec as i64 + 1;
-        let mut exp = exp_of_top_bit;
-        let mut sticky = sticky_in;
-        let mut round_up = false;
-        if keep_low > 0 {
-            let keep_low = keep_low as u64;
-            let round_bit = limb::get_bit(&limbs, keep_low - 1);
-            sticky |= limb::any_bit_below(&limbs, keep_low - 1);
-            let lsb = limb::get_bit(&limbs, keep_low);
-            round_up = round_bit && (sticky || lsb);
-            limb::clear_bits_below(&mut limbs, keep_low);
-            if round_up {
-                let carry = limb::add_bit(&mut limbs, keep_low);
-                if carry {
-                    // 0.111..1 rounded up to 1.000..0: magnitude became a
-                    // power of two one position higher.
-                    debug_assert!(limb::is_zero(&limbs));
-                    let n = limbs.len();
-                    limbs[n - 1] = 1 << 63;
-                    exp += 1;
-                    // Renormalize below with the fresh top bit.
-                    return BigFloat::finish(sign, exp, limbs, prec);
-                }
-                // Rounding may have rippled into a new top bit
-                // (e.g. 1.111 -> 10.000): recompute.
-                let new_top = limb::highest_bit(&limbs).expect("nonzero after round up");
-                exp += new_top as i128 - top as i128;
-                return BigFloat::finish(sign, exp, limbs, prec);
-            }
+        let n = prec.div_ceil(limb::LIMB_BITS) as usize;
+        let mut limbs = Limbs::zeroed(n);
+        let out = limbs.as_mut_slice();
+        // Raw limb `t` holds the top bit; shifting left by `sh` puts it at
+        // bit 63. Window limb `j` down from the top comes from raw limbs
+        // `t - j` and `t - j - 1`. Limbs below raw[0] read as zero, so a
+        // value shorter than the window keeps every bit and never rounds.
+        let t = (top / 64) as usize;
+        let sh = 63 - (top % 64) as u32;
+        let below_top = |j: usize| if j <= t { raw[t - j] } else { 0 };
+        let window = |j: usize| match sh {
+            0 => below_top(j),
+            _ => below_top(j) << sh | below_top(j + 1) >> (64 - sh),
+        };
+        for (j, o) in out.iter_mut().rev().enumerate() {
+            *o = window(j);
         }
-        let _ = round_up;
-        BigFloat::finish(sign, exp, limbs, prec)
+        let guard = window(n);
+        // Everything below the guard limb folds into one sticky flag: the
+        // bits of raw limb `t - n - 1` the guard did not take, and every
+        // limb under it.
+        let below = sticky_in
+            || t.checked_sub(n + 1).is_some_and(|i| {
+                (sh > 0 && raw[i] << sh != 0)
+                    || raw[..i + usize::from(sh == 0)].iter().any(|&w| w != 0)
+            });
+        // Discarded bits at the bottom of the window (0..=63).
+        let pad = (64 * n) as u32 - prec;
+        let (round_bit, sticky, lsb) = if pad == 0 {
+            (guard >> 63 == 1, below || guard << 1 != 0, out[0] & 1 == 1)
+        } else {
+            let round_bit = (out[0] >> (pad - 1)) & 1 == 1;
+            let sticky = below || guard != 0 || out[0] & ((1 << (pad - 1)) - 1) != 0;
+            let lsb = (out[0] >> pad) & 1 == 1;
+            out[0] &= u64::MAX << pad;
+            (round_bit, sticky, lsb)
+        };
+        let mut exp = exp_of_top_bit;
+        if round_bit && (sticky || lsb) && limb::add_bit(out, u64::from(pad)) {
+            // 1.111..1 rounded up to 10.000..0: the magnitude became a
+            // power of two one position higher.
+            out[n - 1] = 1 << 63;
+            exp += 1;
+        }
+        BigFloat::normal_or_saturated(sign, exp, limbs, prec)
     }
 
-    /// Final normalization: left/right aligns so the top bit sits at the
-    /// MSB of the top limb, trims to `ceil(prec/64)` limbs. Exponents
-    /// outside the `i64` range saturate to infinity (overflow) or the
-    /// single unsigned zero (underflow).
-    fn finish(sign: Sign, exp: i128, mut limbs: Vec<u64>, prec: u32) -> BigFloat {
-        let top = limb::highest_bit(&limbs).expect("finish on zero magnitude");
-        let nlimbs = prec.div_ceil(limb::LIMB_BITS) as usize;
-        let want_top = nlimbs as u64 * 64 - 1;
-        match want_top.cmp(&top) {
-            core::cmp::Ordering::Greater => {
-                let shift = want_top - top;
-                if limbs.len() < nlimbs {
-                    limbs.resize(nlimbs, 0);
-                }
-                limb::shl_in_place(&mut limbs, shift as u32);
-            }
-            core::cmp::Ordering::Less => {
-                let shift = top - want_top;
-                // All bits below keep_low were already cleared by rounding,
-                // so this shift discards only zeros.
-                let sticky = limb::shr_in_place_sticky(&mut limbs, shift as u32);
-                debug_assert!(!sticky, "normalization discarded set bits");
-            }
-            core::cmp::Ordering::Equal => {}
-        }
-        limbs.truncate(nlimbs);
-        debug_assert_eq!(limbs.len(), nlimbs);
-        debug_assert!(limbs[nlimbs - 1] >> 63 == 1);
+    /// A `Normal` value from normalized limbs, or — when the exponent
+    /// leaves the `i64` range — infinity (overflow) or the single
+    /// unsigned zero (underflow).
+    fn normal_or_saturated(sign: Sign, exp: i128, limbs: Limbs, prec: u32) -> BigFloat {
         let Ok(exp) = i64::try_from(exp) else {
             return if exp > 0 {
                 BigFloat::special(Kind::Inf, sign, prec)
@@ -363,6 +418,63 @@ impl BigFloat {
         }
     }
 
+    /// The retired bit-indexed rounding: reads the round and sticky bits
+    /// one bit index at a time, then shifts the whole buffer into place.
+    /// Kept only as the differential reference for
+    /// [`BigFloat::from_raw_wide`] (the `testing::*_general` paths).
+    pub(crate) fn from_raw_bitwise(
+        sign: Sign,
+        exp_of_top_bit: i128,
+        raw: &[u64],
+        sticky_in: bool,
+        prec: u32,
+    ) -> BigFloat {
+        let mut limbs = raw.to_vec();
+        let Some(top) = limb::highest_bit(&limbs) else {
+            return BigFloat::zero();
+        };
+        // We keep bits [top - prec + 1 ..= top].
+        let keep_low = top as i64 - prec as i64 + 1;
+        let mut exp = exp_of_top_bit;
+        if keep_low > 0 {
+            let keep_low = keep_low as u64;
+            let round_bit = limb::get_bit(&limbs, keep_low - 1);
+            let sticky = sticky_in || limb::any_bit_below(&limbs, keep_low - 1);
+            let lsb = limb::get_bit(&limbs, keep_low);
+            limb::clear_bits_below(&mut limbs, keep_low);
+            if round_bit && (sticky || lsb) {
+                if limb::add_bit(&mut limbs, keep_low) {
+                    let n = limbs.len();
+                    limbs[n - 1] = 1 << 63;
+                    exp += 1;
+                } else {
+                    // Rounding may have rippled into a new top bit
+                    // (e.g. 1.111 -> 10.000): recompute.
+                    let new_top = limb::highest_bit(&limbs).expect("nonzero after round up");
+                    exp += new_top as i128 - top as i128;
+                }
+            }
+        }
+        // Left/right align so the top bit sits at the MSB of the top
+        // limb, then trim to `ceil(prec/64)` limbs.
+        let top = limb::highest_bit(&limbs).expect("nonzero after rounding");
+        let nlimbs = prec.div_ceil(limb::LIMB_BITS) as usize;
+        let want_top = nlimbs as u64 * 64 - 1;
+        if want_top > top {
+            if limbs.len() < nlimbs {
+                limbs.resize(nlimbs, 0);
+            }
+            limb::shl_in_place(&mut limbs, (want_top - top) as u32);
+        } else {
+            // Rounding cleared every bit below keep_low, so this shift
+            // discards only zeros.
+            let sticky = limb::shr_in_place_sticky(&mut limbs, (top - want_top) as u32);
+            debug_assert!(!sticky, "normalization discarded set bits");
+        }
+        limbs.truncate(nlimbs);
+        BigFloat::normal_or_saturated(sign, exp, Limbs::from_slice(&limbs), prec)
+    }
+
     /// Re-rounds this value to a (typically lower) precision.
     #[must_use]
     pub fn round_to(&self, prec: u32) -> BigFloat {
@@ -372,7 +484,7 @@ impl BigFloat {
         );
         match self.kind {
             Kind::Normal => {
-                BigFloat::from_raw(self.sign, self.exp, self.limbs.clone(), false, prec)
+                BigFloat::from_raw(self.sign, self.exp, self.limbs.as_slice(), false, prec)
             }
             _ => {
                 let mut r = self.clone();
@@ -390,7 +502,7 @@ impl BigFloat {
             return BigFloat::zero();
         }
         let top = 63 - v.leading_zeros() as i64;
-        BigFloat::from_raw(Sign::Pos, top, vec![v], false, DEFAULT_PREC)
+        BigFloat::from_raw(Sign::Pos, top, &[v], false, DEFAULT_PREC)
     }
 
     /// Constructs from a signed integer (exact).
@@ -413,7 +525,13 @@ impl BigFloat {
 
     /// Internal accessor used by sibling modules.
     pub(crate) fn parts(&self) -> (Sign, Kind, i64, &[u64], u32) {
-        (self.sign, self.kind, self.exp, &self.limbs, self.prec)
+        (
+            self.sign,
+            self.kind,
+            self.exp,
+            self.limbs.as_slice(),
+            self.prec,
+        )
     }
 
     /// Internal constructor for special values carrying a precision tag.
@@ -422,7 +540,7 @@ impl BigFloat {
             sign,
             kind,
             exp: 0,
-            limbs: Vec::new(),
+            limbs: Limbs::EMPTY,
             prec,
         }
     }
@@ -437,14 +555,14 @@ impl BigFloat {
         sign: Sign,
         kind: Kind,
         exp: i64,
-        limbs: Vec<u64>,
+        limbs: &[u64],
         prec: u32,
     ) -> BigFloat {
         BigFloat {
             sign,
             kind,
             exp,
-            limbs,
+            limbs: Limbs::from_slice(limbs),
             prec,
         }
     }
@@ -490,21 +608,21 @@ mod tests {
     fn rounding_ties_to_even() {
         // Value 0b1011 (11) rounded to 3 bits: keep 101|1, round bit 1,
         // sticky 0, lsb of kept = 1 -> round up to 0b110 << 1 = 12.
-        let x = BigFloat::from_raw(Sign::Pos, 3, vec![0b1011], false, 3);
+        let x = BigFloat::from_raw(Sign::Pos, 3, &[0b1011], false, 3);
         assert_eq!(x.to_f64(), 12.0);
         // Value 0b1001 (9) to 3 bits: keep 100|1 round 1 sticky 0 lsb 0 ->
         // stay 0b100 << 1 = 8 (tie to even).
-        let x = BigFloat::from_raw(Sign::Pos, 3, vec![0b1001], false, 3);
+        let x = BigFloat::from_raw(Sign::Pos, 3, &[0b1001], false, 3);
         assert_eq!(x.to_f64(), 8.0);
         // 0b10011 (19) to 3 bits: round bit 1, sticky 1 -> up -> 20.
-        let x = BigFloat::from_raw(Sign::Pos, 4, vec![0b10011], false, 3);
+        let x = BigFloat::from_raw(Sign::Pos, 4, &[0b10011], false, 3);
         assert_eq!(x.to_f64(), 20.0);
     }
 
     #[test]
     fn rounding_carry_into_new_power_of_two() {
         // 0b1111 (15) rounded to 3 bits -> 16.
-        let x = BigFloat::from_raw(Sign::Pos, 3, vec![0b1111], false, 3);
+        let x = BigFloat::from_raw(Sign::Pos, 3, &[0b1111], false, 3);
         assert_eq!(x.to_f64(), 16.0);
         assert_eq!(x.exponent(), Some(4));
     }

@@ -135,10 +135,7 @@ impl BigFloat {
             if sign == Sign::Neg && kind != Kind::Inf {
                 return Err(SerialError::new("negative sign on zero/NaN"));
             }
-            return Ok((
-                BigFloat::from_parts_exact(sign, kind, 0, Vec::new(), prec),
-                5,
-            ));
+            return Ok((BigFloat::from_parts_exact(sign, kind, 0, &[], prec), 5));
         }
         let nlimbs = prec.div_ceil(64) as usize;
         let total = 5 + 8 + nlimbs * 8;
@@ -164,7 +161,7 @@ impl BigFloat {
             return Err(SerialError::new("set bits below the stated precision"));
         }
         Ok((
-            BigFloat::from_parts_exact(sign, kind, exp, limbs, prec),
+            BigFloat::from_parts_exact(sign, kind, exp, &limbs, prec),
             total,
         ))
     }

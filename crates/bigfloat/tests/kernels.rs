@@ -11,7 +11,11 @@
 //! 2. **Kernel equivalence** — the fixed-width fast paths and the
 //!    Knuth-D division must agree bit-for-bit with the general slice
 //!    kernels and the retired restoring division (`testing::*`) across
-//!    operand widths 24..4096.
+//!    operand widths 24..4096. The general references also finish
+//!    through the retired bit-indexed rounding, so the same comparisons
+//!    check the whole-limb rounding core, including the mixed
+//!    `N x 1`-limb products, carries out of rounding, and exponent
+//!    saturation.
 
 use compstat_bigfloat::{bit_identical, testing, BigFloat, Context};
 use proptest::prelude::*;
@@ -143,8 +147,154 @@ fn cancellation_and_near_equal_operands_stay_identical() {
     }
 }
 
+/// Result precisions for the rounding-core sweeps: both sides of every
+/// limb boundary up to the inline limit, odd widths, and heap widths.
+const ROUND_PRECS: [u32; 12] = [2, 24, 53, 64, 113, 128, 192, 200, 256, 320, 321, 1024];
+
+/// A random operand of exactly `n` limbs: its precision is drawn from
+/// `(64(n-1), 64n]`.
+fn operand_of_limbs(state: &mut u64, n: u32) -> BigFloat {
+    let prec = (64 * n - (splitmix(state) % 64) as u32).max(2);
+    random_operand(state, prec)
+}
+
+/// `1 - 2^-p`: `p` one bits, the value that carries out of any rounding
+/// that drops a one.
+fn all_ones(p: u32) -> BigFloat {
+    Context::new(p).sub(&BigFloat::one(), &BigFloat::pow2(-i64::from(p)))
+}
+
+/// Every fast-path operation of `a` and `b` at `prec` against its
+/// general reference, plus both operands' `round_to(prec)`.
+fn assert_matches_reference(a: &BigFloat, b: &BigFloat, prec: u32, what: &str) {
+    let cp = Context::new(prec);
+    let pairs = [
+        ("add", cp.add(a, b), testing::add_general(a, b, prec)),
+        ("sub", cp.sub(a, b), testing::sub_general(a, b, prec)),
+        ("mul", cp.mul(a, b), testing::mul_general(a, b, prec)),
+        (
+            "mul swapped",
+            cp.mul(b, a),
+            testing::mul_general(b, a, prec),
+        ),
+        ("round a", a.round_to(prec), testing::round_general(a, prec)),
+        ("round b", b.round_to(prec), testing::round_general(b, prec)),
+    ];
+    for (name, fast, general) in pairs {
+        assert!(
+            bit_identical(&fast, &general),
+            "{name} ({what}) at prec {prec}: fast {fast:?} != general {general:?}"
+        );
+    }
+}
+
+#[test]
+fn mixed_width_products_match_general_at_every_limb_count() {
+    let mut st = 0x5EED_0004u64;
+    for n in 1..=5u32 {
+        for &prec in &ROUND_PRECS {
+            for _ in 0..4 {
+                let wide = operand_of_limbs(&mut st, n);
+                let narrow = operand_of_limbs(&mut st, 1);
+                assert_matches_reference(&wide, &narrow, prec, &format!("{n}x1"));
+            }
+        }
+    }
+}
+
+#[test]
+fn all_ones_significands_carry_out_of_rounding() {
+    for &p in &[53u32, 64, 128, 192, 256, 320, 321, 1024] {
+        let ones = all_ones(p);
+        for &prec in &ROUND_PRECS {
+            assert_matches_reference(&ones, &ones, prec, "ones x ones");
+            assert_matches_reference(&ones, &all_ones(53), prec, "ones x ones53");
+            assert_matches_reference(
+                &ones,
+                &BigFloat::pow2(-i64::from(p) - 1),
+                prec,
+                "ones + half ulp",
+            );
+            if prec < p {
+                // Dropping the tail of p one bits rounds up into 1.0.
+                let r = ones.round_to(prec);
+                assert_eq!(r.exponent(), Some(0), "round {p} ones to {prec}");
+                assert_eq!(r.to_f64(), 1.0);
+            }
+        }
+    }
+}
+
+#[test]
+fn ties_break_on_a_sticky_bit_in_any_limb() {
+    // 1 + 2^-prec sits exactly halfway between two `prec`-bit values;
+    // one more bit anywhere below, in any limb, must round it up.
+    for &prec in &[53u32, 64, 128, 200, 256, 320] {
+        let tie = Context::new(prec + 1).add(&BigFloat::one(), &BigFloat::pow2(-i64::from(prec)));
+        let one = BigFloat::one();
+        assert!(tie.round_to(prec) == one, "tie to even at {prec}");
+        for width in [prec + 64, prec + 128, prec + 192, 1024] {
+            let build = Context::new(width);
+            for k in (prec + 1..width).step_by(5).chain([width - 1]) {
+                let x = build.add(&tie, &BigFloat::pow2(-i64::from(k)));
+                let fast = x.round_to(prec);
+                let reference = testing::round_general(&x, prec);
+                assert!(
+                    bit_identical(&fast, &reference),
+                    "sticky bit 2^-{k} of a {width}-bit tie at prec {prec}"
+                );
+                assert!(fast > one, "sticky bit 2^-{k} ignored at {prec}");
+            }
+        }
+    }
+}
+
+#[test]
+fn exponent_saturation_matches_general() {
+    let mut st = 0x5EED_0005u64;
+    for &prec in &ROUND_PRECS {
+        for n in 1..=5u32 {
+            // A random significand in [1, 2).
+            let x = operand_of_limbs(&mut st, n).abs();
+            let x = x.mul_pow2(-x.exponent().unwrap());
+            let ones = all_ones(64 * n);
+            let edges = [
+                (x.mul_pow2(i64::MAX), x.clone()),
+                (ones.mul_pow2(i64::MAX), ones.mul_pow2(i64::MAX)),
+                (ones.mul_pow2(i64::MAX), BigFloat::from_f64(1.5)),
+                (x.mul_pow2(i64::MIN), x.neg()),
+                (BigFloat::pow2(i64::MIN), BigFloat::from_f64(0.75)),
+                (
+                    BigFloat::from_f64(1.5).mul_pow2(i64::MIN),
+                    BigFloat::pow2(i64::MIN).neg(),
+                ),
+            ];
+            for (a, b) in &edges {
+                assert_matches_reference(a, b, prec, "exponent edge");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mixed_width_products_match_general_at_random_precision(
+        seed in proptest::num::u64::ANY,
+        n in 1u32..=5,
+        prec_index in 0usize..ROUND_PRECS.len(),
+        offset in 0u32..64,
+    ) {
+        let mut st = seed;
+        let wide = operand_of_limbs(&mut st, n);
+        let narrow = operand_of_limbs(&mut st, 1);
+        // Sweep off the listed precisions too, so odd pads get covered.
+        let prec = (ROUND_PRECS[prec_index] + offset).min(1024);
+        assert_matches_reference(&wide, &narrow, prec, "random Nx1");
+        let other = operand_of_limbs(&mut st, 1 + (seed % 5) as u32);
+        assert_matches_reference(&wide, &other, prec, "random NxM");
+    }
 
     #[test]
     fn ops_are_correctly_rounded_at_random_precision(

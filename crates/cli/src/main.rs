@@ -1137,7 +1137,7 @@ fn cmd_cache_clear() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // A run killed mid-write leaves `.<name>.tmp-<pid>` files behind;
+    // A run killed mid-write leaves `.<name>.tmp-<pid>-<seq>` files behind;
     // clear owns those too, or they would accumulate invisibly
     // (`cache stats` only counts real entries).
     let orphans: Vec<PathBuf> = match std::fs::read_dir(&dir) {

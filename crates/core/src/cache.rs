@@ -759,17 +759,26 @@ pub fn record_run_stats(dir: &Path, run: &CacheStats) -> std::io::Result<()> {
     write_atomic(&dir.join("stats.json"), text.as_bytes())
 }
 
+/// Distinguishes concurrent [`write_atomic`] calls within one process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Writes `bytes` to `path` via a same-directory temp file
-/// (`.<name>.tmp-<pid>`) and an atomic rename, removing the temp file
-/// on failure — readers never observe a partial document and failed
-/// writes leave no droppings. Shared by the cache store, the stats
-/// file, and the CLI's report emission.
+/// (`.<name>.tmp-<pid>-<seq>`) and an atomic rename, removing the temp
+/// file on failure — readers never observe a partial document and
+/// failed writes leave no droppings. Shared by the cache store, the
+/// stats file, and the CLI's report emission.
+///
+/// The per-process sequence number gives every call its own temp file,
+/// so threads storing the same path at once (two serve workers missing
+/// on one key) never write into or rename away each other's file; the
+/// last rename wins with a complete document.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| std::io::Error::other("path has no file name"))?;
-    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}", std::process::id()));
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}-{seq}", std::process::id()));
     std::fs::write(&tmp, bytes).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })?;
@@ -1170,6 +1179,49 @@ mod tests {
         record_run_stats(&dir, &run).unwrap();
         let (_, total) = load_stats_file(&dir).unwrap();
         assert_eq!(total.hits, 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_write_atomic_to_one_path_never_collides() {
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 25;
+        let dir = tmp("write-atomic-race");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.bin");
+        let payloads: Vec<Vec<u8>> = (0..THREADS)
+            .map(|t| vec![u8::try_from(t).unwrap(); 4096 + t])
+            .collect();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let failures: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = payloads
+                .iter()
+                .map(|payload| {
+                    let (path, barrier) = (&path, &barrier);
+                    scope.spawn(move || {
+                        // Every thread writes the same path in lockstep.
+                        // Failures are counted, not raised, so no thread
+                        // leaves the barrier early and strands the rest.
+                        (0..ROUNDS)
+                            .filter(|_| {
+                                barrier.wait();
+                                write_atomic(path, payload).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failures, 0, "write_atomic calls failed");
+        let last = std::fs::read(&path).unwrap();
+        assert!(payloads.contains(&last), "torn or foreign final bytes");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp-"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

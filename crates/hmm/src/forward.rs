@@ -113,8 +113,10 @@ pub fn forward_oracle(model: &Hmm, obs: &[usize], ctx: &Context) -> BigFloat {
     for &ot in rest {
         assert!(ot < m, "observation symbol out of range");
         for q in 0..h {
-            let mut path_sum = BigFloat::zero();
-            for p in 0..h {
+            // Seeding with the first term is bit-identical to adding it
+            // to zero: that add only re-rounds a value already at `prec`.
+            let mut path_sum = ctx.mul(&alpha_prev[0], &a[q]);
+            for p in 1..h {
                 let term = ctx.mul(&alpha_prev[p], &a[p * h + q]);
                 path_sum = ctx.add(&path_sum, &term);
             }
