@@ -93,7 +93,7 @@ fn bench_scalar_ops(c: &mut Criterion) {
     });
     g.bench_function("lse_16ary", |b| {
         let terms: Vec<LogF64> = lx.iter().take(16).copied().collect();
-        b.iter(|| log_sum_exp(black_box(&terms)))
+        b.iter(|| log_sum_exp(black_box(&terms).iter().copied()))
     });
     g.finish();
 }

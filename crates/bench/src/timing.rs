@@ -15,11 +15,10 @@
 //!   53-bit coefficient), plus the retired bit-by-bit restoring
 //!   division as a baseline row so a single run shows the Knuth-D
 //!   speedup;
-//! * [`hdr_suite`] — the tiered backend's fast rungs: `HdrFloat`
-//!   (binary64 mantissa, software exponent) per-op and forward-pass
-//!   timings next to the same work on the 256-bit BigFloat path, so
-//!   the ladder speedup is measured from one binary rather than
-//!   asserted;
+//! * [`hdr_suite`] — the 53-bit ladder rung: `HdrFloat` (binary64
+//!   mantissa, software exponent) per-op and forward-pass timings next
+//!   to the same work on the 256-bit BigFloat path, so the ladder
+//!   speedup is measured from one binary rather than asserted;
 //! * [`oracle_suite`] — the end-to-end 256-bit oracle passes the
 //!   figures pay for: the shared Figure 9/11 p-value sweep and both
 //!   Figure 10 VICAR forward sweeps, run cache-off so the arithmetic is
@@ -263,14 +262,14 @@ pub fn bigfloat_suite(scale: Scale) -> BenchDoc {
 /// Oracle precision the hdr suite's baseline rows run at.
 pub const HDR_BASELINE_PREC: u32 = 256;
 
-/// Builds the tiered-backend suite: the HDR fast tier (`hdr/{op}/53`,
+/// Builds the `HdrFloat` suite: the 53-bit HDR rung (`hdr/{op}/53`,
 /// `hdr/forward/53`) timed next to the same operands and the same
 /// forward sweep on the 256-bit BigFloat path
 /// (`bigfloat/{op}/256`, `oracle/forward/256`), so one document holds
 /// both sides of the ladder-speedup claim.
 ///
-/// Per-op rows draw from one wide-exponent operand pool, rounded into
-/// the 53-bit HDR tier for the fast rows; forward rows run the same
+/// Per-op rows draw from one wide-exponent operand pool, rounded to
+/// 53-bit `HdrFloat` for the HDR rows; forward rows run the same
 /// model and observation batch through [`compstat_hmm::forward_batch`]
 /// over `HdrFloat` and [`compstat_hmm::forward_oracle_batch`] at 256
 /// bits, dispatched through `rt` cache-off (the forward pass is where
@@ -531,7 +530,7 @@ mod tests {
                 .any(|e| e.id == format!("bigfloat/{op}/256")));
         }
         assert!(BenchDoc::from_json(&doc.to_json()).is_ok());
-        // The fast rows really are the HDR tier: same value, binary64
+        // The HDR rows really are 53-bit HdrFloat: same value, binary64
         // mantissa (the speedup measured in release mode is over these
         // exact operands).
         assert!(compstat_bigfloat::bit_identical(

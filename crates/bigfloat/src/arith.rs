@@ -86,17 +86,6 @@ impl Context {
         div_impl(a, b, self.prec)
     }
 
-    /// Sums a sequence left-to-right, rounding after each partial sum
-    /// (the same associativity a software loop over `+=` would have).
-    #[must_use]
-    pub fn sum<'a, I: IntoIterator<Item = &'a BigFloat>>(&self, values: I) -> BigFloat {
-        let mut acc = BigFloat::zero();
-        for v in values {
-            acc = self.add(&acc, v);
-        }
-        acc
-    }
-
     /// Rounds `x` to the context precision (round to nearest, ties to
     /// even) — MPFR's `mpfr_set` with a target precision. Idempotent:
     /// a value already representable at `prec` bits passes unchanged,
@@ -903,12 +892,5 @@ mod tests {
         assert!((s.to_f64() - 0.30000000000000004).abs() < 1e-18);
         let p = &a * &b;
         assert!((p.to_f64() - 0.1 * 0.2).abs() < 1e-18);
-    }
-
-    #[test]
-    fn sum_folds_left() {
-        let c = ctx();
-        let xs: Vec<BigFloat> = (1..=10).map(BigFloat::from_u64).collect();
-        assert_eq!(c.sum(xs.iter()).to_f64(), 55.0);
     }
 }

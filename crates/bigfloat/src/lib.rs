@@ -14,6 +14,10 @@
 //! * [`Context`] — MPFR-style rounding contexts; `+ - * /` are correctly
 //!   rounded (round to nearest, ties to even), `ln`/`exp` are faithfully
 //!   rounded with generous guard bits.
+//! * [`HdrFloat`] — a binary64 mantissa with an `i64` software
+//!   exponent: bit-identical to `Context::new(53)` at hardware speed,
+//!   for the precision-ladder rungs that need BigFloat's range but not
+//!   its precision.
 //!
 //! # Examples
 //!
@@ -43,15 +47,15 @@ mod cmp;
 mod convert;
 mod elementary;
 mod fmt;
+mod hdr;
 pub mod limb;
 mod repr;
 pub mod serial;
-pub mod tiered;
 
 #[doc(hidden)]
 pub use arith::testing;
 pub use arith::Context;
 pub use elementary::ln2;
+pub use hdr::{HdrFloat, HDR_FAST_PREC};
 pub use repr::{BigFloat, Kind, Sign, DEFAULT_PREC, MAX_PREC, MIN_PREC};
 pub use serial::{bit_identical, SerialError};
-pub use tiered::{HdrFloat, Tiered, TieredCtx, HDR_FAST_PREC, NATIVE_EXP_LIMIT};

@@ -11,6 +11,10 @@
 //! * [`StatFloat`] — the "same computation, different number system"
 //!   interface implemented by `f64`, [`compstat_logspace::LogF64`] and
 //!   the `posit(64, ES)` configurations;
+//! * [`Arith`] — the same operations taken through `&self`, so one
+//!   recurrence runs on a runtime-precision oracle
+//!   [`Context`](compstat_bigfloat::Context) and, via [`Native`], on
+//!   every `StatFloat`;
 //! * [`error`] — relative error against the 256-bit oracle, with
 //!   underflow/invalid classification;
 //! * [`sample`] — operand corpora (uniform-in-exponent sampling) and
@@ -65,6 +69,7 @@
 
 pub mod accuracy;
 pub mod archive;
+pub mod arith;
 pub mod bench_doc;
 pub mod cache;
 pub mod diff;
@@ -80,6 +85,7 @@ pub mod stats;
 
 pub use accuracy::{figure3_buckets, figure9_buckets, ExponentBucket, OpKind};
 pub use archive::{export_cache, import_cache, ArchiveError, ImportSummary, TarEntry};
+pub use arith::{Arith, Native};
 pub use bench_doc::{BenchDoc, BenchEntry, BENCH_SCHEMA};
 pub use cache::{CacheKey, CacheStats, OracleCache};
 pub use diff::{

@@ -1,58 +1,111 @@
-//! The forward algorithm in every number system under study.
+//! The forward algorithm in every number system under study, written
+//! once. `forward_in` is Listing 1 over any [`Arith`]; each public
+//! kernel picks an arithmetic and, at most, a per-step callback.
 //!
-//! * [`forward`] — Listing 1, generic over [`StatFloat`] (binary64,
-//!   posit configurations, and even log-space via its LSE `add`);
+//! * [`forward`] — Listing 1 over any [`StatFloat`] (binary64, posit
+//!   configurations, `HdrFloat`, and even log-space via its binary LSE
+//!   `add`);
 //! * [`forward_log`] — Listing 3, the explicit log-space formulation
-//!   with n-ary LSE, as the paper's log accelerators implement it;
-//! * [`forward_oracle`] — the 256-bit reference result;
-//! * [`forward_scaled`] — the per-step rescaling baseline discussed in
-//!   Section VII (Related Works);
+//!   whose path sums are one n-ary LSE, as the paper's log accelerators
+//!   implement it;
+//! * [`forward_oracle`] — the 256-bit reference result, on a [`Context`];
+//! * [`forward_scaled`] — binary64 renormalized after every step, the
+//!   rescaling baseline discussed in Section VII (Related Works);
 //! * [`forward_trace`] — the Figure 1 experiment: the base-2 exponent of
-//!   the `alpha` vector over iterations, tracked exactly.
+//!   the `alpha` vector over iterations, tracked exactly. At most
+//!   [`HDR_FAST_PREC`] bits it runs on `HdrFloat`, above that on the
+//!   context itself.
+//!
+//! Every kernel checks the whole sequence before any arithmetic and
+//! panics with "observation symbol out of range" on a bad symbol.
 
 use crate::model::{Hmm, PreparedHmm};
-use compstat_bigfloat::{BigFloat, Context, Tiered, TieredCtx};
-use compstat_core::StatFloat;
+use compstat_bigfloat::{BigFloat, Context, HdrFloat, HDR_FAST_PREC};
+use compstat_core::{Arith, Native, StatFloat};
 use compstat_logspace::{log_sum_exp, LogF64};
+use compstat_runtime::Runtime;
+
+/// Listing 1 in the arithmetic `ar`: returns `P(O | lambda)`, or one for
+/// an empty sequence.
+///
+/// `step(t, alpha)` sees `alpha_t` once it is complete (`t = 0` is the
+/// initialization) and may rewrite it: rescaling does, the Figure 1
+/// trace takes snapshots. It is not called for an empty sequence.
+///
+/// Each path sum is one [`Arith::sum`] over `p` in order, which mirrors
+/// the software reference's sequential accumulation; the accelerator's
+/// reduction tree reassociates it, which is measured separately by the
+/// FPGA model.
+fn forward_in<A: Arith>(
+    ar: &A,
+    model: &PreparedHmm<A::V>,
+    obs: &[usize],
+    mut step: impl FnMut(usize, &mut [A::V]),
+) -> A::V {
+    let (h, m) = (model.h, model.m);
+    assert!(
+        obs.iter().all(|&o| o < m),
+        "observation symbol out of range"
+    );
+    let Some((&o0, rest)) = obs.split_first() else {
+        return ar.one(); // empty observation: probability 1
+    };
+    let mut alpha_prev: Vec<A::V> = (0..h)
+        .map(|q| ar.mul(&model.pi[q], &model.b[q * m + o0]))
+        .collect();
+    step(0, &mut alpha_prev);
+    let mut alpha: Vec<A::V> = vec![ar.zero(); h];
+    for (t, &ot) in rest.iter().enumerate() {
+        for q in 0..h {
+            let path_sum = ar.sum((0..h).map(|p| ar.mul(&alpha_prev[p], &model.a[p * h + q])));
+            alpha[q] = ar.mul(&path_sum, &model.b[q * m + ot]);
+        }
+        core::mem::swap(&mut alpha, &mut alpha_prev);
+        step(t + 1, &mut alpha_prev);
+    }
+    ar.sum(alpha_prev.iter().cloned())
+}
 
 /// The forward algorithm (Listing 1): returns `P(O | lambda)`.
-///
-/// Sequential accumulation in the innermost loop mirrors the software
-/// reference; the accelerator's reduction tree reassociates it, which is
-/// measured separately by the FPGA model.
 ///
 /// # Panics
 ///
 /// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward<T: StatFloat>(model: &PreparedHmm<T>, obs: &[usize]) -> T {
-    let h = model.num_states();
-    let mut alpha_prev: Vec<T> = Vec::with_capacity(h);
-    let mut alpha: Vec<T> = vec![T::zero(); h];
-    let Some((&o0, rest)) = obs.split_first() else {
-        return T::one(); // empty observation: probability 1
-    };
-    assert!(o0 < model.num_symbols(), "observation symbol out of range");
-    for q in 0..h {
-        alpha_prev.push(model.pi(q).mul(model.b(q, o0)));
+    forward_in(&Native::<T>::new(), model, obs, |_, _| {})
+}
+
+/// Listing 3's arithmetic: log-space values whose path sums are one
+/// n-ary LSE rather than a chain of binary ones.
+struct NaryLse;
+
+impl Arith for NaryLse {
+    type V = LogF64;
+
+    fn zero(&self) -> LogF64 {
+        LogF64::ZERO
     }
-    for &ot in rest {
-        assert!(ot < model.num_symbols(), "observation symbol out of range");
-        for q in 0..h {
-            let mut path_sum = T::zero();
-            for p in 0..h {
-                let term = alpha_prev[p].mul(model.a(p, q));
-                path_sum = path_sum.add(term);
-            }
-            alpha[q] = path_sum.mul(model.b(q, ot));
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
+
+    fn one(&self) -> LogF64 {
+        LogF64::ONE
     }
-    let mut likelihood = T::zero();
-    for q in 0..h {
-        likelihood = likelihood.add(alpha_prev[q]);
+
+    fn import_f64(&self, x: f64) -> LogF64 {
+        LogF64::from_f64(x)
     }
-    likelihood
+
+    fn add(&self, a: &LogF64, b: &LogF64) -> LogF64 {
+        *a + *b
+    }
+
+    fn mul(&self, a: &LogF64, b: &LogF64) -> LogF64 {
+        *a * *b
+    }
+
+    fn sum(&self, terms: impl Iterator<Item = LogF64> + Clone) -> LogF64 {
+        log_sum_exp(terms)
+    }
 }
 
 /// The forward algorithm in explicit log-space (Listing 3): `ln_A` and
@@ -60,29 +113,7 @@ pub fn forward<T: StatFloat>(model: &PreparedHmm<T>, obs: &[usize]) -> T {
 /// the result is the log-likelihood.
 #[must_use]
 pub fn forward_log(model: &Hmm, obs: &[usize]) -> LogF64 {
-    let h = model.num_states();
-    // Pre-computed logarithm matrices (Listing 3's ln_A / ln_B).
-    let prepared: PreparedHmm<LogF64> = model.prepare();
-    let Some((&o0, rest)) = obs.split_first() else {
-        return LogF64::ONE;
-    };
-    assert!(o0 < model.num_symbols(), "observation symbol out of range");
-    let mut alpha_prev: Vec<LogF64> = (0..h).map(|q| prepared.pi(q) * prepared.b(q, o0)).collect();
-    let mut terms: Vec<LogF64> = vec![LogF64::ZERO; h];
-    let mut alpha: Vec<LogF64> = vec![LogF64::ZERO; h];
-    for &ot in rest {
-        assert!(ot < model.num_symbols(), "observation symbol out of range");
-        for q in 0..h {
-            for p in 0..h {
-                // term = alpha_prev[p] + ln_a (log-space add = mul).
-                terms[p] = alpha_prev[p] * prepared.a(p, q);
-            }
-            let path_sum = log_sum_exp(&terms);
-            alpha[q] = path_sum * prepared.b(q, ot);
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-    }
-    log_sum_exp(&alpha_prev)
+    forward_in(&NaryLse, &model.prepare_in(&NaryLse), obs, |_, _| {})
 }
 
 /// The 256-bit oracle forward pass: the baseline "correct value" for
@@ -90,41 +121,10 @@ pub fn forward_log(model: &Hmm, obs: &[usize]) -> LogF64 {
 ///
 /// # Panics
 ///
-/// Panics if any observation symbol is out of range (same message as
-/// [`forward`]).
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward_oracle(model: &Hmm, obs: &[usize], ctx: &Context) -> BigFloat {
-    let h = model.num_states();
-    let a: Vec<BigFloat> = (0..h * h)
-        .map(|i| BigFloat::from_f64(model.a(i / h, i % h)))
-        .collect();
-    let b: Vec<BigFloat> = (0..h * model.num_symbols())
-        .map(|i| BigFloat::from_f64(model.b(i / model.num_symbols(), i % model.num_symbols())))
-        .collect();
-    let Some((&o0, rest)) = obs.split_first() else {
-        return BigFloat::one();
-    };
-    let m = model.num_symbols();
-    assert!(o0 < m, "observation symbol out of range");
-    let mut alpha_prev: Vec<BigFloat> = (0..h)
-        .map(|q| ctx.mul(&BigFloat::from_f64(model.pi(q)), &b[q * m + o0]))
-        .collect();
-    let mut alpha: Vec<BigFloat> = vec![BigFloat::zero(); h];
-    for &ot in rest {
-        assert!(ot < m, "observation symbol out of range");
-        for q in 0..h {
-            // Seeding with the first term is bit-identical to adding it
-            // to zero: that add only re-rounds a value already at `prec`.
-            let mut path_sum = ctx.mul(&alpha_prev[0], &a[q]);
-            for p in 1..h {
-                let term = ctx.mul(&alpha_prev[p], &a[p * h + q]);
-                path_sum = ctx.add(&path_sum, &term);
-            }
-            alpha[q] = ctx.mul(&path_sum, &b[q * m + ot]);
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-    }
-    ctx.sum(alpha_prev.iter())
+    forward_in(ctx, &model.prepare_in(ctx), obs, |_, _| {})
 }
 
 /// Result of the rescaling forward pass ([`forward_scaled`]).
@@ -143,48 +143,23 @@ pub struct ScaledForward {
 ///
 /// # Panics
 ///
-/// Panics if any observation symbol is out of range — with the same
-/// message as [`forward`] and [`forward_log`], so callers can rely on
-/// one diagnostic across the kernel family.
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward_scaled(model: &Hmm, obs: &[usize]) -> ScaledForward {
-    let h = model.num_states();
-    let Some((&o0, rest)) = obs.split_first() else {
-        return ScaledForward {
-            ln_likelihood: 0.0,
-            rescales: 0,
-        };
-    };
-    assert!(o0 < model.num_symbols(), "observation symbol out of range");
-    let mut alpha_prev: Vec<f64> = (0..h).map(|q| model.pi(q) * model.b(q, o0)).collect();
-    let mut alpha: Vec<f64> = vec![0.0; h];
-    let mut ln_l = 0.0;
+    let mut ln_likelihood = 0.0;
     let mut rescales = 0;
-    let rescale = |v: &mut Vec<f64>, ln_l: &mut f64, rescales: &mut usize| {
-        let s: f64 = v.iter().sum();
+    forward_in(&Native::<f64>::new(), &model.prepare(), obs, |_, alpha| {
+        let s: f64 = alpha.iter().sum();
         if s > 0.0 {
-            *ln_l += s.ln();
-            for x in v.iter_mut() {
+            ln_likelihood += s.ln();
+            for x in alpha.iter_mut() {
                 *x /= s;
             }
-            *rescales += 1;
+            rescales += 1;
         }
-    };
-    rescale(&mut alpha_prev, &mut ln_l, &mut rescales);
-    for &ot in rest {
-        assert!(ot < model.num_symbols(), "observation symbol out of range");
-        for q in 0..h {
-            let mut path_sum = 0.0;
-            for p in 0..h {
-                path_sum += alpha_prev[p] * model.a(p, q);
-            }
-            alpha[q] = path_sum * model.b(q, ot);
-        }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-        rescale(&mut alpha_prev, &mut ln_l, &mut rescales);
-    }
+    });
     ScaledForward {
-        ln_likelihood: ln_l,
+        ln_likelihood,
         rescales,
     }
 }
@@ -206,13 +181,7 @@ pub struct TracePoint {
 /// `stride` controls how often points are recorded (1 = every step).
 #[must_use]
 pub fn forward_trace(model: &Hmm, obs: &[usize], ctx: &Context, stride: usize) -> Vec<TracePoint> {
-    forward_trace_rt(
-        model,
-        obs,
-        ctx,
-        stride,
-        &compstat_runtime::Runtime::serial(),
-    )
+    forward_trace_rt(model, obs, ctx, stride, &Runtime::serial())
 }
 
 /// [`forward_trace`] with an explicit runtime: the recurrence itself is
@@ -221,71 +190,60 @@ pub fn forward_trace(model: &Hmm, obs: &[usize], ctx: &Context, stride: usize) -
 /// map over snapshots and runs through `rt`. Point order and values are
 /// bitwise-identical for every thread count.
 ///
-/// Internally the recurrence runs on the tiered backend at the
-/// context's precision: a ladder rung at `prec <= 53` computes on
-/// hardware `f64` ([`Tiered`]'s fast tier, bit-identical to the 53-bit
-/// [`Context`]), while higher precisions — including the oracle-grade
-/// 192-bit trace of Figure 1 — delegate to [`Context`] unchanged, so
-/// recorded exponents are byte-for-byte what the pure-BigFloat path
-/// produced.
+/// The recurrence runs in the cheapest arithmetic that is exact at the
+/// context's precision. At `prec <= HDR_FAST_PREC` (53 bits) that is
+/// [`HdrFloat`]: hardware `f64` with a software exponent, bit-identical
+/// to `Context::new(53)` and computing at 53 bits for any smaller
+/// request. Above 53 bits, including the oracle-grade 192-bit trace of
+/// Figure 1, it runs on `ctx` itself.
 #[must_use]
 pub fn forward_trace_rt(
     model: &Hmm,
     obs: &[usize],
     ctx: &Context,
     stride: usize,
-    rt: &compstat_runtime::Runtime,
+    rt: &Runtime,
 ) -> Vec<TracePoint> {
     let stride = stride.max(1);
-    let h = model.num_states();
-    let m = model.num_symbols();
-    let Some((&o0, rest)) = obs.split_first() else {
-        return Vec::new();
-    };
-    let tctx = TieredCtx::new(ctx.prec());
-    let a: Vec<Tiered> = (0..h * h)
-        .map(|i| tctx.from_f64(model.a(i / h, i % h)))
-        .collect();
-    let b: Vec<Tiered> = (0..h * m)
-        .map(|i| tctx.from_f64(model.b(i / m, i % m)))
-        .collect();
-    let mut alpha_prev: Vec<Tiered> = (0..h)
-        .map(|q| tctx.mul(&tctx.from_f64(model.pi(q)), &b[q * m + o0]))
-        .collect();
-    let mut alpha: Vec<Tiered> = vec![tctx.zero(); h];
     // The sequential recurrence snapshots alpha at recorded iterations;
     // the exponent extraction (one small-context oracle sum per
     // snapshot) is an independent map and flushes through `rt` in
     // bounded batches, so memory stays O(batch * H) even at stride 1
     // while snapshot order keeps the output identical to a serial run.
     const FLUSH_BATCH: usize = 256;
-    let mut snapshots: Vec<(usize, Vec<Tiered>)> = Vec::new();
-    let mut out: Vec<TracePoint> = Vec::new();
-    let flush = |snapshots: &mut Vec<(usize, Vec<Tiered>)>, out: &mut Vec<TracePoint>| {
-        let points = rt.par_map(snapshots, |(t, v)| {
-            let ctx_small = TieredCtx::new(64);
-            let s = ctx_small.sum(v.iter());
+    let flush = |snapshots: &mut Vec<(usize, Vec<BigFloat>)>, out: &mut Vec<TracePoint>| {
+        let points = rt.par_map(snapshots, |(t, alpha)| {
+            // Zero-seeded: every term is rounded to 64 bits on entry.
+            let ctx64 = Context::new(64);
+            let s = alpha
+                .iter()
+                .fold(BigFloat::zero(), |acc, x| ctx64.add(&acc, x));
             s.exponent().map(|exponent| TracePoint { t: *t, exponent })
         });
         out.extend(points.into_iter().flatten());
         snapshots.clear();
     };
-    snapshots.push((0, alpha_prev.clone()));
-    for (idx, &ot) in rest.iter().enumerate() {
-        for q in 0..h {
-            let mut path_sum = tctx.zero();
-            for p in 0..h {
-                path_sum = tctx.add(&path_sum, &tctx.mul(&alpha_prev[p], &a[p * h + q]));
-            }
-            alpha[q] = tctx.mul(&path_sum, &b[q * m + ot]);
+    let mut snapshots = Vec::new();
+    let mut out = Vec::new();
+    let mut record = |t: usize, alpha: Vec<BigFloat>| {
+        snapshots.push((t, alpha));
+        if snapshots.len() >= FLUSH_BATCH {
+            flush(&mut snapshots, &mut out);
         }
-        core::mem::swap(&mut alpha, &mut alpha_prev);
-        if (idx + 1) % stride == 0 {
-            snapshots.push((idx + 1, alpha_prev.clone()));
-            if snapshots.len() >= FLUSH_BATCH {
-                flush(&mut snapshots, &mut out);
+    };
+    if ctx.prec() <= HDR_FAST_PREC {
+        let hdr = Native::<HdrFloat>::new();
+        forward_in(&hdr, &model.prepare_in(&hdr), obs, |t, alpha| {
+            if t % stride == 0 {
+                record(t, alpha.iter().map(HdrFloat::to_bigfloat).collect());
             }
-        }
+        });
+    } else {
+        forward_in(ctx, &model.prepare_in(ctx), obs, |t, alpha| {
+            if t % stride == 0 {
+                record(t, alpha.to_vec());
+            }
+        });
     }
     flush(&mut snapshots, &mut out);
     out
@@ -416,11 +374,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_fast_tier_tracks_the_oracle_trace() {
-        // A prec <= 53 ladder rung runs the recurrence on the tiered
-        // fast tier (hardware f64 + software exponent). Its exponents
-        // must track the 128-bit trace to within accumulated-rounding
-        // slack even thousands of binades below f64's range.
+    fn trace_at_53_bits_tracks_the_oracle_trace() {
+        // A prec <= 53 ladder rung runs the recurrence on HdrFloat
+        // (hardware f64 + software exponent). Its exponents must track
+        // the 128-bit trace to within accumulated-rounding slack even
+        // thousands of binades below f64's range.
         let m = toy();
         let obs: Vec<usize> = (0..4_000).map(|i| (i * 13 + 1) % 2).collect();
         let fast = forward_trace(&m, &obs, &Context::new(53), 200);
@@ -436,8 +394,8 @@ mod tests {
                 b.exponent
             );
         }
-        // The tail is far outside binary64's reach, proving the fast
-        // tier was carrying an HDR exponent, not an f64.
+        // The tail is far outside binary64's reach, proving the 53-bit
+        // run was carrying an HDR exponent, not an f64.
         assert!(big.last().unwrap().exponent < -2_000);
     }
 

@@ -6,10 +6,10 @@
 //! (a phylogenetics tool) computes likelihoods as small as
 //! `2^-2_900_000` over 500,000-site Human-Chimp-Gorilla sequences.
 //!
-//! The forward algorithm (Listing 1 of the paper) is implemented:
+//! The forward algorithm (Listing 1 of the paper) is written once, as a
+//! recurrence generic over [`compstat_core::Arith`], and instantiated:
 //!
-//! * generically over every [`compstat_core::StatFloat`] format
-//!   ([`forward`]),
+//! * over every [`compstat_core::StatFloat`] format ([`forward`]),
 //! * in explicit log-space with n-ary LSE (Listing 3, [`forward_log`]),
 //! * at 256-bit oracle precision ([`forward_oracle`]),
 //! * with per-step rescaling (the Section VII baseline,

@@ -1,6 +1,6 @@
 //! Hidden Markov Model definition and per-format preparation.
 
-use compstat_core::StatFloat;
+use compstat_core::{Arith, Native, StatFloat};
 
 /// A discrete-observation HMM `lambda = (A, B, pi)` (Section V-A).
 ///
@@ -114,17 +114,26 @@ impl Hmm {
     /// designs store pre-computed `ln_A`, `ln_B` — Listing 3).
     #[must_use]
     pub fn prepare<T: StatFloat>(&self) -> PreparedHmm<T> {
+        self.prepare_in(&Native::<T>::new())
+    }
+
+    /// [`Hmm::prepare`] for any arithmetic, including a runtime-precision
+    /// oracle context: every probability is imported once through `ar`.
+    #[must_use]
+    pub fn prepare_in<A: Arith>(&self, ar: &A) -> PreparedHmm<A::V> {
+        let import = |ps: &[f64]| ps.iter().map(|&p| ar.import_f64(p)).collect();
         PreparedHmm {
             h: self.h,
             m: self.m,
-            a: self.a.iter().map(|&p| T::from_f64(p)).collect(),
-            b: self.b.iter().map(|&p| T::from_f64(p)).collect(),
-            pi: self.pi.iter().map(|&p| T::from_f64(p)).collect(),
+            a: import(&self.a),
+            b: import(&self.b),
+            pi: import(&self.pi),
         }
     }
 }
 
-/// An [`Hmm`] with all probabilities pre-converted into format `T`.
+/// An [`Hmm`] with all probabilities pre-converted into format `T`
+/// (or into an [`Arith`]'s values, see [`Hmm::prepare_in`]).
 #[derive(Clone, Debug)]
 pub struct PreparedHmm<T> {
     pub(crate) h: usize,

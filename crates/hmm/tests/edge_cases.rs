@@ -1,8 +1,9 @@
 //! Edge-case behavior of the forward-kernel family: empty observation
 //! sequences, single-state (H = 1) models, and out-of-range symbol
 //! diagnostics must be consistent across `forward`, `forward_log`,
-//! `forward_scaled`, and `forward_oracle` — a caller switching number
-//! systems must never see the *shape* of the computation change.
+//! `forward_scaled`, `forward_oracle`, and `forward_trace` — a caller
+//! switching number systems must never see the *shape* of the
+//! computation change.
 
 use compstat_bigfloat::Context;
 use compstat_hmm::{forward, forward_log, forward_oracle, forward_scaled, forward_trace, Hmm};
@@ -100,37 +101,26 @@ fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
 #[test]
 fn out_of_range_symbol_panics_with_one_message_across_kernels() {
     const WANT: &str = "observation symbol out of range";
-    let m = two_state();
-    // At the first symbol and mid-sequence: both paths must agree.
-    for obs in [vec![9usize, 0, 1], vec![0usize, 1, 9]] {
-        let msgs = [
-            panic_message({
-                let (m, obs) = (m.clone(), obs.clone());
-                move || {
-                    let _ = forward::<f64>(&m.prepare(), &obs);
-                }
-            }),
-            panic_message({
-                let (m, obs) = (m.clone(), obs.clone());
-                move || {
-                    let _ = forward_log(&m, &obs);
-                }
-            }),
-            panic_message({
-                let (m, obs) = (m.clone(), obs.clone());
-                move || {
-                    let _ = forward_scaled(&m, &obs);
-                }
-            }),
-            panic_message({
-                let (m, obs) = (m.clone(), obs.clone());
-                move || {
-                    let _ = forward_oracle(&m, &obs, &Context::new(64));
-                }
-            }),
-        ];
-        for msg in &msgs {
-            assert_eq!(msg, WANT, "obs {obs:?}");
+    let kernels: [fn(&Hmm, &[usize]) -> f64; 6] = [
+        |m, obs| forward::<f64>(&m.prepare(), obs),
+        |m, obs| forward_log(m, obs).to_f64(),
+        |m, obs| forward_scaled(m, obs).ln_likelihood,
+        |m, obs| forward_oracle(m, obs, &Context::new(64)).to_f64(),
+        // The trace in both of its arithmetics: HdrFloat at <= 53 bits,
+        // the context itself above.
+        |m, obs| forward_trace(m, obs, &Context::new(53), 1).len() as f64,
+        |m, obs| forward_trace(m, obs, &Context::new(128), 1).len() as f64,
+    ];
+    // At the first symbol, mid-sequence, and one past the last symbol
+    // (which a flat `b[q * m + o]` index would silently read as the
+    // next row's emission): every kernel must agree.
+    for obs in [vec![9usize, 0, 1], vec![0usize, 1, 9], vec![0usize, 2]] {
+        for (i, kernel) in kernels.into_iter().enumerate() {
+            let (m, o) = (two_state(), obs.clone());
+            let msg = panic_message(move || {
+                kernel(&m, &o);
+            });
+            assert_eq!(msg, WANT, "kernel {i}, obs {obs:?}");
         }
     }
 }

@@ -289,18 +289,25 @@ impl fmt::Display for LogF64 {
     }
 }
 
-/// N-ary Log-Sum-Exp over a slice of log-values — Equation (3), the
-/// reduction at the heart of the forward algorithm's log-space inner loop
-/// (Listing 3's `LSE(terms)`).
+/// N-ary Log-Sum-Exp over log-values — Equation (3), the reduction at
+/// the heart of the forward algorithm's log-space inner loop (Listing
+/// 3's `LSE(terms)`).
 ///
-/// Returns [`LogF64::ZERO`] for an empty slice or all-zero inputs.
+/// Two passes (the maximum, then the scaled sum) read the terms, so the
+/// iterator must be `Clone`; a lazy iterator needs no buffer. Returns
+/// [`LogF64::ZERO`] for no terms or all-zero inputs.
 #[must_use]
-pub fn log_sum_exp(terms: &[LogF64]) -> LogF64 {
-    let m = terms.iter().fold(f64::NEG_INFINITY, |m, t| m.max(t.ln));
+pub fn log_sum_exp<I>(terms: I) -> LogF64
+where
+    I: IntoIterator<Item = LogF64>,
+    I::IntoIter: Clone,
+{
+    let terms = terms.into_iter();
+    let m = terms.clone().fold(f64::NEG_INFINITY, |m, t| m.max(t.ln));
     if m == f64::NEG_INFINITY {
         return LogF64::ZERO;
     }
-    let sum: f64 = terms.iter().map(|t| (t.ln - m).exp()).sum();
+    let sum: f64 = terms.map(|t| (t.ln - m).exp()).sum();
     LogF64::from_ln(m + sum.ln())
 }
 
@@ -365,11 +372,11 @@ mod tests {
             .iter()
             .map(|&l| LogF64::from_ln(l))
             .collect();
-        let nary = log_sum_exp(&terms);
+        let nary = log_sum_exp(terms.iter().copied());
         let pair = ((terms[0] + terms[1]) + terms[2]) + terms[3];
         assert!((nary.ln_value() - pair.ln_value()).abs() < 1e-12);
-        assert!(log_sum_exp(&[]).is_zero());
-        assert!(log_sum_exp(&[LogF64::ZERO, LogF64::ZERO]).is_zero());
+        assert!(log_sum_exp([]).is_zero());
+        assert!(log_sum_exp([LogF64::ZERO, LogF64::ZERO]).is_zero());
     }
 
     #[test]
