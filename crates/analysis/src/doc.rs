@@ -1,26 +1,22 @@
-//! The `compstat-audit/v1` document: structured audit results.
+//! The `compstat-audit/v2` document: structured audit results.
 //!
 //! Findings are sorted by `(file, line, col, rule)` so the text and
 //! JSON renderings are deterministic — the audit holds itself to the
-//! byte-stability invariant it enforces. Waived findings stay in the
-//! document (with their reasons) so suppressions remain visible in CI
-//! artifacts instead of silently vanishing.
+//! byte-stability invariant it enforces.
 
-use crate::rules::{Allowed, Finding, Rule};
+use crate::rules::{Finding, Rule};
 use compstat_core::json::Json;
 
 /// Schema identifier of audit documents.
-pub const AUDIT_SCHEMA: &str = "compstat-audit/v1";
+pub const AUDIT_SCHEMA: &str = "compstat-audit/v2";
 
 /// The result of one audit run.
 #[derive(Default)]
 pub struct AuditDoc {
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Live violations, sorted.
+    /// Violations, sorted.
     pub findings: Vec<Finding>,
-    /// Waived findings with their reasons, sorted.
-    pub allowed: Vec<Allowed>,
 }
 
 fn sort_key(f: &Finding) -> (String, u32, u32, &'static str) {
@@ -28,19 +24,18 @@ fn sort_key(f: &Finding) -> (String, u32, u32, &'static str) {
 }
 
 impl AuditDoc {
-    /// Sorts findings and waivers into canonical order.
+    /// Sorts findings into canonical order.
     pub fn sort(&mut self) {
         self.findings.sort_by_key(sort_key);
-        self.allowed.sort_by_key(|a| sort_key(&a.finding));
     }
 
-    /// True when no live violation was found.
+    /// True when no violation was found.
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
 
-    /// Per-rule counts of live findings, in [`Rule::ALL`] order.
+    /// Per-rule counts of findings, in [`Rule::ALL`] order.
     #[must_use]
     pub fn by_rule(&self) -> Vec<(Rule, usize)> {
         Rule::ALL
@@ -49,7 +44,7 @@ impl AuditDoc {
             .collect()
     }
 
-    /// Serializes to the `compstat-audit/v1` JSON document.
+    /// Serializes to the `compstat-audit/v2` JSON document.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let finding_json = |f: &Finding| {
@@ -75,28 +70,12 @@ impl AuditDoc {
                 Json::obj(vec![
                     ("files_scanned", Json::Num(self.files_scanned as f64)),
                     ("findings", Json::Num(self.findings.len() as f64)),
-                    ("allowed", Json::Num(self.allowed.len() as f64)),
                     ("by_rule", by_rule),
                 ]),
             ),
             (
                 "findings",
                 Json::Arr(self.findings.iter().map(finding_json).collect()),
-            ),
-            (
-                "allowed",
-                Json::Arr(
-                    self.allowed
-                        .iter()
-                        .map(|a| {
-                            let mut obj = finding_json(&a.finding);
-                            if let Json::Obj(pairs) = &mut obj {
-                                pairs.push(("reason".to_string(), Json::str(a.reason.clone())));
-                            }
-                            obj
-                        })
-                        .collect(),
-                ),
             ),
         ])
     }
@@ -122,10 +101,9 @@ impl AuditDoc {
             out.push('\n');
         }
         out.push_str(&format!(
-            "audit: {} file(s) scanned, {} finding(s), {} allowed\n",
+            "audit: {} file(s) scanned, {} finding(s)\n",
             self.files_scanned,
-            self.findings.len(),
-            self.allowed.len()
+            self.findings.len()
         ));
         if !self.findings.is_empty() {
             let counts: Vec<String> = self
@@ -140,7 +118,7 @@ impl AuditDoc {
     }
 }
 
-/// Structural validation of a parsed `compstat-audit/v1` document —
+/// Structural validation of a parsed `compstat-audit/v2` document —
 /// used by `compstat validate`. Returns every problem found.
 #[must_use]
 pub fn validate_json(doc: &Json) -> Vec<String> {
@@ -154,44 +132,37 @@ pub fn validate_json(doc: &Json) -> Vec<String> {
     match summary {
         None => errors.push("missing object field \"summary\"".to_string()),
         Some(s) => {
-            for key in ["files_scanned", "findings", "allowed"] {
+            for key in ["files_scanned", "findings"] {
                 if s.get(key).and_then(Json::as_f64).is_none() {
                     errors.push(format!("summary: missing numeric field {key:?}"));
                 }
             }
         }
     }
-    for (section, extra) in [("findings", None), ("allowed", Some("reason"))] {
-        let Some(arr) = doc.get(section).and_then(Json::as_arr) else {
-            errors.push(format!("missing array field {section:?}"));
-            continue;
-        };
-        for (idx, f) in arr.iter().enumerate() {
-            for key in ["rule", "file", "snippet", "message"] {
-                if f.get(key).and_then(Json::as_str).is_none() {
-                    errors.push(format!("{section}[{idx}]: missing string field {key:?}"));
+    match doc.get("findings").and_then(Json::as_arr) {
+        None => errors.push("missing array field \"findings\"".to_string()),
+        Some(arr) => {
+            for (idx, f) in arr.iter().enumerate() {
+                for key in ["rule", "file", "snippet", "message"] {
+                    if f.get(key).and_then(Json::as_str).is_none() {
+                        errors.push(format!("findings[{idx}]: missing string field {key:?}"));
+                    }
                 }
-            }
-            if let Some(rule) = f.get("rule").and_then(Json::as_str) {
-                if Rule::parse(rule).is_none() {
-                    errors.push(format!("{section}[{idx}]: unknown rule {rule:?}"));
+                if let Some(rule) = f.get("rule").and_then(Json::as_str) {
+                    if Rule::parse(rule).is_none() {
+                        errors.push(format!("findings[{idx}]: unknown rule {rule:?}"));
+                    }
                 }
-            }
-            for key in ["line", "col"] {
-                if f.get(key).and_then(Json::as_f64).is_none() {
-                    errors.push(format!("{section}[{idx}]: missing numeric field {key:?}"));
-                }
-            }
-            if let Some(extra) = extra {
-                if f.get(extra).and_then(Json::as_str).is_none() {
-                    errors.push(format!("{section}[{idx}]: missing string field {extra:?}"));
+                for key in ["line", "col"] {
+                    if f.get(key).and_then(Json::as_f64).is_none() {
+                        errors.push(format!("findings[{idx}]: missing numeric field {key:?}"));
+                    }
                 }
             }
         }
     }
     if let (Some(s), Some(arr)) = (summary, doc.get("findings").and_then(Json::as_arr)) {
         if let Some(n) = s.get("findings").and_then(Json::as_f64) {
-            #[allow(clippy::float_cmp)] // exact small integers round-trip through f64
             if n != arr.len() as f64 {
                 errors.push(format!(
                     "summary.findings is {n} but the findings array has {} entries",
@@ -213,19 +184,15 @@ mod tests {
             file: file.to_string(),
             line,
             col: 5,
-            snippet: "let t = Instant::now();".to_string(),
+            snippet: "format!(\"{}\", ratio)".to_string(),
             message: "msg".to_string(),
         };
         let mut doc = AuditDoc {
             files_scanned: 2,
             findings: vec![
-                f("b.rs", 9, Rule::Nondeterminism),
-                f("a.rs", 3, Rule::LossyCast),
+                f("b.rs", 9, Rule::KernelTagGuard),
+                f("a.rs", 3, Rule::FloatFormat),
             ],
-            allowed: vec![Allowed {
-                finding: f("a.rs", 1, Rule::FloatFormat),
-                reason: "fixed-precision".to_string(),
-            }],
         };
         doc.sort();
         doc
@@ -254,11 +221,10 @@ mod tests {
     #[test]
     fn validate_rejects_broken_docs() {
         let bad = Json::parse(
-            r#"{"schema":"compstat-audit/v1",
-                "summary":{"files_scanned":1,"findings":2,"allowed":0},
+            r#"{"schema":"compstat-audit/v2",
+                "summary":{"files_scanned":1,"findings":2},
                 "findings":[{"rule":"no-such-rule","file":"a.rs","line":1,"col":1,
-                             "snippet":"","message":"m"}],
-                "allowed":[]}"#,
+                             "snippet":"","message":"m"}]}"#,
         )
         .expect("parse");
         let errors = validate_json(&bad);
@@ -271,13 +237,10 @@ mod tests {
     fn text_rendering_is_stable() {
         let doc = sample();
         let text = doc.render_text();
-        assert!(text.contains("a.rs:3:5: [lossy-cast] msg"), "{text}");
+        assert!(text.contains("a.rs:3:5: [float-format] msg"), "{text}");
+        assert!(text.contains("2 file(s) scanned, 2 finding(s)\n"), "{text}");
         assert!(
-            text.contains("2 file(s) scanned, 2 finding(s), 1 allowed"),
-            "{text}"
-        );
-        assert!(
-            text.contains("by rule: 1 nondeterminism, 1 lossy-cast"),
+            text.contains("by rule: 1 float-format, 1 kernel-tag-guard"),
             "{text}"
         );
     }

@@ -1,14 +1,14 @@
 //! A hand-rolled Rust lexer for the audit engine.
 //!
-//! The rules in [`crate::rules`] match *tokens*, not text — `grep`
-//! would flag `"Instant::now"` inside a string literal or a doc
-//! comment, and would miss `HashMap` split across a line continuation.
-//! This lexer understands exactly enough Rust to make token matching
-//! sound:
+//! The rules in [`crate::rules`] and the kernel fingerprints in
+//! [`crate::fingerprint`] work on *tokens*, not text — `grep` would
+//! flag a `format!("{}", x)` inside a string literal or a doc comment,
+//! and a text hash would move on every comment edit. This lexer
+//! understands exactly enough Rust to make token matching sound:
 //!
 //! * line comments (`//`, `///`, `//!`) and **nested** block comments
-//!   (`/* /* */ */`), kept as tokens so the suppression parser
-//!   ([`crate::suppress`]) can read them;
+//!   (`/* /* */ */`), kept as tokens so callers can tell code from
+//!   prose;
 //! * string literals with escapes, byte strings, and raw strings with
 //!   any number of `#` guards (`r##"…"##`), all of which may span
 //!   lines;
@@ -62,8 +62,8 @@ pub struct Tok {
 }
 
 impl Tok {
-    /// True for comment tokens (excluded from rule matching, consumed
-    /// by the suppression parser).
+    /// True for comment tokens (excluded from rule matching and from
+    /// kernel fingerprints).
     #[must_use]
     pub fn is_comment(&self) -> bool {
         matches!(self.kind, TokKind::LineComment | TokKind::BlockComment)

@@ -1,10 +1,8 @@
 //! Property tests for the hand-rolled Rust lexer: tokenizing
 //! arbitrary escape/unicode-heavy source soup never panics, positions
-//! stay within bounds, and well-formed suppression comments survive
-//! embedding in generated noise.
+//! stay within bounds, and comment tokens look like comments.
 
 use compstat_analysis::lexer::{tokenize, TokKind};
-use compstat_analysis::suppress;
 use proptest::prelude::*;
 
 /// Fragments chosen to stress every lexer mode: string escapes, raw
@@ -71,31 +69,6 @@ proptest! {
         // Tokens are emitted in nondecreasing line order.
         for w in toks.windows(2) {
             prop_assert!(w[1].line >= w[0].line);
-        }
-    }
-
-    // A well-formed suppression comment embedded in arbitrary noise
-    // round-trips through the lexer and the suppression parser.
-    #[test]
-    fn suppressions_round_trip_through_noise(
-        pre in proptest::collection::vec(0u64..FRAGMENTS.len() as u64, 0..8),
-        post in proptest::collection::vec(0u64..FRAGMENTS.len() as u64, 0..8),
-    ) {
-        let noise_pre: String = pre.iter().map(|&i| FRAGMENTS[i as usize]).collect::<Vec<_>>().join(" ");
-        let noise_post: String = post.iter().map(|&i| FRAGMENTS[i as usize]).collect::<Vec<_>>().join(" ");
-        let src = format!(
-            "{noise_pre}\n// compstat-audit: allow(lossy-cast): bounded by construction\n{noise_post}"
-        );
-        let (good, _bad) = suppress::parse(&tokenize(&src));
-        // The comment must parse as exactly one well-formed waiver —
-        // unless the preceding noise swallowed the line into an
-        // unterminated string/comment, in which case it must not parse
-        // as a *malformed* one (silently disappearing is correct).
-        prop_assert!(good.len() <= 1);
-        if noise_pre.is_empty() {
-            prop_assert_eq!(good.len(), 1);
-            prop_assert_eq!(good[0].reason.as_str(), "bounded by construction");
-            prop_assert_eq!(good[0].line, 2);
         }
     }
 

@@ -131,7 +131,10 @@ pub fn figure6_sweep_likelihoods(scale: Scale, rt: &Runtime) -> Vec<P64E18> {
 #[must_use]
 pub fn figure6_sweep_report(scale: Scale, rt: &Runtime) -> String {
     let (n_seqs, t_len, h) = sweep_dims(scale);
-    // compstat-audit: allow(nondeterminism): declared-measured sweep; this text goes to the bench output, never into a byte-stable report (see doc comment)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "declared-measured sweep; this text goes to the bench output, never into a byte-stable report (see doc comment)"
+    )]
     let start = std::time::Instant::now();
     let serial = figure6_sweep_likelihoods(scale, &Runtime::serial());
     let serial_s = start.elapsed().as_secs_f64();
@@ -145,11 +148,17 @@ pub fn figure6_sweep_report(scale: Scale, rt: &Runtime) -> String {
         out.push_str("parallel run skipped: runtime is the serial fallback (COMPSTAT_THREADS=1)\n");
         return out;
     }
-    // compstat-audit: allow(nondeterminism): second measured leg of the same declared-measured sweep
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "second measured leg of the same declared-measured sweep"
+    )]
     let start = std::time::Instant::now();
     let parallel = figure6_sweep_likelihoods(scale, rt);
     let parallel_s = start.elapsed().as_secs_f64();
-    // compstat-audit: allow(nondeterminism): the core count annotates the measured speedup line; it never reaches report bytes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the core count annotates the measured speedup line; it never reaches report bytes"
+    )]
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     out.push_str(&format!(
         "parallel ({} threads):    {parallel_s:.3} s\n\

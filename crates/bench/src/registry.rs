@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_filesystem_safe() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for e in registry() {
             assert!(seen.insert(e.name()), "duplicate name {}", e.name());
             assert!(

@@ -29,6 +29,11 @@
 //! summarizes ns/op as min / median / mean. Results feed
 //! [`std::hint::black_box`] so the optimizer cannot delete the work.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the measured-timing harness; its output is quarantined in compstat-bench/v1 docs"
+)]
+
 use crate::experiments::{fig09_pvalues, fig10_vicar};
 use crate::Scale;
 use compstat_bigfloat::{testing, BigFloat, Context, HdrFloat, MAX_PREC, MIN_PREC};

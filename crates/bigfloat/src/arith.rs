@@ -209,7 +209,14 @@ fn round_with(x: &BigFloat, prec: u32, path: Path) -> BigFloat {
 
 /// The magnitude add/sub core over heap buffers of `wl` limbs — the
 /// general path for arbitrary widths.
-#[allow(clippy::too_many_arguments)] // the operand pair plus the path; a struct would only rename them
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the operand pair plus the path; a struct would only rename them"
+)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the alignment shift `d` is at most `top_pos`, a bit width of the working buffer, so it fits u32"
+)]
 fn add_core_general(
     sx: Sign,
     ex: i64,
@@ -273,6 +280,10 @@ fn add_core_general(
 /// The same magnitude add/sub core over `[u64; W]` stack buffers —
 /// mirrors `add_core_general` step for step so results are identical,
 /// but with no heap traffic and unrolled limb loops.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the alignment shift `d` is at most `top_pos = W * 64 - 2`, so it fits u32"
+)]
 fn add_core_fixed<const W: usize>(
     sx: Sign,
     ex: i64,
@@ -484,6 +495,10 @@ fn div_impl(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
 /// The pre-rewrite restoring bit-by-bit division, kept as a slow
 /// differential reference for the Knuth-D path (`prec + 3` full-slice
 /// compare/sub/shift passes).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`prec + 3` quotient bits is at most MAX_PREC + 3, so their limb count fits usize"
+)]
 fn div_impl_restoring(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
     let (sa, ka, ea, la, _) = a.parts();
     let (sb, kb, eb, lb, _) = b.parts();

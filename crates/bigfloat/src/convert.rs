@@ -52,6 +52,10 @@ impl BigFloat {
     ///
     /// Returns zero if `sig == 0`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the two casts split the u128 into its low and high 64-bit halves"
+    )]
     pub fn from_scaled_u128(sign: Sign, sig: u128, exp_of_top: i64) -> BigFloat {
         if sig == 0 {
             return BigFloat::zero();
@@ -68,6 +72,10 @@ impl BigFloat {
     /// `2^-2_900_000` correctly collapse to `0.0` here while remaining
     /// exact inside `BigFloat`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`keep` is in 1..=53 where it is cast; the branches above return otherwise"
+    )]
     pub fn to_f64(&self) -> f64 {
         let (sign, kind, exp, limbs, _) = self.parts();
         let sgn = match sign {
@@ -146,6 +154,10 @@ impl BigFloat {
     /// result downstream instead of a saturation artifact. Callers
     /// that must distinguish NaN from zero check `is_nan()` first.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`exp` is in 0..=62 where it is cast; the branches above return otherwise"
+    )]
     pub fn to_i64_round(&self) -> i64 {
         let (sign, kind, exp, limbs, _) = self.parts();
         match kind {

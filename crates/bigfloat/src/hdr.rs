@@ -122,6 +122,10 @@ impl HdrFloat {
     /// into canonical form, saturating the exponent exactly as
     /// `BigFloat::from_raw_wide` does: overflow becomes the signed
     /// infinity, underflow the single unsigned zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`e2` is checked against the i64 range just before the cast"
+    )]
     fn norm(m: f64, e: i128) -> HdrFloat {
         debug_assert!(m.is_finite() && m != 0.0);
         let bits = m.to_bits();
@@ -247,6 +251,10 @@ impl core::ops::Neg for HdrFloat {
 impl core::ops::Add for HdrFloat {
     type Output = HdrFloat;
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the exponent gap `d` is in 0..=54 where it is cast; larger gaps return `hi` above"
+    )]
     fn add(self, other: HdrFloat) -> HdrFloat {
         // Specials first (their exponents are canonical 0 and must not
         // enter the alignment logic). f64 addition of the special

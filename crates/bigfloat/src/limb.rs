@@ -75,6 +75,10 @@ pub trait Limb:
 
 macro_rules! impl_limb {
     ($t:ty, $wide:ty) => {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "double-width splits: `t as $t` keeps the low limb and `t >> BITS` the high one; `hi < d` keeps a div2by1 quotient within one limb"
+        )]
         impl Limb for $t {
             const BITS: u32 = <$t>::BITS;
             const ZERO: Self = 0;
@@ -437,6 +441,10 @@ pub fn is_zero<L: Limb>(limbs: &[L]) -> bool {
 
 /// Reads the bit at `idx` (0 = least significant). Bits beyond the slice
 /// read as zero.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bit indices stay below the buffer bit length, so `idx / BITS` fits usize, and `idx % BITS` < BITS fits u32"
+)]
 pub fn get_bit<L: Limb>(limbs: &[L], idx: u64) -> bool {
     let limb = (idx / L::BITS as u64) as usize;
     if limb >= limbs.len() {
@@ -446,6 +454,10 @@ pub fn get_bit<L: Limb>(limbs: &[L], idx: u64) -> bool {
 }
 
 /// Returns true if any bit strictly below `idx` is set.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bit indices stay below the buffer bit length, so `idx / BITS` fits usize, and `idx % BITS` < BITS fits u32"
+)]
 pub fn any_bit_below<L: Limb>(limbs: &[L], idx: u64) -> bool {
     if idx == 0 {
         return false;
@@ -467,6 +479,10 @@ pub fn any_bit_below<L: Limb>(limbs: &[L], idx: u64) -> bool {
 }
 
 /// Clears every bit strictly below `idx`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bit indices stay below the buffer bit length, so `idx / BITS` fits usize, and `idx % BITS` < BITS fits u32"
+)]
 pub fn clear_bits_below<L: Limb>(limbs: &mut [L], idx: u64) {
     let whole = (idx / L::BITS as u64) as usize;
     let part = (idx % L::BITS as u64) as u32;
@@ -481,6 +497,10 @@ pub fn clear_bits_below<L: Limb>(limbs: &mut [L], idx: u64) {
 }
 
 /// Adds `1 << idx` to the magnitude in place; returns carry out of the top.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bit indices stay below the buffer bit length, so `idx / BITS` fits usize, and `idx % BITS` < BITS fits u32"
+)]
 pub fn add_bit<L: Limb>(limbs: &mut [L], idx: u64) -> bool {
     let mut limb = (idx / L::BITS as u64) as usize;
     if limb >= limbs.len() {

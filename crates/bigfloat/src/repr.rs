@@ -32,6 +32,10 @@ impl Limbs {
     };
 
     /// `n` zero limbs; allocates only when `n > INLINE_LIMBS`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`n <= INLINE_LIMBS` (5) in the inline branch"
+    )]
     fn zeroed(n: usize) -> Limbs {
         if n <= INLINE_LIMBS {
             Limbs::Inline {
@@ -338,6 +342,10 @@ impl BigFloat {
     /// limb is exactly the discarded part.
     #[must_use]
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`64 * n` is the rounding window bit width, at most MAX_PREC + 63"
+    )]
     pub(crate) fn from_raw_wide(
         sign: Sign,
         exp_of_top_bit: i128,
@@ -422,6 +430,10 @@ impl BigFloat {
     /// one bit index at a time, then shifts the whole buffer into place.
     /// Kept only as the differential reference for
     /// [`BigFloat::from_raw_wide`] (the `testing::*_general` paths).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the normalizing shifts are bit distances inside the limb buffer, far below 2^32"
+    )]
     pub(crate) fn from_raw_bitwise(
         sign: Sign,
         exp_of_top_bit: i128,

@@ -98,6 +98,10 @@ impl BigFloat {
     /// Returns a [`SerialError`] for truncated input, an unknown tag,
     /// an out-of-range precision, a wrong limb count, or a significand
     /// that is not in normalized form.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`nlimbs` is `prec.div_ceil(64)` of a validated u32 precision, so the cast back to u32 is exact"
+    )]
     pub fn read_bytes(bytes: &[u8]) -> Result<(BigFloat, usize), SerialError> {
         let need = |n: usize| -> Result<(), SerialError> {
             if bytes.len() < n {

@@ -149,13 +149,13 @@ COMMANDS:
                 violations or added/removed experiments, 3 on errors
     validate    Parse every .json report under the given paths; report
                 every malformed document with its reason
-    audit       Statically analyze the workspace's own sources for
-                determinism/precision invariant violations
-                (nondeterminism, float-format, powf-exp2, lossy-cast,
-                panic-in-serve, suppression, kernel-tag-guard); exit 0
-                if clean, 2 on findings, 3 on usage/IO errors. Inline
-                waivers (`// compstat-audit: allow(<rule>): <reason>`)
-                require a reason and stay visible in the output
+    audit       Statically check the two source invariants clippy
+                cannot express: float-format (bare {}/{:?} floats in
+                report paths) and kernel-tag-guard (oracle-kernel
+                edits without an ORACLE_KERNEL_TAG bump); exit 0 if
+                clean, 2 on findings, 3 on usage/IO errors. There are
+                no waivers. Clocks, env reads, hash order, powf, kernel
+                casts and serve panics are clippy lints (clippy.toml)
     cache       Inspect (`stats`), empty (`clear`), or move the
                 persistent oracle cache ($COMPSTAT_CACHE_DIR, default
                 .compstat-cache/) between machines as a deterministic
@@ -206,9 +206,9 @@ OPTIONS (diff):
                     instead of the human-readable summary
 
 OPTIONS (audit):
-    --json          Print the structured compstat-audit/v1 document
+    --json          Print the structured compstat-audit/v2 document
                     instead of the human-readable findings
-    --out FILE      Also write the compstat-audit/v1 JSON document to
+    --out FILE      Also write the compstat-audit/v2 JSON document to
                     FILE (the CI artifact)
     --root DIR      Workspace root (default: the enclosing workspace of
                     the current directory)
@@ -216,9 +216,9 @@ OPTIONS (audit):
                     the current tree before auditing — the second step
                     of the kernel-edit workflow (edit kernel, bump
                     ORACLE_KERNEL_TAG, regen, commit both)
-    [paths...]      Audit only these files/directories (every token
-                    rule applies; the whole-tree kernel-tag-guard is
-                    skipped). Default: src/lib.rs and every
+    [paths...]      Audit only these files/directories (float-format
+                    applies everywhere; the whole-tree kernel-tag-guard
+                    is skipped). Default: src/lib.rs and every
                     crates/*/src tree except crates/vendor
 
 OPTIONS (serve):

@@ -1208,19 +1208,19 @@ fn audit_is_clean_at_head() {
 
 #[test]
 fn audit_findings_exit_2_with_exact_location() {
-    let fixture = fixture_path("powf_exp2.rs");
+    let fixture = fixture_path("float_format.rs");
     let out = compstat(&["audit", fixture.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(
-        text.contains("powf_exp2.rs:5:10: [powf-exp2]"),
+        text.contains("float_format.rs:4:13: [float-format]"),
         "expected exact file:line finding in:\n{text}"
     );
 }
 
 #[test]
 fn audit_json_document_validates() {
-    let fixture = fixture_path("lossy_cast.rs");
+    let fixture = fixture_path("float_format.rs");
     let doc_path = tmp_dir("audit-doc").join("audit.json");
     std::fs::create_dir_all(doc_path.parent().unwrap()).unwrap();
     let out = compstat(&[
@@ -1231,14 +1231,14 @@ fn audit_json_document_validates() {
         fixture.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(2));
-    // stdout and --out carry the same compstat-audit/v1 document.
+    // stdout and --out carry the same compstat-audit/v2 document.
     let stdout_text = String::from_utf8(out.stdout).unwrap();
     let file_text = std::fs::read_to_string(&doc_path).unwrap();
     assert_eq!(stdout_text, file_text);
     let doc = Json::parse(&file_text).expect("well-formed JSON");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("compstat-audit/v1")
+        Some("compstat-audit/v2")
     );
     // The emitted document passes `compstat validate`.
     let validated = compstat(&["validate", doc_path.to_str().unwrap()]);

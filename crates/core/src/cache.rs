@@ -39,6 +39,11 @@
 //! be served. CI runs a cold cache, so a forgotten bump still fails the
 //! golden gate there; `compstat cache clear` is the local reset.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the oracle cache owns COMPSTAT_CACHE_DIR and mtime-based staleness checks"
+)]
+
 use compstat_bigfloat::BigFloat;
 use compstat_runtime::{CacheMode, Runtime, Shard};
 use std::cell::Cell;

@@ -155,13 +155,21 @@ pub struct ShardIndex {
     pub entries: Vec<IndexEntry>,
 }
 
+/// A JSON number that is a whole, non-negative count.
+fn whole_number(v: &Json) -> Option<usize> {
+    v.as_f64()
+        .filter(|x| x.fract() == 0.0 && *x >= 0.0)
+        .map(|x| x as usize)
+}
+
 /// Loads and validates `<dir>/index.json`, including the shard stamp
 /// if present.
 ///
 /// # Errors
 ///
 /// Fails on a missing/unparsable index, a wrong `schema`, a malformed
-/// shard stamp, or an entry missing a required field.
+/// shard stamp, an entry missing a required field, or a `count` that
+/// is not the number of entries.
 pub fn load_shard_index(dir: &Path) -> Result<ShardIndex, MergeError> {
     let index_path = dir.join("index.json");
     let text = std::fs::read_to_string(&index_path)
@@ -187,14 +195,9 @@ pub fn load_shard_index(dir: &Path) -> Result<ShardIndex, MergeError> {
             None => None,
             Some(stamp) => {
                 let field = |name: &str| {
-                    stamp
-                        .get(name)
-                        .and_then(Json::as_f64)
-                        .filter(|x| x.fract() == 0.0 && *x >= 0.0)
-                        .map(|x| x as usize)
-                        .ok_or_else(|| {
-                            MergeError::at(&index_path, format!("shard stamp missing {name} field"))
-                        })
+                    stamp.get(name).and_then(whole_number).ok_or_else(|| {
+                        MergeError::at(&index_path, format!("shard stamp missing {name} field"))
+                    })
                 };
                 let (index, count) = (field("index")?, field("count")?);
                 Some(Shard::new(index, count).map_err(|e| {
@@ -217,13 +220,9 @@ pub fn load_shard_index(dir: &Path) -> Result<ShardIndex, MergeError> {
                 })
         };
         let num_field = |name: &str| {
-            item.get(name)
-                .and_then(Json::as_f64)
-                .filter(|x| x.fract() == 0.0 && *x >= 0.0)
-                .map(|x| x as usize)
-                .ok_or_else(|| {
-                    MergeError::at(&index_path, format!("experiment {i} missing {name} field"))
-                })
+            item.get(name).and_then(whole_number).ok_or_else(|| {
+                MergeError::at(&index_path, format!("experiment {i} missing {name} field"))
+            })
         };
         entries.push(IndexEntry {
             name: text_field("name")?,
@@ -233,13 +232,13 @@ pub fn load_shard_index(dir: &Path) -> Result<ShardIndex, MergeError> {
             metrics: num_field("metrics")?,
         });
     }
-    if let Some(count) = doc.get("count").and_then(Json::as_f64) {
-        if count as usize != entries.len() {
+    if let Some(count) = doc.get("count") {
+        if whole_number(count) != Some(entries.len()) {
             return Err(MergeError::at(
                 &index_path,
                 format!(
                     "count field says {} but the index lists {} experiment(s)",
-                    count,
+                    count.to_json_string(),
                     entries.len()
                 ),
             ));
@@ -549,6 +548,31 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(&root);
         }
+    }
+
+    #[test]
+    fn load_shard_index_rejects_a_malformed_count() {
+        let dir = tmp("bad-count");
+        std::fs::create_dir_all(&dir).unwrap();
+        let index = |count: &str, n: usize| {
+            let mut doc = index_doc("quick", None, &names(n));
+            if let Json::Obj(fields) = &mut doc {
+                let slot = fields.iter_mut().find(|(k, _)| k == "count").unwrap();
+                slot.1 = Json::parse(count).unwrap();
+            }
+            std::fs::write(dir.join("index.json"), doc.to_json_string()).unwrap();
+            load_shard_index(&dir)
+        };
+        assert_eq!(index("2", 2).unwrap().entries.len(), 2);
+        for (count, n) in [("2.5", 2), ("-0.5", 0), ("\"two\"", 2), ("3", 2)] {
+            let err = index(count, n).unwrap_err();
+            assert!(
+                err.message
+                    .contains(&format!("count field says {count} but the index lists {n}")),
+                "{err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

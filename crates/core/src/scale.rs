@@ -6,6 +6,11 @@
 //! where software emulation permits. The `compstat` CLI spells `full`
 //! as `paper`, matching what the scale reproduces.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "scale-profile selection reads the sanctioned COMPSTAT_SCALE knob"
+)]
+
 /// Experiment scale, selected via the `COMPSTAT_SCALE` environment
 /// variable (`quick` / `default` / `full`) or the CLI's `--scale` flag
 /// (`quick` / `default` / `paper`).

@@ -249,10 +249,11 @@ mod tests {
     }
 
     #[test]
-    // The Table II catalog rows are consts, so these assertions are
-    // "constant" to clippy — but the constants ARE the data under test:
-    // they pin the paper's headline cost ratios against future edits.
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(
+        clippy::assertions_on_constants,
+        reason = "the Table II catalog rows are consts, but the constants ARE the data under test: \
+                  they pin the paper's headline cost ratios against future edits"
+    )]
     fn paper_headline_unit_comparisons() {
         // "log-space addition is 10x slower and requires 8x as many LUTs
         // and FFs" (Section I).

@@ -65,6 +65,10 @@ fn sample_categorical<R: Rng + ?Sized>(rng: &mut R, probs: impl Iterator<Item = 
 /// 500,000 HCG sites yield likelihoods near `2^-2_900_000`
 /// (5.8 bits/site). The transition structure is sticky (phylogenetic
 /// hidden states persist across sites).
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "h is the hidden-state count (paper uses 2..=64), exactly representable in f64"
+)]
 pub fn hcg_like<R: Rng + ?Sized>(rng: &mut R, h: usize) -> Hmm {
     let m = 56;
     let mut a = vec![0.0; h * h];
@@ -73,7 +77,6 @@ pub fn hcg_like<R: Rng + ?Sized>(rng: &mut R, h: usize) -> Hmm {
             a[i * h + j] = if i == j {
                 0.9
             } else if h > 1 {
-                // compstat-audit: allow(lossy-cast): h is the hidden-state count (paper uses 2..=64), exactly representable in f64
                 0.1 / (h - 1) as f64
             } else {
                 0.0
@@ -95,7 +98,6 @@ pub fn hcg_like<R: Rng + ?Sized>(rng: &mut R, h: usize) -> Hmm {
         }
         b.extend(row);
     }
-    // compstat-audit: allow(lossy-cast): h is the hidden-state count (paper uses 2..=64), exactly representable in f64
     let pi = vec![1.0 / h as f64; h];
     Hmm::new(h, m, a, b, pi)
 }

@@ -44,6 +44,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_precision_loss)
+)]
 
 mod batch;
 mod forward;

@@ -238,8 +238,10 @@ impl core::ops::Div for LogF64 {
 
     /// Division (log subtraction). Division by zero yields an invalid
     /// (NaN) entry.
-    // In the log domain, division really is subtraction of logarithms.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "in the log domain, division really is subtraction of logarithms"
+    )]
     fn div(self, other: LogF64) -> LogF64 {
         if other.is_zero() {
             return LogF64 { ln: f64::NAN };

@@ -56,11 +56,14 @@ impl DatasetSpec {
 
     /// Mean N across columns.
     #[must_use]
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "N is clamped to <= 1,500,000 at synthesis and the column count is a Vec length, both far below 2^53"
+    )]
     pub fn mean_n(&self) -> f64 {
         if self.columns.is_empty() {
             return 0.0;
         }
-        // compstat-audit: allow(lossy-cast): N is clamped to <= 1,500,000 at synthesis, far below 2^53
         self.columns.iter().map(|c| c.n as f64).sum::<f64>() / self.columns.len() as f64
     }
 }
@@ -89,6 +92,10 @@ pub fn perf_datasets() -> Vec<DatasetSpec> {
         .collect()
 }
 
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "n <= 1.5e6 and k <= 3e4 (the clamps below), both f64-exact"
+)]
 fn synth_dataset(index: usize, target_posit_seconds: f64, mean_k: f64) -> DatasetSpec {
     const CLOCK_HZ: f64 = 300.0e6;
     const PES: f64 = 8.0;
@@ -100,13 +107,18 @@ fn synth_dataset(index: usize, target_posit_seconds: f64, mean_k: f64) -> Datase
     while used < budget_cycles {
         // N: lognormal around 309,189 (sigma ~ 0.35).
         let z = normal(&mut rng);
-        // compstat-audit: allow(lossy-cast): clamped to [1e4, 1.5e6]; the truncation is the intended integer draw and the range is f64-exact
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "clamped to [1e4, 1.5e6]; the truncation is the intended integer draw and the range is f64-exact"
+        )]
         let n = (309_189.0 * (0.35 * z).exp()).clamp(10_000.0, 1_500_000.0) as u64;
         // K: exponential around the dataset's mean, at least 10.
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        // compstat-audit: allow(lossy-cast): clamped to [10, 30_000]; truncation is the intended integer draw
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "clamped to [10, 30_000]; truncation is the intended integer draw"
+        )]
         let k = ((-u.ln()) * mean_k).clamp(10.0, 30_000.0) as u64;
-        // compstat-audit: allow(lossy-cast): n <= 1.5e6 and k <= 3e4 (the clamps above), both f64-exact
         used += n as f64 * (k as f64 + POSIT_PE_LATENCY);
         columns.push(ColumnDims { n, k });
     }
@@ -172,15 +184,21 @@ fn column_with_target_exponent<R: Rng + ?Sized>(rng: &mut R, target_exp: f64) ->
     // [-380, -1] (f64-exact inputs): realistic K for shallow columns,
     // large K with very deep per-trial probabilities for the extreme
     // tail (2^-100k .. 2^-440k needs K ~ target/350).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "deep tail: ceil() makes the value integral and target_exp >= -440_000 bounds it near 1_467; \
+                  shallow: bounded in [8, 120), truncation is the intended integer draw"
+    )]
     let k = if target_exp < -40_000.0 {
-        // compstat-audit: allow(lossy-cast): ceil() makes the value integral before the cast; target_exp >= -440_000 bounds it near 1_467
         ((-target_exp) / rng.gen_range(300.0..370.0)).ceil() as usize
     } else {
         let k_max = ((-target_exp) / 3.0).floor().max(2.0);
-        // compstat-audit: allow(lossy-cast): bounded in [8, 120); truncation is the intended integer draw
         rng.gen_range(8.0..120.0_f64.min(k_max).max(9.0)) as usize
     };
-    // compstat-audit: allow(lossy-cast): k <= ~1_467 by construction, exactly representable in f64
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "k <= ~1_467 by construction, exactly representable in f64"
+    )]
     let per_trial = (target_exp / k as f64).clamp(-380.0, -1.0);
     // N: a few times K (the tail mass is dominated by the K-success
     // paths; extra trials mostly add combinatorial slack).

@@ -37,6 +37,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_precision_loss)
+)]
 
 pub mod batch;
 pub mod column;

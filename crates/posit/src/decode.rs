@@ -100,7 +100,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::unusual_byte_groupings)] // groups are posit fields: sign_regime_exp_frac
+    #[expect(
+        clippy::unusual_byte_groupings,
+        reason = "groups are posit fields: sign_regime_exp_frac"
+    )]
     fn paper_worked_example_posit_8_2() {
         // Section III: 0_0001_10_1 -> 1.5 * 2^-10.
         let bits = 0b0_0001_10_1u64;
@@ -188,7 +191,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::unusual_byte_groupings)] // groups are posit fields: sign_regime_exp
+    #[expect(
+        clippy::unusual_byte_groupings,
+        reason = "groups are posit fields: sign_regime_exp"
+    )]
     fn truncated_exponent_reads_as_high_bits() {
         // posit(8,2) pattern 0_000001_1: regime 000001 (k=-5, 7 bits with
         // terminator... run=5, regime_len=6), remaining 1 bit = exponent

@@ -155,7 +155,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::unusual_byte_groupings)] // groups are posit fields: sign_regime_exp_frac
+    #[expect(
+        clippy::unusual_byte_groupings,
+        reason = "groups are posit fields: sign_regime_exp_frac"
+    )]
     fn paper_example_packs_back() {
         // 1.5 * 2^-10 in posit(8,2) is 0_0001_10_1.
         let frac = (1u64 << 63) | (1u64 << 62);

@@ -115,7 +115,10 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     /// Panics if bits above the pattern width are set.
     #[must_use]
     pub fn from_bits(bits: u64) -> Self {
-        #[allow(clippy::let_unit_value)]
+        #[expect(
+            clippy::let_unit_value,
+            reason = "naming the unit-typed VALID const forces its compile-time width check"
+        )]
         let _ = Self::VALID;
         assert!(N == 64 || bits >> N == 0, "bits beyond pattern width");
         Self {
@@ -395,7 +398,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::unusual_byte_groupings)] // groups are posit fields: sign_regime_exp_frac
+    #[expect(
+        clippy::unusual_byte_groupings,
+        reason = "groups are posit fields: sign_regime_exp_frac"
+    )]
     fn paper_example_value() {
         let p = P8E2::from_bits(0b0_0001_10_1);
         assert_eq!(p.to_f64(), 1.5 * 2f64.powi(-10));

@@ -67,6 +67,10 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the runtime owns COMPSTAT_THREADS validation and the core-count fallback"
+)]
 
 use rand::rngs::StdRng;
 use std::ops::Range;
@@ -703,7 +707,7 @@ mod tests {
     fn seeded_streams_differ_between_items() {
         let base = StdRng::seed_from_u64(7);
         let draws = Runtime::with_threads(4).par_map_seeded(64, &base, |_, rng| rng.gen::<u64>());
-        let distinct: std::collections::HashSet<u64> = draws.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<u64> = draws.iter().copied().collect();
         assert_eq!(distinct.len(), draws.len(), "per-item streams must differ");
     }
 

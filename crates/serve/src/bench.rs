@@ -7,6 +7,11 @@
 //! run — so it is marked `"non_deterministic": true` and must never
 //! enter the byte-stable report directories or the diff gate.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the serve load harness; latency percentiles are measurements by definition"
+)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Instant;

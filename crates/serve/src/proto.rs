@@ -11,6 +11,18 @@
 //! **Any observable change to the wire shape requires a version bump
 //! of [`SERVE_SCHEMA`]** (see CONTRIBUTING.md).
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

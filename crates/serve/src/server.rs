@@ -8,6 +8,18 @@
 //! answers with a `busy` error frame and closes — clients are never
 //! left hanging on an unbounded backlog.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -76,6 +88,10 @@ pub struct Server {
 impl Server {
     /// Binds and starts accepting. Returns once the listener is live,
     /// so [`Server::local_addr`] is immediately connectable.
+    #[expect(
+        clippy::expect_used,
+        reason = "thread spawns are startup-only, before any socket is accepted; spawn failure means the process cannot serve at all"
+    )]
     pub fn spawn(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -99,7 +115,6 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
                     .spawn(move || worker_loop(&rx, &responder, timeout, max_frame))
-                    // compstat-audit: allow(panic-in-serve): startup-only, before any socket is accepted; spawn failure means the process cannot serve at all
                     .expect("spawn worker thread")
             })
             .collect();
@@ -110,7 +125,6 @@ impl Server {
             std::thread::Builder::new()
                 .name("serve-accept".to_string())
                 .spawn(move || accept_loop(&listener, &tx, &stop, &counters))
-                // compstat-audit: allow(panic-in-serve): startup-only, before any socket is accepted; spawn failure means the process cannot serve at all
                 .expect("spawn accept thread")
         };
 

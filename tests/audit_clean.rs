@@ -1,12 +1,13 @@
 //! Tier-1 gate: the repository audits clean at HEAD.
 //!
-//! `compstat audit` mechanizes the determinism and precision
-//! invariants (no clocks/hash-order/env reads in report paths, no
-//! Display-formatted floats in reports, no `powf(2, …)`, no silent
-//! kernel casts, no panics in the serve request path, no oracle-kernel
-//! edits without an `ORACLE_KERNEL_TAG` bump). A violation anywhere in
-//! the tree — including a stale `goldens/kernel_fingerprints.json` —
-//! fails this test with the full findings listing.
+//! `compstat audit` checks the two source invariants clippy cannot
+//! express: no Display-formatted floats in report paths, and no
+//! oracle-kernel edits without an `ORACLE_KERNEL_TAG` bump. A
+//! violation anywhere in the tree — including a stale
+//! `goldens/kernel_fingerprints.json` — fails this test with the full
+//! findings listing. (Clocks, env reads, hash order, `powf`, kernel
+//! casts, serve panics and waiver reasons are clippy lints, configured
+//! in `clippy.toml` and the workspace lint table.)
 
 use compstat_analysis::{run_audit, AuditOptions};
 
@@ -20,20 +21,4 @@ fn repository_audits_clean() {
         "compstat audit found violations:\n{}",
         audit.render_text()
     );
-}
-
-#[test]
-fn waivers_carry_reasons() {
-    let root = env!("CARGO_MANIFEST_DIR");
-    let audit = run_audit(&AuditOptions::workspace(root)).expect("audit runs");
-    // Every allowed finding must carry a non-empty reason (the parser
-    // enforces this; the assertion keeps it an explicit contract).
-    for a in &audit.allowed {
-        assert!(
-            !a.reason.trim().is_empty(),
-            "reason-less waiver at {}:{}",
-            a.finding.file,
-            a.finding.line
-        );
-    }
 }

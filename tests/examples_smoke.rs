@@ -12,6 +12,10 @@ fn run_example(name: &str) {
     // Use the same cargo that is running this test, against this
     // workspace (CARGO and CARGO_MANIFEST_DIR are set by cargo for
     // integration tests).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test harness locating the cargo that runs it; no report reads this"
+    )]
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let manifest_dir = env!("CARGO_MANIFEST_DIR");
     let output = Command::new(cargo)

@@ -63,7 +63,10 @@ fn abstract_2x_performance_per_resource() {
 }
 
 #[test]
-#[allow(clippy::unusual_byte_groupings)] // groups are posit fields: sign_regime_exp_frac
+#[expect(
+    clippy::unusual_byte_groupings,
+    reason = "groups are posit fields: sign_regime_exp_frac"
+)]
 fn section3_posit_worked_example() {
     // posit(8,2) pattern 0_0001_10_1 == 1.5 * 2^-10 (Section III).
     assert_eq!(P8E2::from_bits(0b0_0001_10_1).to_f64(), 1.5 / 1024.0);
