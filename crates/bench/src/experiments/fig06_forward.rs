@@ -1,7 +1,8 @@
 //! Figure 6: forward-algorithm unit wall-clock performance (model),
 //! posit vs logarithm, H in {13, 32, 64, 128}, T = 500,000 — plus a
-//! *measured* software forward sweep that demonstrates the runtime's
-//! parallel speedup without changing a single result bit.
+//! software forward sweep whose likelihoods are bitwise identical for
+//! every thread count (`compstat bench`'s `formats` suite times it
+//! serial and parallel).
 
 use crate::Scale;
 use compstat_core::report::{fmt_f64, Report, Table};
@@ -29,7 +30,7 @@ pub const TITLE: &str = "Figure 6: forward algorithm unit wall-clock (model vs p
 /// paper's T = 500,000, plus a digest of the *software* forward sweep
 /// computed through `rt` — the likelihood bit patterns themselves, not
 /// wall-clock, so the report stays byte-identical for every thread
-/// count (timing lives in the `fig06_forward_perf` bench target).
+/// count (timing lives in `compstat bench`'s `formats` suite).
 #[must_use]
 pub fn report(scale: Scale, rt: &Runtime) -> Report {
     let t_sites = 500_000u64;
@@ -84,15 +85,6 @@ fn model_table(t_sites: u64) -> Table {
     t
 }
 
-/// Renders Figure 6(a) (seconds) and 6(b) (relative improvement).
-#[must_use]
-pub fn figure6_report(t_sites: u64) -> String {
-    format!(
-        "T = {t_sites} observation sites, 300 MHz\n{}",
-        model_table(t_sites).render()
-    )
-}
-
 /// Workload of the software forward sweep at a given scale:
 /// `(sequences, sites, states)`.
 #[must_use]
@@ -123,58 +115,10 @@ pub fn figure6_sweep_likelihoods(scale: Scale, rt: &Runtime) -> Vec<P64E18> {
     forward_batch(&model.prepare::<P64E18>(), &seqs, rt)
 }
 
-/// Renders the measured software forward sweep: wall-clock at 1 thread
-/// vs `rt`'s thread count, the speedup, and the bitwise-equality check.
-///
-/// The timing lines are measurements and naturally vary run to run;
-/// determinism tests compare [`figure6_sweep_likelihoods`] instead.
-#[must_use]
-pub fn figure6_sweep_report(scale: Scale, rt: &Runtime) -> String {
-    let (n_seqs, t_len, h) = sweep_dims(scale);
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "declared-measured sweep; this text goes to the bench output, never into a byte-stable report (see doc comment)"
-    )]
-    let start = std::time::Instant::now();
-    let serial = figure6_sweep_likelihoods(scale, &Runtime::serial());
-    let serial_s = start.elapsed().as_secs_f64();
-    let mut out = format!(
-        "software forward sweep (measured): {n_seqs} sequences x {t_len} sites, H = {h}, posit(64,18)\n\
-         serial (1 thread):        {serial_s:.3} s\n"
-    );
-    if rt.threads() == 1 {
-        // A second serial run would only double the bench's wall-clock
-        // to print a vacuous 1.00x.
-        out.push_str("parallel run skipped: runtime is the serial fallback (COMPSTAT_THREADS=1)\n");
-        return out;
-    }
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "second measured leg of the same declared-measured sweep"
-    )]
-    let start = std::time::Instant::now();
-    let parallel = figure6_sweep_likelihoods(scale, rt);
-    let parallel_s = start.elapsed().as_secs_f64();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the core count annotates the measured speedup line; it never reaches report bytes"
-    )]
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    out.push_str(&format!(
-        "parallel ({} threads):    {parallel_s:.3} s\n\
-         speedup:                  {:.2}x (machine exposes {cores} core{})\n\
-         parallel == serial (bitwise): {}\n",
-        rt.threads(),
-        serial_s / parallel_s,
-        if cores == 1 { "" } else { "s" },
-        serial == parallel,
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use compstat_core::report::Block;
 
     #[test]
     fn sweep_is_bitwise_deterministic_across_thread_counts() {
@@ -186,29 +130,23 @@ mod tests {
     }
 
     #[test]
-    fn sweep_report_carries_the_speedup_fields() {
-        let r = figure6_sweep_report(Scale::Quick, &Runtime::with_threads(2));
-        assert!(r.contains("speedup:"));
-        assert!(r.contains("parallel == serial (bitwise): true"), "{r}");
-        // A serial runtime skips the redundant second run.
-        let s = figure6_sweep_report(Scale::Quick, &Runtime::serial());
-        assert!(s.contains("parallel run skipped"), "{s}");
-        assert!(!s.contains("speedup:"));
-    }
-
-    #[test]
     fn report_contains_all_h_values_and_positive_improvements() {
-        let r = figure6_report(500_000);
-        for h in ["13", "32", "64", "128"] {
-            assert!(r.lines().any(|l| l.starts_with(h)), "missing H={h}");
-        }
-        // Every improvement positive.
-        for line in r.lines().skip(3) {
-            if let Some(imp) = line.split_whitespace().nth(3) {
-                if let Some(v) = imp.strip_suffix('%') {
-                    let v: f64 = v.parse().unwrap();
-                    assert!(v > 0.0, "non-positive improvement in {line}");
-                }
+        let r = report(Scale::Quick, &Runtime::serial());
+        let table = r
+            .blocks
+            .iter()
+            .find_map(|b| match b {
+                Block::Table(t) => Some(t),
+                Block::Text(_) => None,
+            })
+            .expect("the model table");
+        let hs: Vec<&str> = table.rows().iter().map(|row| row[0].as_str()).collect();
+        assert_eq!(hs, ["13", "32", "64", "128"]);
+        // Every improvement, model and paper, is positive.
+        for row in table.rows() {
+            for imp in [&row[3], &row[6]] {
+                let v: f64 = imp.strip_suffix('%').unwrap().parse().unwrap();
+                assert!(v > 0.0, "non-positive improvement in {row:?}");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Figure 10: CDFs of the relative error of final VICAR likelihoods,
 //! Log vs posit(64,18), at two sequence lengths.
 //!
-//! Scaling note (EXPERIMENTS.md): the paper runs T = 100,000 / 500,000
+//! Scaling note: the paper runs T = 100,000 / 500,000
 //! with 512 Dirichlet-sampled (A, B) pairs across H in {13,32,64,128};
 //! software posit emulation makes that infeasible here, so the default
 //! scale runs shorter sequences and fewer models. The likelihoods still

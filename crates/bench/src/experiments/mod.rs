@@ -18,7 +18,7 @@ pub mod model_tables;
 pub use ablations::{ablation_es_sweep, ablation_lse_variants, ablation_scaled_forward};
 pub use fig01_alpha::figure1_report;
 pub use fig03_ops::figure3_report;
-pub use fig06_forward::{figure6_report, figure6_sweep_likelihoods, figure6_sweep_report};
+pub use fig06_forward::figure6_sweep_likelihoods;
 pub use fig07_column::{figure7_report, figure8_report};
 pub use fig09_pvalues::figure9_report;
 pub use fig10_vicar::figure10_report;

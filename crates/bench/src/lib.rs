@@ -3,15 +3,13 @@
 //! The experiment harness behind the unified engine: one
 //! [`Experiment`](compstat_core::Experiment) implementation per
 //! table/figure of the paper (plus ablations), wired through
-//! [`registry`]. The `benches/` targets are thin wrappers that resolve
-//! their experiment by name and print its text rendering, so
-//! `cargo bench` regenerates the entire evaluation; the `compstat` CLI
-//! runs the same registry and emits JSON reports; unit tests run every
-//! experiment at a reduced scale.
+//! [`registry`], and the wall-clock suites in [`timing`]. The
+//! `compstat` CLI runs the registry (`compstat run`, text or JSON
+//! reports) and the suites (`compstat bench`, the workspace's only
+//! timing path); unit tests run every experiment at a reduced scale.
 //!
-//! Workload sizes honor the `COMPSTAT_SCALE` environment variable:
-//! `quick` (CI smoke), `default`, or `full` (paper-scale sample counts
-//! where feasible). EXPERIMENTS.md records paper-vs-measured values.
+//! Workload sizes follow a [`Scale`]: `quick` (CI smoke), `default`,
+//! or `full` (paper-scale sample counts where feasible).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -24,24 +22,3 @@ pub mod timing;
 
 pub use registry::{find, registry};
 pub use scale::Scale;
-
-/// Prints a report with a separating banner (used by bench targets).
-pub fn print_report(title: &str, body: &str) {
-    println!("\n================================================================");
-    println!("{title}");
-    println!("================================================================");
-    println!("{body}");
-}
-
-/// Resolves `name` in the registry, runs it at the environment's scale
-/// and thread budget, and prints the text report — the whole body of
-/// every figure/table bench target.
-///
-/// # Panics
-///
-/// Panics if `name` is not registered.
-pub fn run_and_print(name: &str) {
-    let e = registry::find(name).unwrap_or_else(|| panic!("unknown experiment {name:?}"));
-    let report = e.run(&compstat_runtime::Runtime::from_env(), Scale::from_env());
-    print_report(e.title(), &report.render_text());
-}

@@ -7,7 +7,7 @@
 //! `non_deterministic: true`), which never enter a report directory and
 //! therefore never reach the `compstat diff` gate.
 //!
-//! Three suites:
+//! Four suites:
 //!
 //! * [`bigfloat_suite`] — serial micro-benchmarks of the arbitrary-
 //!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits, and the
@@ -22,7 +22,11 @@
 //! * [`oracle_suite`] — the end-to-end 256-bit oracle passes the
 //!   figures pay for: the shared Figure 9/11 p-value sweep and both
 //!   Figure 10 VICAR forward sweeps, run cache-off so the arithmetic is
-//!   actually exercised.
+//!   actually exercised;
+//! * [`formats_suite`] — the formats the paper compares, in software:
+//!   per-op add/mul for binary64, log-space and posit(64,12), the
+//!   16-ary `log_sum_exp`, the forward and PBD kernels per format, and
+//!   the Figure 6 posit forward sweep serial vs parallel.
 //!
 //! Timing methodology: each entry runs `iters` iterations per
 //! repetition, `reps` repetitions after one untimed warm-up, and
@@ -34,13 +38,17 @@
     reason = "the measured-timing harness; its output is quarantined in compstat-bench/v1 docs"
 )]
 
-use crate::experiments::{fig09_pvalues, fig10_vicar};
+use crate::experiments::{fig06_forward, fig09_pvalues, fig10_vicar};
 use crate::Scale;
 use compstat_bigfloat::{testing, BigFloat, Context, HdrFloat, MAX_PREC, MIN_PREC};
 use compstat_core::bench_doc::{BenchDoc, BenchEntry};
+use compstat_core::StatFloat;
+use compstat_logspace::LogF64;
+use compstat_pbd::PbdResult;
+use compstat_posit::{P64E12, P64E18};
 use compstat_runtime::{CacheMode, Runtime};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -421,6 +429,187 @@ pub fn oracle_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
     }
 }
 
+/// Builds the number-format suite: what each format the paper compares
+/// costs in software, per operation and per kernel.
+///
+/// Entries:
+///
+/// * `{binary64,log,posit64_12}/{add,mul}` — one operation per call,
+///   cycling through 256 seeded operand pairs in `(1e-10, 1)`;
+/// * `log/lse16` — one 16-ary [`compstat_logspace::log_sum_exp`];
+/// * `forward/512x8/{binary64,posit64_18,log}` — one forward pass,
+///   T = 512, H = 8, through [`compstat_hmm::forward`] (model prepared
+///   once) and [`compstat_hmm::forward_log`];
+/// * `pbd/200x24/{binary64,posit64_12,log}` — one
+///   [`compstat_pbd::pbd_pvalue`] over 200 trials at k = 24;
+/// * `fig06-sweep/serial` and `fig06-sweep/parallel` —
+///   [`fig06_forward::figure6_sweep_likelihoods`] on
+///   [`Runtime::serial`] and on `rt`. The likelihoods are bitwise
+///   equal (`fig06`'s tests pin that); only the wall-clock differs.
+#[must_use]
+pub fn formats_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
+    let budget = FormatsBudget {
+        reps: scale.pick(5, 7, 9) as u32,
+        op_iters: scale.pick(20_000, 100_000, 400_000) as u64,
+        kernel_iters: scale.pick(4, 20, 50) as u64,
+        sweep_reps: scale.pick(3, 5, 5) as u32,
+    };
+    formats_doc(scale, rt, &budget)
+}
+
+/// Iteration budgets of one [`formats_suite`] run (a unit test runs the
+/// same rows at a debug-build budget).
+struct FormatsBudget {
+    /// Timed repetitions of every row but the fig06 sweep.
+    reps: u32,
+    /// Calls per repetition of the per-op rows.
+    op_iters: u64,
+    /// Calls per repetition of the forward and PBD rows.
+    kernel_iters: u64,
+    /// Timed repetitions of each fig06 sweep row (one sweep per rep).
+    sweep_reps: u32,
+}
+
+fn formats_doc(scale: Scale, rt: &Runtime, budget: &FormatsBudget) -> BenchDoc {
+    let &FormatsBudget {
+        reps,
+        op_iters,
+        kernel_iters,
+        sweep_reps,
+    } = budget;
+    let mut entries = Vec::new();
+
+    let mut rng = StdRng::seed_from_u64(1);
+    let pairs: Vec<(f64, f64)> = (0..OP_POOL)
+        .map(|_| (rng.gen_range(1e-10..1.0), rng.gen_range(1e-10..1.0)))
+        .collect();
+    entries.extend(op_rows::<f64>("binary64", &pairs, op_iters, reps));
+    entries.extend(op_rows::<LogF64>("log", &pairs, op_iters, reps));
+    entries.extend(op_rows::<P64E12>("posit64_12", &pairs, op_iters, reps));
+    let terms: Vec<LogF64> = pairs[..16]
+        .iter()
+        .map(|&(x, _)| LogF64::from_f64(x))
+        .collect();
+    entries.push(time_entry(
+        "log/lse16",
+        (op_iters / 10).max(1),
+        reps,
+        || {
+            black_box(compstat_logspace::log_sum_exp(
+                black_box(&terms).iter().copied(),
+            ));
+        },
+    ));
+
+    let mut rng = StdRng::seed_from_u64(2);
+    let model = compstat_hmm::dirichlet_hmm(&mut rng, 8, 8, 0.8);
+    let obs = compstat_hmm::uniform_observations(&mut rng, 8, 512);
+    entries.push(forward_row::<f64>(
+        "binary64",
+        &model,
+        &obs,
+        kernel_iters,
+        reps,
+    ));
+    entries.push(forward_row::<P64E18>(
+        "posit64_18",
+        &model,
+        &obs,
+        kernel_iters,
+        reps,
+    ));
+    entries.push(time_entry("forward/512x8/log", kernel_iters, reps, || {
+        black_box(compstat_hmm::forward_log(
+            black_box(&model),
+            black_box(&obs),
+        ));
+    }));
+
+    let probs: Vec<f64> = (0..200).map(|_| rng.gen_range(1e-6..1e-2)).collect();
+    entries.push(pbd_row::<f64>("binary64", &probs, kernel_iters, reps));
+    entries.push(pbd_row::<P64E12>("posit64_12", &probs, kernel_iters, reps));
+    entries.push(pbd_row::<LogF64>("log", &probs, kernel_iters, reps));
+
+    for (id, sweep_rt) in [
+        ("fig06-sweep/serial", &Runtime::serial()),
+        ("fig06-sweep/parallel", rt),
+    ] {
+        entries.push(time_entry(id, 1, sweep_reps, || {
+            black_box(fig06_forward::figure6_sweep_likelihoods(scale, sweep_rt));
+        }));
+    }
+
+    BenchDoc {
+        suite: "formats".into(),
+        scale: scale.as_str().into(),
+        threads: rt.threads(),
+        unix_ms: unix_ms_now(),
+        entries,
+    }
+}
+
+/// Operand pairs the per-op rows of [`formats_suite`] cycle through (a
+/// power of two, so the cursor wraps with a mask, not a division).
+const OP_POOL: usize = 256;
+
+/// The `{label}/add` and `{label}/mul` rows of [`formats_suite`]: one
+/// format operation per call, cycling through `pairs` rounded into `T`.
+fn op_rows<T: StatFloat>(
+    label: &str,
+    pairs: &[(f64, f64)],
+    iters: u64,
+    reps: u32,
+) -> [BenchEntry; 2] {
+    let pool: Vec<(T, T)> = pairs
+        .iter()
+        .map(|&(x, y)| (T::from_f64(x), T::from_f64(y)))
+        .collect();
+    [
+        op_row(&format!("{label}/add"), &pool, iters, reps, T::add),
+        op_row(&format!("{label}/mul"), &pool, iters, reps, T::mul),
+    ]
+}
+
+/// One per-op row. `op` is a fn item (`T::add`, `T::mul`), so the
+/// timed closure is monomorphized around it rather than branching per
+/// call.
+fn op_row<T: StatFloat>(
+    id: &str,
+    pool: &[(T, T)],
+    iters: u64,
+    reps: u32,
+    op: impl Fn(T, T) -> T,
+) -> BenchEntry {
+    let mut cursor = 0usize;
+    time_entry(id, iters, reps, || {
+        cursor = (cursor + 1) % OP_POOL;
+        let (x, y) = black_box(pool[cursor]);
+        black_box(op(x, y));
+    })
+}
+
+/// The `forward/512x8/{label}` row of [`formats_suite`] for a
+/// linear-space format (the model is prepared once, outside the timing).
+fn forward_row<T: StatFloat>(
+    label: &str,
+    model: &compstat_hmm::Hmm,
+    obs: &[usize],
+    iters: u64,
+    reps: u32,
+) -> BenchEntry {
+    let prepared = model.prepare::<T>();
+    time_entry(&format!("forward/512x8/{label}"), iters, reps, || {
+        black_box(compstat_hmm::forward(black_box(&prepared), black_box(obs)));
+    })
+}
+
+/// The `pbd/200x24/{label}` row of [`formats_suite`].
+fn pbd_row<T: StatFloat>(label: &str, probs: &[f64], iters: u64, reps: u32) -> BenchEntry {
+    time_entry(&format!("pbd/200x24/{label}"), iters, reps, || {
+        black_box::<PbdResult<T>>(compstat_pbd::pbd_pvalue(black_box(probs), 24));
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,6 +731,32 @@ mod tests {
             &hdr[0].to_bigfloat(),
             &pool[0].round_to(53)
         ));
+    }
+
+    /// Debug-budget pass over [`formats_suite`]'s rows: every format
+    /// on every row family, both fig06 sweep legs, ids unique, and the
+    /// document validates.
+    #[test]
+    fn formats_suite_covers_every_format_and_kernel() {
+        let budget = FormatsBudget {
+            reps: 1,
+            op_iters: 2,
+            kernel_iters: 1,
+            sweep_reps: 1,
+        };
+        let doc = formats_doc(Scale::Quick, &Runtime::with_threads(2), &budget);
+        let ids = ["binary64", "log", "posit64_12"]
+            .iter()
+            .flat_map(|f| ["add", "mul"].map(|op| format!("{f}/{op}")))
+            .chain(["binary64", "posit64_18", "log"].map(|f| format!("forward/512x8/{f}")))
+            .chain(["binary64", "posit64_12", "log"].map(|f| format!("pbd/200x24/{f}")))
+            .chain(["log/lse16", "fig06-sweep/serial", "fig06-sweep/parallel"].map(String::from));
+        for id in ids {
+            assert!(doc.entries.iter().any(|e| e.id == id), "missing {id}");
+        }
+        assert_eq!(doc.entries.len(), 15);
+        assert_eq!((doc.suite.as_str(), doc.threads), ("formats", 2));
+        assert!(BenchDoc::from_json(&doc.to_json()).is_ok());
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!
 //! `run` resolves experiments in the `compstat-bench` registry and runs
 //! them at the requested scale on the requested thread budget. Without
-//! `--out` the text reports print to stdout (what the bench targets
-//! print); with `--out` one JSON document per experiment is written
-//! plus an `index.json` summary. Reports contain only deterministic
-//! data, so the emitted bytes are identical for every `--threads`
-//! value — `diff -r` between a serial and a parallel output directory
-//! is empty, and CI enforces exactly that.
+//! `--out` the text reports print to stdout; with `--out` one JSON
+//! document per experiment is written plus an `index.json` summary.
+//! Reports contain only deterministic data, so the emitted bytes are
+//! identical for every `--threads` value — `diff -r` between a serial
+//! and a parallel output directory is empty, and CI enforces exactly
+//! that.
 //!
 //! `run --shard K/N` takes the K-th round-robin slice of the registry
 //! (and splits the big oracle sweeps into cached parts), writing a
@@ -135,8 +135,10 @@ COMMANDS:
     bench       Time the bigfloat kernels (add/mul/div at 128/256/1024
                 bits, plus the retired restoring division), the HDR
                 fast tier against the 256-bit path (per-op and forward
-                sweep), and the figures' 256-bit oracle passes. Emits
-                wall-clock compstat-bench/v1 documents — explicitly
+                sweep), the figures' 256-bit oracle passes, and the
+                number formats (per-op, forward and PBD kernels, the
+                fig06 sweep serial vs parallel). Emits wall-clock
+                compstat-bench/v1 documents — explicitly
                 non-deterministic, never part of a report directory,
                 never compared by `diff`
     merge       Reassemble a complete set of `run --shard` output
@@ -174,8 +176,8 @@ COMMANDS:
 
 OPTIONS (run):
     --all           Run every registered experiment, in registry order
-    --scale SCALE   quick | default | paper (default: $COMPSTAT_SCALE
-                    or `default`; `paper` = full paper-scale counts)
+    --scale SCALE   quick | default | paper (default: `default`;
+                    `paper` = full paper-scale counts)
     --threads N     Worker threads (default: $COMPSTAT_THREADS or all
                     cores; emitted bytes are identical for every N)
     --out DIR       Write JSON reports to DIR instead of printing text
@@ -189,13 +191,13 @@ OPTIONS (run):
 
 OPTIONS (bench):
     --quick         Shorthand for --scale quick (the CI smoke budget)
-    --scale SCALE   quick | default | paper (default: $COMPSTAT_SCALE
-                    or `default`)
-    --threads N     Worker threads for the hdr forward rows and the
-                    oracle suite (the kernel micro-benchmarks are
-                    always serial)
-    --out DIR       Also write bench-bigfloat.json, bench-hdr.json and
-                    bench-oracle.json to DIR. Refused if DIR holds an
+    --scale SCALE   quick | default | paper (default: `default`)
+    --threads N     Worker threads for the hdr forward rows, the oracle
+                    suite and the parallel fig06 sweep row (the kernel
+                    micro-benchmarks are always serial)
+    --out DIR       Also write bench-bigfloat.json, bench-hdr.json,
+                    bench-oracle.json and bench-formats.json to DIR.
+                    Refused before any timing runs if DIR holds an
                     index.json — bench documents must not contaminate a
                     report directory
 
@@ -237,7 +239,8 @@ OPTIONS (serve):
                     latency/throughput document
     --connections N / --requests M  Bench shape (default 4 x 25)
     --out DIR       With --bench: also write bench-serve.json to DIR
-                    (refused if DIR holds an index.json)
+                    (refused before the load runs if DIR holds an
+                    index.json)
     --send FILE     Send FILE's newline-delimited frames to --addr,
                     print one reply line each
     --offline FILE  Answer FILE's frames directly, no network — the
@@ -274,7 +277,7 @@ fn parse_run_args(rest: &[String]) -> Result<RunArgs, String> {
     let mut parsed = RunArgs {
         names: Vec::new(),
         all: false,
-        scale: Scale::from_env(),
+        scale: Scale::Default,
         threads: None,
         out: None,
         no_cache: false,
@@ -488,7 +491,7 @@ struct BenchArgs {
 
 fn parse_bench_args(rest: &[String]) -> Result<BenchArgs, String> {
     let mut parsed = BenchArgs {
-        scale: Scale::from_env(),
+        scale: Scale::Default,
         threads: None,
         out: None,
     };
@@ -539,22 +542,9 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Check the output directory *before* paying for the suites — and
-    // refuse a report directory outright: the diff gate loads every
-    // .json under an indexed directory, and wall-clock documents in it
-    // would defeat the byte-stability contract.
     if let Some(dir) = &parsed.out {
-        if dir.join("index.json").exists() {
-            eprintln!(
-                "compstat bench: {} holds an index.json (a report directory); \
-                 bench documents are non-deterministic and must live elsewhere",
-                dir.display()
-            );
-            return ExitCode::from(2);
-        }
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("compstat bench: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
+        if let Err(code) = prepare_bench_out_dir("bench", dir) {
+            return code;
         }
     }
     let rt = match parsed.threads {
@@ -585,8 +575,14 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
         rt.threads()
     );
     let oracle = timing::oracle_suite(parsed.scale, &rt);
+    eprintln!(
+        "timing the number formats at scale {} ({} threads)...",
+        parsed.scale.as_str(),
+        rt.threads()
+    );
+    let formats = timing::formats_suite(parsed.scale, &rt);
 
-    for doc in [&bigfloat, &hdr, &oracle] {
+    for doc in [&bigfloat, &hdr, &oracle, &formats] {
         match emit(&format!("\n{}", doc.render_text())) {
             Emit::Ok => {}
             Emit::Closed => return ExitCode::SUCCESS,
@@ -602,6 +598,27 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Readies `dir` for bench documents; `bench --out` and `serve --bench
+/// --out` both call it before any timing work. A report directory (one
+/// holding an `index.json`) is refused with exit 2: the diff gate loads
+/// every .json under an indexed directory, and wall-clock documents
+/// there would break the byte-stability contract. Otherwise `dir` is
+/// created. `cmd` names the subcommand in messages.
+fn prepare_bench_out_dir(cmd: &str, dir: &Path) -> Result<(), ExitCode> {
+    if dir.join("index.json").exists() {
+        eprintln!(
+            "compstat {cmd}: {} holds an index.json (a report directory); \
+             refusing to write non-deterministic bench documents there",
+            dir.display()
+        );
+        return Err(ExitCode::from(2));
+    }
+    std::fs::create_dir_all(dir).map_err(|e| {
+        eprintln!("compstat {cmd}: cannot create {}: {e}", dir.display());
+        ExitCode::FAILURE
+    })
 }
 
 struct MergeArgs {
@@ -1012,6 +1029,11 @@ fn serve_send(file: &Path, addr: &str) -> ExitCode {
 }
 
 fn serve_bench(args: &ServeArgs) -> ExitCode {
+    if let Some(dir) = &args.out {
+        if let Err(code) = prepare_bench_out_dir("serve", dir) {
+            return code;
+        }
+    }
     // Bench an external server when --addr is given; otherwise spin up
     // an in-process one on a free port.
     let (_local, addr) = if let Some(addr) = &args.addr {
@@ -1038,19 +1060,6 @@ fn serve_bench(args: &ServeArgs) -> ExitCode {
     );
     let doc = compstat_serve::run_bench(&addr, &opts);
     if let Some(dir) = &args.out {
-        // Same guard as `compstat bench`: never mix non-deterministic
-        // timing documents into a byte-stable report directory.
-        if dir.join("index.json").is_file() {
-            eprintln!(
-                "compstat serve: {} holds an index.json report directory; refusing to write bench documents there",
-                dir.display()
-            );
-            return ExitCode::from(2);
-        }
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("compstat serve: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
         let path = dir.join("bench-serve.json");
         let mut text = doc.to_json().to_json_string();
         text.push('\n');

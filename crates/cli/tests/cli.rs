@@ -31,7 +31,7 @@ fn compstat_command(args: &[&str]) -> Command {
     // Scrub every COMPSTAT_* knob the developer may have exported —
     // an ambient COMPSTAT_CACHE=off or COMPSTAT_THREADS=garbage must
     // not change what these tests assert.
-    for knob in ["COMPSTAT_CACHE", "COMPSTAT_THREADS", "COMPSTAT_SCALE"] {
+    for knob in ["COMPSTAT_CACHE", "COMPSTAT_THREADS"] {
         cmd.env_remove(knob);
     }
     cmd.args(args).env(
@@ -942,6 +942,10 @@ fn bench_emits_validating_documents_and_stays_out_of_report_dirs() {
     assert!(text.contains("oracle/forward/256"), "{text}");
     assert!(text.contains("oracle/fig09-fig11"), "{text}");
     assert!(text.contains("oracle/fig10"), "{text}");
+    assert!(text.contains("posit64_12/add"), "{text}");
+    assert!(text.contains("forward/512x8/log"), "{text}");
+    assert!(text.contains("pbd/200x24/binary64"), "{text}");
+    assert!(text.contains("fig06-sweep/parallel"), "{text}");
 
     let mut files: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -950,7 +954,12 @@ fn bench_emits_validating_documents_and_stays_out_of_report_dirs() {
     files.sort();
     assert_eq!(
         files,
-        ["bench-bigfloat.json", "bench-hdr.json", "bench-oracle.json"]
+        [
+            "bench-bigfloat.json",
+            "bench-formats.json",
+            "bench-hdr.json",
+            "bench-oracle.json"
+        ]
     );
 
     // All documents parse, carry the schema + marker, and pass the
@@ -972,7 +981,7 @@ fn bench_emits_validating_documents_and_stays_out_of_report_dirs() {
     );
     assert!(String::from_utf8(out.stdout)
         .unwrap()
-        .contains("3 document(s) valid"));
+        .contains("4 document(s) valid"));
 
     // A --out pointing at a report directory (holds index.json) is
     // refused before any timing runs, exit 2.
@@ -1119,7 +1128,10 @@ fn serve_refuses_to_write_bench_docs_into_a_report_directory() {
         dir.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("refusing"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("refusing"), "{stderr}");
+    // Refused before any load ran (or any server was spawned).
+    assert!(!stderr.contains("driving"), "{stderr}");
 }
 
 #[test]

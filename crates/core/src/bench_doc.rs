@@ -17,6 +17,7 @@
 
 use crate::json::Json;
 use crate::report::Table;
+use crate::scale::Scale;
 
 /// The schema identifier stamped into every bench document.
 pub const BENCH_SCHEMA: &str = "compstat-bench/v1";
@@ -46,7 +47,8 @@ pub struct BenchEntry {
 pub struct BenchDoc {
     /// Suite name, e.g. `bigfloat` or `oracle`.
     pub suite: String,
-    /// The scale the suite ran at (`quick` / `full`).
+    /// The scale the suite ran at, in [`Scale::as_str`] spelling
+    /// (`quick` / `default` / `full`).
     pub scale: String,
     /// Worker threads the run used (oracle passes are parallel).
     pub threads: usize,
@@ -118,7 +120,8 @@ impl BenchDoc {
     /// # Errors
     ///
     /// Returns a message naming the first problem: wrong schema,
-    /// missing field, wrong type, a non-finite or negative timing, or
+    /// missing field, wrong type, an unknown scale, a non-finite or
+    /// negative timing, a duplicate entry id (rows are keyed by id), or
     /// a missing `"non_deterministic": true` marker.
     pub fn from_json(v: &Json) -> Result<BenchDoc, String> {
         let schema = v
@@ -133,6 +136,9 @@ impl BenchDoc {
         }
         let suite = req_str(v, "suite")?.to_string();
         let scale = req_str(v, "scale")?.to_string();
+        if Scale::parse(&scale).is_none() {
+            return Err(format!("unknown scale {scale:?}"));
+        }
         let threads = req_count(v, "threads")? as usize;
         let unix_ms = req_count(v, "unix_ms")?;
         let raw = v
@@ -143,6 +149,9 @@ impl BenchDoc {
         for (i, e) in raw.iter().enumerate() {
             let at = |msg: String| format!("entry {i}: {msg}");
             let id = req_str(e, "id").map_err(at)?.to_string();
+            if entries.iter().any(|prev: &BenchEntry| prev.id == id) {
+                return Err(at(format!("duplicate id {id:?}")));
+            }
             let at = |msg: String| format!("entry {i} ({id:?}): {msg}");
             let iters = req_count(e, "iters").map_err(at)?;
             if iters == 0 {
@@ -325,6 +334,7 @@ mod tests {
             ("missing marker", drop_key("non_deterministic")),
             ("marker false", set("non_deterministic", Json::Bool(false))),
             ("missing suite", drop_key("suite")),
+            ("unknown scale", set("scale", Json::str("warp"))),
             ("fractional threads", set("threads", Json::Num(1.5))),
             ("negative timestamp", set("unix_ms", Json::Num(-1.0))),
             ("entries not array", set("entries", Json::Null)),
@@ -341,6 +351,9 @@ mod tests {
         assert!(BenchDoc::from_json(&doc.to_json()).is_err());
         let mut doc = sample();
         doc.entries[0].mean_ns = f64::INFINITY; // serializes as null
+        assert!(BenchDoc::from_json(&doc.to_json()).is_err());
+        let mut doc = sample();
+        doc.entries[1].id = doc.entries[0].id.clone();
         assert!(BenchDoc::from_json(&doc.to_json()).is_err());
     }
 

@@ -702,7 +702,11 @@ impl StatsLock {
             {
                 Ok(mut f) => {
                     use std::io::Write as _;
-                    let _ = write!(f, "{} {}", std::process::id(), now_ms());
+                    // One write call: `write!` on a bare File issues one
+                    // per argument, and a waiter reading the pid before
+                    // its timestamp lands would break a live lock.
+                    let body = format!("{} {}", std::process::id(), now_ms());
+                    let _ = f.write_all(body.as_bytes());
                     return Ok(StatsLock { path });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {

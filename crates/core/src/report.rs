@@ -4,9 +4,10 @@
 //! [`Block`]s (aligned text [`Table`]s and verbatim text) plus named
 //! parameters and scalar metrics. One report renders two ways:
 //!
-//! * [`Report::render_text`] — the human-readable figure/table text the
-//!   bench targets print (byte-compatible with the pre-engine report
-//!   strings, which the golden tests in `tests/paper_claims.rs` pin);
+//! * [`Report::render_text`] — the human-readable figure/table text
+//!   `compstat run` prints without `--out` (byte-compatible with the
+//!   pre-engine report strings, which the golden tests in
+//!   `tests/paper_claims.rs` pin);
 //! * [`Report::to_json`] — a machine-readable document written by the
 //!   hand-rolled [`crate::json`] writer (schema
 //!   `compstat-report/v1`), emitted by `compstat run --out`.

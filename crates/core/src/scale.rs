@@ -6,14 +6,8 @@
 //! where software emulation permits. The `compstat` CLI spells `full`
 //! as `paper`, matching what the scale reproduces.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "scale-profile selection reads the sanctioned COMPSTAT_SCALE knob"
-)]
-
-/// Experiment scale, selected via the `COMPSTAT_SCALE` environment
-/// variable (`quick` / `default` / `full`) or the CLI's `--scale` flag
-/// (`quick` / `default` / `paper`).
+/// Experiment scale, selected by the CLI's `--scale` flag (`quick` /
+/// `default` / `paper`; [`Scale::Default`] when absent).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Tiny sizes for CI smoke tests (seconds for the whole suite).
@@ -25,15 +19,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `COMPSTAT_SCALE` (defaults to [`Scale::Default`]).
-    #[must_use]
-    pub fn from_env() -> Scale {
-        std::env::var("COMPSTAT_SCALE")
-            .ok()
-            .and_then(|v| Scale::parse(&v))
-            .unwrap_or(Scale::Default)
-    }
-
     /// Parses a scale name: `quick`, `default`, `full`, or the CLI
     /// spelling `paper` (an alias for `full`). Returns `None` for
     /// anything else.

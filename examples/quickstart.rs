@@ -61,5 +61,5 @@ fn main() {
     println!("\nTakeaway: log-space and posit both avoid underflow, but their");
     println!("*accuracy* differs — that trade-off is what the paper (and the");
     println!("rest of this workspace: vicar_phylogenetics, lofreq_variant_calling,");
-    println!("accelerator_design_space examples, plus `cargo bench`) quantifies.");
+    println!("accelerator_design_space examples, plus `compstat run`) quantifies.");
 }

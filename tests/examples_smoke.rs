@@ -3,8 +3,8 @@
 //! Each test shells out to `cargo run --example`, so they are `#[ignore]`
 //! by default to keep plain `cargo test` hermetic and fast; CI runs them
 //! with `--include-ignored` (see .github/workflows/ci.yml). The examples
-//! use fixed workload sizes that finish in seconds (they do not read
-//! `COMPSTAT_SCALE`; only the bench harness does).
+//! use fixed workload sizes that finish in seconds (they take no scale;
+//! only `compstat run` and `compstat bench` do).
 
 use std::process::Command;
 
