@@ -10,11 +10,12 @@
 //! Four suites:
 //!
 //! * [`bigfloat_suite`] — serial micro-benchmarks of the arbitrary-
-//!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits, and the
+//!   precision kernels (`add`/`mul`/`div` at 128/256/1024 bits, the
 //!   oracle's own mixed-width `mul` of a 128- or 256-bit state by a
-//!   53-bit coefficient), plus the retired bit-by-bit restoring
-//!   division as a baseline row so a single run shows the Knuth-D
-//!   speedup;
+//!   53-bit coefficient, and the log-space conversions `ln`/`exp` at
+//!   192/256 bits), plus the retired bit-by-bit restoring division and
+//!   unreduced `ln`/`exp` series as baseline rows so a single run shows
+//!   each speedup;
 //! * [`hdr_suite`] — the 53-bit ladder rung: `HdrFloat` (binary64
 //!   mantissa, software exponent) per-op and forward-pass timings next
 //!   to the same work on the 256-bit BigFloat path, so the ladder
@@ -185,21 +186,40 @@ pub const BIGFLOAT_PRECS: [u32; 3] = [128, 256, 1024];
 /// The state precisions of the suite's mixed-width `mul/{prec}x53` rows.
 pub const MIXED_MUL_PRECS: [u32; 2] = [128, 256];
 
+/// The precisions of the suite's `ln`/`exp` rows: log-space
+/// measurement (`MEASURE_PREC`) and the oracle.
+pub const ELEMENTARY_PRECS: [u32; 2] = [192, 256];
+
+/// The precision of the suite's `ln-series`/`exp-series` baseline rows.
+pub const ELEMENTARY_SERIES_PREC: u32 = 192;
+
 /// Builds the bigfloat kernel suite: `add`/`mul`/`div` at each of
 /// [`BIGFLOAT_PRECS`], plus a `div-restoring` baseline row per
 /// precision (the retired bit-by-bit division, kept callable exactly so
 /// the Knuth-D speedup stays measurable from one binary), plus a
 /// `mul/{prec}x53` row per [`MIXED_MUL_PRECS`] entry: a state times a
-/// 53-bit coefficient, the product shape every oracle sweep runs.
+/// 53-bit coefficient, the product shape every oracle sweep runs. The
+/// log-space conversions get `ln`/`exp` rows at [`ELEMENTARY_PRECS`]
+/// and `ln-series`/`exp-series` baseline rows (the unreduced series
+/// they replaced) at [`ELEMENTARY_SERIES_PREC`].
 ///
 /// The kernels are serial, so the document's `threads` is always 1.
 #[must_use]
 pub fn bigfloat_suite(scale: Scale) -> BenchDoc {
-    let reps = scale.pick(5, 7, 9) as u32;
     // Iteration budget per repetition, scaled down for the slower
     // precisions and kernels so one suite stays interactive at every
     // scale.
-    let base = scale.pick(2_000, 10_000, 40_000) as u64;
+    bigfloat_doc(
+        scale,
+        scale.pick(5, 7, 9) as u32,
+        scale.pick(2_000, 10_000, 40_000) as u64,
+    )
+}
+
+/// [`bigfloat_suite`] at `reps` repetitions and a per-repetition
+/// iteration budget of `base` cheap operations (a unit test runs the
+/// same rows at a debug-build budget).
+fn bigfloat_doc(scale: Scale, reps: u32, base: u64) -> BenchDoc {
     let mut entries = Vec::new();
     for prec in BIGFLOAT_PRECS {
         let pool = operand_pool(prec, 64, 0xBE7C_0000 + u64::from(prec))
@@ -262,6 +282,53 @@ pub fn bigfloat_suite(scale: Scale) -> BenchDoc {
                 black_box(ctx.mul(black_box(a), black_box(b)));
             },
         ));
+    }
+    // ln runs on full-width values (what `LogF64::from_bigfloat`
+    // converts); exp on 53-bit logs of them (what `LogF64::to_bigfloat`
+    // gets), |x| up to ~350. Each row cycles through the pool.
+    let elementary_row =
+        |id: &str, iters: u64, f: &dyn Fn(&BigFloat) -> BigFloat, xs: &[BigFloat]| {
+            let mut i = 0;
+            time_entry(id, iters, reps, || {
+                i = (i + 1) % xs.len();
+                black_box(f(black_box(&xs[i])));
+            })
+        };
+    let (ln_iters, series_iters) = ((base / 8).max(16), (base / 32).max(8));
+    for prec in ELEMENTARY_PRECS {
+        let ctx = Context::new(prec);
+        let xs = operand_pool(prec, 64, 0xBE7C_2000 + u64::from(prec))
+            .expect("ELEMENTARY_PRECS are whole limbs inside MIN_PREC..=MAX_PREC");
+        let logs: Vec<BigFloat> = xs
+            .iter()
+            .map(|x| BigFloat::from_f64(ctx.ln(x).to_f64()))
+            .collect();
+        entries.push(elementary_row(
+            &format!("bigfloat/ln/{prec}"),
+            ln_iters,
+            &|x| ctx.ln(x),
+            &xs,
+        ));
+        entries.push(elementary_row(
+            &format!("bigfloat/exp/{prec}"),
+            ln_iters,
+            &|x| ctx.exp(x),
+            &logs,
+        ));
+        if prec == ELEMENTARY_SERIES_PREC {
+            entries.push(elementary_row(
+                &format!("bigfloat/ln-series/{prec}"),
+                series_iters,
+                &|x| testing::ln_series(x, prec),
+                &xs,
+            ));
+            entries.push(elementary_row(
+                &format!("bigfloat/exp-series/{prec}"),
+                series_iters,
+                &|x| testing::exp_series(x, prec),
+                &logs,
+            ));
+        }
     }
     BenchDoc {
         suite: "bigfloat".into(),
@@ -761,58 +828,29 @@ mod tests {
 
     #[test]
     fn bigfloat_suite_covers_every_kernel_and_precision() {
-        // Tiny custom pass over the suite's id grid (the real suite's
-        // iteration budgets are for release-mode benchmarking).
-        let doc = bigfloat_suite_smoke();
-        let ids = BIGFLOAT_PRECS
+        // The real suite's rows at the smallest budget (its iteration
+        // counts are sized for release-mode benchmarking).
+        let doc = bigfloat_doc(Scale::Quick, 1, 1);
+        let ids: Vec<String> = BIGFLOAT_PRECS
             .iter()
             .flat_map(|prec| {
                 ["add", "mul", "div", "div-restoring"].map(|op| format!("bigfloat/{op}/{prec}"))
             })
-            .chain(MIXED_MUL_PRECS.map(|prec| format!("bigfloat/mul/{prec}x53")));
-        for id in ids {
-            assert!(doc.entries.iter().any(|e| e.id == id), "missing {id}");
-        }
-        assert!(BenchDoc::from_json(&doc.to_json()).is_ok());
-    }
-
-    /// The suite's entry grid at the smallest budgets that still
-    /// measure (the real [`bigfloat_suite`] iteration counts are sized
-    /// for release-mode benchmarking, not a debug unit test).
-    fn bigfloat_suite_smoke() -> BenchDoc {
-        let coeffs = operand_pool(53, 4, 53).unwrap();
-        let mixed = MIXED_MUL_PRECS.map(|prec| {
-            let pool = operand_pool(prec, 4, u64::from(prec)).unwrap();
-            let ctx = Context::new(prec);
-            time_entry(&format!("bigfloat/mul/{prec}x53"), 2, 2, || {
-                black_box(ctx.mul(&pool[0], &coeffs[0]));
-            })
-        });
-        let entries = BIGFLOAT_PRECS
-            .iter()
-            .flat_map(|&prec| {
-                let pool = operand_pool(prec, 4, u64::from(prec)).unwrap();
-                let ctx = Context::new(prec);
-                ["add", "mul", "div", "div-restoring"].map(|op| {
-                    let (a, b) = (&pool[0], &pool[1]);
-                    time_entry(&format!("bigfloat/{op}/{prec}"), 2, 2, || {
-                        black_box(match op {
-                            "add" => ctx.add(a, b),
-                            "mul" => ctx.mul(a, b),
-                            "div" => ctx.div(a, b),
-                            _ => testing::div_restoring(a, b, prec),
-                        });
-                    })
-                })
-            })
-            .chain(mixed)
+            .chain(MIXED_MUL_PRECS.map(|prec| format!("bigfloat/mul/{prec}x53")))
+            .chain(
+                ELEMENTARY_PRECS
+                    .iter()
+                    .flat_map(|prec| ["ln", "exp"].map(|op| format!("bigfloat/{op}/{prec}"))),
+            )
+            .chain(
+                ["ln-series", "exp-series"]
+                    .map(|op| format!("bigfloat/{op}/{ELEMENTARY_SERIES_PREC}")),
+            )
             .collect();
-        BenchDoc {
-            suite: "bigfloat".into(),
-            scale: "quick".into(),
-            threads: 1,
-            unix_ms: unix_ms_now(),
-            entries,
+        for id in &ids {
+            assert!(doc.entries.iter().any(|e| &e.id == id), "missing {id}");
         }
+        assert_eq!(doc.entries.len(), ids.len());
+        assert!(BenchDoc::from_json(&doc.to_json()).is_ok());
     }
 }

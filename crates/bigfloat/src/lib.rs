@@ -56,8 +56,13 @@ pub mod limb;
 mod repr;
 pub mod serial;
 
+/// Differential-test hooks: the retired kernels each fast path is
+/// checked against. Not a public API.
 #[doc(hidden)]
-pub use arith::testing;
+pub mod testing {
+    pub use crate::arith::testing::*;
+    pub use crate::elementary::testing::*;
+}
 pub use arith::Context;
 pub use elementary::ln2;
 pub use hdr::{HdrFloat, HDR_FAST_PREC};

@@ -1,9 +1,10 @@
 //! Pins the heap-free oracle hot path: at every precision up to the
-//! 320-bit inline limit, `add`, `sub`, `mul` and `round_to` on `Normal`
-//! operands allocate nothing — including the mixed `N x 1`-limb
-//! products (a wide state times a 53-bit `from_f64` coefficient) that
-//! the oracle sweeps run most. Wider values must still work, through
-//! the heap.
+//! 320-bit inline limit, `add`, `sub`, `mul`, `round_to` and `div_u64`
+//! (once per term of the term-by-term `ln`/`exp` series and of `ln 2`)
+//! on `Normal` operands allocate nothing — including the mixed
+//! `N x 1`-limb products (a wide state times a 53-bit `from_f64`
+//! coefficient) that the oracle sweeps run most. Wider values must
+//! still work, through the heap.
 //!
 //! A counting global allocator tallies allocations per thread, so tests
 //! running in parallel cannot disturb each other's counts.
@@ -78,7 +79,7 @@ fn inline_precisions_never_allocate() {
         let a = operand(prec, 1.0, 3.0);
         let b = operand(prec, -2.0, 7.0);
         let coeff = BigFloat::from_f64(0.123_456_789);
-        let cases: [(&str, &dyn Fn() -> BigFloat); 9] = [
+        let cases: [(&str, &dyn Fn() -> BigFloat); 11] = [
             ("add", &|| ctx.add(&a, &b)),
             ("sub", &|| ctx.sub(&a, &b)),
             ("add zero", &|| ctx.add(&BigFloat::zero(), &a)),
@@ -88,6 +89,8 @@ fn inline_precisions_never_allocate() {
             ("add Nx53", &|| ctx.add(&a, &coeff)),
             ("round_to 53", &|| a.round_to(53)),
             ("round_to 320", &|| a.round_to(320)),
+            ("div_u64", &|| a.div_u64(27, prec)),
+            ("div_u64 53-bit", &|| coeff.div_u64(7, prec)),
         ];
         for (name, op) in cases {
             assert_eq!(allocations(op), 0, "{name} at {prec} bits allocated");
@@ -127,6 +130,18 @@ fn wider_values_still_work_through_the_heap() {
                 ctx.mul(&a, &coeff),
                 testing::mul_general(&a, &coeff, prec),
             ),
+            // div_u64 is exact up to its one rounding, even when the
+            // operand is far narrower than the result.
+            (
+                "div_u64",
+                a.div_u64(27, prec),
+                ctx.div(&a, &BigFloat::from_u64(27)),
+            ),
+            (
+                "div_u64 53-bit",
+                coeff.div_u64(7, prec),
+                ctx.div(&coeff, &BigFloat::from_u64(7)),
+            ),
         ];
         for (name, fast, reference) in pairs {
             assert!(bit_identical(&fast, &reference), "{name} at {prec} bits");
@@ -134,6 +149,7 @@ fn wider_values_still_work_through_the_heap() {
         // Above the inline limit every result owns a heap buffer.
         assert!(allocations(|| ctx.add(&a, &b)) > 0);
         assert!(allocations(|| a.round_to(prec)) > 0);
+        assert!(allocations(|| a.div_u64(27, prec)) > 0);
         // Rounding a wide value down into the inline range does not.
         assert_eq!(allocations(|| a.round_to(256)), 0);
     }
