@@ -10,21 +10,12 @@
 
 use crate::Scale;
 use compstat_bigfloat::Context;
-use compstat_core::cache::{CacheKey, OracleCache};
 use compstat_core::error::measure;
 use compstat_core::report::{fmt_f64, Report, Table};
 use compstat_core::Cdf;
-use compstat_hmm::{dirichlet_hmm, forward, forward_log, forward_oracle, uniform_observations};
+use compstat_hmm::{forward, forward_log, DirichletSweep};
 use compstat_posit::P64E18;
 use compstat_runtime::Runtime;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Version tag of the VICAR oracle sweep — the composition of the
-/// Dirichlet model/observation generators with
-/// [`forward_oracle`]. **Bump when any of those change their exact
-/// output**, or stale cache entries will be served.
-pub const ORACLE_KERNEL_TAG: &str = "vicar-dirichlet-forward-oracle/v1";
 
 /// Number of observation symbols in the VICAR models (public so the
 /// `compstat bench` timing suite can reproduce the exact oracle sweep).
@@ -43,6 +34,29 @@ pub struct VicarErrors {
     pub posit_errors: Vec<f64>,
 }
 
+/// The oracle sweep behind one panel: `models` Dirichlet HMMs with
+/// `h` states, sequences of length `t_len`, drawn from `seed`. Shared
+/// with the `compstat bench` timing suite, whose `oracle/fig10` rows
+/// time exactly this sweep.
+#[must_use]
+pub fn oracle_sweep(t_len: usize, models: usize, h: usize, seed: u64) -> DirichletSweep {
+    DirichletSweep {
+        experiment: NAME,
+        t_len,
+        models,
+        states: h,
+        symbols: SYMBOLS,
+        alpha: ALPHA,
+        seed,
+    }
+}
+
+/// The seed of the panel with sequence length `t_len`.
+#[must_use]
+pub fn panel_seed(t_len: usize) -> u64 {
+    0xF16_0000 + t_len as u64
+}
+
 /// Runs the experiment for one T across `models` Dirichlet HMMs,
 /// in parallel.
 ///
@@ -54,35 +68,19 @@ pub struct VicarErrors {
 #[must_use]
 pub fn vicar_errors(t_len: usize, models: usize, h: usize, seed: u64, rt: &Runtime) -> VicarErrors {
     let ctx = Context::new(256);
-    let base = StdRng::seed_from_u64(seed);
+    let sweep = oracle_sweep(t_len, models, h, seed);
 
     // The 256-bit oracle pass — the cost-dominant half — runs as its
-    // own seeded sweep so the persistent cache can absorb it whole.
-    // Stream `i` draws the model and then the observations, exactly as
-    // the format pass below will redraw them, so `oracles[i]` is the
-    // oracle likelihood of the very inputs item `i` evaluates.
-    // On a sharded runtime the sweep is computed and cached in N
-    // round-robin parts (`key` + `part: K/N`); each part reuses the
-    // same per-item split streams (`base.split(i)` by *global* index),
-    // so any shard computes exactly the bytes the unsharded sweep
-    // would, and reassembly also stores the monolithic entry.
-    let key = oracle_cache_key(t_len, models, h, seed, &ctx);
-    let cache = OracleCache::from_runtime(rt);
-    let parts = rt.shard().map_or(1, |s| s.count());
-    let oracles = cache.get_or_compute_parts(&key, models, parts, |indices| {
-        rt.par_map_seeded_at(indices, &base, |_, stream| {
-            let model = dirichlet_hmm(stream, h, SYMBOLS, ALPHA);
-            let obs = uniform_observations(stream, SYMBOLS, t_len);
-            forward_oracle(&model, &obs, &ctx)
-        })
-    });
+    // own seeded sweep so the persistent cache can absorb it whole
+    // (in N parts on a sharded runtime).
+    let oracles = sweep.oracle_cached(&ctx, rt);
 
-    // The format pass regenerates each item's inputs from its stream
-    // (cheap next to a 256-bit forward pass, and it keeps the sweep's
-    // memory per-item instead of materializing every sequence).
-    let errors: Vec<(f64, f64)> = rt.par_map_seeded(models, &base, |i, stream| {
-        let model = dirichlet_hmm(stream, h, SYMBOLS, ALPHA);
-        let obs = uniform_observations(stream, SYMBOLS, t_len);
+    // The format pass redraws each item from its stream, so
+    // `oracles[i]` is the oracle likelihood of the very inputs item `i`
+    // evaluates (cheap next to a 256-bit forward pass, and it keeps the
+    // sweep's memory per-item instead of materializing every sequence).
+    let errors: Vec<(f64, f64)> = rt.par_map_seeded(models, &sweep.base(), |i, stream| {
+        let (model, obs) = sweep.draw(stream);
         let l = forward_log(&model, &obs);
         let p: P64E18 = forward(&model.prepare(), &obs);
         (
@@ -96,39 +94,6 @@ pub fn vicar_errors(t_len: usize, models: usize, h: usize, seed: u64, rt: &Runti
         log_errors,
         posit_errors,
     }
-}
-
-/// Cache key of one VICAR oracle sweep. Every generation parameter the
-/// sweep is a function of is in here (plus the kernel version tag), so
-/// the key is the issue's `(experiment, scale-determined sizes, seed,
-/// precision, kernel tag)` tuple made concrete.
-///
-/// This sweep does *not* go through
-/// [`compstat_hmm::forward_oracle_batch_cached`] (the single-model
-/// batch API, which fingerprints a materialized model + observation
-/// set): here every item has its own model and the sequences are
-/// regenerated per stream rather than held in memory, so the sweep is
-/// parameter-addressed. A change to [`dirichlet_hmm`],
-/// [`uniform_observations`], or [`forward_oracle`] must bump *this*
-/// file's [`ORACLE_KERNEL_TAG`].
-#[must_use]
-pub fn oracle_cache_key(
-    t_len: usize,
-    models: usize,
-    h: usize,
-    seed: u64,
-    ctx: &Context,
-) -> CacheKey {
-    CacheKey::new("hmm/vicar-forward-oracle")
-        .field("kernel", ORACLE_KERNEL_TAG)
-        .field("experiment", NAME)
-        .field("t_len", t_len)
-        .field("models", models)
-        .field("states", h)
-        .field("symbols", SYMBOLS)
-        .field("alpha", ALPHA)
-        .field("seed", seed)
-        .field("prec", ctx.prec())
 }
 
 /// The scale-determined workload of the figure:
@@ -166,7 +131,7 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
         ("(a)", t1, "median_gap_decades_short"),
         ("(b)", t2, "median_gap_decades_long"),
     ] {
-        let e = vicar_errors(t_len, models, h, 0xF16_0000 + t_len as u64, rt);
+        let e = vicar_errors(t_len, models, h, panel_seed(t_len), rt);
         let log_cdf = Cdf::new(&e.log_errors);
         let posit_cdf = Cdf::new(&e.posit_errors);
         let mut table = Table::new(vec![

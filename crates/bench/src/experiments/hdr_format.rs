@@ -17,20 +17,18 @@
 //!   (`prec = 53`) versus the 192-bit oracle trace, locking the
 //!   tiering seam of the precision ladder.
 //!
-//! The oracle sweep is cached under this experiment's own key
-//! namespace and kernel tag — the VICAR (`fig10`) tag and bytes are
-//! untouched.
+//! The oracle sweep is cached under this experiment's own name, so it
+//! never shares entries with the VICAR (`fig10`) sweep.
 
 use crate::Scale;
 use compstat_bigfloat::{Context, HdrFloat};
 use compstat_core::accuracy::{bucketed_accuracy, figure3_buckets, BucketAccuracy, OpKind};
-use compstat_core::cache::{CacheKey, OracleCache};
 use compstat_core::error::measure;
 use compstat_core::report::{fmt_f64, Report, Table};
 use compstat_core::sample::{sample_additions, sample_multiplications, SampledOp};
 use compstat_core::Cdf;
 use compstat_hmm::{
-    dirichlet_hmm, forward, forward_log, forward_oracle, forward_trace_rt, uniform_observations,
+    dirichlet_hmm, forward, forward_log, forward_trace_rt, uniform_observations, DirichletSweep,
 };
 use compstat_logspace::LogF64;
 use compstat_posit::P64E18;
@@ -43,12 +41,6 @@ pub const NAME: &str = "hdr";
 /// Registry title of this experiment.
 pub const TITLE: &str =
     "HDR float: binary64 mantissa with a software exponent vs Log/posit and the 256-bit oracle";
-
-/// Version tag of this experiment's oracle sweep (Dirichlet model +
-/// observation generators composed with
-/// [`forward_oracle`]). Its own tag in its own key namespace: bumping
-/// it never invalidates the VICAR (`fig10`) cache, and vice versa.
-pub const ORACLE_KERNEL_TAG: &str = "hdr-dirichlet-forward-oracle/v1";
 
 /// Observation symbols of the forward-pass models (same geometry as
 /// the VICAR sweep, independently declared).
@@ -112,28 +104,6 @@ pub fn scale_params(scale: Scale) -> (usize, usize, usize) {
     )
 }
 
-/// Cache key of the forward-pass oracle sweep (parameter-addressed,
-/// like the VICAR sweep, but in this experiment's own namespace).
-#[must_use]
-pub fn oracle_cache_key(
-    t_len: usize,
-    models: usize,
-    h: usize,
-    seed: u64,
-    ctx: &Context,
-) -> CacheKey {
-    CacheKey::new("hmm/hdr-forward-oracle")
-        .field("kernel", ORACLE_KERNEL_TAG)
-        .field("experiment", NAME)
-        .field("t_len", t_len)
-        .field("models", models)
-        .field("states", h)
-        .field("symbols", SYMBOLS)
-        .field("alpha", ALPHA)
-        .field("seed", seed)
-        .field("prec", ctx.prec())
-}
-
 /// log10 relative errors of final likelihoods per format.
 #[derive(Clone, Debug)]
 pub struct HdrErrors {
@@ -149,24 +119,22 @@ pub struct HdrErrors {
 /// matrices and observations drawn from stream `base.split(i)`, so
 /// every error value is bitwise-identical at any thread count. The
 /// 256-bit oracle pass is cached (sharded-aware) under this
-/// experiment's own key.
+/// experiment's own name.
 #[must_use]
 pub fn hdr_errors(t_len: usize, models: usize, h: usize, seed: u64, rt: &Runtime) -> HdrErrors {
     let ctx = Context::new(256);
-    let base = StdRng::seed_from_u64(seed);
-    let key = oracle_cache_key(t_len, models, h, seed, &ctx);
-    let cache = OracleCache::from_runtime(rt);
-    let parts = rt.shard().map_or(1, |s| s.count());
-    let oracles = cache.get_or_compute_parts(&key, models, parts, |indices| {
-        rt.par_map_seeded_at(indices, &base, |_, stream| {
-            let model = dirichlet_hmm(stream, h, SYMBOLS, ALPHA);
-            let obs = uniform_observations(stream, SYMBOLS, t_len);
-            forward_oracle(&model, &obs, &ctx)
-        })
-    });
-    let errors: Vec<(f64, f64, f64)> = rt.par_map_seeded(models, &base, |i, stream| {
-        let model = dirichlet_hmm(stream, h, SYMBOLS, ALPHA);
-        let obs = uniform_observations(stream, SYMBOLS, t_len);
+    let sweep = DirichletSweep {
+        experiment: NAME,
+        t_len,
+        models,
+        states: h,
+        symbols: SYMBOLS,
+        alpha: ALPHA,
+        seed,
+    };
+    let oracles = sweep.oracle_cached(&ctx, rt);
+    let errors: Vec<(f64, f64, f64)> = rt.par_map_seeded(models, &sweep.base(), |i, stream| {
+        let (model, obs) = sweep.draw(stream);
         let hd: HdrFloat = forward(&model.prepare(), &obs);
         let l = forward_log(&model, &obs);
         let p: P64E18 = forward(&model.prepare(), &obs);

@@ -472,18 +472,12 @@ pub fn oracle_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
 
     let (t_short, t_long, models, h) = fig10_vicar::scale_params(scale);
     for (id, t_len) in [("oracle/fig10", t_short), ("oracle/fig10-long", t_long)] {
-        let base = StdRng::seed_from_u64(0xF16_0000 + t_len as u64);
+        let sweep = fig10_vicar::oracle_sweep(t_len, models, h, fig10_vicar::panel_seed(t_len));
+        let base = sweep.base();
         entries.push(time_entry(id, 1, reps, || {
-            black_box(rt.par_map_seeded(models, &base, |_, stream| {
-                let model = compstat_hmm::dirichlet_hmm(
-                    stream,
-                    h,
-                    fig10_vicar::SYMBOLS,
-                    fig10_vicar::ALPHA,
-                );
-                let obs = compstat_hmm::uniform_observations(stream, fig10_vicar::SYMBOLS, t_len);
-                compstat_hmm::forward_oracle(&model, &obs, &ctx)
-            }));
+            black_box(
+                rt.par_map_seeded(models, &base, |_, stream| sweep.oracle_item(stream, &ctx)),
+            );
         }));
     }
 

@@ -7,7 +7,6 @@
 //! compstat merge <shard-dir>... --out DIR
 //! compstat diff <baseline-dir> <new-dir> [--tolerances FILE] [--json]
 //! compstat validate <dir-or-file>...
-//! compstat audit [--json] [--out FILE] [--regen-fingerprints] [paths...]
 //! cache stats | clear | export <tar> | import <tar>
 //! ```
 //!
@@ -35,7 +34,6 @@
 //! Argument parsing is hand-rolled: the build environment has no
 //! registry access, so no `clap`.
 
-use compstat_analysis::{fingerprint, run_audit, AuditOptions};
 use compstat_bench::registry::{find, registry, registry_shard};
 use compstat_bench::timing;
 use compstat_core::archive::{export_cache, import_cache};
@@ -87,7 +85,6 @@ fn main() -> ExitCode {
         Some("merge") => cmd_merge(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
-        Some("audit") => cmd_audit(&args[1..]),
         Some("cache") => cmd_cache(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("help" | "--help" | "-h") | None => {
@@ -118,8 +115,6 @@ USAGE:
     compstat merge <shard-dir>... --out DIR
     compstat diff <baseline-dir> <new-dir> [--tolerances FILE] [--json]
     compstat validate <dir-or-file>...
-    compstat audit [--json] [--out FILE] [--root DIR]
-                   [--regen-fingerprints] [paths...]
     compstat cache stats | clear | export <tar> | import <tar>
     compstat serve [--addr H:P] [--workers N] [--threads N]
                    [--max-conns N] [--timeout-secs S] [--no-cache]
@@ -151,13 +146,6 @@ COMMANDS:
                 violations or added/removed experiments, 3 on errors
     validate    Parse every .json report under the given paths; report
                 every malformed document with its reason
-    audit       Statically check the two source invariants clippy
-                cannot express: float-format (bare {}/{:?} floats in
-                report paths) and kernel-tag-guard (oracle-kernel
-                edits without an ORACLE_KERNEL_TAG bump); exit 0 if
-                clean, 2 on findings, 3 on usage/IO errors. There are
-                no waivers. Clocks, env reads, hash order, powf, kernel
-                casts and serve panics are clippy lints (clippy.toml)
     cache       Inspect (`stats`), empty (`clear`), or move the
                 persistent oracle cache ($COMPSTAT_CACHE_DIR, default
                 .compstat-cache/) between machines as a deterministic
@@ -206,22 +194,6 @@ OPTIONS (diff):
                     (default: every value must be byte-identical)
     --json          Emit the structured compstat-diff/v1 document
                     instead of the human-readable summary
-
-OPTIONS (audit):
-    --json          Print the structured compstat-audit/v2 document
-                    instead of the human-readable findings
-    --out FILE      Also write the compstat-audit/v2 JSON document to
-                    FILE (the CI artifact)
-    --root DIR      Workspace root (default: the enclosing workspace of
-                    the current directory)
-    --regen-fingerprints  Rewrite goldens/kernel_fingerprints.json from
-                    the current tree before auditing — the second step
-                    of the kernel-edit workflow (edit kernel, bump
-                    ORACLE_KERNEL_TAG, regen, commit both)
-    [paths...]      Audit only these files/directories (float-format
-                    applies everywhere; the whole-tree kernel-tag-guard
-                    is skipped). Default: src/lib.rs and every
-                    crates/*/src tree except crates/vendor
 
 OPTIONS (serve):
     --addr H:P      Bind address (default 127.0.0.1:0 — a free port,
@@ -1247,134 +1219,6 @@ fn cmd_validate(rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `audit` shares `diff`'s outer verdict codes: 0 = clean, 2 =
-/// violations, 3 = usage or IO trouble.
-const AUDIT_VIOLATIONS: u8 = 2;
-const AUDIT_TROUBLE: u8 = 3;
-
-struct AuditArgs {
-    json: bool,
-    out: Option<PathBuf>,
-    root: Option<PathBuf>,
-    regen: bool,
-    paths: Vec<PathBuf>,
-}
-
-fn parse_audit_args(rest: &[String]) -> Result<AuditArgs, String> {
-    let mut args = AuditArgs {
-        json: false,
-        out: None,
-        root: None,
-        regen: false,
-        paths: Vec::new(),
-    };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => args.json = true,
-            "--regen-fingerprints" => args.regen = true,
-            "--out" => {
-                let v = it.next().ok_or("--out requires a file path")?;
-                args.out = Some(PathBuf::from(v));
-            }
-            "--root" => {
-                let v = it.next().ok_or("--root requires a directory")?;
-                args.root = Some(PathBuf::from(v));
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other:?}"));
-            }
-            path => args.paths.push(PathBuf::from(path)),
-        }
-    }
-    if args.regen && !args.paths.is_empty() {
-        return Err("--regen-fingerprints audits the whole tree; drop the explicit paths".into());
-    }
-    Ok(args)
-}
-
-/// Walks up from the current directory to the enclosing Cargo
-/// workspace root (the audit's default path base).
-fn find_workspace_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return Some(dir);
-                }
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
-fn cmd_audit(rest: &[String]) -> ExitCode {
-    let args = match parse_audit_args(rest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("compstat audit: {e}");
-            return ExitCode::from(AUDIT_TROUBLE);
-        }
-    };
-    let Some(root) = args.root.clone().or_else(find_workspace_root) else {
-        eprintln!("compstat audit: not inside a Cargo workspace (pass --root)");
-        return ExitCode::from(AUDIT_TROUBLE);
-    };
-    let opts = AuditOptions {
-        root,
-        paths: args.paths,
-        fingerprints: None,
-    };
-    if args.regen {
-        match fingerprint::regen(&opts.root, &opts.fingerprints_path()) {
-            Ok(n) => {
-                let line = format!(
-                    "regenerated {} with {n} kernel fingerprint(s)\n",
-                    fingerprint::DEFAULT_PATH
-                );
-                if emit(&line) == Emit::Failed {
-                    return ExitCode::from(AUDIT_TROUBLE);
-                }
-            }
-            Err(e) => {
-                eprintln!("compstat audit: cannot regenerate fingerprints: {e}");
-                return ExitCode::from(AUDIT_TROUBLE);
-            }
-        }
-    }
-    let audit = match run_audit(&opts) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("compstat audit: {e}");
-            return ExitCode::from(AUDIT_TROUBLE);
-        }
-    };
-    if let Some(out) = &args.out {
-        let text = format!("{}\n", audit.to_json().to_json_string());
-        if let Err(e) = cache::write_atomic(out, text.as_bytes()) {
-            eprintln!("compstat audit: cannot write {}: {e}", out.display());
-            return ExitCode::from(AUDIT_TROUBLE);
-        }
-    }
-    let rendering = if args.json {
-        format!("{}\n", audit.to_json().to_json_string())
-    } else {
-        audit.render_text()
-    };
-    if emit(&rendering) == Emit::Failed {
-        return ExitCode::from(AUDIT_TROUBLE);
-    }
-    if audit.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(AUDIT_VIOLATIONS)
-    }
-}
-
 /// Collects every `.json` file under `dir`, recursively (sharded runs
 /// nest report directories, e.g. `reports/run1/`, `reports/run2/`).
 fn collect_json_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -1429,22 +1273,6 @@ fn check_schema(path: &Path, doc: &Json) -> Result<(), String> {
         }
         s if s == compstat_serve::SERVE_BENCH_SCHEMA => {
             compstat_serve::ServeBenchDoc::from_json(doc).map(|_| ())
-        }
-        s if s == compstat_analysis::doc::AUDIT_SCHEMA => {
-            let errors = compstat_analysis::doc::validate_json(doc);
-            if errors.is_empty() {
-                Ok(())
-            } else {
-                Err(errors.join("; "))
-            }
-        }
-        s if s == fingerprint::FINGERPRINTS_SCHEMA => {
-            // Accumulate every problem (duplicates, non-hex digests,
-            // missing fields), matching the diff-gate's
-            // all-errors-at-once behavior.
-            fingerprint::validate_doc(doc)
-                .map(|_| ())
-                .map_err(|errors| errors.join("; "))
         }
         s if s == compstat_core::diff::TOLERANCES_SCHEMA => {
             // Check through the real loader so bad tolerance spellings

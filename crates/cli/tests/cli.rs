@@ -1192,158 +1192,3 @@ fn serve_send_replies_match_the_offline_baseline() {
         "served replies must be byte-identical to the offline baseline"
     );
 }
-
-// ---------------------------------------------------------------------
-// audit
-// ---------------------------------------------------------------------
-
-fn fixture_path(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../analysis/tests/fixtures")
-        .join(name)
-}
-
-#[test]
-fn audit_is_clean_at_head() {
-    // The workspace root is two levels above the cli crate.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = compstat(&["audit", "--root", root.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "audit found violations:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("0 finding(s)"), "{text}");
-}
-
-#[test]
-fn audit_findings_exit_2_with_exact_location() {
-    let fixture = fixture_path("float_format.rs");
-    let out = compstat(&["audit", fixture.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.contains("float_format.rs:4:13: [float-format]"),
-        "expected exact file:line finding in:\n{text}"
-    );
-}
-
-#[test]
-fn audit_json_document_validates() {
-    let fixture = fixture_path("float_format.rs");
-    let doc_path = tmp_dir("audit-doc").join("audit.json");
-    std::fs::create_dir_all(doc_path.parent().unwrap()).unwrap();
-    let out = compstat(&[
-        "audit",
-        "--json",
-        "--out",
-        doc_path.to_str().unwrap(),
-        fixture.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    // stdout and --out carry the same compstat-audit/v2 document.
-    let stdout_text = String::from_utf8(out.stdout).unwrap();
-    let file_text = std::fs::read_to_string(&doc_path).unwrap();
-    assert_eq!(stdout_text, file_text);
-    let doc = Json::parse(&file_text).expect("well-formed JSON");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("compstat-audit/v2")
-    );
-    // The emitted document passes `compstat validate`.
-    let validated = compstat(&["validate", doc_path.to_str().unwrap()]);
-    assert!(
-        validated.status.success(),
-        "{}",
-        String::from_utf8_lossy(&validated.stderr)
-    );
-}
-
-#[test]
-fn audit_usage_errors_exit_3() {
-    for args in [
-        &["audit", "--bogus"][..],
-        &["audit", "--out"],
-        &["audit", "no-such-file.rs"],
-        &["audit", "--regen-fingerprints", "some-path.rs"],
-    ] {
-        let out = compstat(args);
-        assert_eq!(out.status.code(), Some(3), "args {args:?}");
-    }
-}
-
-#[test]
-fn audit_catches_kernel_edit_without_tag_bump_end_to_end() {
-    // Build a throwaway mini-workspace: one tagged kernel, fingerprints
-    // recorded, then a code edit without a tag bump.
-    let root = tmp_dir("audit-tag-guard");
-    let src = root.join("crates/demo/src");
-    std::fs::create_dir_all(&src).unwrap();
-    std::fs::create_dir_all(root.join("goldens")).unwrap();
-    let kernel =
-        "pub const ORACLE_KERNEL_TAG: &str = \"demo/v1\";\npub fn k(x: u64) -> u64 { x + 1 }\n";
-    std::fs::write(src.join("kernel.rs"), kernel).unwrap();
-
-    let regen = compstat(&[
-        "audit",
-        "--regen-fingerprints",
-        "--root",
-        root.to_str().unwrap(),
-    ]);
-    assert!(
-        regen.status.success(),
-        "{}",
-        String::from_utf8_lossy(&regen.stderr)
-    );
-    assert!(root.join("goldens/kernel_fingerprints.json").is_file());
-
-    std::fs::write(src.join("kernel.rs"), kernel.replace("x + 1", "x + 2")).unwrap();
-    let out = compstat(&["audit", "--root", root.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.contains("crates/demo/src/kernel.rs:1:1: [kernel-tag-guard]"),
-        "{text}"
-    );
-    assert!(
-        text.contains("ORACLE_KERNEL_TAG is still \"demo/v1\""),
-        "{text}"
-    );
-
-    // The committed fingerprints file itself validates.
-    let validated = compstat(&[
-        "validate",
-        root.join("goldens/kernel_fingerprints.json")
-            .to_str()
-            .unwrap(),
-    ]);
-    assert!(
-        validated.status.success(),
-        "{}",
-        String::from_utf8_lossy(&validated.stderr)
-    );
-}
-
-#[test]
-fn validate_rejects_corrupt_fingerprints_with_every_reason() {
-    let dir = tmp_dir("bad-fingerprints");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("kernel_fingerprints.json");
-    std::fs::write(
-        &path,
-        r#"{"schema":"compstat-kernel-fingerprints/v1","entries":[
-            {"path":"a.rs","tag":"t","sha256":"nothex"},
-            {"path":"a.rs","tag":"t","sha256":"nothex"}
-        ]}"#,
-    )
-    .unwrap();
-    let out = compstat(&["validate", path.to_str().unwrap()]);
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    // Accumulate-all-errors: both the non-hex digests and the
-    // duplicate path are reported in one pass.
-    assert!(err.contains("not 64 hex digits"), "{err}");
-    assert!(err.contains("duplicate"), "{err}");
-}

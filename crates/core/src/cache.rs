@@ -4,10 +4,10 @@
 //! against a high-precision BigFloat oracle, so the oracle sweeps
 //! (fig09/fig11 corpus p-values, fig10 forward passes) dominate
 //! `compstat run --all` wall-clock — yet each sweep is a *pure
-//! function* of its inputs (experiment, scale, seed, oracle precision,
-//! kernel version). This module trades disk for that recomputation,
-//! the statistics-vs-computation trade the paper's related work
-//! formalizes:
+//! function* of its inputs (experiment, scale, seed, oracle precision)
+//! and of the code that computes it. This module trades disk for that
+//! recomputation, the statistics-vs-computation trade the paper's
+//! related work formalizes:
 //!
 //! * [`CacheKey`] — a structured description of one sweep, hashed
 //!   (SHA-256) into the content address;
@@ -29,15 +29,14 @@
 //! `compstat diff` golden gate then enforces end-to-end that cached and
 //! uncached runs emit byte-identical reports.
 //!
-//! ## Invalidation caveat
+//! ## Invalidation
 //!
-//! The key hashes the sweep's *inputs and a kernel version tag*, not
-//! the kernel's machine code: a change to an oracle kernel (or to
-//! corpus generation feeding it) must bump the corresponding tag
-//! (`compstat_pbd::batch::ORACLE_KERNEL_TAG`,
-//! `compstat_hmm::batch::ORACLE_KERNEL_TAG`, ...) or stale entries will
-//! be served. CI runs a cold cache, so a forgotten bump still fails the
-//! golden gate there; `compstat cache clear` is the local reset.
+//! Every key also hashes the sources of the crates that can change
+//! oracle bytes ([`crate::sources`]): an edit to a kernel, a sampler or
+//! the arithmetic under them addresses new entries, and the old ones
+//! are never served again. The key cannot see the compiler or the
+//! target, so `compstat cache clear` stays the reset after a toolchain
+//! change; CI's cold-cache leg backstops that case.
 
 #![expect(
     clippy::disallowed_methods,
@@ -171,10 +170,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 ///
 /// A key is a sweep kind (e.g. `pbd/oracle-pvalues`) plus ordered
 /// `name=value` fields — experiment, scale, seed, oracle precision,
-/// kernel version tag, counts, content fingerprints. Every component
-/// is length-prefixed before hashing, so no two distinct keys can
-/// collide by concatenation tricks; changing *any* field changes the
-/// digest.
+/// counts, content fingerprints. Every component is length-prefixed
+/// before hashing, so no two distinct keys can collide by
+/// concatenation tricks; changing *any* field changes the digest, and
+/// so does any edit to the oracle crates' sources.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheKey {
     kind: String,
@@ -200,15 +199,26 @@ impl CacheKey {
     }
 
     /// The content address: SHA-256 (hex) over the canonical encoding
-    /// of kind and fields.
+    /// of the oracle crates' source digest ([`crate::sources::digest`]),
+    /// kind and fields. Every key covers the code that computes its
+    /// entry, so a source edit addresses new entries.
     #[must_use]
     pub fn digest(&self) -> String {
+        self.digest_with(crate::sources::digest())
+    }
+
+    /// [`CacheKey::digest`] under an explicit source digest — what the
+    /// address would be if the oracle crates' sources hashed to
+    /// `sources`.
+    #[must_use]
+    pub fn digest_with(&self, sources: &[u8; 32]) -> String {
         let mut buf = Vec::new();
         let push = |buf: &mut Vec<u8>, s: &str| {
             buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
             buf.extend_from_slice(s.as_bytes());
         };
-        buf.extend_from_slice(b"compstat-cache-key/v1\0");
+        buf.extend_from_slice(b"compstat-cache-key/v2\0");
+        buf.extend_from_slice(sources);
         push(&mut buf, &self.kind);
         for (name, value) in &self.fields {
             push(&mut buf, name);
@@ -500,20 +510,8 @@ impl OracleCache {
         if self.mode == CacheMode::Off {
             return compute();
         }
-        if let Some(values) = self.load(key) {
-            if values.len() == expected_len {
-                self.hits.set(self.hits.get() + 1);
-                GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-                return values;
-            }
-            // A length mismatch means the key under-describes the sweep
-            // (or a digest collision, vanishingly unlikely): never
-            // serve it.
-            self.note_error(&format!(
-                "cache entry for {} holds {} values, expected {expected_len} (recomputing)",
-                key.describe(),
-                values.len()
-            ));
+        if let Some(values) = self.lookup(key, expected_len) {
+            return values;
         }
         self.misses.set(self.misses.get() + 1);
         GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
@@ -566,17 +564,8 @@ impl OracleCache {
         }
         // Monolithic entry first: an unsharded (or already reunited)
         // sweep serves every part at once.
-        if let Some(values) = self.load(key) {
-            if values.len() == expected_len {
-                self.hits.set(self.hits.get() + 1);
-                GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-                return values;
-            }
-            self.note_error(&format!(
-                "cache entry for {} holds {} values, expected {expected_len} (recomputing)",
-                key.describe(),
-                values.len()
-            ));
+        if let Some(values) = self.lookup(key, expected_len) {
+            return values;
         }
         let mut part_values = Vec::with_capacity(parts);
         for p in 1..=parts {
@@ -604,6 +593,27 @@ impl OracleCache {
                 compute_part(&all())
             }
         }
+    }
+
+    /// The hit path shared by [`OracleCache::get_or_compute`] and
+    /// [`OracleCache::get_or_compute_parts`]: the stored entry for
+    /// `key` if it holds exactly `expected_len` values, counted as a
+    /// hit. A miss is not counted here: the callers count it, or not.
+    fn lookup(&self, key: &CacheKey, expected_len: usize) -> Option<Vec<BigFloat>> {
+        let values = self.load(key)?;
+        if values.len() == expected_len {
+            self.hits.set(self.hits.get() + 1);
+            GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
+            return Some(values);
+        }
+        // A length mismatch means the key under-describes the sweep
+        // (or a digest collision, vanishingly unlikely): never serve it.
+        self.note_error(&format!(
+            "cache entry for {} holds {} values, expected {expected_len} (recomputing)",
+            key.describe(),
+            values.len()
+        ));
+        None
     }
 
     fn note_error(&self, message: &str) {
@@ -638,23 +648,22 @@ fn stats_obj(s: &CacheStats) -> Json {
     ])
 }
 
-fn stats_from_obj(v: Option<&Json>) -> CacheStats {
-    let get = |k: &str| {
-        v.and_then(|o| o.get(k))
-            .and_then(Json::as_f64)
-            .map(|x| x as u64)
-            .unwrap_or(0)
-    };
-    CacheStats {
-        hits: get("hits"),
-        misses: get("misses"),
-        writes: get("writes"),
-        errors: get("errors"),
-    }
+/// Reads a counter object; `None` unless every counter is present and
+/// a whole, non-negative number.
+fn stats_from_obj(v: &Json) -> Option<CacheStats> {
+    let get = |k: &str| v.get(k).and_then(Json::as_count);
+    Some(CacheStats {
+        hits: get("hits")?,
+        misses: get("misses")?,
+        writes: get("writes")?,
+        errors: get("errors")?,
+    })
 }
 
 /// Loads `(last_run, total)` counters from the cache directory's
-/// `stats.json`, if present and well-formed.
+/// `stats.json`, if present and well-formed: the right `schema`, and
+/// both counter objects with every counter a whole, non-negative
+/// number. Anything else reads as absent.
 #[must_use]
 pub fn load_stats_file(dir: &Path) -> Option<(CacheStats, CacheStats)> {
     let text = std::fs::read_to_string(dir.join("stats.json")).ok()?;
@@ -663,8 +672,8 @@ pub fn load_stats_file(dir: &Path) -> Option<(CacheStats, CacheStats)> {
         return None;
     }
     Some((
-        stats_from_obj(doc.get("last_run")),
-        stats_from_obj(doc.get("total")),
+        stats_from_obj(doc.get("last_run")?)?,
+        stats_from_obj(doc.get("total")?)?,
     ))
 }
 
@@ -1135,6 +1144,49 @@ mod tests {
         record_run_stats(&dir, &run1).unwrap();
         let (_, total) = load_stats_file(&dir).unwrap();
         assert_eq!(total, run1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn malformed_stats_counters_read_as_absent() {
+        let dir = tmp("stats-malformed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let counters = r#"{"hits":1,"misses":2,"writes":3,"errors":0}"#;
+        let doc = |last_run: &str, total: &str| {
+            format!(r#"{{"schema":"{CACHE_STATS_SCHEMA}","last_run":{last_run},"total":{total}}}"#)
+        };
+        std::fs::write(dir.join("stats.json"), doc(counters, counters)).unwrap();
+        let good = CacheStats {
+            hits: 1,
+            misses: 2,
+            writes: 3,
+            errors: 0,
+        };
+        assert_eq!(load_stats_file(&dir), Some((good, good)));
+        let bad_counters = [
+            r#"{"hits":-5,"misses":2,"writes":3,"errors":0}"#,
+            r#"{"hits":2.5,"misses":2,"writes":3,"errors":0}"#,
+            r#"{"hits":"many","misses":2,"writes":3,"errors":0}"#,
+            r#"{"misses":2,"writes":3,"errors":0}"#,
+            r#"[1,2,3,4]"#,
+        ];
+        for bad in bad_counters {
+            for text in [doc(bad, counters), doc(counters, bad)] {
+                std::fs::write(dir.join("stats.json"), &text).unwrap();
+                assert_eq!(load_stats_file(&dir), None, "{text}");
+            }
+        }
+        for text in [
+            format!(r#"{{"schema":"{CACHE_STATS_SCHEMA}","last_run":{counters}}}"#),
+            format!(r#"{{"schema":"{CACHE_STATS_SCHEMA}","total":{counters}}}"#),
+        ] {
+            std::fs::write(dir.join("stats.json"), &text).unwrap();
+            assert_eq!(load_stats_file(&dir), None, "{text}");
+        }
+        // A malformed file restarts the totals instead of feeding
+        // invented counts into them.
+        record_run_stats(&dir, &good).unwrap();
+        assert_eq!(load_stats_file(&dir), Some((good, good)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -75,6 +75,15 @@ impl Json {
         }
     }
 
+    /// The numeric payload as a count, if this is a whole,
+    /// non-negative number (`2.5`, `-5` and `"5"` are not counts).
+    #[must_use]
+    pub fn as_count(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|x| x.fract() == 0.0 && *x >= 0.0)
+            .map(|x| x as u64)
+    }
+
     /// The element list, if this is an array.
     #[must_use]
     pub fn as_arr(&self) -> Option<&[Json]> {

@@ -36,6 +36,8 @@
 //!   accuracy regression gate);
 //! * [`cache`] — the content-addressed store that persists 256-bit
 //!   oracle sweeps across runs (`.compstat-cache/`, `--no-cache`);
+//! * [`sources`] — the oracle crates' sources, compiled in and hashed
+//!   into every cache key, so a cached sweep always matches the code;
 //! * [`archive`] — hand-rolled deterministic ustar archives that make
 //!   the cache fleet-portable (`compstat cache export` / `import`);
 //! * [`merge`] — shard-stamped indexes and the `compstat merge`
@@ -80,6 +82,7 @@ pub mod merge;
 pub mod report;
 pub mod sample;
 pub mod scale;
+pub mod sources;
 pub mod statfloat;
 pub mod stats;
 

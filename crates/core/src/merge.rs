@@ -155,11 +155,10 @@ pub struct ShardIndex {
     pub entries: Vec<IndexEntry>,
 }
 
-/// A JSON number that is a whole, non-negative count.
+/// A JSON number that is a whole, non-negative count
+/// ([`Json::as_count`]).
 fn whole_number(v: &Json) -> Option<usize> {
-    v.as_f64()
-        .filter(|x| x.fract() == 0.0 && *x >= 0.0)
-        .map(|x| x as usize)
+    v.as_count().map(|x| x as usize)
 }
 
 /// Loads and validates `<dir>/index.json`, including the shard stamp

@@ -9,19 +9,15 @@
 //! serial sweep (`threads = 1` runs the very same code path).
 
 use crate::forward::{forward, forward_log, forward_oracle};
+use crate::gen::{dirichlet_hmm, uniform_observations};
 use crate::model::{Hmm, PreparedHmm};
 use compstat_bigfloat::{BigFloat, Context};
 use compstat_core::cache::{sha256_hex, CacheKey, OracleCache};
 use compstat_core::StatFloat;
 use compstat_logspace::LogF64;
 use compstat_runtime::Runtime;
-
-/// Version tag of the HMM oracle forward kernel, hashed into every
-/// oracle cache key. **Bump this whenever [`forward_oracle`] (or the
-/// BigFloat arithmetic behind it) changes its exact bits**, or stale
-/// cache entries will be served; the cold-cache CI leg backstops a
-/// forgotten bump.
-pub const ORACLE_KERNEL_TAG: &str = "hmm-forward-oracle/v1";
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Runs [`forward`] over every sequence in `batch`, in parallel.
 ///
@@ -63,9 +59,10 @@ where
 
 /// Builds the cache key for [`forward_oracle_batch_cached`]: sweep
 /// provenance (`experiment`, `scale`, `seed`), the oracle precision,
-/// the kernel version tag, and a SHA-256 fingerprint of the model
-/// parameters and every observation sequence — so edits to model or
-/// data generation invalidate entries even without a seed change.
+/// and a SHA-256 fingerprint of the model parameters and every
+/// observation sequence — so edits to model or data generation
+/// invalidate entries even without a seed change. The kernel's own
+/// code is covered by the source digest every [`CacheKey`] folds in.
 #[must_use]
 pub fn forward_oracle_cache_key<S>(
     experiment: &str,
@@ -100,7 +97,6 @@ where
         }
     }
     CacheKey::new("hmm/forward-oracle")
-        .field("kernel", ORACLE_KERNEL_TAG)
         .field("experiment", experiment)
         .field("scale", scale)
         .field("seed", seed)
@@ -137,6 +133,92 @@ where
     cache.get_or_compute_parts(key, batch.len(), parts, |indices| {
         rt.par_map_at(indices, |i| forward_oracle(model, batch[i].as_ref(), ctx))
     })
+}
+
+/// One Dirichlet-HMM oracle sweep, the shape behind `fig10` and `hdr`:
+/// `models` items, item `i` drawing a model whose `A`, `B` and `pi`
+/// rows come from a symmetric Dirichlet(`alpha`) and then `t_len`
+/// uniform observations, both from stream `i` of `seed`
+/// (`StdRng::seed_from_u64(seed).split(i)`). An item's stream depends
+/// only on its index, so every thread count and every shard computes
+/// the same bytes.
+///
+/// The sweep is parameter-addressed: the items are regenerated per
+/// stream rather than held in memory, so its cache key lists the
+/// generation parameters instead of fingerprinting the data the way
+/// [`forward_oracle_cache_key`] does.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DirichletSweep {
+    /// The experiment the sweep belongs to. It is a key field, so two
+    /// experiments never share entries.
+    pub experiment: &'static str,
+    /// Observation sequence length.
+    pub t_len: usize,
+    /// Number of items, one model each.
+    pub models: usize,
+    /// Hidden states per model.
+    pub states: usize,
+    /// Observation symbols per model.
+    pub symbols: usize,
+    /// Dirichlet concentration of the sampled rows.
+    pub alpha: f64,
+    /// Seed of the base stream.
+    pub seed: u64,
+}
+
+impl DirichletSweep {
+    /// The base stream: item `i` draws from `base().split(i)`, as
+    /// [`Runtime::par_map_seeded`] hands it out.
+    #[must_use]
+    pub fn base(&self) -> StdRng {
+        StdRng::seed_from_u64(self.seed)
+    }
+
+    /// Draws one item from its stream: the model, then the
+    /// observations. A format pass that redraws from the same stream
+    /// evaluates exactly the inputs the oracle saw.
+    pub fn draw(&self, stream: &mut StdRng) -> (Hmm, Vec<usize>) {
+        let model = dirichlet_hmm(stream, self.states, self.symbols, self.alpha);
+        let obs = uniform_observations(stream, self.symbols, self.t_len);
+        (model, obs)
+    }
+
+    /// The oracle likelihood of the item drawn from `stream`: the
+    /// per-item work of the sweep.
+    pub fn oracle_item(&self, stream: &mut StdRng, ctx: &Context) -> BigFloat {
+        let (model, obs) = self.draw(stream);
+        forward_oracle(&model, &obs, ctx)
+    }
+
+    /// The sweep's cache key: every generation parameter plus the
+    /// oracle precision.
+    #[must_use]
+    pub fn cache_key(&self, ctx: &Context) -> CacheKey {
+        CacheKey::new("hmm/dirichlet-forward-oracle")
+            .field("experiment", self.experiment)
+            .field("t_len", self.t_len)
+            .field("models", self.models)
+            .field("states", self.states)
+            .field("symbols", self.symbols)
+            .field("alpha", self.alpha)
+            .field("seed", self.seed)
+            .field("prec", ctx.prec())
+    }
+
+    /// Every item's oracle likelihood, in item order, behind the oracle
+    /// cache `rt` selects ([`OracleCache::from_runtime`]). On a sharded
+    /// runtime the sweep is computed and cached in `N` round-robin
+    /// parts, each item still drawn from its own global-index stream,
+    /// and reassembly also stores the monolithic entry.
+    #[must_use]
+    pub fn oracle_cached(&self, ctx: &Context, rt: &Runtime) -> Vec<BigFloat> {
+        let cache = OracleCache::from_runtime(rt);
+        let parts = rt.shard().map_or(1, |s| s.count());
+        let base = self.base();
+        cache.get_or_compute_parts(&self.cache_key(ctx), self.models, parts, |indices| {
+            rt.par_map_seeded_at(indices, &base, |_, stream| self.oracle_item(stream, ctx))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -244,6 +326,74 @@ mod tests {
             forward_oracle_cache_key("batch-test", "quick", 7, &other, &batch, &ctx).digest(),
             key.digest()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dirichlet_sweep_is_bit_identical_cold_warm_sharded_and_off() {
+        use compstat_bigfloat::bit_identical;
+        use compstat_runtime::{CacheMode, Shard};
+        let sweep = DirichletSweep {
+            experiment: "sweep-test",
+            t_len: 40,
+            models: 5,
+            states: 3,
+            symbols: 4,
+            alpha: 0.8,
+            seed: 11,
+        };
+        let ctx = Context::new(128);
+        let base = sweep.base();
+        let direct: Vec<BigFloat> = (0..sweep.models)
+            .map(|i| sweep.oracle_item(&mut base.split(i as u64), &ctx))
+            .collect();
+        let dir = std::env::temp_dir().join(format!("compstat-hmm-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = OracleCache::new(&dir, CacheMode::ReadWrite);
+        let key = sweep.cache_key(&ctx);
+        // What `oracle_cached` computes on a miss, through an explicit
+        // cache directory: the runtime's cache is the environment's.
+        let via = |rt: &Runtime| {
+            let parts = rt.shard().map_or(1, |s| s.count());
+            cache.get_or_compute_parts(&key, sweep.models, parts, |indices| {
+                rt.par_map_seeded_at(indices, &base, |_, stream| sweep.oracle_item(stream, &ctx))
+            })
+        };
+        let sharded = Runtime::with_threads(2).with_shard(Shard::new(2, 3).unwrap());
+        let runs = [
+            via(&sharded),
+            via(&Runtime::serial()),
+            sweep.oracle_cached(&ctx, &Runtime::with_threads(3)),
+        ];
+        assert_eq!(cache.stats().misses, 3, "three cold parts");
+        assert_eq!(cache.stats().hits, 1, "the reunited entry serves");
+        for run in &runs {
+            assert_eq!(run.len(), direct.len());
+            assert!(run.iter().zip(&direct).all(|(a, b)| bit_identical(a, b)));
+        }
+        // Every generation parameter is in the key.
+        let variants = [
+            DirichletSweep {
+                experiment: "other",
+                ..sweep
+            },
+            DirichletSweep { t_len: 41, ..sweep },
+            DirichletSweep { models: 6, ..sweep },
+            DirichletSweep { states: 4, ..sweep },
+            DirichletSweep {
+                symbols: 5,
+                ..sweep
+            },
+            DirichletSweep {
+                alpha: 0.9,
+                ..sweep
+            },
+            DirichletSweep { seed: 12, ..sweep },
+        ];
+        for v in variants {
+            assert_ne!(v.cache_key(&ctx).digest(), key.digest(), "{v:?}");
+        }
+        assert_ne!(sweep.cache_key(&Context::new(256)).digest(), key.digest());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

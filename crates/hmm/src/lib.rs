@@ -19,7 +19,8 @@
 //! * and batched over many observation sequences through the
 //!   deterministic parallel runtime ([`forward_batch`],
 //!   [`forward_log_batch`], [`forward_oracle_batch`] — bitwise-identical
-//!   results for any `COMPSTAT_THREADS`).
+//!   results for any `COMPSTAT_THREADS`), including the cached
+//!   Dirichlet-model oracle sweep of Figure 10 ([`DirichletSweep`]).
 //!
 //! Viterbi decoding and the backward algorithm are included as
 //! extensions with the same numerical structure.
@@ -57,7 +58,7 @@ mod viterbi;
 
 pub use batch::{
     forward_batch, forward_log_batch, forward_oracle_batch, forward_oracle_batch_cached,
-    forward_oracle_cache_key, ORACLE_KERNEL_TAG,
+    forward_oracle_cache_key, DirichletSweep,
 };
 pub use forward::{
     forward, forward_log, forward_oracle, forward_scaled, forward_trace, forward_trace_rt,

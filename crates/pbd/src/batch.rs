@@ -15,12 +15,6 @@ use compstat_core::cache::{sha256_hex, CacheKey, OracleCache};
 use compstat_core::StatFloat;
 use compstat_runtime::Runtime;
 
-/// Version tag of the PBD oracle kernel, hashed into every oracle
-/// cache key. **Bump this whenever [`pbd_pvalue_oracle`] (or anything
-/// it depends on for its exact bits) changes**, or stale cache entries
-/// will be served; the cold-cache CI leg backstops a forgotten bump.
-pub const ORACLE_KERNEL_TAG: &str = "pbd-pvalue-oracle/v1";
-
 /// Computes every column's p-value in format `T`, in parallel.
 ///
 /// Results are in column order and bitwise-identical for every thread
@@ -55,11 +49,12 @@ pub fn oracle_pvalues(columns: &[Column], ctx: &Context, rt: &Runtime) -> Vec<Bi
 /// Builds the cache key for [`oracle_pvalues_cached`] over `columns`.
 ///
 /// The key combines the sweep's provenance (`experiment`, `scale`,
-/// `seed` — how the corpus was built), the oracle precision, the
-/// kernel version tag, and — belt and braces — a SHA-256 fingerprint
-/// of the column *data itself* (every success probability's bits plus
-/// `k`), so a change to corpus generation invalidates entries even
-/// without a seed change.
+/// `seed` — how the corpus was built), the oracle precision, and — belt
+/// and braces — a SHA-256 fingerprint of the column *data itself*
+/// (every success probability's bits plus `k`), so a change to corpus
+/// generation invalidates entries even without a seed change. The
+/// kernel's own code is covered by the source digest every
+/// [`CacheKey`] folds in.
 #[must_use]
 pub fn oracle_cache_key(
     experiment: &str,
@@ -77,7 +72,6 @@ pub fn oracle_cache_key(
         }
     }
     CacheKey::new("pbd/oracle-pvalues")
-        .field("kernel", ORACLE_KERNEL_TAG)
         .field("experiment", experiment)
         .field("scale", scale)
         .field("seed", seed)

@@ -48,8 +48,7 @@ pub mod datasets;
 mod pmf;
 
 pub use batch::{
-    call_columns, oracle_cache_key, oracle_pvalues, oracle_pvalues_cached, pvalue_sweep,
-    pvalues_in, ORACLE_KERNEL_TAG,
+    call_columns, oracle_cache_key, oracle_pvalues, oracle_pvalues_cached, pvalue_sweep, pvalues_in,
 };
 pub use column::{call_column, call_column_with_oracle, CallOutcome, Column, CRITICAL_EXP};
 pub use datasets::{accuracy_corpus, perf_datasets, ColumnDims, DatasetSpec};
