@@ -1,5 +1,6 @@
-//! Ablation studies beyond the paper's headline figures, exercising the
-//! design choices DESIGN.md calls out:
+//! Ablation studies beyond the paper's headline figures, exercising its
+//! design choices on the same stand-in inputs as the figures (see
+//! "Substitutions" in the repository README):
 //!
 //! * **ES sweep** — accuracy of every posit(64, ES) configuration across
 //!   magnitudes (extends Table I + Figure 3 to the full ES ladder);

@@ -1,8 +1,9 @@
 //! One module per table/figure of the paper, plus ablations.
 //!
 //! Each module exposes a structured `report(...) -> Report` builder
-//! (wired into [`crate::registry`]) plus the legacy `figureN_report`
-//! string functions, which render the same report as text.
+//! (wired into [`crate::registry`]); most also keep a legacy
+//! `figureN_report` string function, which renders the same report as
+//! text.
 
 pub mod ablations;
 pub mod fig01_alpha;
@@ -19,7 +20,6 @@ pub use ablations::{ablation_es_sweep, ablation_lse_variants, ablation_scaled_fo
 pub use fig01_alpha::figure1_report;
 pub use fig03_ops::figure3_report;
 pub use fig06_forward::figure6_sweep_likelihoods;
-pub use fig07_column::{figure7_report, figure8_report};
 pub use fig09_pvalues::figure9_report;
 pub use fig10_vicar::figure10_report;
 pub use fig11_lofreq::figure11_report;

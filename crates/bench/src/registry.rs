@@ -59,13 +59,13 @@ entry!(
     Fig07,
     fig07_column::NAME_FIG7,
     fig07_column::TITLE_FIG7,
-    |s, _| { fig07_column::fig7_report(s) }
+    fig07_column::fig7_report
 );
 entry!(
     Fig08,
     fig07_column::NAME_FIG8,
     fig07_column::TITLE_FIG8,
-    |s, _| { fig07_column::fig8_report(s) }
+    fig07_column::fig8_report
 );
 entry!(
     Fig09,

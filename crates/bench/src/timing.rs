@@ -39,7 +39,7 @@
     reason = "the measured-timing harness; its output is quarantined in compstat-bench/v1 docs"
 )]
 
-use crate::experiments::{fig06_forward, fig09_pvalues, fig10_vicar};
+use crate::experiments::{fig06_forward, fig07_column, fig09_pvalues, fig10_vicar};
 use crate::Scale;
 use compstat_bigfloat::{testing, BigFloat, Context, HdrFloat, MAX_PREC, MIN_PREC};
 use compstat_core::bench_doc::{BenchDoc, BenchEntry};
@@ -506,7 +506,11 @@ pub fn oracle_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
 /// * `fig06-sweep/serial` and `fig06-sweep/parallel` —
 ///   [`fig06_forward::figure6_sweep_likelihoods`] on
 ///   [`Runtime::serial`] and on `rt`. The likelihoods are bitwise
-///   equal (`fig06`'s tests pin that); only the wall-clock differs.
+///   equal (`fig06`'s tests pin that); only the wall-clock differs;
+/// * `fig07-rows/serial` and `fig07-rows/parallel` —
+///   [`fig07_column::column_unit_rows`] (the synthesis and cycle model
+///   behind Figures 7 and 8, one item per dataset, uncached) on
+///   [`Runtime::serial`] and on `rt`.
 #[must_use]
 pub fn formats_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
     let budget = FormatsBudget {
@@ -527,7 +531,8 @@ struct FormatsBudget {
     op_iters: u64,
     /// Calls per repetition of the forward and PBD rows.
     kernel_iters: u64,
-    /// Timed repetitions of each fig06 sweep row (one sweep per rep).
+    /// Timed repetitions of each fig06 sweep and fig07 row-set row (one
+    /// sweep or row set per rep).
     sweep_reps: u32,
 }
 
@@ -597,6 +602,14 @@ fn formats_doc(scale: Scale, rt: &Runtime, budget: &FormatsBudget) -> BenchDoc {
     ] {
         entries.push(time_entry(id, 1, sweep_reps, || {
             black_box(fig06_forward::figure6_sweep_likelihoods(scale, sweep_rt));
+        }));
+    }
+    for (id, rows_rt) in [
+        ("fig07-rows/serial", &Runtime::serial()),
+        ("fig07-rows/parallel", rt),
+    ] {
+        entries.push(time_entry(id, 1, sweep_reps, || {
+            black_box(fig07_column::column_unit_rows(rows_rt));
         }));
     }
 
@@ -811,11 +824,20 @@ mod tests {
             .flat_map(|f| ["add", "mul"].map(|op| format!("{f}/{op}")))
             .chain(["binary64", "posit64_18", "log"].map(|f| format!("forward/512x8/{f}")))
             .chain(["binary64", "posit64_12", "log"].map(|f| format!("pbd/200x24/{f}")))
-            .chain(["log/lse16", "fig06-sweep/serial", "fig06-sweep/parallel"].map(String::from));
+            .chain(
+                [
+                    "log/lse16",
+                    "fig06-sweep/serial",
+                    "fig06-sweep/parallel",
+                    "fig07-rows/serial",
+                    "fig07-rows/parallel",
+                ]
+                .map(String::from),
+            );
         for id in ids {
             assert!(doc.entries.iter().any(|e| e.id == id), "missing {id}");
         }
-        assert_eq!(doc.entries.len(), 15);
+        assert_eq!(doc.entries.len(), 17);
         assert_eq!((doc.suite.as_str(), doc.threads), ("formats", 2));
         assert!(BenchDoc::from_json(&doc.to_json()).is_ok());
     }

@@ -13,6 +13,7 @@
 
 use crate::pe::{column_pe, forward_pe_with_tree, PeModel};
 use crate::units::Design;
+use std::borrow::Borrow;
 
 /// Accelerator clock for evaluation: "all accelerators are implemented
 /// to operate at 300 MHz for evaluation" (Section VI-A).
@@ -203,14 +204,22 @@ impl ColumnUnit {
         n * per_outer
     }
 
-    /// Total cycles for a dataset of columns, distributed over the PEs
-    /// (greedy longest-first assignment — the scheduler used by the
-    /// column unit driver).
+    /// Total cycles for a dataset of `(N, K)` columns, distributed over
+    /// the PEs (greedy longest-first assignment — the scheduler used by
+    /// the column unit driver). `columns` is a slice or any iterator of
+    /// pairs, so callers holding columns in another shape need not copy
+    /// them; the result does not depend on their order.
     #[must_use]
-    pub fn dataset_cycles(&self, columns: &[(u64, u64)]) -> u64 {
+    pub fn dataset_cycles<C: Borrow<(u64, u64)>>(
+        &self,
+        columns: impl IntoIterator<Item = C>,
+    ) -> u64 {
         let mut work: Vec<u64> = columns
-            .iter()
-            .map(|&(n, k)| self.column_cycles(n, k))
+            .into_iter()
+            .map(|c| {
+                let &(n, k) = c.borrow();
+                self.column_cycles(n, k)
+            })
             .collect();
         work.sort_unstable_by(|a, b| b.cmp(a));
         let mut pe_load = vec![0u64; self.pes as usize];
@@ -221,9 +230,12 @@ impl ColumnUnit {
         pe_load.into_iter().max().unwrap_or(0) + FIXED_OVERHEAD_CYCLES
     }
 
-    /// Dataset wall-clock seconds at 300 MHz.
+    /// Dataset wall-clock seconds at 300 MHz ([`ColumnUnit::dataset_cycles`]).
     #[must_use]
-    pub fn dataset_seconds(&self, columns: &[(u64, u64)]) -> f64 {
+    pub fn dataset_seconds<C: Borrow<(u64, u64)>>(
+        &self,
+        columns: impl IntoIterator<Item = C>,
+    ) -> f64 {
         self.dataset_cycles(columns) as f64 / CLOCK_HZ
     }
 }
@@ -348,6 +360,118 @@ mod tests {
         let cols: Vec<(u64, u64)> = (0..16).map(|_| (10_000, 100)).collect();
         let total = unit.dataset_cycles(&cols) - FIXED_OVERHEAD_CYCLES;
         assert_eq!(total, 2 * unit.column_cycles(10_000, 100));
+    }
+
+    /// Deterministic Fisher-Yates shuffle driven by splitmix64.
+    fn shuffle<T>(items: &mut [T], seed: u64) {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for i in (1..items.len()).rev() {
+            let j = (next() % (i as u64 + 1)) as usize;
+            items.swap(i, j);
+        }
+    }
+
+    #[test]
+    fn dataset_cycles_ignore_column_order() {
+        // Varied N and K with repeated columns, so the sort sees ties.
+        let cols: Vec<(u64, u64)> = (0..300u64)
+            .map(|i| (10_000 + (i * 7_919) % 90_000, 10 + (i * 104_729) % 900))
+            .chain((0..20).map(|_| (50_000, 200)))
+            .collect();
+        for design in [Design::Posit64Es12, Design::LogSpace] {
+            for pes in [1, 3, 8] {
+                let unit = ColumnUnit::new(design, pes);
+                let want = unit.dataset_cycles(&cols);
+                for seed in 0..16 {
+                    let mut shuffled = cols.clone();
+                    shuffle(&mut shuffled, seed);
+                    // Owned pairs here, borrowed ones for `want`.
+                    assert_eq!(
+                        unit.dataset_cycles(shuffled.iter().copied()),
+                        want,
+                        "{design:?}, {pes} PEs, shuffle seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every makespan LPT can reach on `work` (sorted longest first):
+    /// each column may go to *any* least-loaded PE.
+    fn lpt_makespans(work: &[u64], loads: &mut [u64], out: &mut Vec<u64>) {
+        let Some((&w, rest)) = work.split_first() else {
+            out.push(loads.iter().copied().max().unwrap_or(0));
+            return;
+        };
+        let min = loads.iter().copied().min().expect("pes >= 1");
+        for pe in 0..loads.len() {
+            if loads[pe] == min {
+                loads[pe] += w;
+                lpt_makespans(rest, loads, out);
+                loads[pe] -= w;
+            }
+        }
+    }
+
+    /// Every permutation of `items`, by Heap's algorithm.
+    fn permutations<T: Clone>(items: &mut [T], k: usize, out: &mut Vec<Vec<T>>) {
+        if k <= 1 {
+            out.push(items.to_vec());
+            return;
+        }
+        for i in 0..k - 1 {
+            permutations(items, k - 1, out);
+            let j = if k % 2 == 0 { i } else { 0 };
+            items.swap(j, k - 1);
+        }
+        permutations(items, k - 1, out);
+    }
+
+    #[test]
+    fn dataset_cycles_match_brute_force_lpt_on_a_small_case() {
+        // Eight columns with equal-work pairs, so both LPT choices
+        // (order among equal columns, PE among equally loaded ones)
+        // actually arise.
+        let mut cols = vec![
+            (9_000, 100),
+            (9_000, 100),
+            (4_000, 300),
+            (20_000, 20),
+            (20_000, 20),
+            (1_000, 500),
+            (30_000, 60),
+            (12_000, 150),
+        ];
+        let mut orders = Vec::new();
+        permutations(&mut cols, 8, &mut orders);
+        assert_eq!(orders.len(), 40_320);
+        for design in [Design::Posit64Es12, Design::LogSpace] {
+            for pes in [1, 3, 8] {
+                let unit = ColumnUnit::new(design, pes);
+                let mut work: Vec<u64> = cols
+                    .iter()
+                    .map(|&(n, k)| unit.column_cycles(n, k))
+                    .collect();
+                work.sort_unstable_by(|a, b| b.cmp(a));
+                let mut spans = Vec::new();
+                lpt_makespans(&work, &mut vec![0; pes as usize], &mut spans);
+                let want = spans[0] + FIXED_OVERHEAD_CYCLES;
+                assert!(
+                    spans.iter().all(|&s| s == spans[0]),
+                    "{design:?}, {pes} PEs: LPT choices disagree: {spans:?}"
+                );
+                for order in &orders {
+                    assert_eq!(unit.dataset_cycles(order), want, "{design:?}, {pes} PEs");
+                }
+            }
+        }
     }
 
     #[test]

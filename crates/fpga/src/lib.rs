@@ -6,7 +6,8 @@
 //! (LoFreq), in both log-space and posit designs.
 //!
 //! Real place-and-route is unavailable here, so this crate substitutes a
-//! three-layer analytic model (substitution documented in DESIGN.md):
+//! three-layer analytic model (see "Substitutions" in the repository
+//! README):
 //!
 //! 1. [`units`] — the Table II arithmetic-unit catalog (the paper's
 //!    measured LUT/FF/DSP/latency/Fmax numbers are the calibration
@@ -47,7 +48,7 @@ pub mod timeline;
 pub mod units;
 
 pub use forward_unit::{ColumnUnit, ForwardUnit, CLOCK_HZ, DRAM_PREFETCH_CYCLES, MAX_LANES};
-pub use metrics::{perf_per_resource, PerfPerResource};
+pub use metrics::{perf_per_resource, perf_per_resource_from, PerfPerResource};
 pub use pe::{column_pe, forward_pe, log2_ceil, PeModel, Stage};
 pub use resources::{
     clb_estimate, column_unit_resources, forward_unit_resources, paper_column_rows,

@@ -23,7 +23,14 @@ pub struct PerfPerResource {
 #[must_use]
 pub fn perf_per_resource(unit: &ColumnUnit, columns: &[(u64, u64)]) -> PerfPerResource {
     let total_ops: u128 = columns.iter().map(|&(n, k)| n as u128 * k as u128).sum();
-    let seconds = unit.dataset_seconds(columns);
+    perf_per_resource_from(unit, total_ops, unit.dataset_seconds(columns))
+}
+
+/// [`perf_per_resource`] from a dataset's precomputed totals: its
+/// multiply-and-add count `total_ops` (`sum N_i * K_i`) and the unit's
+/// wall-clock `seconds` on it ([`ColumnUnit::dataset_seconds`]).
+#[must_use]
+pub fn perf_per_resource_from(unit: &ColumnUnit, total_ops: u128, seconds: f64) -> PerfPerResource {
     let mmaps = total_ops as f64 / seconds / 1.0e6;
     let resources = column_unit_resources(unit);
     let mmaps_per_clb = mmaps / resources.clb as f64;

@@ -4,17 +4,17 @@
 //! (222,131 columns total, average N = 309,189, p-values spanning
 //! `2^-434_916` to 1, with 16,205 "critical" columns below `2^-200`).
 //! Real alignment data is not available here, so two seeded synthetic
-//! corpora stand in (substitution documented in DESIGN.md):
+//! corpora stand in (see "Substitutions" in the repository README):
 //!
 //! * [`accuracy_corpus`] — *scaled-down* columns whose p-values span all
 //!   of Figure 9's magnitude buckets, for numerical-accuracy experiments
 //!   (the recurrence is executed in software, so N is kept small while
 //!   per-trial probabilities are made smaller to reach the same p-value
 //!   magnitudes);
-//! * [`perf_datasets`] — full-size (N, K) *descriptors* for D0..D7, fed
-//!   to the FPGA timing model exactly as the paper's datasets were fed
-//!   to the accelerator (no software execution of 10^13 operations is
-//!   needed to predict cycles).
+//! * [`perf_datasets`] / [`perf_dataset`] — full-size (N, K)
+//!   *descriptors* for D0..D7, fed to the FPGA timing model exactly as
+//!   the paper's datasets were fed to the accelerator (no software
+//!   execution of 10^13 operations is needed to predict cycles).
 
 use crate::column::Column;
 use rand::rngs::StdRng;
@@ -68,28 +68,41 @@ impl DatasetSpec {
     }
 }
 
-/// Synthesizes the eight performance datasets D0..D7.
+/// Number of performance datasets (D0..D7).
+pub const PERF_DATASET_COUNT: usize = 8;
+
+/// Target posit-unit seconds per dataset, shaped like Figure 7(a).
+const PERF_TARGET_SECONDS: [f64; PERF_DATASET_COUNT] = [
+    2_269.0, 3_190.0, 6_103.0, 3_217.0, 6_322.0, 7_454.0, 8_355.0, 24_010.0,
+];
+
+/// Mean K per dataset: the per-column posit improvement is 43/(K+73),
+/// so K in [100, 800] spans Figure 7(b)'s 5-25% range.
+const PERF_MEAN_K: [f64; PERF_DATASET_COUNT] =
+    [100.0, 140.0, 300.0, 180.0, 350.0, 450.0, 600.0, 800.0];
+
+/// Synthesizes the eight performance datasets D0..D7:
+/// [`perf_dataset`] for each index, in order.
+#[must_use]
+pub fn perf_datasets() -> Vec<DatasetSpec> {
+    (0..PERF_DATASET_COUNT).map(perf_dataset).collect()
+}
+
+/// Synthesizes performance dataset `D{index}` on its own seed, so any
+/// subset of the eight can be built independently (and in parallel).
 ///
 /// Each dataset's total work is tuned so the *posit column unit* model
 /// predicts wall-clock times spanning the paper's Figure 7 range
 /// (~2,300 s to ~24,000 s at 300 MHz with 8 PEs); N is lognormal around
 /// the paper's average 309,189 and K is spread widely ("N and K are
 /// diversely distributed").
+///
+/// # Panics
+///
+/// Panics if `index >= PERF_DATASET_COUNT`.
 #[must_use]
-pub fn perf_datasets() -> Vec<DatasetSpec> {
-    // Target posit-unit seconds per dataset, shaped like Figure 7(a).
-    let targets: [f64; 8] = [
-        2_269.0, 3_190.0, 6_103.0, 3_217.0, 6_322.0, 7_454.0, 8_355.0, 24_010.0,
-    ];
-    // Mean K per dataset: the per-column posit improvement is
-    // 43/(K+73), so K in [100, 800] spans Figure 7(b)'s 5-25% range.
-    let mean_k: [f64; 8] = [100.0, 140.0, 300.0, 180.0, 350.0, 450.0, 600.0, 800.0];
-    targets
-        .iter()
-        .zip(mean_k.iter())
-        .enumerate()
-        .map(|(i, (&target_s, &mk))| synth_dataset(i, target_s, mk))
-        .collect()
+pub fn perf_dataset(index: usize) -> DatasetSpec {
+    synth_dataset(index, PERF_TARGET_SECONDS[index], PERF_MEAN_K[index])
 }
 
 #[expect(

@@ -51,5 +51,7 @@ pub use batch::{
     call_columns, oracle_cache_key, oracle_pvalues, oracle_pvalues_cached, pvalue_sweep, pvalues_in,
 };
 pub use column::{call_column, call_column_with_oracle, CallOutcome, Column, CRITICAL_EXP};
-pub use datasets::{accuracy_corpus, perf_datasets, ColumnDims, DatasetSpec};
+pub use datasets::{
+    accuracy_corpus, perf_dataset, perf_datasets, ColumnDims, DatasetSpec, PERF_DATASET_COUNT,
+};
 pub use pmf::{pbd_pvalue, pbd_pvalue_log, pbd_pvalue_oracle, PbdResult};

@@ -45,6 +45,41 @@ fn fig06_forward_sweep_is_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
+fn fig07_column_unit_rows_are_identical_across_thread_counts_and_match_the_serial_path() {
+    // fig07 and fig08 read one per-process copy of these rows, so the
+    // registry-wide comparison below sees that copy twice; this test
+    // recomputes the rows at each thread count instead.
+    use compstat::fpga::{perf_per_resource, perf_per_resource_from, ColumnUnit, Design};
+    use compstat::pbd::{perf_dataset, perf_datasets};
+    use experiments::fig07_column::column_unit_rows;
+
+    let rows = column_unit_rows(&serial());
+    assert_eq!(rows, column_unit_rows(&Runtime::with_threads(3)));
+    assert_eq!(rows, column_unit_rows(&four()));
+
+    // Field for field against the one-pass path: every dataset
+    // synthesized in order, then timed from an `(N, K)` slice.
+    let posit = ColumnUnit::new(Design::Posit64Es12, 8);
+    let log = ColumnUnit::new(Design::LogSpace, 8);
+    let datasets = perf_datasets();
+    assert_eq!(rows.len(), datasets.len());
+    for (i, (row, ds)) in rows.iter().zip(&datasets).enumerate() {
+        let one = perf_dataset(i);
+        assert_eq!((&one.name, &one.columns), (&ds.name, &ds.columns), "D{i}");
+        let dims: Vec<(u64, u64)> = ds.columns.iter().map(|c| (c.n, c.k)).collect();
+        assert_eq!(row.name, ds.name);
+        assert_eq!(row.columns, dims.len());
+        assert_eq!(row.mean_n.to_bits(), ds.mean_n().to_bits());
+        for (unit, seconds) in [(&posit, row.posit_seconds), (&log, row.log_seconds)] {
+            assert_eq!(seconds.to_bits(), unit.dataset_seconds(&dims).to_bits());
+            let whole = perf_per_resource(unit, &dims);
+            assert_eq!(whole.total_ops, row.total_ops);
+            assert_eq!(perf_per_resource_from(unit, row.total_ops, seconds), whole);
+        }
+    }
+}
+
+#[test]
 fn fig09_pvalue_report_is_bitwise_identical_across_thread_counts() {
     let a = experiments::figure9_report(Scale::Quick, &serial());
     let b = experiments::figure9_report(Scale::Quick, &four());
