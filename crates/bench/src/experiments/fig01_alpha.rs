@@ -64,20 +64,16 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
     r
 }
 
-/// [`report`] rendered as text (the pre-engine report surface, pinned
-/// by the golden tests).
-#[must_use]
-pub fn figure1_report(scale: Scale, rt: &Runtime) -> String {
-    report(scale, rt).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_shows_monotone_decay_and_f64_crossing() {
-        let r = figure1_report(Scale::Quick, &Runtime::serial());
+        let r = crate::find(NAME)
+            .unwrap()
+            .run(&Runtime::serial(), Scale::Quick)
+            .render_text();
         assert!(r.contains("below binary64"));
         assert!(r.contains("decay rate"));
         // Parse decay rate and check it is in the HCG band.

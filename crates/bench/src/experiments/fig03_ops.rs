@@ -90,12 +90,6 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
     r
 }
 
-/// [`report`] rendered as text (the pre-engine report surface).
-#[must_use]
-pub fn figure3_report(scale: Scale, rt: &Runtime) -> String {
-    report(scale, rt).render_text()
-}
-
 fn panel(
     r: &mut Report,
     title: &str,
@@ -199,7 +193,10 @@ mod tests {
 
     #[test]
     fn report_renders_both_panels() {
-        let r = figure3_report(Scale::Quick, &Runtime::with_threads(2));
+        let r = crate::find(NAME)
+            .unwrap()
+            .run(&Runtime::with_threads(2), Scale::Quick)
+            .render_text();
         assert!(r.contains("(a) Addition"));
         assert!(r.contains("(b) Multiplication"));
         assert!(r.contains("[-10, 1)"));

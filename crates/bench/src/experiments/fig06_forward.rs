@@ -7,7 +7,7 @@
 use crate::Scale;
 use compstat_core::report::{fmt_f64, Report, Table};
 use compstat_fpga::{Design, ForwardUnit};
-use compstat_hmm::{dirichlet_hmm, forward_batch, uniform_observations};
+use compstat_hmm::{dirichlet_hmm, forward, uniform_observations};
 use compstat_posit::P64E18;
 use compstat_runtime::Runtime;
 use rand::rngs::StdRng;
@@ -112,7 +112,8 @@ pub fn figure6_sweep_likelihoods(scale: Scale, rt: &Runtime) -> Vec<P64E18> {
     let seqs = rt.par_map_seeded(n_seqs, &base, |_, stream| {
         uniform_observations(stream, 16, t_len)
     });
-    forward_batch(&model.prepare::<P64E18>(), &seqs, rt)
+    let prepared = model.prepare::<P64E18>();
+    rt.par_map(&seqs, |obs| forward(&prepared, obs))
 }
 
 #[cfg(test)]

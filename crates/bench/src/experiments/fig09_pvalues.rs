@@ -32,23 +32,14 @@ pub const FORMATS: [&str; 5] = [
     "posit(64,18)",
 ];
 
-/// Evaluates every column in every format against the oracle, in
-/// parallel: the 256-bit oracle sweep runs through
-/// [`compstat_pbd::batch::oracle_pvalues`], then the per-format error
-/// measurements map over columns. Results are in column order and
-/// bitwise-identical for every thread count.
-#[must_use]
-pub fn evaluate_corpus(columns: &[Column], ctx: &Context, rt: &Runtime) -> Vec<ColumnEval> {
-    let oracles = compstat_pbd::batch::oracle_pvalues(columns, ctx, rt);
-    measure_against_oracles(columns, &oracles, ctx, rt)
-}
-
-/// [`evaluate_corpus`] with the oracle sweep behind the persistent
-/// cache ([`compstat_pbd::batch::oracle_pvalues_cached`]): with a warm
-/// cache the dominant 256-bit pass is skipped entirely, and either way
-/// the evaluations are bit-for-bit the uncached ones. The per-format
-/// error measurements always recompute (they are the cheap part and
-/// depend on every format kernel under study).
+/// Evaluates every column in every format against the 256-bit oracle,
+/// in parallel. The oracle sweep runs behind the persistent cache
+/// ([`compstat_pbd::batch::oracle_pvalues_cached`]), so with a warm
+/// cache the dominant pass is skipped entirely and either way the
+/// evaluations are bit-for-bit the uncached ones. The per-format error
+/// measurements always recompute (they are the cheap part and depend
+/// on every format kernel under study). Results are in column order
+/// and bitwise-identical for every thread count.
 #[must_use]
 pub fn evaluate_corpus_cached(
     columns: &[Column],
@@ -58,18 +49,6 @@ pub fn evaluate_corpus_cached(
 ) -> Vec<ColumnEval> {
     let cache = OracleCache::from_runtime(rt);
     let oracles = compstat_pbd::batch::oracle_pvalues_cached(columns, ctx, rt, &cache, key);
-    measure_against_oracles(columns, &oracles, ctx, rt)
-}
-
-/// The per-format measurement stage shared by the cached and uncached
-/// corpus evaluations.
-fn measure_against_oracles(
-    columns: &[Column],
-    oracles: &[BigFloat],
-    ctx: &Context,
-    rt: &Runtime,
-) -> Vec<ColumnEval> {
-    assert_eq!(columns.len(), oracles.len(), "one oracle per column");
     rt.par_map_index(columns.len(), |i| {
         let col = &columns[i];
         let oracle = &oracles[i];
@@ -218,13 +197,6 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
     r
 }
 
-/// [`report`] rendered as text (the pre-engine report surface, pinned
-/// by the golden tests).
-#[must_use]
-pub fn figure9_report(scale: Scale, rt: &Runtime) -> String {
-    report(scale, rt).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,7 +205,8 @@ mod tests {
     fn report_reproduces_headline_effects() {
         let ctx = Context::new(256);
         let corpus = corpus_for(Scale::Quick);
-        let evals = evaluate_corpus(&corpus, &ctx, &Runtime::from_env());
+        let key = corpus_cache_key(Scale::Quick, &corpus, &ctx);
+        let evals = evaluate_corpus_cached(&corpus, &ctx, &Runtime::from_env(), &key);
         // binary64 underflows on every column whose p-value is below
         // 2^-1074.
         for e in &evals {
@@ -273,7 +246,10 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let r = figure9_report(Scale::Quick, &Runtime::from_env());
+        let r = crate::find(NAME)
+            .unwrap()
+            .run(&Runtime::from_env(), Scale::Quick)
+            .render_text();
         assert!(r.contains("[-200, 1)"));
         assert!(r.contains("underflows"));
     }

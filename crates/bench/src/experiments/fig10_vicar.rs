@@ -10,6 +10,7 @@
 
 use crate::Scale;
 use compstat_bigfloat::Context;
+use compstat_core::cache::OracleCache;
 use compstat_core::error::measure;
 use compstat_core::report::{fmt_f64, Report, Table};
 use compstat_core::Cdf;
@@ -73,7 +74,7 @@ pub fn vicar_errors(t_len: usize, models: usize, h: usize, seed: u64, rt: &Runti
     // The 256-bit oracle pass — the cost-dominant half — runs as its
     // own seeded sweep so the persistent cache can absorb it whole
     // (in N parts on a sharded runtime).
-    let oracles = sweep.oracle_cached(&ctx, rt);
+    let oracles = sweep.oracle_cached(&ctx, rt, &OracleCache::from_runtime(rt));
 
     // The format pass redraws each item from its stream, so
     // `oracles[i]` is the oracle likelihood of the very inputs item `i`
@@ -163,12 +164,6 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
     r
 }
 
-/// [`report`] rendered as text (the pre-engine report surface).
-#[must_use]
-pub fn figure10_report(scale: Scale, rt: &Runtime) -> String {
-    report(scale, rt).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +197,10 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let r = figure10_report(Scale::Quick, &Runtime::from_env());
+        let r = crate::find(NAME)
+            .unwrap()
+            .run(&Runtime::from_env(), Scale::Quick)
+            .render_text();
         assert!(r.contains("(a)"));
         assert!(r.contains("(b)"));
         assert!(r.contains("rel err < 1e-8"));

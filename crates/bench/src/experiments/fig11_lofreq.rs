@@ -94,22 +94,16 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
     r
 }
 
-/// [`report`] rendered as text (the pre-engine report surface).
-#[must_use]
-pub fn figure11_report(scale: Scale, rt: &Runtime) -> String {
-    report(scale, rt).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn critical_panel_shows_posit_advantage() {
-        use crate::experiments::fig09_pvalues::evaluate_corpus;
         let ctx = Context::new(256);
         let corpus = corpus_for(Scale::Quick);
-        let evals = evaluate_corpus(&corpus, &ctx, &Runtime::from_env());
+        let key = corpus_cache_key(Scale::Quick, &corpus, &ctx);
+        let evals = evaluate_corpus_cached(&corpus, &ctx, &Runtime::from_env(), &key);
         // On critical columns the posit(64,12) error distribution must be
         // left of (better than) the Log distribution at the median.
         let collect = |fi: usize| -> Vec<f64> {
@@ -137,7 +131,10 @@ mod tests {
 
     #[test]
     fn report_renders_both_panels() {
-        let r = figure11_report(Scale::Quick, &Runtime::from_env());
+        let r = crate::find(NAME)
+            .unwrap()
+            .run(&Runtime::from_env(), Scale::Quick)
+            .render_text();
         assert!(r.contains("(a)"));
         assert!(r.contains("(b)"));
         assert!(r.contains("posit(64,18)"));

@@ -23,6 +23,7 @@
 use crate::Scale;
 use compstat_bigfloat::{Context, HdrFloat};
 use compstat_core::accuracy::{bucketed_accuracy, figure3_buckets, BucketAccuracy, OpKind};
+use compstat_core::cache::OracleCache;
 use compstat_core::error::measure;
 use compstat_core::report::{fmt_f64, Report, Table};
 use compstat_core::sample::{sample_additions, sample_multiplications, SampledOp};
@@ -132,7 +133,7 @@ pub fn hdr_errors(t_len: usize, models: usize, h: usize, seed: u64, rt: &Runtime
         alpha: ALPHA,
         seed,
     };
-    let oracles = sweep.oracle_cached(&ctx, rt);
+    let oracles = sweep.oracle_cached(&ctx, rt, &OracleCache::from_runtime(rt));
     let errors: Vec<(f64, f64, f64)> = rt.par_map_seeded(models, &sweep.base(), |i, stream| {
         let (model, obs) = sweep.draw(stream);
         let hd: HdrFloat = forward(&model.prepare(), &obs);

@@ -1,9 +1,8 @@
 //! One module per table/figure of the paper, plus ablations.
 //!
-//! Each module exposes a structured `report(...) -> Report` builder
-//! (wired into [`crate::registry`]); most also keep a legacy
-//! `figureN_report` string function, which renders the same report as
-//! text.
+//! Each module exposes a structured `report(...) -> Report` builder,
+//! wired into the experiment registry ([`crate::registry()`]); text
+//! comes from [`Report::render_text`](compstat_core::Report::render_text).
 
 pub mod ablations;
 pub mod fig01_alpha;
@@ -17,12 +16,4 @@ pub mod hdr_format;
 pub mod model_tables;
 
 pub use ablations::{ablation_es_sweep, ablation_lse_variants, ablation_scaled_forward};
-pub use fig01_alpha::figure1_report;
-pub use fig03_ops::figure3_report;
 pub use fig06_forward::figure6_sweep_likelihoods;
-pub use fig09_pvalues::figure9_report;
-pub use fig10_vicar::figure10_report;
-pub use fig11_lofreq::figure11_report;
-pub use model_tables::{
-    figure4_report, figure5_report, table1_report, table2_report, table3_report, table4_report,
-};

@@ -65,12 +65,6 @@ pub fn tab1_report(scale: Scale) -> Report {
     r
 }
 
-/// [`tab1_report`] rendered as text (the pre-engine report surface).
-#[must_use]
-pub fn table1_report() -> String {
-    tab1_report(Scale::Default).render_text()
-}
-
 /// Table II report: per-unit resource/latency catalog (the model's
 /// calibration constants).
 #[must_use]
@@ -103,13 +97,6 @@ pub fn tab2_report(scale: Scale) -> Report {
         5_076.0 / 679.0
     ));
     r
-}
-
-/// [`tab2_report`] rendered as text (the pre-engine report surface,
-/// pinned cell-for-cell by the golden tests).
-#[must_use]
-pub fn table2_report() -> String {
-    tab2_report(Scale::Default).render_text()
 }
 
 /// Figure 4 report: PE stage structure and the latency formulas.
@@ -151,12 +138,6 @@ pub fn fig4_report(scale: Scale) -> Report {
     r
 }
 
-/// [`fig4_report`] rendered as text (the pre-engine report surface).
-#[must_use]
-pub fn figure4_report() -> String {
-    fig4_report(Scale::Default).render_text()
-}
-
 /// Figure 5 report: execution timeline trace from the event simulator.
 #[must_use]
 pub fn fig5_report(scale: Scale) -> Report {
@@ -172,12 +153,6 @@ pub fn fig5_report(scale: Scale) -> Report {
         ));
     }
     r
-}
-
-/// [`fig5_report`] rendered as text (the pre-engine report surface).
-#[must_use]
-pub fn figure5_report() -> String {
-    fig5_report(Scale::Default).render_text()
 }
 
 /// Table III report: forward-unit resources, model vs paper.
@@ -246,12 +221,6 @@ pub fn tab3_report(scale: Scale) -> Report {
     r
 }
 
-/// [`tab3_report`] rendered as text (the pre-engine report surface).
-#[must_use]
-pub fn table3_report() -> String {
-    tab3_report(Scale::Default).render_text()
-}
-
 /// Table IV report: column-unit resources, model vs paper, plus the SLR
 /// packing claim of Section VI-C.
 #[must_use]
@@ -316,19 +285,22 @@ pub fn tab4_report(scale: Scale) -> Report {
     r
 }
 
-/// [`tab4_report`] rendered as text (the pre-engine report surface).
-#[must_use]
-pub fn table4_report() -> String {
-    tab4_report(Scale::Default).render_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use compstat_runtime::Runtime;
+
+    /// The experiment's text report, through the registry.
+    fn text(name: &str) -> String {
+        crate::find(name)
+            .unwrap()
+            .run(&Runtime::serial(), Scale::Default)
+            .render_text()
+    }
 
     #[test]
     fn table1_contains_table_one_values() {
-        let r = table1_report();
+        let r = text(NAME_TAB1);
         assert!(r.contains("2^-31744"));
         assert!(r.contains("2^-16252928"));
         assert!(r.contains("posit(64,21)"));
@@ -336,7 +308,7 @@ mod tests {
 
     #[test]
     fn table2_lists_all_units() {
-        let r = table2_report();
+        let r = text(NAME_TAB2);
         for name in [
             "binary64 add",
             "Log add",
@@ -349,7 +321,7 @@ mod tests {
 
     #[test]
     fn figure4_shows_formulas() {
-        let r = figure4_report();
+        let r = text(NAME_FIG4);
         assert!(r.contains("116")); // log PE at H=64: 62+9*6
         assert!(r.contains("72")); // posit PE at H=64: 24+8*6
         assert!(r.contains("73 vs 30") || r.contains("log 73"));
@@ -357,18 +329,18 @@ mod tests {
 
     #[test]
     fn figure5_renders_two_timelines() {
-        let r = figure5_report();
+        let r = text(NAME_FIG5);
         assert!(r.matches("outer").count() >= 2);
         assert!(r.contains("prefetch-bound: true"));
     }
 
     #[test]
     fn tables_3_and_4_have_model_and_paper_rows() {
-        let r3 = table3_report();
+        let r3 = text(NAME_TAB3);
         assert!(r3.contains("model"));
         assert!(r3.contains("paper"));
         assert!(r3.contains("68966")); // paper LUT at H=13
-        let r4 = table4_report();
+        let r4 = text(NAME_TAB4);
         assert!(r4.contains("75894"));
         assert!(r4.contains("per SLR"));
     }

@@ -3,7 +3,7 @@
 //! The experiment harness behind the unified engine: one
 //! [`Experiment`](compstat_core::Experiment) implementation per
 //! table/figure of the paper (plus ablations), wired through
-//! [`registry`], and the wall-clock suites in [`timing`]. The
+//! [`registry()`], and the wall-clock suites in [`timing`]. The
 //! `compstat` CLI runs the registry (`compstat run`, text or JSON
 //! reports) and the suites (`compstat bench`, the workspace's only
 //! timing path); unit tests run every experiment at a reduced scale.

@@ -55,8 +55,8 @@ use std::time::Instant;
 
 /// Errors from building a timing suite's inputs.
 ///
-/// Suite precisions are compile-time constants today, but
-/// [`operand_pool`] rounds a requested precision up to whole limbs
+/// Suite precisions are compile-time constants today, but the operand
+/// pool builder rounds a requested precision up to whole limbs
 /// before building a [`Context`], and that widened precision — not the
 /// requested one — is what must stay inside the context's legal range.
 /// Validating here turns a future bad suite constant into a named,
@@ -349,14 +349,13 @@ pub const HDR_BASELINE_PREC: u32 = 256;
 /// both sides of the ladder-speedup claim.
 ///
 /// Per-op rows draw from one wide-exponent operand pool, rounded to
-/// 53-bit `HdrFloat` for the HDR rows; forward rows run the same
-/// model and observation batch through [`compstat_hmm::forward_batch`]
-/// over `HdrFloat` and [`compstat_hmm::forward_oracle_batch`] at 256
-/// bits, dispatched through `rt` cache-off (the forward pass is where
-/// the paper's sweeps actually spend their time).
+/// 53-bit `HdrFloat` for the HDR rows; forward rows map the same
+/// model and observation batch through `rt` with
+/// [`compstat_hmm::forward`] over `HdrFloat` and
+/// [`compstat_hmm::forward_oracle`] at 256 bits (the forward pass is
+/// where the paper's sweeps actually spend their time).
 #[must_use]
 pub fn hdr_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
-    let rt = rt.with_cache_mode(CacheMode::Off);
     let reps = scale.pick(5, 7, 9) as u32;
     let base = scale.pick(20_000, 100_000, 400_000) as u64;
     let ctx = Context::new(HDR_BASELINE_PREC);
@@ -412,11 +411,9 @@ pub fn hdr_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
         scale.pick(20, 40, 60) as u64,
         reps,
         || {
-            black_box(compstat_hmm::forward_batch(
-                black_box(&prepared),
-                black_box(&batch),
-                &rt,
-            ));
+            black_box(rt.par_map(black_box(&batch), |obs| {
+                compstat_hmm::forward(black_box(&prepared), obs)
+            }));
         },
     ));
     entries.push(time_entry(
@@ -424,12 +421,9 @@ pub fn hdr_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
         1,
         reps,
         || {
-            black_box(compstat_hmm::forward_oracle_batch(
-                black_box(&model),
-                black_box(&batch),
-                &ctx,
-                &rt,
-            ));
+            black_box(rt.par_map(black_box(&batch), |obs| {
+                compstat_hmm::forward_oracle(black_box(&model), obs, &ctx)
+            }));
         },
     ));
 

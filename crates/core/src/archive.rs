@@ -403,7 +403,7 @@ mod tests {
     use super::*;
     use crate::cache::{encode_values, CacheKey, OracleCache};
     use compstat_bigfloat::{bit_identical, BigFloat, Context};
-    use compstat_runtime::CacheMode;
+    use compstat_runtime::{CacheMode, Runtime};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -583,7 +583,9 @@ mod tests {
         assert_eq!(summary.existing, 0);
         let imported = OracleCache::new(&dst, CacheMode::ReadWrite);
         for (key, values) in keys.iter().zip(&want) {
-            let got = imported.get_or_compute(key, values.len(), || unreachable!("must be warm"));
+            let got = imported.sweep(&Runtime::serial(), key, values.len(), |_| {
+                unreachable!("must be warm")
+            });
             assert!(got.iter().zip(values).all(|(a, b)| bit_identical(a, b)));
         }
         assert_eq!(imported.stats().hits, 3);

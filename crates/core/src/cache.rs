@@ -449,7 +449,7 @@ impl OracleCache {
     /// Loads the entry for `key`, if present and intact. A corrupt or
     /// unreadable entry logs a warning, counts an error, and reads as
     /// absent. Does not bump hit/miss counters (that is
-    /// [`OracleCache::get_or_compute`]'s job).
+    /// [`OracleCache::sweep`]'s job).
     #[must_use]
     pub fn load(&self, key: &CacheKey) -> Option<Vec<BigFloat>> {
         if self.mode == CacheMode::Off {
@@ -497,11 +497,87 @@ impl OracleCache {
         true
     }
 
-    /// The cached-sweep entry point: returns the stored result for
-    /// `key` when present and exactly `expected_len` values long,
-    /// otherwise runs `compute`, stores its result, and returns it.
-    /// With [`CacheMode::Off`] this is exactly `compute()`.
-    pub fn get_or_compute(
+    /// The cached oracle sweep: `n` independent items, item `i` worth
+    /// `item(i)`, served from the store under `key` when present and
+    /// otherwise computed through `rt` and stored. Every value is
+    /// bit-for-bit what `item` returns, whichever path serves it, and
+    /// with [`CacheMode::Off`] this is exactly the uncached sweep.
+    ///
+    /// On a sharded runtime ([`Runtime::shard`], shard K of N) the sweep
+    /// is split into N round-robin parts, each cached under its own
+    /// part-stamped key (`key + part=p/N`) — the work-item granularity
+    /// of distributed runs. Part `p` owns the *global* indices
+    /// `p - 1, p - 1 + N, ...` and computes each through
+    /// [`Runtime::par_map_at`], so a part's bytes are identical no
+    /// matter which machine runs it. Lookup order:
+    ///
+    /// 1. the monolithic entry for `key` (what an unsharded run
+    ///    caches) — a hit serves the whole sweep;
+    /// 2. per-part entries — warm parts are served, cold parts are
+    ///    computed and stored;
+    /// 3. the reassembled full vector is stored under the monolithic
+    ///    `key` too, so a later *unsharded* run (or another shard
+    ///    sharing this sweep through `cache export`/`import`) hits
+    ///    without recomputation in either direction.
+    ///
+    /// Unsharded, the sweep is one entry under `key`: one hit or one
+    /// miss. With a shared cache directory, concurrent shards running
+    /// the same underlying sweep (fig09 and fig11 share one) interleave
+    /// at part granularity: whichever writes a part first saves the
+    /// others that part's work.
+    pub fn sweep(
+        &self,
+        rt: &Runtime,
+        key: &CacheKey,
+        n: usize,
+        item: impl Fn(usize) -> BigFloat + Sync,
+    ) -> Vec<BigFloat> {
+        let whole = || rt.par_map_index(n, &item);
+        let parts = rt.shard().map_or(1, |s| s.count());
+        if parts <= 1 {
+            return self.get_or_compute(key, n, whole);
+        }
+        if self.mode == CacheMode::Off {
+            return whole();
+        }
+        // Monolithic entry first: an unsharded (or already reunited)
+        // sweep serves every part at once.
+        if let Some(values) = self.lookup(key, n) {
+            return values;
+        }
+        let mut part_values = Vec::with_capacity(parts);
+        for p in 1..=parts {
+            let shard = Shard::new(p, parts).expect("1 <= p <= parts");
+            let part_key = key.clone().field("part", shard);
+            let indices: Vec<usize> = shard.indices(n).collect();
+            part_values.push(
+                self.get_or_compute(&part_key, indices.len(), || rt.par_map_at(&indices, &item)),
+            );
+        }
+        match Shard::assemble(parts, n, part_values) {
+            Ok(values) => {
+                // Store the reunited sweep under the monolithic key so
+                // part entries and full entries stay interchangeable.
+                self.store(key, &values);
+                values
+            }
+            Err(e) => {
+                // Unreachable while lookups and `par_map_at` both keep
+                // one value per owned index; if a part set ever fails to
+                // reassemble, fall back to one honest full computation.
+                self.note_error(&format!(
+                    "discarding inconsistent part set for {}: {e} (recomputing whole sweep)",
+                    key.describe()
+                ));
+                whole()
+            }
+        }
+    }
+
+    /// One cache entry: the stored result for `key` when present and
+    /// exactly `expected_len` values long, otherwise `compute()`,
+    /// stored. With [`CacheMode::Off`] this is exactly `compute()`.
+    fn get_or_compute(
         &self,
         key: &CacheKey,
         expected_len: usize,
@@ -520,83 +596,7 @@ impl OracleCache {
         values
     }
 
-    /// [`OracleCache::get_or_compute`] with the sweep split into
-    /// `parts` round-robin slices, each cached under its own
-    /// part-stamped key — the work-item granularity of distributed
-    /// runs.
-    ///
-    /// `compute_part` receives the *global* item indices of one part
-    /// (shard `p` of `parts` owns `p - 1, p - 1 + parts, ...`) and must
-    /// return one value per index, in order — computed exactly as the
-    /// full sweep would compute them (same per-item RNG streams), so a
-    /// part's bytes are identical no matter which machine runs it.
-    ///
-    /// Lookup order:
-    ///
-    /// 1. the monolithic entry for `key` (what an unsharded run
-    ///    caches) — a hit serves the whole sweep;
-    /// 2. per-part entries `key + part=p/parts` — warm parts are
-    ///    served, cold parts are computed and stored;
-    /// 3. the reassembled full vector is stored under the monolithic
-    ///    `key` too, so a later *unsharded* run (or another shard
-    ///    sharing this sweep through `cache export`/`import`) hits
-    ///    without recomputation in either direction.
-    ///
-    /// With `parts <= 1` this is exactly [`OracleCache::get_or_compute`]
-    /// over the full index range — same key, same counters — so
-    /// unsharded runs are unaffected. With a shared cache directory,
-    /// concurrent shards running the same underlying sweep (fig09 and
-    /// fig11 share one) interleave at part granularity: whichever
-    /// writes a part first saves the others that part's work.
-    pub fn get_or_compute_parts(
-        &self,
-        key: &CacheKey,
-        expected_len: usize,
-        parts: usize,
-        compute_part: impl Fn(&[usize]) -> Vec<BigFloat>,
-    ) -> Vec<BigFloat> {
-        let all = || -> Vec<usize> { (0..expected_len).collect() };
-        if parts <= 1 {
-            return self.get_or_compute(key, expected_len, || compute_part(&all()));
-        }
-        if self.mode == CacheMode::Off {
-            return compute_part(&all());
-        }
-        // Monolithic entry first: an unsharded (or already reunited)
-        // sweep serves every part at once.
-        if let Some(values) = self.lookup(key, expected_len) {
-            return values;
-        }
-        let mut part_values = Vec::with_capacity(parts);
-        for p in 1..=parts {
-            let shard = Shard::new(p, parts).expect("1 <= p <= parts");
-            let part_key = key.clone().field("part", shard);
-            let indices: Vec<usize> = shard.indices(expected_len).collect();
-            part_values
-                .push(self.get_or_compute(&part_key, indices.len(), || compute_part(&indices)));
-        }
-        match Shard::assemble(parts, expected_len, part_values) {
-            Ok(values) => {
-                // Store the reunited sweep under the monolithic key so
-                // part entries and full entries stay interchangeable.
-                self.store(key, &values);
-                values
-            }
-            Err(e) => {
-                // Only reachable if compute_part returned a wrong-length
-                // part (a caller bug) AND the part cache hid it; fall
-                // back to one honest full computation.
-                self.note_error(&format!(
-                    "discarding inconsistent part set for {}: {e} (recomputing whole sweep)",
-                    key.describe()
-                ));
-                compute_part(&all())
-            }
-        }
-    }
-
-    /// The hit path shared by [`OracleCache::get_or_compute`] and
-    /// [`OracleCache::get_or_compute_parts`]: the stored entry for
+    /// The hit path of [`OracleCache::sweep`]: the stored entry for
     /// `key` if it holds exactly `expected_len` values, counted as a
     /// hit. A miss is not counted here: the callers count it, or not.
     fn lookup(&self, key: &CacheKey, expected_len: usize) -> Option<Vec<BigFloat>> {
@@ -683,9 +683,9 @@ const STATS_LOCK_STALE_MS: u64 = 10_000;
 
 /// An exclusive advisory lock over a cache directory's `stats.json`,
 /// held as a `stats.lock` file created with `O_EXCL`. The file body is
-/// `"<pid> <unix-millis>"`; a lock whose timestamp is older than
-/// [`STATS_LOCK_STALE_MS`] is presumed abandoned (crashed writer) and
-/// is broken. Released on drop.
+/// `"<pid> <unix-millis>"`; a lock whose timestamp is older than ten
+/// seconds (`STATS_LOCK_STALE_MS`) is presumed abandoned (crashed
+/// writer) and is broken. Released on drop.
 #[derive(Debug)]
 pub struct StatsLock {
     path: PathBuf,
@@ -1036,18 +1036,18 @@ mod tests {
         let key = CacheKey::new("test/parts").field("seed", 9);
         let n = 11;
         let whole = sample_values(n);
-        let compute_part = |indices: &[usize]| -> Vec<BigFloat> {
-            indices.iter().map(|&i| whole[i].clone()).collect()
-        };
+        let item = |i: usize| whole[i].clone();
+        let unsharded = Runtime::serial();
+        let three_parts = Runtime::with_threads(2).with_shard(Shard::new(2, 3).unwrap());
 
-        // parts = 1 is exactly the monolithic path: same key on disk.
-        let got = cache.get_or_compute_parts(&key, n, 1, compute_part);
+        // Unsharded is exactly the monolithic path: one key on disk.
+        let got = cache.sweep(&unsharded, &key, n, item);
         assert!(got.iter().zip(&whole).all(|(a, b)| bit_identical(a, b)));
         assert!(cache.path_for(&key).is_file());
         assert_eq!(cache.stats().misses, 1);
 
-        // A 3-part sweep hits the monolithic entry the 1-part run left.
-        let got = cache.get_or_compute_parts(&key, n, 3, compute_part);
+        // A 3-part sweep hits the monolithic entry the unsharded run left.
+        let got = cache.sweep(&three_parts, &key, n, item);
         assert!(got.iter().zip(&whole).all(|(a, b)| bit_identical(a, b)));
         assert_eq!(cache.stats().hits, 1, "monolithic entry serves parts");
 
@@ -1055,7 +1055,7 @@ mod tests {
         // the reunited monolithic entry land on disk.
         let key2 = CacheKey::new("test/parts").field("seed", 10);
         let before = cache.stats();
-        let got = cache.get_or_compute_parts(&key2, n, 3, compute_part);
+        let got = cache.sweep(&three_parts, &key2, n, item);
         assert!(got.iter().zip(&whole).all(|(a, b)| bit_identical(a, b)));
         assert_eq!(cache.stats().misses - before.misses, 3, "one miss per part");
         assert_eq!(cache.stats().writes - before.writes, 4, "3 parts + whole");
@@ -1075,7 +1075,7 @@ mod tests {
         // An unsharded lookup now hits the monolithic entry the
         // part-wise run reunited — fleet caches compose both ways.
         let before = cache.stats();
-        let got = cache.get_or_compute_parts(&key2, n, 1, |_| unreachable!("must be warm"));
+        let got = cache.sweep(&unsharded, &key2, n, |_| unreachable!("must be warm"));
         assert_eq!(got.len(), n);
         assert_eq!(cache.stats().hits - before.hits, 1);
 
@@ -1083,7 +1083,7 @@ mod tests {
         // entry, keep the parts — every part hits, nothing recomputes.
         std::fs::remove_file(cache.path_for(&key2)).unwrap();
         let before = cache.stats();
-        let got = cache.get_or_compute_parts(&key2, n, 3, |_| unreachable!("parts are warm"));
+        let got = cache.sweep(&three_parts, &key2, n, |_| unreachable!("parts are warm"));
         assert!(got.iter().zip(&whole).all(|(a, b)| bit_identical(a, b)));
         assert_eq!(cache.stats().hits - before.hits, 3);
         assert!(
@@ -1091,14 +1091,14 @@ mod tests {
             "reassembly restores the monolithic entry"
         );
 
-        // Off mode computes everything and touches nothing.
+        // Off mode computes every item exactly once and touches nothing.
         let off = OracleCache::new(dir.join("never-created"), CacheMode::Off);
-        let calls = std::cell::Cell::new(0);
-        let got = off.get_or_compute_parts(&key, n, 3, |indices| {
-            calls.set(calls.get() + 1);
-            compute_part(indices)
+        let calls = AtomicU64::new(0);
+        let got = off.sweep(&three_parts, &key, n, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            item(i)
         });
-        assert_eq!(calls.get(), 1, "Off computes the full range in one call");
+        assert_eq!(calls.into_inner(), n as u64, "Off computes each item once");
         assert_eq!(got.len(), n);
         assert!(!dir.join("never-created").exists());
 

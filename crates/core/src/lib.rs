@@ -22,7 +22,7 @@
 //! * [`stats`] — box-plot summaries and empirical CDFs (the shapes of
 //!   Figures 3, 9, 10, 11);
 //! * [`accuracy`] — the Section IV-A bucketed accuracy experiment;
-//! * [`report`] — the structured [`Report`](report::Report) model with
+//! * [`report`] — the structured [`Report`] model with
 //!   text-table and JSON rendering;
 //! * [`bench_doc`] — the explicitly non-deterministic wall-clock
 //!   timing documents behind `compstat bench` (`compstat-bench/v1`,

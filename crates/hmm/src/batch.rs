@@ -1,61 +1,23 @@
-//! Batched forward passes over many observation sequences, dispatched
-//! through the deterministic parallel runtime.
+//! The cached 256-bit oracle sweeps over many HMM inputs.
 //!
 //! The forward recurrence is sequential in `t`, but the paper's
 //! workloads sweep it over *thousands of sequences and models* — an
-//! embarrassingly parallel outer loop. Each batch entry is evaluated
-//! independently and results are merged in input order, so for any
-//! `COMPSTAT_THREADS` the returned vector is bitwise-identical to the
-//! serial sweep (`threads = 1` runs the very same code path).
+//! embarrassingly parallel outer loop. Both sweeps here run that loop
+//! through [`OracleCache::sweep`]: each item is evaluated independently
+//! and results are merged in input order, so for any
+//! `COMPSTAT_THREADS`, shard count or cache state the returned vector
+//! is bitwise-identical to the serial sweep. The cheap per-format
+//! passes map [`forward`](crate::forward) straight over the batch with
+//! [`Runtime::par_map`].
 
-use crate::forward::{forward, forward_log, forward_oracle};
+use crate::forward::forward_oracle;
 use crate::gen::{dirichlet_hmm, uniform_observations};
-use crate::model::{Hmm, PreparedHmm};
+use crate::model::Hmm;
 use compstat_bigfloat::{BigFloat, Context};
 use compstat_core::cache::{sha256_hex, CacheKey, OracleCache};
-use compstat_core::StatFloat;
-use compstat_logspace::LogF64;
 use compstat_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Runs [`forward`] over every sequence in `batch`, in parallel.
-///
-/// Returns likelihoods in batch order, bitwise-identical for every
-/// thread count.
-#[must_use]
-pub fn forward_batch<T, S>(model: &PreparedHmm<T>, batch: &[S], rt: &Runtime) -> Vec<T>
-where
-    T: StatFloat + Send + Sync,
-    S: AsRef<[usize]> + Sync,
-{
-    rt.par_map(batch, |obs| forward(model, obs.as_ref()))
-}
-
-/// Runs [`forward_log`] over every sequence in `batch`, in parallel.
-#[must_use]
-pub fn forward_log_batch<S>(model: &Hmm, batch: &[S], rt: &Runtime) -> Vec<LogF64>
-where
-    S: AsRef<[usize]> + Sync,
-{
-    rt.par_map(batch, |obs| forward_log(model, obs.as_ref()))
-}
-
-/// Runs the 256-bit oracle [`forward_oracle`] over every sequence in
-/// `batch`, in parallel — the cost-dominant pass of every accuracy
-/// figure.
-#[must_use]
-pub fn forward_oracle_batch<S>(
-    model: &Hmm,
-    batch: &[S],
-    ctx: &Context,
-    rt: &Runtime,
-) -> Vec<BigFloat>
-where
-    S: AsRef<[usize]> + Sync,
-{
-    rt.par_map(batch, |obs| forward_oracle(model, obs.as_ref(), ctx))
-}
 
 /// Builds the cache key for [`forward_oracle_batch_cached`]: sweep
 /// provenance (`experiment`, `scale`, `seed`), the oracle precision,
@@ -105,18 +67,13 @@ where
         .field("inputs-sha256", sha256_hex(&data))
 }
 
-/// [`forward_oracle_batch`] behind the persistent oracle cache: a
-/// stored result for `key` is served (verified to hold one likelihood
-/// per sequence); otherwise the sweep runs through `rt` and the result
-/// is stored. Bit-for-bit identical to the uncached sweep either way,
-/// and exactly the uncached sweep under
-/// [`CacheMode::Off`](compstat_runtime::CacheMode).
-///
-/// On a sharded runtime ([`Runtime::shard`]) the sweep is computed and
-/// cached in `N` round-robin **parts** (`key` + `part: K/N`), and
-/// reassembly also stores the monolithic entry — each sequence's
-/// likelihood is independent, so every part holds exactly the bits the
-/// unsharded sweep would have produced for those items.
+/// The 256-bit oracle [`forward_oracle`] of every sequence in `batch`
+/// under `model`, behind the persistent oracle cache: one
+/// [`OracleCache::sweep`] over the sequences, so the result is
+/// bit-for-bit the uncached sweep's whether it is served whole, in
+/// shard parts, or computed (always, with
+/// [`CacheMode::Off`](compstat_runtime::CacheMode)). This is the
+/// cost-dominant pass of every HMM accuracy figure.
 #[must_use]
 pub fn forward_oracle_batch_cached<S>(
     model: &Hmm,
@@ -129,9 +86,8 @@ pub fn forward_oracle_batch_cached<S>(
 where
     S: AsRef<[usize]> + Sync,
 {
-    let parts = rt.shard().map_or(1, |s| s.count());
-    cache.get_or_compute_parts(key, batch.len(), parts, |indices| {
-        rt.par_map_at(indices, |i| forward_oracle(model, batch[i].as_ref(), ctx))
+    cache.sweep(rt, key, batch.len(), |i| {
+        forward_oracle(model, batch[i].as_ref(), ctx)
     })
 }
 
@@ -205,18 +161,14 @@ impl DirichletSweep {
             .field("prec", ctx.prec())
     }
 
-    /// Every item's oracle likelihood, in item order, behind the oracle
-    /// cache `rt` selects ([`OracleCache::from_runtime`]). On a sharded
-    /// runtime the sweep is computed and cached in `N` round-robin
-    /// parts, each item still drawn from its own global-index stream,
-    /// and reassembly also stores the monolithic entry.
+    /// Every item's oracle likelihood, in item order, behind `cache`:
+    /// one [`OracleCache::sweep`] in which item `i` draws from stream
+    /// `base().split(i)`, its global index, on any shard.
     #[must_use]
-    pub fn oracle_cached(&self, ctx: &Context, rt: &Runtime) -> Vec<BigFloat> {
-        let cache = OracleCache::from_runtime(rt);
-        let parts = rt.shard().map_or(1, |s| s.count());
+    pub fn oracle_cached(&self, ctx: &Context, rt: &Runtime, cache: &OracleCache) -> Vec<BigFloat> {
         let base = self.base();
-        cache.get_or_compute_parts(&self.cache_key(ctx), self.models, parts, |indices| {
-            rt.par_map_seeded_at(indices, &base, |_, stream| self.oracle_item(stream, ctx))
+        cache.sweep(rt, &self.cache_key(ctx), self.models, |i| {
+            self.oracle_item(&mut base.split(i as u64), ctx)
         })
     }
 }
@@ -224,7 +176,7 @@ impl DirichletSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compstat_posit::P64E18;
+    use crate::forward::{forward, forward_log};
 
     fn toy() -> Hmm {
         Hmm::new(
@@ -243,46 +195,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_itemwise_forward_bitwise() {
-        let m = toy();
-        let batch = sequences(13, 120);
-        let prepared = m.prepare::<f64>();
-        let serial: Vec<f64> = batch.iter().map(|o| forward(&prepared, o)).collect();
-        for threads in [1, 2, 4, 7] {
-            let rt = Runtime::with_threads(threads);
-            let got = forward_batch(&prepared, &batch, &rt);
-            assert!(
-                serial
-                    .iter()
-                    .zip(&got)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "threads={threads}"
-            );
-        }
-        // Posit and log-space sweeps: same contract, exact equality.
-        let pp = m.prepare::<P64E18>();
-        let serial_p = forward_batch(&pp, &batch, &Runtime::serial());
-        assert_eq!(
-            serial_p,
-            forward_batch(&pp, &batch, &Runtime::with_threads(4))
-        );
-        let serial_l = forward_log_batch(&m, &batch, &Runtime::serial());
-        let par_l = forward_log_batch(&m, &batch, &Runtime::with_threads(4));
-        assert!(serial_l
-            .iter()
-            .zip(&par_l)
-            .all(|(a, b)| a.ln_value().to_bits() == b.ln_value().to_bits()));
-    }
-
-    #[test]
     fn oracle_batch_matches_serial() {
+        use compstat_runtime::CacheMode;
         let m = toy();
         let batch = sequences(5, 60);
         let ctx = Context::new(192);
-        let serial = forward_oracle_batch(&m, &batch, &ctx, &Runtime::serial());
-        let par = forward_oracle_batch(&m, &batch, &ctx, &Runtime::with_threads(3));
-        assert_eq!(serial, par);
-        assert_eq!(serial.len(), 5);
+        let key = forward_oracle_cache_key("batch-test", "quick", 7, &m, &batch, &ctx);
+        let off = OracleCache::new("never-created", CacheMode::Off);
+        let itemwise: Vec<BigFloat> = batch.iter().map(|o| forward_oracle(&m, o, &ctx)).collect();
+        for threads in [1, 3] {
+            let rt = Runtime::with_threads(threads);
+            let got = forward_oracle_batch_cached(&m, &batch, &ctx, &rt, &off, &key);
+            assert_eq!(got, itemwise, "threads={threads}");
+        }
     }
 
     #[test]
@@ -297,7 +222,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("compstat-hmm-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let uncached = forward_oracle_batch(&m, &batch, &ctx, &rt);
+        let uncached = rt.par_map(&batch, |o| forward_oracle(&m, o, &ctx));
         let cache = OracleCache::new(&dir, CacheMode::ReadWrite);
         let cold = forward_oracle_batch_cached(&m, &batch, &ctx, &rt, &cache, &key);
         let warm = forward_oracle_batch_cached(&m, &batch, &ctx, &rt, &cache, &key);
@@ -350,23 +275,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("compstat-hmm-sweep-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = OracleCache::new(&dir, CacheMode::ReadWrite);
+        let off = OracleCache::new(dir.join("never-created"), CacheMode::Off);
         let key = sweep.cache_key(&ctx);
-        // What `oracle_cached` computes on a miss, through an explicit
-        // cache directory: the runtime's cache is the environment's.
-        let via = |rt: &Runtime| {
-            let parts = rt.shard().map_or(1, |s| s.count());
-            cache.get_or_compute_parts(&key, sweep.models, parts, |indices| {
-                rt.par_map_seeded_at(indices, &base, |_, stream| sweep.oracle_item(stream, &ctx))
-            })
-        };
         let sharded = Runtime::with_threads(2).with_shard(Shard::new(2, 3).unwrap());
         let runs = [
-            via(&sharded),
-            via(&Runtime::serial()),
-            sweep.oracle_cached(&ctx, &Runtime::with_threads(3)),
+            sweep.oracle_cached(&ctx, &sharded, &cache),
+            sweep.oracle_cached(&ctx, &Runtime::serial(), &cache),
+            sweep.oracle_cached(&ctx, &Runtime::with_threads(3), &off),
         ];
         assert_eq!(cache.stats().misses, 3, "three cold parts");
         assert_eq!(cache.stats().hits, 1, "the reunited entry serves");
+        assert!(!dir.join("never-created").exists());
         for run in &runs {
             assert_eq!(run.len(), direct.len());
             assert!(run.iter().zip(&direct).all(|(a, b)| bit_identical(a, b)));
@@ -398,31 +317,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_fine() {
-        let m = toy();
-        let batch: Vec<Vec<usize>> = Vec::new();
-        let rt = Runtime::with_threads(4);
-        assert!(forward_batch(&m.prepare::<f64>(), &batch, &rt).is_empty());
-        assert!(forward_log_batch(&m, &batch, &rt).is_empty());
-    }
-
-    #[test]
     fn degenerate_batches_are_pinned() {
-        // Now reachable from the network: empty sequence lists and
-        // empty observation sequences must not panic.
+        // Reachable from the network: empty sequence lists and empty
+        // observation sequences must not panic.
+        use compstat_runtime::CacheMode;
         let m = toy();
         let ctx = Context::new(128);
+        let off = OracleCache::new("never-created", CacheMode::Off);
+        let f64_pass = |batch: &[Vec<usize>], rt: &Runtime| -> Vec<f64> {
+            let prepared = m.prepare::<f64>();
+            rt.par_map(batch, |o| forward(&prepared, o))
+        };
         for threads in [1, 4] {
             let rt = Runtime::with_threads(threads);
-            // Empty model list / empty batch through the oracle path.
+            // Empty batch, through the oracle sweep and a format pass.
             let none: Vec<Vec<usize>> = Vec::new();
-            assert!(forward_oracle_batch(&m, &none, &ctx, &rt).is_empty());
+            let key = forward_oracle_cache_key("degenerate", "quick", 0, &m, &none, &ctx);
+            assert!(forward_oracle_batch_cached(&m, &none, &ctx, &rt, &off, &key).is_empty());
+            assert!(f64_pass(&none, &rt).is_empty());
+            assert!(rt.par_map(&none, |o| forward_log(&m, o)).is_empty());
             // A batch whose sequences are empty: the forward recurrence
             // over zero steps is the empty product, likelihood 1.
             let empties: Vec<Vec<usize>> = vec![Vec::new(), Vec::new()];
-            let got = forward_batch(&m.prepare::<f64>(), &empties, &rt);
-            assert_eq!(got, vec![1.0, 1.0]);
-            let oracle = forward_oracle_batch(&m, &empties, &ctx, &rt);
+            assert_eq!(f64_pass(&empties, &rt), vec![1.0, 1.0]);
+            let key = forward_oracle_cache_key("degenerate", "quick", 0, &m, &empties, &ctx);
+            let oracle = forward_oracle_batch_cached(&m, &empties, &ctx, &rt, &off, &key);
+            assert_eq!(oracle.len(), 2);
             assert!(oracle.iter().all(|v| v.exponent() == Some(0)));
         }
     }

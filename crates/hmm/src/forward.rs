@@ -43,10 +43,7 @@ fn forward_in<A: Arith>(
     mut step: impl FnMut(usize, &mut [A::V]),
 ) -> A::V {
     let (h, m) = (model.h, model.m);
-    assert!(
-        obs.iter().all(|&o| o < m),
-        "observation symbol out of range"
-    );
+    check_symbols(obs, m);
     let Some((&o0, rest)) = obs.split_first() else {
         return ar.one(); // empty observation: probability 1
     };
@@ -64,6 +61,44 @@ fn forward_in<A: Arith>(
         step(t + 1, &mut alpha_prev);
     }
     ar.sum(alpha_prev.iter().cloned())
+}
+
+/// The backward recurrence in the arithmetic `ar`: combines the beta
+/// variables into `P(O | lambda)`, or one for an empty sequence. Each
+/// path sum is one [`Arith::sum`] over `q` in order, as in
+/// [`forward_in`].
+pub(crate) fn backward_in<A: Arith>(ar: &A, model: &PreparedHmm<A::V>, obs: &[usize]) -> A::V {
+    let (h, m) = (model.h, model.m);
+    check_symbols(obs, m);
+    let Some((&o0, rest)) = obs.split_first() else {
+        return ar.one();
+    };
+    let mut beta: Vec<A::V> = vec![ar.one(); h];
+    let mut next: Vec<A::V> = vec![ar.zero(); h];
+    for &ot in rest.iter().rev() {
+        for (p, slot) in next.iter_mut().enumerate() {
+            *slot = ar.sum(
+                (0..h)
+                    .map(|q| ar.mul(&ar.mul(&model.a[p * h + q], &model.b[q * m + ot]), &beta[q])),
+            );
+        }
+        core::mem::swap(&mut beta, &mut next);
+    }
+    ar.sum((0..h).map(|q| ar.mul(&ar.mul(&model.pi[q], &model.b[q * m + o0]), &beta[q])))
+}
+
+/// The symbol check every kernel runs over the whole sequence before
+/// any arithmetic.
+///
+/// # Panics
+///
+/// Panics with "observation symbol out of range" if any symbol is not
+/// below `m`.
+pub(crate) fn check_symbols(obs: &[usize], m: usize) {
+    assert!(
+        obs.iter().all(|&o| o < m),
+        "observation symbol out of range"
+    );
 }
 
 /// The forward algorithm (Listing 1): returns `P(O | lambda)`.

@@ -16,14 +16,14 @@
 //!   [`forward_scaled`]),
 //! * as an exact exponent trace reproducing Figure 1
 //!   ([`forward_trace`]),
-//! * and batched over many observation sequences through the
-//!   deterministic parallel runtime ([`forward_batch`],
-//!   [`forward_log_batch`], [`forward_oracle_batch`] — bitwise-identical
-//!   results for any `COMPSTAT_THREADS`), including the cached
-//!   Dirichlet-model oracle sweep of Figure 10 ([`DirichletSweep`]).
+//! * and as cached oracle sweeps over many inputs
+//!   ([`forward_oracle_batch_cached`] over observation sequences, and
+//!   the Dirichlet-model sweep of Figure 10, [`DirichletSweep`]), each
+//!   bitwise-identical for any `COMPSTAT_THREADS` or shard count.
 //!
-//! Viterbi decoding and the backward algorithm are included as
-//! extensions with the same numerical structure.
+//! The backward algorithm ([`backward`]) is the same kind of recurrence
+//! over [`compstat_core::Arith`]; Viterbi decoding ([`viterbi`]) is
+//! included as an extension with the same numerical structure.
 //!
 //! # Examples
 //!
@@ -56,10 +56,7 @@ mod gen;
 mod model;
 mod viterbi;
 
-pub use batch::{
-    forward_batch, forward_log_batch, forward_oracle_batch, forward_oracle_batch_cached,
-    forward_oracle_cache_key, DirichletSweep,
-};
+pub use batch::{forward_oracle_batch_cached, forward_oracle_cache_key, DirichletSweep};
 pub use forward::{
     forward, forward_log, forward_oracle, forward_scaled, forward_trace, forward_trace_rt,
     ScaledForward, TracePoint,

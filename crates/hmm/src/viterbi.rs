@@ -2,8 +2,9 @@
 //! kernels (extensions beyond the paper's forward-only evaluation, with
 //! the same iterated-product numerical structure).
 
+use crate::forward::{backward_in, check_symbols};
 use crate::model::{Hmm, PreparedHmm};
-use compstat_core::StatFloat;
+use compstat_core::{Native, StatFloat};
 use compstat_logspace::LogF64;
 
 /// Result of Viterbi decoding.
@@ -18,8 +19,13 @@ pub struct ViterbiPath {
 /// Viterbi decoding in log-space (the standard formulation: max-plus
 /// instead of sum-product, so no LSE is needed and log-space is the
 /// natural choice even by the paper's cost model).
+///
+/// # Panics
+///
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn viterbi(model: &Hmm, obs: &[usize]) -> ViterbiPath {
+    check_symbols(obs, model.num_symbols());
     let h = model.num_states();
     if obs.is_empty() {
         return ViterbiPath {
@@ -70,32 +76,17 @@ pub fn viterbi(model: &Hmm, obs: &[usize]) -> ViterbiPath {
 /// The backward algorithm, generic over number format: returns the beta
 /// variables' final combination `P(O | lambda)` (must agree with the
 /// forward pass — a strong cross-check used in tests).
+///
+/// # Panics
+///
+/// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn backward<T: StatFloat>(model: &PreparedHmm<T>, obs: &[usize]) -> T {
-    let h = model.num_states();
-    let Some((&o0, _)) = obs.split_first() else {
-        return T::one();
-    };
-    let mut beta: Vec<T> = vec![T::one(); h];
-    let mut next: Vec<T> = vec![T::zero(); h];
-    for &ot in obs.iter().skip(1).rev() {
-        for p in 0..h {
-            let mut acc = T::zero();
-            for q in 0..h {
-                acc = acc.add(model.a(p, q).mul(model.b(q, ot)).mul(beta[q]));
-            }
-            next[p] = acc;
-        }
-        core::mem::swap(&mut beta, &mut next);
-    }
-    let mut likelihood = T::zero();
-    for q in 0..h {
-        likelihood = likelihood.add(model.pi(q).mul(model.b(q, o0)).mul(beta[q]));
-    }
-    likelihood
+    backward_in(&Native::<T>::new(), model, obs)
 }
 
-/// Log-space backward pass (paired with [`crate::forward::forward_log`]).
+/// Log-space backward pass (paired with [`crate::forward::forward_log`]):
+/// [`backward`] over `LogF64`, whose path sums chain binary LSEs.
 #[must_use]
 pub fn backward_log(model: &Hmm, obs: &[usize]) -> LogF64 {
     backward(&model.prepare::<LogF64>(), obs)
@@ -151,6 +142,20 @@ mod tests {
         let got = viterbi(&toy(), &[]);
         assert!(got.states.is_empty());
         assert_eq!(got.ln_probability, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "observation symbol out of range")]
+    fn viterbi_rejects_out_of_range_symbols() {
+        let _ = viterbi(&toy(), &[0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "observation symbol out of range")]
+    fn backward_rejects_out_of_range_symbols() {
+        // Symbol 2 of state 0 would index row 1's entries: only the
+        // check stands between it and a silently wrong likelihood.
+        let _: f64 = backward(&toy().prepare(), &[2, 0]);
     }
 
     #[test]

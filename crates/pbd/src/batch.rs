@@ -9,41 +9,16 @@
 //! code path on the calling thread).
 
 use crate::column::{call_column_with_oracle, CallOutcome, Column};
-use crate::pmf::{pbd_pvalue, pbd_pvalue_oracle, PbdResult};
 use compstat_bigfloat::{BigFloat, Context};
 use compstat_core::cache::{sha256_hex, CacheKey, OracleCache};
 use compstat_core::StatFloat;
 use compstat_runtime::Runtime;
 
-/// Computes every column's p-value in format `T`, in parallel.
-///
-/// Results are in column order and bitwise-identical for every thread
-/// count.
-#[must_use]
-pub fn pvalues_in<T>(columns: &[Column], rt: &Runtime) -> Vec<T>
-where
-    T: StatFloat + Send + Sync,
-{
-    rt.par_map(columns, |col| col.pvalue_in::<T>())
-}
-
-/// Runs the full PBD recurrence (tracked PMF states plus p-value) for
-/// every column, in parallel.
-#[must_use]
-pub fn pvalue_sweep<T>(columns: &[Column], rt: &Runtime) -> Vec<PbdResult<T>>
-where
-    T: StatFloat + Send + Sync,
-{
-    rt.par_map(columns, |col| pbd_pvalue::<T>(&col.success_probs, col.k))
-}
-
 /// Computes every column's 256-bit oracle p-value, in parallel — the
 /// cost-dominant pass behind Figures 9 and 11.
 #[must_use]
 pub fn oracle_pvalues(columns: &[Column], ctx: &Context, rt: &Runtime) -> Vec<BigFloat> {
-    rt.par_map(columns, |col| {
-        pbd_pvalue_oracle(&col.success_probs, col.k, ctx)
-    })
+    rt.par_map(columns, |col| col.pvalue_oracle(ctx))
 }
 
 /// Builds the cache key for [`oracle_pvalues_cached`] over `columns`.
@@ -80,21 +55,13 @@ pub fn oracle_cache_key(
         .field("corpus-sha256", sha256_hex(&data))
 }
 
-/// [`oracle_pvalues`] behind the persistent oracle cache: with
-/// [`CacheMode::ReadWrite`](compstat_runtime::CacheMode) a stored
-/// result for `key` is served (and verified to hold one value per
-/// column); otherwise — and always with
-/// [`CacheMode::Off`](compstat_runtime::CacheMode) — the sweep runs
-/// through `rt` and the result is stored. Either way the returned
-/// vector is bit-for-bit the uncached sweep's.
-///
-/// On a sharded runtime ([`Runtime::shard`]) the sweep is computed and
-/// cached in `N` round-robin **parts** (`key` + `part: K/N`), each the
-/// exact items shard K of N owns — so a fleet of shards sharing one
-/// cache directory each contributes its own slice, and reassembly also
-/// stores the monolithic entry an unsharded run would look up. Every
-/// column's value is bitwise the unsharded sweep's: per-item work has
-/// no cross-item state.
+/// [`oracle_pvalues`] behind the persistent oracle cache: one
+/// [`OracleCache::sweep`] over the columns, so the result is bit-for-bit
+/// the uncached sweep's whether it is served whole, in shard parts, or
+/// computed (always, with
+/// [`CacheMode::Off`](compstat_runtime::CacheMode)). Each column's
+/// value depends on that column alone, which is what lets a sharded
+/// runtime compute and cache the sweep in round-robin parts.
 #[must_use]
 pub fn oracle_pvalues_cached(
     columns: &[Column],
@@ -103,12 +70,7 @@ pub fn oracle_pvalues_cached(
     cache: &OracleCache,
     key: &CacheKey,
 ) -> Vec<BigFloat> {
-    let parts = rt.shard().map_or(1, |s| s.count());
-    cache.get_or_compute_parts(key, columns.len(), parts, |indices| {
-        rt.par_map_at(indices, |i| {
-            pbd_pvalue_oracle(&columns[i].success_probs, columns[i].k, ctx)
-        })
-    })
+    cache.sweep(rt, key, columns.len(), |i| columns[i].pvalue_oracle(ctx))
 }
 
 /// Calls every column in format `T` against precomputed oracle
@@ -156,17 +118,19 @@ mod tests {
         assert!(columns.len() > 10);
         let serial = Runtime::serial();
         let par = Runtime::with_threads(4);
-        let s: Vec<f64> = pvalues_in(&columns, &serial);
-        let p: Vec<f64> = pvalues_in(&columns, &par);
-        assert!(s.iter().zip(&p).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(
-            pvalues_in::<P64E12>(&columns, &serial),
-            pvalues_in::<P64E12>(&columns, &par)
-        );
         let ctx = Context::new(256);
+        let oracles = oracle_pvalues(&columns, &ctx, &serial);
+        assert_eq!(oracles, oracle_pvalues(&columns, &ctx, &par));
+        let pvalues = |outcomes: Vec<CallOutcome>| -> Vec<Vec<u8>> {
+            outcomes.iter().map(|o| o.pvalue.to_bytes()).collect()
+        };
         assert_eq!(
-            oracle_pvalues(&columns, &ctx, &serial),
-            oracle_pvalues(&columns, &ctx, &par)
+            pvalues(call_columns::<f64>(&columns, &oracles, &ctx, &serial)),
+            pvalues(call_columns::<f64>(&columns, &oracles, &ctx, &par))
+        );
+        assert_eq!(
+            pvalues(call_columns::<P64E12>(&columns, &oracles, &ctx, &serial)),
+            pvalues(call_columns::<P64E12>(&columns, &oracles, &ctx, &par))
         );
     }
 
@@ -187,11 +151,13 @@ mod tests {
 
     #[test]
     fn empty_dataset_yields_empty_sweeps() {
+        use compstat_runtime::CacheMode;
         let rt = Runtime::with_threads(4);
         let ctx = Context::new(128);
-        assert!(pvalues_in::<f64>(&[], &rt).is_empty());
         assert!(oracle_pvalues(&[], &ctx, &rt).is_empty());
-        assert!(pvalue_sweep::<f64>(&[], &rt).is_empty());
+        let off = OracleCache::new("never-created", CacheMode::Off);
+        let key = oracle_cache_key("empty", "quick", 0, &[], &ctx);
+        assert!(oracle_pvalues_cached(&[], &ctx, &rt, &off, &key).is_empty());
     }
 
     #[test]

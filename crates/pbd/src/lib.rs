@@ -17,8 +17,10 @@
 //!   [`compstat_core::Arith`];
 //! * [`Column`] / [`call_column`] — the application-level caller;
 //! * [`batch`] — dataset-level parallel column sweeps through
-//!   `compstat-runtime` (bitwise-identical to serial for any
-//!   `COMPSTAT_THREADS`);
+//!   `compstat-runtime`: the 256-bit oracle p-values
+//!   ([`oracle_pvalues`], and [`oracle_pvalues_cached`] behind the
+//!   oracle cache) and per-format variant calls ([`call_columns`]),
+//!   bitwise-identical to serial for any `COMPSTAT_THREADS`;
 //! * [`datasets`] — synthetic stand-ins for the eight SARS-CoV-2
 //!   datasets (descriptors for performance, scaled columns for
 //!   accuracy).
@@ -47,9 +49,7 @@ pub mod column;
 pub mod datasets;
 mod pmf;
 
-pub use batch::{
-    call_columns, oracle_cache_key, oracle_pvalues, oracle_pvalues_cached, pvalue_sweep, pvalues_in,
-};
+pub use batch::{call_columns, oracle_cache_key, oracle_pvalues, oracle_pvalues_cached};
 pub use column::{call_column, call_column_with_oracle, CallOutcome, Column, CRITICAL_EXP};
 pub use datasets::{
     accuracy_corpus, perf_dataset, perf_datasets, ColumnDims, DatasetSpec, PERF_DATASET_COUNT,

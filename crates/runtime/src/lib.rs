@@ -525,7 +525,10 @@ impl Runtime {
     ///
     /// `f(i)` receives the global index, so an item computes the exact
     /// bytes it would in a full [`Runtime::par_map_index`] sweep no
-    /// matter which subset (or machine) it runs in.
+    /// matter which subset (or machine) it runs in. A randomized item
+    /// draws from `base.split(i)`, exactly the stream
+    /// [`Runtime::par_map_seeded`] would hand it, so a shard's slice of
+    /// a randomized sweep is bitwise the same items of the unsharded run.
     pub fn par_map_at<U, F>(&self, indices: &[usize], f: F) -> Vec<U>
     where
         U: Send,
@@ -533,27 +536,6 @@ impl Runtime {
     {
         self.run_chunks(indices.len(), |range| {
             indices[range].iter().map(|&i| f(i)).collect()
-        })
-    }
-
-    /// [`Runtime::par_map_seeded`] over an explicit list of *global*
-    /// item indices: item `i` draws from `base.split(i)` exactly as the
-    /// full sweep would, so a shard's slice of a randomized sweep is
-    /// bitwise-identical to the same items of the unsharded run — the
-    /// invariant that makes distributed sweep results safe to reunite.
-    pub fn par_map_seeded_at<U, F>(&self, indices: &[usize], base: &StdRng, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize, &mut StdRng) -> U + Sync,
-    {
-        self.run_chunks(indices.len(), |range| {
-            indices[range]
-                .iter()
-                .map(|&i| {
-                    let mut rng = base.split(i as u64);
-                    f(i, &mut rng)
-                })
-                .collect()
         })
     }
 
@@ -805,7 +787,7 @@ mod tests {
                 for threads in [1, 4] {
                     let rt = Runtime::with_threads(threads).with_shard(shard);
                     assert_eq!(rt.shard(), Some(shard));
-                    let sub = rt.par_map_seeded_at(&indices, &base, |i, rng| (i, rng.gen::<u64>()));
+                    let sub = rt.par_map_at(&indices, |i| (i, base.split(i as u64).gen::<u64>()));
                     for (pos, &i) in indices.iter().enumerate() {
                         assert_eq!(sub[pos], full[i], "seeded item {i} ({k}/{count})");
                     }

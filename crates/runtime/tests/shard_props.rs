@@ -119,7 +119,8 @@ proptest! {
         for k in 1..=s.count {
             let shard = Shard::new(k, s.count).unwrap();
             let indices: Vec<usize> = shard.indices(s.n).collect();
-            let got = rt.par_map_seeded_at(&indices, &base, |i, stream| {
+            let got = rt.par_map_at(&indices, |i| {
+                let mut stream = base.split(i as u64);
                 (i as u64 ^ stream.gen::<u64>(), stream.gen::<f64>())
             });
             let want: Vec<(u64, f64)> = indices.iter().map(|&i| full[i]).collect();

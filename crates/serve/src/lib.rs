@@ -24,7 +24,7 @@
 //! and returned as an `internal` error frame rather than taking a
 //! worker down.
 //!
-//! [`bench`] is the built-in load generator behind
+//! [`bench`](mod@bench) is the built-in load generator behind
 //! `compstat serve --bench` (N connections × M requests, latency
 //! histogram + throughput as an explicitly non-deterministic
 //! `compstat-serve-bench/v1` document).

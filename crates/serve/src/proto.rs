@@ -31,7 +31,7 @@ use compstat_bigfloat::{BigFloat, Context, HdrFloat};
 use compstat_core::cache::{self, OracleCache};
 use compstat_core::json::{Json, ParseLimits};
 use compstat_core::{error, ErrorClass, StatFloat};
-use compstat_hmm::{forward_batch, forward_oracle_batch_cached, forward_oracle_cache_key, Hmm};
+use compstat_hmm::{forward, forward_oracle_batch_cached, forward_oracle_cache_key, Hmm};
 use compstat_logspace::LogF64;
 use compstat_pbd::{call_columns, oracle_cache_key, oracle_pvalues_cached, CallOutcome, Column};
 use compstat_posit::{P64E12, P64E15, P64E18, P64E21, P64E6, P64E9};
@@ -418,7 +418,7 @@ impl<T: StatFloat + Send + Sync> Dispatch<T> {
         rt: &Runtime,
     ) -> Json {
         let prepared = model.prepare::<T>();
-        let values = forward_batch(&prepared, batch, rt);
+        let values = rt.par_map(batch, |obs| forward(&prepared, obs));
         Json::Arr(
             values
                 .iter()

@@ -9,7 +9,15 @@ use compstat::fpga::{
 };
 use compstat::posit::{FormatInfo, P64E18, P8E2};
 use compstat::runtime::Runtime;
-use compstat_bench::{experiments, Scale};
+use compstat_bench::Scale;
+
+/// An experiment's text report, rendered through the registry.
+fn text(name: &str, scale: Scale) -> String {
+    compstat_bench::find(name)
+        .expect("registered")
+        .run(&Runtime::from_env(), scale)
+        .render_text()
+}
 
 #[test]
 fn abstract_two_orders_of_magnitude_accuracy_machinery() {
@@ -143,7 +151,7 @@ fn figure6_shape_posit_always_wins_gap_narrows() {
 
 #[test]
 fn golden_fig01_quick_scale_trace() {
-    let r = experiments::figure1_report(Scale::Quick, &Runtime::from_env());
+    let r = text("fig01", Scale::Quick);
     // Exact decay-rate summary of the HCG-like model at T=500.
     assert!(
         r.contains("decay rate: 5.82 bits/site"),
@@ -162,7 +170,7 @@ fn golden_fig01_quick_scale_trace() {
 
 #[test]
 fn golden_fig09_quick_scale_summary() {
-    let r = experiments::figure9_report(Scale::Quick, &Runtime::from_env());
+    let r = text("fig09", Scale::Quick);
     // The range-failure tallies across the 40-column quick corpus.
     for line in [
         "binary64: 5 underflows, 0 results with relative error >= 1",
@@ -200,33 +208,12 @@ Log mul (binary64 add)  679   587       0    6       480
 posit(64,12) mul        618   1004      9    12      336
 posit(64,18) mul        558   969       10   12      336
 ";
-    let got = experiments::table2_report();
+    let got = text("tab02", Scale::Default);
     assert!(
         got.starts_with(want),
         "Table II drifted.\nwant prefix:\n{want}\ngot:\n{got}"
     );
     assert!(got.contains("10x slower, ~8x LUTs/FFs"));
-}
-
-#[test]
-fn golden_reports_flow_unchanged_through_the_engine() {
-    // Differential lockdown of the engine refactor: running an
-    // experiment through its registry `Experiment` object renders the
-    // byte-identical text the pre-refactor free functions produced
-    // (which the golden tests above pin value-for-value).
-    let rt = Runtime::from_env();
-    let cases: [(&str, String); 3] = [
-        ("fig01", experiments::figure1_report(Scale::Quick, &rt)),
-        ("fig09", experiments::figure9_report(Scale::Quick, &rt)),
-        ("tab02", experiments::table2_report()),
-    ];
-    for (name, legacy) in cases {
-        let engine = compstat_bench::find(name)
-            .expect("registered")
-            .run(&rt, Scale::Quick)
-            .render_text();
-        assert_eq!(engine, legacy, "{name} text drifted through the engine");
-    }
 }
 
 #[test]

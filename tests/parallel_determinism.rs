@@ -19,17 +19,26 @@ fn four() -> Runtime {
     Runtime::with_threads(4)
 }
 
+/// An experiment's quick-scale text report, rendered through the
+/// registry.
+fn text(name: &str, rt: &Runtime) -> String {
+    compstat_bench::find(name)
+        .expect("registered")
+        .run(rt, Scale::Quick)
+        .render_text()
+}
+
 #[test]
 fn fig01_trace_report_is_bitwise_identical_across_thread_counts() {
-    let a = experiments::figure1_report(Scale::Quick, &serial());
-    let b = experiments::figure1_report(Scale::Quick, &four());
+    let a = text("fig01", &serial());
+    let b = text("fig01", &four());
     assert_eq!(a, b);
 }
 
 #[test]
 fn fig03_op_accuracy_report_is_bitwise_identical_across_thread_counts() {
-    let a = experiments::figure3_report(Scale::Quick, &serial());
-    let b = experiments::figure3_report(Scale::Quick, &four());
+    let a = text("fig03", &serial());
+    let b = text("fig03", &four());
     assert_eq!(a, b);
 }
 
@@ -81,8 +90,8 @@ fn fig07_column_unit_rows_are_identical_across_thread_counts_and_match_the_seria
 
 #[test]
 fn fig09_pvalue_report_is_bitwise_identical_across_thread_counts() {
-    let a = experiments::figure9_report(Scale::Quick, &serial());
-    let b = experiments::figure9_report(Scale::Quick, &four());
+    let a = text("fig09", &serial());
+    let b = text("fig09", &four());
     assert_eq!(a, b);
 }
 
@@ -91,8 +100,8 @@ fn fig10_vicar_report_is_bitwise_identical_across_thread_counts() {
     // The RNG-dependent sweep: every model and observation sequence is
     // drawn inside the parallel region from per-item split streams, so
     // even the sampled corpus must be independent of the thread count.
-    let a = experiments::figure10_report(Scale::Quick, &serial());
-    let b = experiments::figure10_report(Scale::Quick, &four());
+    let a = text("fig10", &serial());
+    let b = text("fig10", &four());
     assert_eq!(a, b);
 }
 
@@ -112,8 +121,8 @@ fn fig10_error_samples_are_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn fig11_lofreq_report_is_bitwise_identical_across_thread_counts() {
-    let a = experiments::figure11_report(Scale::Quick, &serial());
-    let b = experiments::figure11_report(Scale::Quick, &four());
+    let a = text("fig11", &serial());
+    let b = text("fig11", &four());
     assert_eq!(a, b);
 }
 
@@ -121,8 +130,8 @@ fn fig11_lofreq_report_is_bitwise_identical_across_thread_counts() {
 fn oversubscribed_runtimes_change_nothing() {
     // More threads than work items: chunking degenerates to one item
     // per thread and the merge order still reproduces the serial run.
-    let a = experiments::figure9_report(Scale::Quick, &serial());
-    let b = experiments::figure9_report(Scale::Quick, &Runtime::with_threads(64));
+    let a = text("fig09", &serial());
+    let b = text("fig09", &Runtime::with_threads(64));
     assert_eq!(a, b);
 }
 
