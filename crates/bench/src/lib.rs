@@ -16,7 +16,6 @@
 
 pub mod experiments;
 pub mod registry;
-pub mod reports;
 pub mod scale;
 pub mod timing;
 

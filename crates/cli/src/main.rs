@@ -39,10 +39,10 @@ use compstat_bench::timing;
 use compstat_core::archive::{export_cache, import_cache};
 use compstat_core::bench_doc::BenchDoc;
 use compstat_core::cache;
-use compstat_core::diff::{diff_dirs, TolerancePolicy};
+use compstat_core::diff::{diff_dirs, ParsedReport, TolerancePolicy};
 use compstat_core::json::Json;
-use compstat_core::merge::{index_doc_for_reports, merge_shard_dirs};
-use compstat_core::{Report, Scale, INDEX_SCHEMA};
+use compstat_core::merge::{merge_shard_dirs, parse_index, write_index, write_report, IndexEntry};
+use compstat_core::{Scale, INDEX_SCHEMA, REPORT_SCHEMA};
 use compstat_runtime::{CacheMode, Runtime, Shard};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -373,21 +373,21 @@ fn cmd_run(rest: &[String]) -> ExitCode {
         }
     }
 
-    let mut reports: Vec<Report> = Vec::new();
+    let mut entries: Vec<IndexEntry> = Vec::new();
     for e in &experiments {
         eprintln!("running {} ({} threads)...", e.name(), rt.threads());
         let report = e.run(&rt, parsed.scale);
         match &parsed.out {
-            Some(dir) => {
-                // Temp-file + rename: an interrupted run leaves no
-                // truncated report for `load_report_dir` to choke on.
-                let path = dir.join(format!("{}.json", report.name));
-                if let Err(err) = cache::write_atomic(&path, report.to_json_string().as_bytes()) {
-                    eprintln!("compstat run: cannot write {}: {err}", path.display());
+            Some(dir) => match write_report(dir, &report) {
+                Ok(entry) => {
+                    eprintln!("wrote {}", dir.join(&entry.file).display());
+                    entries.push(entry);
+                }
+                Err(err) => {
+                    eprintln!("compstat run: {err}");
                     return ExitCode::FAILURE;
                 }
-                eprintln!("wrote {}", path.display());
-            }
+            },
             None => {
                 let banner = "=".repeat(64);
                 match emit(&format!(
@@ -401,27 +401,22 @@ fn cmd_run(rest: &[String]) -> ExitCode {
                 }
             }
         }
-        reports.push(report);
     }
 
     if let Some(dir) = &parsed.out {
-        // index.json is written last (and atomically): its presence
-        // marks a complete report directory, so a half-written run can
-        // never half-load.
-        let index = index_doc_for_reports(parsed.scale, parsed.shard, &reports);
-        let path = dir.join("index.json");
-        let mut bytes = index.to_json_string();
-        bytes.push('\n');
-        if let Err(err) = cache::write_atomic(&path, bytes.as_bytes()) {
-            eprintln!("compstat run: cannot write {}: {err}", path.display());
-            return ExitCode::FAILURE;
+        // The index goes last: its presence marks a complete directory.
+        match write_index(dir, parsed.scale.as_str(), parsed.shard, &entries) {
+            Ok(path) => eprintln!(
+                "wrote {} ({} report{})",
+                path.display(),
+                entries.len(),
+                if entries.len() == 1 { "" } else { "s" }
+            ),
+            Err(err) => {
+                eprintln!("compstat run: {err}");
+                return ExitCode::FAILURE;
+            }
         }
-        eprintln!(
-            "wrote {} ({} report{})",
-            path.display(),
-            reports.len(),
-            if reports.len() == 1 { "" } else { "s" }
-        );
     }
 
     if cache_mode != CacheMode::Off {
@@ -1047,20 +1042,6 @@ fn serve_bench(args: &ServeArgs) -> ExitCode {
     }
 }
 
-/// Collects the cache directory's entry files (`*.bfc`), non-recursive
-/// — the store is flat by construction.
-fn cache_entries(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_file() && path.extension().is_some_and(|e| e == cache::CACHE_FILE_EXT) {
-            out.push(path);
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
 fn cmd_cache_stats() -> ExitCode {
     let dir = cache::default_dir();
     let mut text = format!("cache directory: {}\n", dir.display());
@@ -1071,7 +1052,7 @@ fn cmd_cache_stats() -> ExitCode {
             _ => ExitCode::SUCCESS,
         };
     }
-    let entries = match cache_entries(&dir) {
+    let entries = match cache::entry_paths(&dir) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("compstat cache: cannot read {}: {e}", dir.display());
@@ -1111,7 +1092,7 @@ fn cmd_cache_clear() -> ExitCode {
             _ => ExitCode::SUCCESS,
         };
     }
-    let entries = match cache_entries(&dir) {
+    let entries = match cache::entry_paths(&dir) {
         Ok(e) => e,
         Err(e) => {
             eprintln!("compstat cache: cannot read {}: {e}", dir.display());
@@ -1234,38 +1215,26 @@ fn collect_json_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Checks the schema envelope of a report or index document.
+/// Checks a document with the loader of its schema: the same code
+/// `diff`, `merge` and `bench` read it with.
 fn check_schema(path: &Path, doc: &Json) -> Result<(), String> {
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
         .ok_or("missing schema field")?;
     match schema {
-        s if s == compstat_core::REPORT_SCHEMA => {
-            let name = doc
-                .get("experiment")
-                .and_then(Json::as_str)
-                .ok_or("report missing experiment name")?;
+        s if s == REPORT_SCHEMA => {
+            let report = ParsedReport::from_json(doc).map_err(|e| e.message)?;
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-            if stem != name {
-                return Err(format!("file name does not match experiment {name:?}"));
-            }
-            doc.get("blocks")
-                .and_then(Json::as_arr)
-                .ok_or("report missing blocks array")?;
-            Ok(())
-        }
-        s if s == INDEX_SCHEMA => {
-            let entries = doc
-                .get("experiments")
-                .and_then(Json::as_arr)
-                .ok_or("index missing experiments array")?;
-            let count = doc.get("count").and_then(Json::as_f64).unwrap_or(-1.0);
-            if count != entries.len() as f64 {
-                return Err("index count does not match experiments length".into());
+            if stem != report.name {
+                return Err(format!(
+                    "file name does not match experiment {:?}",
+                    report.name
+                ));
             }
             Ok(())
         }
+        s if s == INDEX_SCHEMA => parse_index(doc).map(|_| ()).map_err(|e| e.message),
         s if s == compstat_core::BENCH_SCHEMA => {
             // Full structural validation, including the mandatory
             // `"non_deterministic": true` marker.
@@ -1408,26 +1377,6 @@ mod tests {
         assert!(parse_diff_args(&strings(&["a", "b", "c"])).is_err());
         assert!(parse_diff_args(&strings(&["a", "b", "--tolerances"])).is_err());
         assert!(parse_diff_args(&strings(&["a", "b", "--bogus"])).is_err());
-    }
-
-    #[test]
-    fn index_is_deterministic_and_self_consistent() {
-        let reports: Vec<Report> = ["tab01", "tab02"]
-            .iter()
-            .map(|n| find(n).unwrap().run(&Runtime::serial(), Scale::Quick))
-            .collect();
-        let a = index_doc_for_reports(Scale::Quick, None, &reports).to_json_string();
-        let b = index_doc_for_reports(Scale::Quick, None, &reports).to_json_string();
-        assert_eq!(a, b);
-        let doc = Json::parse(&a).unwrap();
-        assert!(check_schema(Path::new("index.json"), &doc).is_ok());
-        assert_eq!(doc.get("count").unwrap().as_f64(), Some(2.0));
-        // A shard-stamped index still passes the schema check.
-        let stamped =
-            index_doc_for_reports(Scale::Quick, Some(Shard::new(1, 3).unwrap()), &reports)
-                .to_json_string();
-        let doc = Json::parse(&stamped).unwrap();
-        assert!(check_schema(Path::new("index.json"), &doc).is_ok());
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! for `--threads 1` vs `--threads 4`.
 
 use compstat_core::json::Json;
+use compstat_core::merge::load_index;
+use compstat_runtime::Shard;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -141,15 +143,15 @@ fn run_all_quick_emits_identical_bytes_for_any_thread_count() {
     }
 
     // The index enumerates exactly the emitted reports.
-    let index = Json::parse(&std::fs::read_to_string(dir1.join("index.json")).unwrap()).unwrap();
-    assert_eq!(
-        index.get("count").unwrap().as_f64().unwrap() as usize,
-        compstat_bench::registry().len()
-    );
-    assert_eq!(index.get("scale").unwrap().as_str(), Some("quick"));
-    for entry in index.get("experiments").unwrap().as_arr().unwrap() {
-        let file = entry.get("file").unwrap().as_str().unwrap();
-        assert!(dir1.join(file).is_file(), "index names missing file {file}");
+    let index = load_index(&dir1).unwrap();
+    assert_eq!(index.entries.len(), compstat_bench::registry().len());
+    assert_eq!(index.scale, "quick");
+    for entry in &index.entries {
+        assert!(
+            dir1.join(&entry.file).is_file(),
+            "index names missing {}",
+            entry.file
+        );
     }
 
     // The validate subcommand agrees.
@@ -161,21 +163,6 @@ fn run_all_quick_emits_identical_bytes_for_any_thread_count() {
     );
     let valid_line = format!("{} document(s) valid", compstat_bench::registry().len() + 1);
     assert!(String::from_utf8(out.stdout).unwrap().contains(&valid_line));
-}
-
-#[test]
-fn validate_rejects_malformed_documents() {
-    let dir = tmp_dir("reports-bad");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("broken.json"), "{\"schema\": ").unwrap();
-    let out = compstat(&["validate", dir.to_str().unwrap()]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("broken.json"));
-
-    // Valid JSON with an unknown schema also fails.
-    std::fs::write(dir.join("broken.json"), "{\"schema\": \"mystery/v9\"}").unwrap();
-    let out = compstat(&["validate", dir.to_str().unwrap()]);
-    assert!(!out.status.success());
 }
 
 #[test]
@@ -205,6 +192,41 @@ fn validate_reports_every_invalid_file_with_reasons() {
     assert!(err.contains("zz-mystery.json"), "{err}");
     assert!(err.contains("unknown schema"), "{err}");
     assert!(err.contains("2 of 4 document(s) invalid"), "{err}");
+}
+
+#[test]
+fn validate_checks_reports_and_indexes_with_the_loaders_diff_and_merge_use() {
+    // Three documents whose envelopes look fine but which `diff` or
+    // `merge` would refuse: validate must refuse each one, by name,
+    // because it checks them with the same parsers.
+    let dir = tmp_dir("reports-loader-checks");
+    std::fs::create_dir_all(&dir).unwrap();
+    let index = r#"{"schema":"compstat-index/v1","scale":"quick","count":1,"experiments":[{"name":"a","title":"t"}]}"#;
+    std::fs::write(dir.join("index.json"), index).unwrap();
+    let stamped = r#"{"schema":"compstat-index/v1","scale":"quick","shard":{"index":4,"count":3},"count":0,"experiments":[]}"#;
+    std::fs::write(dir.join("shard-index.json"), stamped).unwrap();
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens/quick/fig09.json");
+    let golden = std::fs::read_to_string(golden).unwrap();
+    let numeric = golden.replace(r#""columns":"40""#, r#""columns":40"#);
+    assert_ne!(numeric, golden);
+    std::fs::write(dir.join("fig09.json"), numeric).unwrap();
+
+    let out = compstat(&["validate", dir.to_str().unwrap()]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    for (file, reason) in [
+        ("index.json", "experiment 0 missing file field"),
+        ("shard-index.json", "invalid shard stamp"),
+        ("fig09.json", r#"param "columns" is not a string"#),
+    ] {
+        let named = format!("{}: ", dir.join(file).display());
+        assert!(
+            err.lines()
+                .any(|l| l.contains(&named) && l.contains(reason)),
+            "{file}: want {reason:?} in\n{err}"
+        );
+    }
+    assert!(err.contains("3 of 3 document(s) invalid"), "{err}");
 }
 
 /// Reads, mutates, and rewrites one report's first metric value.
@@ -528,6 +550,9 @@ fn cache_cold_warm_and_no_cache_runs_are_byte_identical() {
     // corpus key, fig10 has two (one per sequence length), so cold =
     // 3 misses / 1 hit (fig11 reuses fig09's entry) and warm = 4 hits.
     assert!(warm_log.contains("4 hit(s), 0 miss(es)"), "{warm_log}");
+    // A stray `.bfc` file is not an entry: stats, clear (and export)
+    // count only `<64 hex>.bfc` names, the ones the cache writes.
+    std::fs::write(cache_dir.join("notes.bfc"), "not a cache entry\n").unwrap();
     let stats = compstat_env(&["cache", "stats"], &env);
     assert!(stats.status.success());
     let stats_text = String::from_utf8(stats.stdout).unwrap();
@@ -542,6 +567,7 @@ fn cache_cold_warm_and_no_cache_runs_are_byte_identical() {
     assert!(cleared.status.success());
     let stats_text = String::from_utf8(compstat_env(&["cache", "stats"], &env).stdout).unwrap();
     assert!(stats_text.contains("entries: 0"), "{stats_text}");
+    std::fs::remove_file(cache_dir.join("notes.bfc")).expect("clear leaves notes.bfc alone");
 
     // Corruption recovery end to end: rebuild the cache, tamper with
     // every entry, and re-run — reports stay byte-identical and the
@@ -706,12 +732,14 @@ fn sharded_runs_merge_back_byte_identical_to_unsharded() {
             String::from_utf8_lossy(&out.stderr)
         );
         // Each shard's index carries its stamp.
-        let index = Json::parse(&std::fs::read_to_string(dir.join("index.json")).unwrap()).unwrap();
-        let stamp = index.get("shard").expect("shard index is stamped");
-        assert_eq!(stamp.get("index").unwrap().as_f64(), Some(k as f64));
-        assert_eq!(stamp.get("count").unwrap().as_f64(), Some(3.0));
+        let index = load_index(&dir).unwrap();
+        assert_eq!(index.shard, Some(Shard::new(k, 3).unwrap()));
         shard_dirs.push(dir);
     }
+    // The stamped indexes validate, through the parser merge uses.
+    let mut args = vec!["validate"];
+    args.extend(shard_dirs.iter().map(|d| d.to_str().unwrap()));
+    assert!(compstat(&args).status.success());
 
     let merged = tmp_dir("shard-merged");
     let mut args = vec!["merge"];

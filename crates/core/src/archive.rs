@@ -21,7 +21,7 @@
 //! archive cannot plant droppings (or path-traversing names) in the
 //! store.
 
-use crate::cache::{decode_values, write_atomic, CACHE_FILE_EXT};
+use crate::cache::{decode_values, entry_paths, is_cache_entry_name, write_atomic, CACHE_FILE_EXT};
 use std::fmt;
 use std::path::Path;
 
@@ -257,19 +257,6 @@ pub fn tar_extract(bytes: &[u8]) -> Result<Vec<TarEntry>, ArchiveError> {
 // Cache export / import
 // ---------------------------------------------------------------------
 
-/// Returns whether `name` is a cache entry file name: 64 lowercase hex
-/// digits plus `.bfc`.
-#[must_use]
-pub fn is_cache_entry_name(name: &str) -> bool {
-    let Some(stem) = name.strip_suffix(&format!(".{CACHE_FILE_EXT}")) else {
-        return false;
-    };
-    stem.len() == 64
-        && stem
-            .bytes()
-            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-}
-
 /// Packs every cache entry under `dir` into a deterministic ustar
 /// archive, returning the bytes and the number of entries packed.
 ///
@@ -282,33 +269,14 @@ pub fn is_cache_entry_name(name: &str) -> bool {
 /// Fails if an entry cannot be read or does not decode as a cache
 /// file (a corrupt store should be `cache clear`ed, not shipped).
 pub fn export_cache(dir: &Path) -> Result<(Vec<u8>, usize), ArchiveError> {
-    let mut entries = Vec::new();
-    let listing = match std::fs::read_dir(dir) {
-        Ok(listing) => listing,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok((tar_create(&[])?, 0));
-        }
-        Err(e) => {
-            return Err(ArchiveError::new(format!(
-                "cannot list cache directory {}: {e}",
-                dir.display()
-            )));
-        }
-    };
-    for item in listing {
-        let item = item.map_err(|e| {
-            ArchiveError::new(format!(
-                "cannot list cache directory {}: {e}",
-                dir.display()
-            ))
-        })?;
-        let Some(name) = item.file_name().to_str().map(str::to_owned) else {
-            continue;
-        };
-        if !is_cache_entry_name(&name) {
-            continue;
-        }
-        let path = item.path();
+    let paths = entry_paths(dir).map_err(|e| {
+        ArchiveError::new(format!(
+            "cannot list cache directory {}: {e}",
+            dir.display()
+        ))
+    })?;
+    let mut entries = Vec::with_capacity(paths.len());
+    for path in paths {
         let data = std::fs::read(&path).map_err(|e| {
             ArchiveError::new(format!("cannot read cache entry {}: {e}", path.display()))
         })?;
@@ -318,6 +286,11 @@ pub fn export_cache(dir: &Path) -> Result<(Vec<u8>, usize), ArchiveError> {
                 path.display()
             )));
         }
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("entry_paths yields UTF-8 file names")
+            .to_owned();
         entries.push(TarEntry { name, data });
     }
     let count = entries.len();
@@ -663,15 +636,5 @@ mod tests {
         assert!(err.message.contains("corrupt"), "{err}");
 
         let _ = std::fs::remove_dir_all(&dst);
-    }
-
-    #[test]
-    fn entry_name_filter() {
-        assert!(is_cache_entry_name(&format!("{}.bfc", "a1".repeat(32))));
-        assert!(!is_cache_entry_name("stats.json"));
-        assert!(!is_cache_entry_name(&format!("{}.bfc", "a1".repeat(31))));
-        assert!(!is_cache_entry_name(&format!("{}.BFC", "a1".repeat(32))));
-        assert!(!is_cache_entry_name(&format!("{}.bfc", "g1".repeat(32))));
-        assert!(!is_cache_entry_name(&format!("x/{}.bfc", "a1".repeat(32))));
     }
 }

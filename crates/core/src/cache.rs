@@ -623,6 +623,48 @@ impl OracleCache {
     }
 }
 
+/// Returns whether `name` is a cache entry file name: 64 lowercase hex
+/// digits plus `.bfc`, the only names [`OracleCache::path_for`] makes.
+#[must_use]
+pub fn is_cache_entry_name(name: &str) -> bool {
+    let Some(stem) = name.strip_suffix(&format!(".{CACHE_FILE_EXT}")) else {
+        return false;
+    };
+    stem.len() == 64
+        && stem
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+}
+
+/// The entry files directly under `dir` (the store is flat), sorted by
+/// name; none when `dir` does not exist. Only [`is_cache_entry_name`]
+/// names count, so `cache stats`, `cache clear` and `cache export`
+/// agree on what the cache owns and never count, delete or ship a
+/// stranger's file.
+///
+/// # Errors
+///
+/// Fails if `dir` exists but cannot be listed.
+pub fn entry_paths(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let listing = match std::fs::read_dir(dir) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        listing => listing?,
+    };
+    let mut out = Vec::new();
+    for item in listing {
+        let path = item?.path();
+        let owned = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(is_cache_entry_name);
+        if owned && path.is_file() {
+            out.push(path);
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
 /// The cache directory the engine resolves: `$COMPSTAT_CACHE_DIR` or
 /// [`DEFAULT_CACHE_DIR`] under the working directory.
 #[must_use]
@@ -1284,5 +1326,15 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_names_are_64_hex_digits_and_bfc() {
+        assert!(is_cache_entry_name(&format!("{}.bfc", "a1".repeat(32))));
+        assert!(!is_cache_entry_name("stats.json"));
+        assert!(!is_cache_entry_name(&format!("{}.bfc", "a1".repeat(31))));
+        assert!(!is_cache_entry_name(&format!("{}.BFC", "a1".repeat(32))));
+        assert!(!is_cache_entry_name(&format!("{}.bfc", "g1".repeat(32))));
+        assert!(!is_cache_entry_name(&format!("x/{}.bfc", "a1".repeat(32))));
     }
 }

@@ -17,14 +17,16 @@
 //!   metric-by-metric, table-cell-by-table-cell comparison producing a
 //!   structured [`DiffReport`] with old/new values, absolute and
 //!   relative deltas, and a per-change classification;
-//! * [`load_report_dir`] — loads a `compstat run --out` directory via
-//!   its `index.json`.
+//! * [`load_report_dir`] — loads every report a `compstat run --out`
+//!   directory lists, through the one index parser in
+//!   [`crate::merge`], which owns the directory layout.
 //!
 //! The CLI's `compstat diff a/ b/` maps [`DiffStatus`] onto exit codes
 //! 0 (clean) / 1 (within tolerance) / 2 (violations).
 
 use crate::json::Json;
-use crate::report::{Report, INDEX_SCHEMA, REPORT_SCHEMA};
+use crate::merge::load_index;
+use crate::report::{Report, REPORT_SCHEMA};
 use core::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -36,7 +38,8 @@ pub const DIFF_SCHEMA: &str = "compstat-diff/v1";
 /// ([`TolerancePolicy::parse`]).
 pub const TOLERANCES_SCHEMA: &str = "compstat-tolerances/v1";
 
-/// A failure while loading or interpreting report documents.
+/// A failure while loading, interpreting or merging report documents
+/// and report directories.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiffError {
     /// The file involved, when the failure is tied to one.
@@ -46,14 +49,14 @@ pub struct DiffError {
 }
 
 impl DiffError {
-    fn new(message: impl Into<String>) -> DiffError {
+    pub(crate) fn new(message: impl Into<String>) -> DiffError {
         DiffError {
             path: None,
             message: message.into(),
         }
     }
 
-    fn at(path: &Path, message: impl Into<String>) -> DiffError {
+    pub(crate) fn at(path: &Path, message: impl Into<String>) -> DiffError {
         DiffError {
             path: Some(path.to_path_buf()),
             message: message.into(),
@@ -989,55 +992,32 @@ pub fn diff_sets(
 }
 
 /// Loads every report listed in a `compstat run --out` directory's
-/// `index.json`, in index order.
+/// `index.json` ([`load_index`]), in index order.
 ///
 /// # Errors
 ///
-/// Returns a [`DiffError`] naming the offending file when the index is
-/// missing, malformed, or of the wrong schema, or when a listed report
-/// fails to load.
+/// Returns a [`DiffError`] naming the offending file when the index
+/// fails to load, when a listed report is missing or malformed, or
+/// when a report contradicts its index entry or repeats an experiment.
 pub fn load_report_dir(dir: &Path) -> Result<Vec<ParsedReport>, DiffError> {
-    let index_path = dir.join("index.json");
-    let text = std::fs::read_to_string(&index_path)
-        .map_err(|e| DiffError::at(&index_path, format!("cannot read index: {e}")))?;
-    let index = Json::parse(&text).map_err(|e| DiffError::at(&index_path, e.to_string()))?;
-    let schema = index
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| DiffError::at(&index_path, "index missing schema field"))?;
-    if schema != INDEX_SCHEMA {
-        return Err(DiffError::at(
-            &index_path,
-            format!("expected schema {INDEX_SCHEMA:?}, found {schema:?}"),
-        ));
-    }
-    let entries = index
-        .get("experiments")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| DiffError::at(&index_path, "index missing experiments array"))?;
-    let mut reports: Vec<ParsedReport> = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let file = entry
-            .get("file")
-            .and_then(Json::as_str)
-            .ok_or_else(|| DiffError::at(&index_path, "index entry missing file field"))?;
-        let path = dir.join(file);
+    let index = load_index(dir)?;
+    let mut reports: Vec<ParsedReport> = Vec::with_capacity(index.entries.len());
+    for entry in &index.entries {
+        let path = dir.join(&entry.file);
         let text = std::fs::read_to_string(&path)
             .map_err(|e| DiffError::at(&path, format!("cannot read report: {e}")))?;
         let parsed = ParsedReport::parse(&text).map_err(|e| DiffError::at(&path, e.message))?;
         // A report document that contradicts its index entry, or a
         // second document for the same experiment, would let the
         // set-level differ silently skip data — refuse to load it.
-        if let Some(listed) = entry.get("name").and_then(Json::as_str) {
-            if listed != parsed.name {
-                return Err(DiffError::at(
-                    &path,
-                    format!(
-                        "report is for experiment {:?} but the index lists it as {listed:?}",
-                        parsed.name
-                    ),
-                ));
-            }
+        if parsed.name != entry.name {
+            return Err(DiffError::at(
+                &path,
+                format!(
+                    "report is for experiment {:?} but the index lists it as {:?}",
+                    parsed.name, entry.name
+                ),
+            ));
         }
         if reports.iter().any(|r| r.name == parsed.name) {
             return Err(DiffError::at(
@@ -1070,6 +1050,7 @@ pub fn diff_dirs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::{write_index, write_report, IndexEntry};
     use crate::report::Table;
     use crate::scale::Scale;
 
@@ -1551,52 +1532,43 @@ mod tests {
 
         // A well-formed pair of directories round-trips through the
         // on-disk format and diffs clean.
-        let report = sample_report();
         for name in ["a", "b"] {
             let dir = base.join(name);
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join("demo.json"), report.to_json_string()).unwrap();
-            let index = Json::obj(vec![
-                ("schema", Json::str(INDEX_SCHEMA)),
-                ("scale", Json::str("quick")),
-                ("count", Json::Num(1.0)),
-                (
-                    "experiments",
-                    Json::Arr(vec![Json::obj(vec![
-                        ("name", Json::str("demo")),
-                        ("file", Json::str("demo.json")),
-                    ])]),
-                ),
-            ]);
-            std::fs::write(dir.join("index.json"), index.to_json_string()).unwrap();
+            let entry = write_report(&dir, &sample_report()).unwrap();
+            write_index(&dir, "quick", None, &[entry]).unwrap();
         }
         let d = diff_dirs(&base.join("a"), &base.join("b"), &TolerancePolicy::exact()).unwrap();
         assert_eq!(d.status(), DiffStatus::Clean);
 
-        // An index entry whose name contradicts the document, and an
-        // index listing the same experiment twice, both refuse to load.
+        // An index entry whose name contradicts the document, an index
+        // listing the same experiment twice, and an index listing a
+        // report that is not there all refuse to load, naming the file.
         let a = base.join("a");
-        let entry = |name: &str| {
-            Json::obj(vec![
-                ("name", Json::str(name)),
-                ("file", Json::str("demo.json")),
-            ])
+        let entry = IndexEntry::for_report(&sample_report());
+        let renamed = |name: &str, file: &str| IndexEntry {
+            name: name.into(),
+            file: file.into(),
+            ..entry.clone()
         };
-        let write_index = |experiments: Vec<Json>| {
-            let index = Json::obj(vec![
-                ("schema", Json::str(INDEX_SCHEMA)),
-                ("scale", Json::str("quick")),
-                ("count", Json::Num(experiments.len() as f64)),
-                ("experiments", Json::Arr(experiments)),
-            ]);
-            std::fs::write(a.join("index.json"), index.to_json_string()).unwrap();
+        let refused = |entries: &[IndexEntry], file: &str, want: &str| {
+            write_index(&a, "quick", None, entries).unwrap();
+            let err = load_report_dir(&a).unwrap_err();
+            assert!(err.message.contains(want), "{err}");
+            assert_eq!(err.path, Some(a.join(file)));
         };
-        write_index(vec![entry("other")]);
-        let err = load_report_dir(&a).unwrap_err();
-        assert!(err.message.contains("index lists it as"), "{err}");
-        write_index(vec![entry("demo"), entry("demo")]);
-        let err = load_report_dir(&a).unwrap_err();
-        assert!(err.message.contains("duplicate report"), "{err}");
+        refused(
+            &[renamed("other", "demo.json")],
+            "demo.json",
+            "index lists it as",
+        );
+        refused(
+            &[entry.clone(), entry.clone()],
+            "demo.json",
+            "duplicate report",
+        );
+        let gone = renamed("gone", "gone.json");
+        refused(&[entry.clone(), gone], "gone.json", "cannot read report");
 
         let _ = std::fs::remove_dir_all(&base);
     }

@@ -40,8 +40,9 @@
 //!   into every cache key, so a cached sweep always matches the code;
 //! * [`archive`] — hand-rolled deterministic ustar archives that make
 //!   the cache fleet-portable (`compstat cache export` / `import`);
-//! * [`merge`] — shard-stamped indexes and the `compstat merge`
-//!   fan-in that reassembles a canonical report directory from
+//! * [`merge`] — the report-directory layout (the one `index.json`
+//!   parser and the report and index writers) and the `compstat
+//!   merge` fan-in that reassembles a canonical report directory from
 //!   `run --shard K/N` outputs.
 //!
 //! # Examples
@@ -98,8 +99,8 @@ pub use diff::{
 pub use error::{relative_error, ErrorClass, ErrorMeasurement};
 pub use experiment::Experiment;
 pub use merge::{
-    index_doc, index_doc_for_reports, load_shard_index, merge_shard_dirs, IndexEntry, MergeError,
-    MergeSummary, ShardIndex,
+    index_doc, load_index, merge_shard_dirs, parse_index, write_index, write_report, IndexEntry,
+    MergeSummary, ReportIndex,
 };
 pub use report::{Block, Report, INDEX_SCHEMA, REPORT_SCHEMA};
 pub use scale::Scale;

@@ -1,4 +1,12 @@
-//! Shard-stamped report indexes and the `compstat merge` fan-in.
+//! The report-directory layout, and the `compstat merge` fan-in.
+//!
+//! A report directory is what `compstat run --out` writes: one
+//! `<name>.json` document per experiment ([`write_report`]) and, last,
+//! an `index.json` listing them ([`write_index`]). This module is the
+//! only place that knows that layout. [`parse_index`] is the one
+//! `index.json` parser: `merge`, [`load_report_dir`] (and so `diff`),
+//! `compstat validate` and the tests all read indexes through it, so a
+//! directory one of them accepts the others accept too.
 //!
 //! A distributed run fans the registry out over N machines with
 //! `compstat run --shard K/N --out <dir>`: shard K owns every
@@ -18,53 +26,18 @@
 //! shard `(j % N) + 1` at position `j / N`. The merged directory is
 //! byte-identical (`diff -r`) to an unsharded `run --all` at the same
 //! scale; CI enforces exactly that.
+//!
+//! [`load_report_dir`]: crate::diff::load_report_dir
 
 use crate::cache::write_atomic;
+use crate::diff::DiffError;
 use crate::json::Json;
 use crate::report::{Report, INDEX_SCHEMA};
-use crate::scale::Scale;
 use compstat_runtime::Shard;
-use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// An error raised while loading or merging shard report directories.
-///
-/// Mirrors [`DiffError`](crate::diff::DiffError): an optional file and
-/// a message naming exactly what is inconsistent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeError {
-    /// The file or directory involved, when the failure is tied to one.
-    pub path: Option<PathBuf>,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl MergeError {
-    fn new(message: impl Into<String>) -> MergeError {
-        MergeError {
-            path: None,
-            message: message.into(),
-        }
-    }
-
-    fn at(path: impl Into<PathBuf>, message: impl Into<String>) -> MergeError {
-        MergeError {
-            path: Some(path.into()),
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.path {
-            Some(path) => write!(f, "{}: {}", path.display(), self.message),
-            None => write!(f, "{}", self.message),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
+/// File name of a report directory's index.
+const INDEX_FILE: &str = "index.json";
 
 /// One experiment line of an `index.json`.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,19 +107,9 @@ pub fn index_doc(scale: &str, shard: Option<Shard>, entries: &[IndexEntry]) -> J
     Json::obj(fields)
 }
 
-/// [`index_doc`] over finished reports — what `compstat run --out`
-/// writes.
-#[must_use]
-pub fn index_doc_for_reports(scale: Scale, shard: Option<Shard>, reports: &[Report]) -> Json {
-    let entries: Vec<IndexEntry> = reports.iter().map(IndexEntry::for_report).collect();
-    index_doc(scale.as_str(), shard, &entries)
-}
-
-/// A parsed report-directory index, shard stamp included.
+/// A parsed `index.json`, shard stamp included.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardIndex {
-    /// The directory the index was loaded from.
-    pub dir: PathBuf,
+pub struct ReportIndex {
     /// Canonical scale name (`quick` / `default` / `full`).
     pub scale: String,
     /// The shard stamp, if the directory was written by `run --shard`.
@@ -161,67 +124,62 @@ fn whole_number(v: &Json) -> Option<usize> {
     v.as_count().map(|x| x as usize)
 }
 
-/// Loads and validates `<dir>/index.json`, including the shard stamp
-/// if present.
+/// Interprets an already-parsed JSON value as an `index.json`
+/// document — the one index parser.
 ///
 /// # Errors
 ///
-/// Fails on a missing/unparsable index, a wrong `schema`, a malformed
-/// shard stamp, an entry missing a required field, or a `count` that
-/// is not the number of entries.
-pub fn load_shard_index(dir: &Path) -> Result<ShardIndex, MergeError> {
-    let index_path = dir.join("index.json");
-    let text = std::fs::read_to_string(&index_path)
-        .map_err(|e| MergeError::at(&index_path, format!("cannot read index: {e}")))?;
-    let doc = Json::parse(&text).map_err(|e| MergeError::at(&index_path, e.to_string()))?;
+/// Returns a [`DiffError`] (without a path) on a wrong `schema`, a
+/// missing `scale`, a malformed shard stamp, an entry missing one of
+/// its five fields, or a `count` that is not the number of entries.
+pub fn parse_index(doc: &Json) -> Result<ReportIndex, DiffError> {
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
-        .ok_or_else(|| MergeError::at(&index_path, "index missing schema field"))?;
+        .ok_or_else(|| DiffError::new("index missing schema field"))?;
     if schema != INDEX_SCHEMA {
-        return Err(MergeError::at(
-            &index_path,
-            format!("expected schema {INDEX_SCHEMA:?}, found {schema:?}"),
-        ));
+        return Err(DiffError::new(format!(
+            "expected schema {INDEX_SCHEMA:?}, found {schema:?}"
+        )));
     }
     let scale = doc
         .get("scale")
         .and_then(Json::as_str)
-        .ok_or_else(|| MergeError::at(&index_path, "index missing scale field"))?
+        .ok_or_else(|| DiffError::new("index missing scale field"))?
         .to_string();
-    let shard =
-        match doc.get("shard") {
-            None => None,
-            Some(stamp) => {
-                let field = |name: &str| {
-                    stamp.get(name).and_then(whole_number).ok_or_else(|| {
-                        MergeError::at(&index_path, format!("shard stamp missing {name} field"))
-                    })
-                };
-                let (index, count) = (field("index")?, field("count")?);
-                Some(Shard::new(index, count).map_err(|e| {
-                    MergeError::at(&index_path, format!("invalid shard stamp: {e}"))
-                })?)
-            }
-        };
+    let shard = match doc.get("shard") {
+        None => None,
+        Some(stamp) => {
+            let field = |name: &str| {
+                stamp
+                    .get(name)
+                    .and_then(whole_number)
+                    .ok_or_else(|| DiffError::new(format!("shard stamp missing {name} field")))
+            };
+            let (index, count) = (field("index")?, field("count")?);
+            Some(
+                Shard::new(index, count)
+                    .map_err(|e| DiffError::new(format!("invalid shard stamp: {e}")))?,
+            )
+        }
+    };
     let raw = doc
         .get("experiments")
         .and_then(Json::as_arr)
-        .ok_or_else(|| MergeError::at(&index_path, "index missing experiments array"))?;
+        .ok_or_else(|| DiffError::new("index missing experiments array"))?;
     let mut entries = Vec::with_capacity(raw.len());
     for (i, item) in raw.iter().enumerate() {
+        let missing = |name: &str| DiffError::new(format!("experiment {i} missing {name} field"));
         let text_field = |name: &str| {
             item.get(name)
                 .and_then(Json::as_str)
                 .map(str::to_owned)
-                .ok_or_else(|| {
-                    MergeError::at(&index_path, format!("experiment {i} missing {name} field"))
-                })
+                .ok_or_else(|| missing(name))
         };
         let num_field = |name: &str| {
-            item.get(name).and_then(whole_number).ok_or_else(|| {
-                MergeError::at(&index_path, format!("experiment {i} missing {name} field"))
-            })
+            item.get(name)
+                .and_then(whole_number)
+                .ok_or_else(|| missing(name))
         };
         entries.push(IndexEntry {
             name: text_field("name")?,
@@ -233,22 +191,71 @@ pub fn load_shard_index(dir: &Path) -> Result<ShardIndex, MergeError> {
     }
     if let Some(count) = doc.get("count") {
         if whole_number(count) != Some(entries.len()) {
-            return Err(MergeError::at(
-                &index_path,
-                format!(
-                    "count field says {} but the index lists {} experiment(s)",
-                    count.to_json_string(),
-                    entries.len()
-                ),
-            ));
+            return Err(DiffError::new(format!(
+                "count field says {} but the index lists {} experiment(s)",
+                count.to_json_string(),
+                entries.len()
+            )));
         }
     }
-    Ok(ShardIndex {
-        dir: dir.to_path_buf(),
+    Ok(ReportIndex {
         scale,
         shard,
         entries,
     })
+}
+
+/// Reads and parses `<dir>/index.json` ([`parse_index`]).
+///
+/// # Errors
+///
+/// Fails on a missing, unreadable or unparsable index, or any
+/// [`parse_index`] error; every error names the `index.json` path.
+pub fn load_index(dir: &Path) -> Result<ReportIndex, DiffError> {
+    let path = dir.join(INDEX_FILE);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| DiffError::at(&path, format!("cannot read index: {e}")))?;
+    let doc = Json::parse(&text).map_err(|e| DiffError::at(&path, e.to_string()))?;
+    parse_index(&doc).map_err(|e| DiffError::at(&path, e.message))
+}
+
+/// Writes `bytes` to `path` atomically, naming the path on failure.
+fn write_file(path: &Path, bytes: &[u8]) -> Result<(), DiffError> {
+    write_atomic(path, bytes).map_err(|e| DiffError::at(path, format!("cannot write: {e}")))
+}
+
+/// Writes `report` to `<dir>/<name>.json`, newline-terminated and
+/// atomically, so an interrupted run leaves no truncated report.
+/// Returns its line for [`write_index`].
+///
+/// # Errors
+///
+/// Fails, naming the file, if it cannot be written.
+pub fn write_report(dir: &Path, report: &Report) -> Result<IndexEntry, DiffError> {
+    let entry = IndexEntry::for_report(report);
+    write_file(&dir.join(&entry.file), report.to_json_string().as_bytes())?;
+    Ok(entry)
+}
+
+/// Writes `<dir>/index.json` ([`index_doc`]), newline-terminated and
+/// atomically. Call it after every report is written: its presence
+/// marks a complete directory, so a half-written run never half-loads.
+/// Returns the path written.
+///
+/// # Errors
+///
+/// Fails, naming the file, if it cannot be written.
+pub fn write_index(
+    dir: &Path,
+    scale: &str,
+    shard: Option<Shard>,
+    entries: &[IndexEntry],
+) -> Result<PathBuf, DiffError> {
+    let path = dir.join(INDEX_FILE);
+    let mut text = index_doc(scale, shard, entries).to_json_string();
+    text.push('\n');
+    write_file(&path, text.as_bytes())?;
+    Ok(path)
 }
 
 /// What a successful merge produced.
@@ -280,93 +287,79 @@ pub struct MergeSummary {
 ///   the merged directory diverge from a fresh unsharded run).
 ///
 /// Report files are copied **byte-verbatim** — merging never rewrites
-/// a report — and the canonical index is written last, atomically, so
-/// a half-finished merge never looks complete.
+/// a report — and the canonical index is written last
+/// ([`write_index`]), so a half-finished merge never looks complete.
 ///
 /// # Errors
 ///
 /// The first inconsistency found, per the list above.
-pub fn merge_shard_dirs(dirs: &[PathBuf], out: &Path) -> Result<MergeSummary, MergeError> {
-    if dirs.is_empty() {
-        return Err(MergeError::new("no shard directories to merge"));
-    }
-    let mut indexes = Vec::with_capacity(dirs.len());
+pub fn merge_shard_dirs(dirs: &[PathBuf], out: &Path) -> Result<MergeSummary, DiffError> {
+    let mut indexes: Vec<(&Path, ReportIndex)> = Vec::with_capacity(dirs.len());
     for dir in dirs {
-        indexes.push(load_shard_index(dir)?);
+        indexes.push((dir.as_path(), load_index(dir)?));
     }
-
-    let first = &indexes[0];
-    let Some(first_shard) = first.shard else {
-        return Err(MergeError::at(
-            first.dir.join("index.json"),
-            "index has no shard stamp (not written by `run --shard`) — nothing to merge",
-        ));
+    let Some((first_dir, first)) = indexes.first() else {
+        return Err(DiffError::new("no shard directories to merge"));
     };
+    let stamp = |dir: &Path, index: &ReportIndex| {
+        index.shard.ok_or_else(|| {
+            DiffError::at(
+                &dir.join(INDEX_FILE),
+                "index has no shard stamp (not written by `run --shard`) — nothing to merge",
+            )
+        })
+    };
+    let first_shard = stamp(first_dir, first)?;
     let count = first_shard.count();
     let scale = first.scale.clone();
     // One slot per shard index; filled exactly once each.
-    let mut slots: Vec<Option<&ShardIndex>> = vec![None; count];
-    for index in &indexes {
-        let Some(shard) = index.shard else {
-            return Err(MergeError::at(
-                index.dir.join("index.json"),
-                "index has no shard stamp (not written by `run --shard`) — nothing to merge",
-            ));
-        };
+    let mut slots: Vec<Option<(&Path, &ReportIndex)>> = vec![None; count];
+    for (dir, index) in &indexes {
+        let shard = stamp(dir, index)?;
+        let at = |message: String| DiffError::at(&dir.join(INDEX_FILE), message);
         if shard.count() != count {
-            return Err(MergeError::at(
-                index.dir.join("index.json"),
-                format!(
-                    "shard stamp {shard} disagrees with {} about the shard count ({})",
-                    first.dir.display(),
-                    first_shard
-                ),
-            ));
+            return Err(at(format!(
+                "shard stamp {shard} disagrees with {} about the shard count ({first_shard})",
+                first_dir.display(),
+            )));
         }
         if index.scale != scale {
-            return Err(MergeError::at(
-                index.dir.join("index.json"),
-                format!(
-                    "scale {:?} disagrees with {} (scale {:?})",
-                    index.scale,
-                    first.dir.display(),
-                    scale
-                ),
-            ));
+            return Err(at(format!(
+                "scale {:?} disagrees with {} (scale {scale:?})",
+                index.scale,
+                first_dir.display(),
+            )));
         }
-        if let Some(prev) = slots[shard.index() - 1] {
-            return Err(MergeError::at(
-                index.dir.join("index.json"),
-                format!(
-                    "shard {shard} appears twice (also in {}) — overlapping shard set",
-                    prev.dir.display()
-                ),
-            ));
+        if let Some((prev, _)) = slots[shard.index() - 1] {
+            return Err(at(format!(
+                "shard {shard} appears twice (also in {}) — overlapping shard set",
+                prev.display()
+            )));
         }
-        slots[shard.index() - 1] = Some(index);
+        slots[shard.index() - 1] = Some((*dir, index));
     }
     let missing: Vec<String> = (1..=count)
         .filter(|&k| slots[k - 1].is_none())
         .map(|k| format!("{k}/{count}"))
         .collect();
     if !missing.is_empty() {
-        return Err(MergeError::new(format!(
+        return Err(DiffError::new(format!(
             "incomplete shard set: missing shard(s) {}",
             missing.join(", ")
         )));
     }
-    let shards: Vec<&ShardIndex> = slots.into_iter().map(|s| s.unwrap()).collect();
+    let shards: Vec<(&Path, &ReportIndex)> = slots.into_iter().flatten().collect();
 
     // Per-shard counts must match the round-robin profile of the
     // implied total, or interleaving would scramble the registry order.
-    let total: usize = shards.iter().map(|s| s.entries.len()).sum();
-    for (k, shard) in shards.iter().enumerate() {
+    let total: usize = shards.iter().map(|(_, s)| s.entries.len()).sum();
+    for (k, (dir, shard)) in shards.iter().enumerate() {
         let want = Shard::new(k + 1, count)
             .expect("1 <= k+1 <= count")
             .len_of(total);
         if shard.entries.len() != want {
-            return Err(MergeError::at(
-                shard.dir.join("index.json"),
+            return Err(DiffError::at(
+                &dir.join(INDEX_FILE),
                 format!(
                     "shard {}/{count} lists {} experiment(s) but a round-robin partition \
                      of {total} gives it {want} — shards ran different selections",
@@ -379,59 +372,57 @@ pub fn merge_shard_dirs(dirs: &[PathBuf], out: &Path) -> Result<MergeSummary, Me
 
     // Canonical registry order: entry j came from shard (j % N) + 1 at
     // position j / N.
-    let mut canonical: Vec<(&ShardIndex, &IndexEntry)> = Vec::with_capacity(total);
-    for j in 0..total {
-        let shard = shards[j % count];
-        canonical.push((shard, &shard.entries[j / count]));
-    }
+    let canonical: Vec<(&Path, &IndexEntry)> = (0..total)
+        .map(|j| {
+            let (dir, shard) = shards[j % count];
+            (dir, &shard.entries[j / count])
+        })
+        .collect();
     for (i, (owner, entry)) in canonical.iter().enumerate() {
         if let Some((prev_owner, _)) = canonical[..i]
             .iter()
             .find(|(_, prior)| prior.name == entry.name)
         {
-            return Err(MergeError::new(format!(
+            return Err(DiffError::new(format!(
                 "experiment {:?} appears in both {} and {}",
                 entry.name,
-                prev_owner.dir.display(),
-                owner.dir.display()
+                prev_owner.display(),
+                owner.display()
             )));
         }
     }
-    for (owner, entry) in &canonical {
-        if !owner.dir.join(&entry.file).is_file() {
-            return Err(MergeError::at(
-                owner.dir.join(&entry.file),
-                format!("report file for {:?} is missing", entry.name),
-            ));
-        }
+    // Every report is read before anything is written.
+    let mut reports: Vec<(&IndexEntry, Vec<u8>)> = Vec::with_capacity(total);
+    for (owner, entry) in canonical {
+        let src = owner.join(&entry.file);
+        let bytes = std::fs::read(&src).map_err(|e| {
+            let message = format!(
+                "report file for {:?} is missing or unreadable: {e}",
+                entry.name
+            );
+            DiffError::at(&src, message)
+        })?;
+        reports.push((entry, bytes));
     }
 
     std::fs::create_dir_all(out)
-        .map_err(|e| MergeError::at(out, format!("cannot create output directory: {e}")))?;
+        .map_err(|e| DiffError::at(out, format!("cannot create output directory: {e}")))?;
     let leftover = std::fs::read_dir(out)
-        .map_err(|e| MergeError::at(out, format!("cannot list output directory: {e}")))?
+        .map_err(|e| DiffError::at(out, format!("cannot list output directory: {e}")))?
         .next();
     if leftover.is_some() {
-        return Err(MergeError::at(
+        return Err(DiffError::at(
             out,
             "output directory is not empty — merge writes a canonical report \
              directory and will not mix with existing files",
         ));
     }
 
-    for (owner, entry) in &canonical {
-        let src = owner.dir.join(&entry.file);
-        let bytes = std::fs::read(&src)
-            .map_err(|e| MergeError::at(&src, format!("cannot read report: {e}")))?;
-        write_atomic(&out.join(&entry.file), &bytes)
-            .map_err(|e| MergeError::at(out.join(&entry.file), format!("cannot write: {e}")))?;
+    for (entry, bytes) in &reports {
+        write_file(&out.join(&entry.file), bytes)?;
     }
-    // Canonical index last: its presence marks a complete directory.
-    let entries: Vec<IndexEntry> = canonical.iter().map(|(_, e)| (*e).clone()).collect();
-    let mut text = index_doc(&scale, None, &entries).to_json_string();
-    text.push('\n');
-    write_atomic(&out.join("index.json"), text.as_bytes())
-        .map_err(|e| MergeError::at(out.join("index.json"), format!("cannot write: {e}")))?;
+    let entries: Vec<IndexEntry> = reports.into_iter().map(|(e, _)| e.clone()).collect();
+    write_index(out, &scale, None, &entries)?;
 
     Ok(MergeSummary {
         shards: count,
@@ -468,9 +459,7 @@ mod tests {
         for e in entries {
             std::fs::write(dir.join(&e.file), format!("report bytes of {}\n", e.name)).unwrap();
         }
-        let mut text = index_doc(scale, Some(shard), entries).to_json_string();
-        text.push('\n');
-        std::fs::write(dir.join("index.json"), text).unwrap();
+        write_index(dir, scale, Some(shard), entries).unwrap();
     }
 
     fn names(n: usize) -> Vec<IndexEntry> {
@@ -508,7 +497,7 @@ mod tests {
         // Round trip through the loader.
         let dir = tmp("roundtrip");
         write_shard_dir(&dir, "quick", Shard::new(2, 3).unwrap(), &entries);
-        let loaded = load_shard_index(&dir).unwrap();
+        let loaded = load_index(&dir).unwrap();
         assert_eq!(loaded.scale, "quick");
         assert_eq!(loaded.shard, Some(Shard::new(2, 3).unwrap()));
         assert_eq!(loaded.entries, entries);
@@ -550,17 +539,14 @@ mod tests {
     }
 
     #[test]
-    fn load_shard_index_rejects_a_malformed_count() {
-        let dir = tmp("bad-count");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn parse_index_rejects_a_malformed_count() {
         let index = |count: &str, n: usize| {
             let mut doc = index_doc("quick", None, &names(n));
             if let Json::Obj(fields) = &mut doc {
                 let slot = fields.iter_mut().find(|(k, _)| k == "count").unwrap();
                 slot.1 = Json::parse(count).unwrap();
             }
-            std::fs::write(dir.join("index.json"), doc.to_json_string()).unwrap();
-            load_shard_index(&dir)
+            parse_index(&doc)
         };
         assert_eq!(index("2", 2).unwrap().entries.len(), 2);
         for (count, n) in [("2.5", 2), ("-0.5", 0), ("\"two\"", 2), ("3", 2)] {
@@ -571,7 +557,6 @@ mod tests {
                 "{err}"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -583,9 +568,7 @@ mod tests {
         // Unstamped directory in the mix.
         let plain = root.join("plain");
         std::fs::create_dir_all(&plain).unwrap();
-        let mut text = index_doc("quick", None, &names(2)).to_json_string();
-        text.push('\n');
-        std::fs::write(plain.join("index.json"), text).unwrap();
+        write_index(&plain, "quick", None, &names(2)).unwrap();
         let err =
             merge_shard_dirs(&[dirs[0].clone(), plain.clone()], &root.join("m0")).unwrap_err();
         assert!(err.message.contains("no shard stamp"), "{err}");

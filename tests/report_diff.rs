@@ -12,7 +12,6 @@
 //! cargo run --release -p compstat-cli -- run --all --scale quick --out goldens/quick
 //! ```
 
-use compstat_bench::reports::{load_registry_dir, run_registry_parsed};
 use compstat_core::diff::{
     diff_reports, diff_sets, load_report_dir, DiffClass, DiffStatus, ParsedReport, TolerancePolicy,
 };
@@ -26,8 +25,12 @@ fn goldens() -> &'static Path {
 
 #[test]
 fn fresh_quick_run_matches_the_golden_corpus() {
-    let golden = load_registry_dir(goldens()).expect("golden corpus loads");
-    let fresh = run_registry_parsed(&Runtime::from_env(), Scale::Quick);
+    let golden = load_report_dir(goldens()).expect("golden corpus loads");
+    let rt = Runtime::from_env();
+    let fresh: Vec<ParsedReport> = compstat_bench::registry()
+        .iter()
+        .map(|e| ParsedReport::of(&e.run(&rt, Scale::Quick)))
+        .collect();
     let diff = diff_sets(&golden, &fresh, &TolerancePolicy::exact());
     assert_eq!(
         diff.status(),
@@ -71,7 +74,7 @@ fn pre_hdr_experiments_are_byte_identical_on_a_cold_cache() {
     // then hold the 17 pre-HDR experiments to exact equality with the
     // committed goldens.
     let rt = Runtime::from_env().with_cache_mode(CacheMode::Off);
-    let golden: Vec<ParsedReport> = load_registry_dir(goldens())
+    let golden: Vec<ParsedReport> = load_report_dir(goldens())
         .expect("golden corpus loads")
         .into_iter()
         .filter(|r| PRE_HDR_EXPERIMENTS.contains(&r.name.as_str()))
@@ -96,8 +99,8 @@ fn pre_hdr_experiments_are_byte_identical_on_a_cold_cache() {
 
 #[test]
 fn golden_index_lists_exactly_the_registry() {
-    // The index-driven loader and the registry-driven loader agree:
-    // the corpus holds one report per registered experiment, no more.
+    // The corpus index lists one report per registered experiment, in
+    // registry order, no more and no fewer.
     let by_index = load_report_dir(goldens()).expect("index.json loads");
     let names: Vec<&str> = by_index.iter().map(|r| r.name.as_str()).collect();
     let registry: Vec<&str> = compstat_bench::registry()
@@ -114,7 +117,7 @@ fn golden_index_lists_exactly_the_registry() {
 fn perturbing_a_golden_metric_is_caught_with_exact_location() {
     // The gate actually bites: flip one metric in one loaded golden
     // and the differ names it with deltas.
-    let golden = load_registry_dir(goldens()).unwrap();
+    let golden = load_report_dir(goldens()).unwrap();
     let mut perturbed = golden.clone();
     let victim = perturbed
         .iter_mut()
@@ -142,7 +145,7 @@ fn perturbing_a_golden_metric_is_caught_with_exact_location() {
 fn every_golden_report_diffs_clean_against_itself() {
     // Reflexivity over the real corpus: no false positives from the
     // differ on any committed report, table, or text block.
-    let golden = load_registry_dir(goldens()).unwrap();
+    let golden = load_report_dir(goldens()).unwrap();
     for r in &golden {
         let changes = diff_reports(r, r, &TolerancePolicy::exact());
         assert!(changes.is_empty(), "{}: {changes:?}", r.name);

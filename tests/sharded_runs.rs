@@ -7,30 +7,16 @@
 //! Everything here goes through the same library surfaces the CLI
 //! uses: `registry_shard` for the selection, `Runtime::with_shard` for
 //! the work-item partition inside the big oracle sweeps,
-//! `index_doc_for_reports` for the (stamped) indexes, and
+//! `write_report` and `write_index` for the report directories (the
+//! writers `run --out` uses), `load_index` for the stamps, and
 //! `merge_shard_dirs` for the fan-in.
 
 use compstat_bench::registry::{registry, registry_shard};
-use compstat_core::cache::write_atomic;
-use compstat_core::merge::{index_doc_for_reports, load_shard_index, merge_shard_dirs};
-use compstat_core::{Report, Scale};
+use compstat_core::merge::{load_index, merge_shard_dirs, write_index, write_report, IndexEntry};
+use compstat_core::Scale;
 use compstat_runtime::{CacheMode, Runtime, Shard};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// Writes a report directory exactly the way `compstat run --out`
-/// does: one JSON document per report, then the (optionally
-/// shard-stamped) index, atomically, index last.
-fn write_report_dir(dir: &Path, shard: Option<Shard>, reports: &[Report]) {
-    std::fs::create_dir_all(dir).unwrap();
-    for report in reports {
-        let path = dir.join(format!("{}.json", report.name));
-        write_atomic(&path, report.to_json_string().as_bytes()).unwrap();
-    }
-    let mut text = index_doc_for_reports(Scale::Quick, shard, reports).to_json_string();
-    text.push('\n');
-    write_atomic(&dir.join("index.json"), text.as_bytes()).unwrap();
-}
 
 /// Every file in `dir` (flat — report dirs have no subdirectories),
 /// name → bytes.
@@ -60,8 +46,12 @@ fn merged_shard_runs_are_byte_identical_to_unsharded_for_many_n() {
     let scale = Scale::Quick;
     let unsharded_dir = root.join("unsharded");
     let rt = Runtime::with_threads(4).with_cache_mode(CacheMode::ReadWrite);
-    let reports: Vec<Report> = registry().iter().map(|e| e.run(&rt, scale)).collect();
-    write_report_dir(&unsharded_dir, None, &reports);
+    std::fs::create_dir_all(&unsharded_dir).unwrap();
+    let entries: Vec<IndexEntry> = registry()
+        .iter()
+        .map(|e| write_report(&unsharded_dir, &e.run(&rt, scale)).unwrap())
+        .collect();
+    write_index(&unsharded_dir, scale.as_str(), None, &entries).unwrap();
     let want = dir_bytes(&unsharded_dir);
     assert_eq!(want.len(), registry().len() + 1, "17 reports + index.json");
 
@@ -74,14 +64,15 @@ fn merged_shard_runs_are_byte_identical_to_unsharded_for_many_n() {
             let rt = Runtime::with_threads(1 + (k + n) % 3)
                 .with_cache_mode(CacheMode::ReadWrite)
                 .with_shard(shard);
-            let mine: Vec<Report> = registry_shard(shard)
-                .iter()
-                .map(|e| e.run(&rt, scale))
-                .collect();
             let dir = root.join(format!("n{n}-shard-{k}"));
-            write_report_dir(&dir, Some(shard), &mine);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mine: Vec<IndexEntry> = registry_shard(shard)
+                .iter()
+                .map(|e| write_report(&dir, &e.run(&rt, scale)).unwrap())
+                .collect();
+            write_index(&dir, scale.as_str(), Some(shard), &mine).unwrap();
             // The shard dir carries its stamp.
-            let index = load_shard_index(&dir).unwrap();
+            let index = load_index(&dir).unwrap();
             assert_eq!(index.shard, Some(shard));
             assert_eq!(index.scale, "quick");
             shard_dirs.push(dir);
