@@ -164,8 +164,8 @@ fn panel(
 }
 
 /// Extracts median log10 errors per (format, bucket) for assertions.
-#[must_use]
-pub fn figure3_medians(
+#[cfg(test)]
+fn figure3_medians(
     op: OpKind,
     n: usize,
     seed: u64,

@@ -118,8 +118,6 @@ USAGE:
     compstat cache stats | clear | export <tar> | import <tar>
     compstat serve [--addr H:P] [--workers N] [--threads N]
                    [--max-conns N] [--timeout-secs S] [--no-cache]
-    compstat serve --bench [--connections N] [--requests M]
-                   [--addr H:P] [--out DIR]
     compstat serve --send FILE --addr H:P | --offline FILE
     compstat help
 
@@ -156,10 +154,8 @@ COMMANDS:
                 verbs), scored on the deterministic runtime with the
                 oracle cache as shared warm state. Served replies are
                 byte-identical to the direct computation at any worker
-                count. `--bench` drives a built-in load generator and
-                reports a compstat-serve-bench/v1 latency document;
-                `--send FILE` plays scripted frames against a live
-                server; `--offline FILE` answers the same frames
+                count. `--send FILE` plays scripted frames against a
+                live server; `--offline FILE` answers the same frames
                 without a network (the differential baseline)
 
 OPTIONS (run):
@@ -197,8 +193,8 @@ OPTIONS (diff):
 
 OPTIONS (serve):
     --addr H:P      Bind address (default 127.0.0.1:0 — a free port,
-                    printed as `listening on H:P`). With --bench or
-                    --send: the server to drive instead
+                    printed as `listening on H:P`). With --send: the
+                    server to drive instead
     --workers N     Connection-handling worker threads (default 4)
     --threads N     Deterministic runtime threads per request
                     (default 1; replies are byte-identical for any N)
@@ -206,13 +202,6 @@ OPTIONS (serve):
                     a busy frame (default 64)
     --timeout-secs S  Per-connection read timeout (default 10)
     --no-cache      Score without the persistent oracle cache
-    --bench         Load-generate against --addr (or an in-process
-                    server) and print a compstat-serve-bench/v1
-                    latency/throughput document
-    --connections N / --requests M  Bench shape (default 4 x 25)
-    --out DIR       With --bench: also write bench-serve.json to DIR
-                    (refused before the load runs if DIR holds an
-                    index.json)
     --send FILE     Send FILE's newline-delimited frames to --addr,
                     print one reply line each
     --offline FILE  Answer FILE's frames directly, no network — the
@@ -510,8 +499,20 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
         }
     };
     if let Some(dir) = &parsed.out {
-        if let Err(code) = prepare_bench_out_dir("bench", dir) {
-            return code;
+        // The diff gate loads every .json under a report directory (one
+        // holding an `index.json`); wall-clock documents there would
+        // break the byte-stability contract, so refuse before any timing.
+        if dir.join("index.json").exists() {
+            eprintln!(
+                "compstat bench: {} holds an index.json (a report directory); \
+                 refusing to write non-deterministic bench documents there",
+                dir.display()
+            );
+            return ExitCode::from(2);
+        }
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("compstat bench: cannot create {}: {e}", dir.display());
+            return ExitCode::FAILURE;
         }
     }
     let rt = match parsed.threads {
@@ -565,27 +566,6 @@ fn cmd_bench(rest: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Readies `dir` for bench documents; `bench --out` and `serve --bench
-/// --out` both call it before any timing work. A report directory (one
-/// holding an `index.json`) is refused with exit 2: the diff gate loads
-/// every .json under an indexed directory, and wall-clock documents
-/// there would break the byte-stability contract. Otherwise `dir` is
-/// created. `cmd` names the subcommand in messages.
-fn prepare_bench_out_dir(cmd: &str, dir: &Path) -> Result<(), ExitCode> {
-    if dir.join("index.json").exists() {
-        eprintln!(
-            "compstat {cmd}: {} holds an index.json (a report directory); \
-             refusing to write non-deterministic bench documents there",
-            dir.display()
-        );
-        return Err(ExitCode::from(2));
-    }
-    std::fs::create_dir_all(dir).map_err(|e| {
-        eprintln!("compstat {cmd}: cannot create {}: {e}", dir.display());
-        ExitCode::FAILURE
-    })
 }
 
 struct MergeArgs {
@@ -797,10 +777,6 @@ struct ServeArgs {
     max_conns: usize,
     timeout_secs: u64,
     no_cache: bool,
-    bench: bool,
-    connections: usize,
-    requests: usize,
-    out: Option<PathBuf>,
     send: Option<PathBuf>,
     offline: Option<PathBuf>,
 }
@@ -813,10 +789,6 @@ fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
         max_conns: 64,
         timeout_secs: 10,
         no_cache: false,
-        bench: false,
-        connections: 4,
-        requests: 25,
-        out: None,
         send: None,
         offline: None,
     };
@@ -839,26 +811,16 @@ fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
                 args.timeout_secs = number("--timeout-secs", it.next())?.max(1) as u64;
             }
             "--no-cache" => args.no_cache = true,
-            "--bench" => args.bench = true,
-            "--connections" => args.connections = number("--connections", it.next())?.max(1),
-            "--requests" => args.requests = number("--requests", it.next())?.max(1),
-            "--out" => args.out = Some(PathBuf::from(value("--out", it.next())?)),
             "--send" => args.send = Some(PathBuf::from(value("--send", it.next())?)),
             "--offline" => args.offline = Some(PathBuf::from(value("--offline", it.next())?)),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let modes = usize::from(args.bench)
-        + usize::from(args.send.is_some())
-        + usize::from(args.offline.is_some());
-    if modes > 1 {
-        return Err("--bench, --send and --offline are mutually exclusive".into());
+    if args.send.is_some() && args.offline.is_some() {
+        return Err("--send and --offline are mutually exclusive".into());
     }
     if args.send.is_some() && args.addr.is_none() {
         return Err("--send needs --addr pointing at a live server".into());
-    }
-    if args.out.is_some() && !args.bench {
-        return Err("--out only applies to --bench".into());
     }
     Ok(args)
 }
@@ -893,9 +855,6 @@ fn cmd_serve(rest: &[String]) -> ExitCode {
     }
     if let Some(file) = &args.send {
         return serve_send(file, args.addr.as_deref().expect("validated"));
-    }
-    if args.bench {
-        return serve_bench(&args);
     }
     // Foreground server: print the resolved address (port 0 binds a
     // free port), then serve until killed.
@@ -995,53 +954,6 @@ fn serve_send(file: &Path, addr: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn serve_bench(args: &ServeArgs) -> ExitCode {
-    if let Some(dir) = &args.out {
-        if let Err(code) = prepare_bench_out_dir("serve", dir) {
-            return code;
-        }
-    }
-    // Bench an external server when --addr is given; otherwise spin up
-    // an in-process one on a free port.
-    let (_local, addr) = if let Some(addr) = &args.addr {
-        (None, addr.clone())
-    } else {
-        match compstat_serve::Server::spawn(serve_config(args)) {
-            Ok(s) => {
-                let addr = s.local_addr().to_string();
-                (Some(s), addr)
-            }
-            Err(e) => {
-                eprintln!("compstat serve: cannot bind: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let opts = compstat_serve::BenchOptions {
-        connections: args.connections,
-        requests_per_conn: args.requests,
-    };
-    eprintln!(
-        "driving {} connection(s) x {} request(s) against {addr}...",
-        opts.connections, opts.requests_per_conn
-    );
-    let doc = compstat_serve::run_bench(&addr, &opts);
-    if let Some(dir) = &args.out {
-        let path = dir.join("bench-serve.json");
-        let mut text = doc.to_json().to_json_string();
-        text.push('\n');
-        if let Err(e) = cache::write_atomic(&path, text.as_bytes()) {
-            eprintln!("compstat serve: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    match emit(&doc.render_text()) {
-        Emit::Failed => ExitCode::FAILURE,
-        _ => ExitCode::SUCCESS,
-    }
-}
-
 fn cmd_cache_stats() -> ExitCode {
     let dir = cache::default_dir();
     let mut text = format!("cache directory: {}\n", dir.display());
@@ -1066,16 +978,10 @@ fn cmd_cache_stats() -> ExitCode {
         .sum();
     text.push_str(&format!("entries: {} ({} bytes)\n", entries.len(), bytes));
     match cache::load_stats_file(&dir) {
-        Some((last, total)) => {
-            let line = |s: &cache::CacheStats| {
-                format!(
-                    "{} hit(s), {} miss(es), {} write(s), {} error(s)",
-                    s.hits, s.misses, s.writes, s.errors
-                )
-            };
-            text.push_str(&format!("last run: {}\n", line(&last)));
-            text.push_str(&format!("total:    {}\n", line(&total)));
-        }
+        Some(last) => text.push_str(&format!(
+            "last run: {} hit(s), {} miss(es), {} write(s), {} error(s)\n",
+            last.hits, last.misses, last.writes, last.errors
+        )),
         None => text.push_str("no run statistics recorded yet\n"),
     }
     match emit(&text) {
@@ -1239,9 +1145,6 @@ fn check_schema(path: &Path, doc: &Json) -> Result<(), String> {
             // Full structural validation, including the mandatory
             // `"non_deterministic": true` marker.
             BenchDoc::from_json(doc).map(|_| ())
-        }
-        s if s == compstat_serve::SERVE_BENCH_SCHEMA => {
-            compstat_serve::ServeBenchDoc::from_json(doc).map(|_| ())
         }
         s if s == compstat_core::diff::TOLERANCES_SCHEMA => {
             // Check through the real loader so bad tolerance spellings

@@ -40,7 +40,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the oracle cache owns COMPSTAT_CACHE_DIR and mtime-based staleness checks"
+    reason = "the oracle cache owns COMPSTAT_CACHE_DIR"
 )]
 
 use compstat_bigfloat::BigFloat;
@@ -62,7 +62,7 @@ pub const DEFAULT_CACHE_DIR: &str = ".compstat-cache";
 
 /// Schema identifier of the `stats.json` document kept next to the
 /// entries.
-pub const CACHE_STATS_SCHEMA: &str = "compstat-cache-stats/v1";
+pub const CACHE_STATS_SCHEMA: &str = "compstat-cache-stats/v2";
 
 // ---------------------------------------------------------------------
 // SHA-256 (the build environment has no registry access, so no `sha2`)
@@ -341,19 +341,6 @@ pub struct CacheStats {
     /// Corrupt/unreadable entries encountered (each also counts a
     /// miss).
     pub errors: u64,
-}
-
-impl CacheStats {
-    /// Component-wise sum.
-    #[must_use]
-    pub fn plus(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            writes: self.writes + other.writes,
-            errors: self.errors + other.errors,
-        }
-    }
 }
 
 static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
@@ -702,116 +689,29 @@ fn stats_from_obj(v: &Json) -> Option<CacheStats> {
     })
 }
 
-/// Loads `(last_run, total)` counters from the cache directory's
-/// `stats.json`, if present and well-formed: the right `schema`, and
-/// both counter objects with every counter a whole, non-negative
-/// number. Anything else reads as absent.
+/// Loads the last run's counters from the cache directory's
+/// `stats.json`, if present and well-formed: the right `schema`, and a
+/// `last_run` object with every counter a whole, non-negative number.
+/// Anything else reads as absent.
 #[must_use]
-pub fn load_stats_file(dir: &Path) -> Option<(CacheStats, CacheStats)> {
+pub fn load_stats_file(dir: &Path) -> Option<CacheStats> {
     let text = std::fs::read_to_string(dir.join("stats.json")).ok()?;
     let doc = Json::parse(&text).ok()?;
     if doc.get("schema").and_then(Json::as_str) != Some(CACHE_STATS_SCHEMA) {
         return None;
     }
-    Some((
-        stats_from_obj(doc.get("last_run")?)?,
-        stats_from_obj(doc.get("total")?)?,
-    ))
+    stats_from_obj(doc.get("last_run")?)
 }
 
-/// How long a `stats.lock` file may sit unchanged before a new writer
-/// treats its holder as dead and steals the lock.
-const STATS_LOCK_STALE_MS: u64 = 10_000;
-
-/// An exclusive advisory lock over a cache directory's `stats.json`,
-/// held as a `stats.lock` file created with `O_EXCL`. The file body is
-/// `"<pid> <unix-millis>"`; a lock whose timestamp is older than ten
-/// seconds (`STATS_LOCK_STALE_MS`) is presumed abandoned (crashed
-/// writer) and is broken. Released on drop.
-#[derive(Debug)]
-pub struct StatsLock {
-    path: PathBuf,
-}
-
-impl StatsLock {
-    /// Acquires the lock, retrying for up to ~5 s before giving up.
-    pub fn acquire(dir: &Path) -> std::io::Result<StatsLock> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join("stats.lock");
-        let now_ms = || {
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0)
-        };
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    use std::io::Write as _;
-                    // One write call: `write!` on a bare File issues one
-                    // per argument, and a waiter reading the pid before
-                    // its timestamp lands would break a live lock.
-                    let body = format!("{} {}", std::process::id(), now_ms());
-                    let _ = f.write_all(body.as_bytes());
-                    return Ok(StatsLock { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    // Stale-holder check: a body timestamp (or, for an
-                    // empty body still being written, a file mtime) past
-                    // the threshold means the writer died between create
-                    // and remove. Break the lock and retry.
-                    let stale = match std::fs::read_to_string(&path) {
-                        Ok(body) if body.is_empty() => std::fs::metadata(&path)
-                            .and_then(|m| m.modified())
-                            .ok()
-                            .and_then(|m| m.elapsed().ok())
-                            .is_some_and(|age| age.as_millis() as u64 > STATS_LOCK_STALE_MS),
-                        Ok(body) => body
-                            .split_whitespace()
-                            .nth(1)
-                            .and_then(|t| t.parse::<u64>().ok())
-                            .is_none_or(|t| now_ms().saturating_sub(t) > STATS_LOCK_STALE_MS),
-                        // Holder released it between our create attempt
-                        // and the read — just try again.
-                        Err(_) => false,
-                    };
-                    if stale || std::time::Instant::now() >= deadline {
-                        let _ = std::fs::remove_file(&path);
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-impl Drop for StatsLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Records one run's counters into the cache directory's `stats.json`
-/// (`last_run` replaced, `total` accumulated). The read-modify-write
-/// runs under [`StatsLock`], so concurrent writers (serve workers,
-/// parallel shard runs) never lose counts to last-writer-wins races.
+/// Records one run's counters as the cache directory's `stats.json`,
+/// replacing the previous run's. The document is written whole by one
+/// [`write_atomic`], so concurrent writers (serve workers, parallel
+/// shard runs) each leave a complete file and the last one wins.
 /// Best-effort: failures are reported in the return value only.
 pub fn record_run_stats(dir: &Path, run: &CacheStats) -> std::io::Result<()> {
-    let _lock = StatsLock::acquire(dir)?;
-    let total = match load_stats_file(dir) {
-        Some((_, total)) => total.plus(run),
-        None => *run,
-    };
     let doc = Json::obj(vec![
         ("schema", Json::str(CACHE_STATS_SCHEMA)),
         ("last_run", stats_obj(run)),
-        ("total", stats_obj(&total)),
     ]);
     let mut text = doc.to_json_string();
     text.push('\n');
@@ -1159,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_file_accumulates_across_runs() {
+    fn stats_file_keeps_only_the_last_run() {
         let dir = tmp("stats");
         std::fs::create_dir_all(&dir).unwrap();
         let run1 = CacheStats {
@@ -1169,6 +1069,7 @@ mod tests {
             errors: 0,
         };
         record_run_stats(&dir, &run1).unwrap();
+        assert_eq!(load_stats_file(&dir), Some(run1));
         let run2 = CacheStats {
             hits: 3,
             misses: 0,
@@ -1176,16 +1077,15 @@ mod tests {
             errors: 1,
         };
         record_run_stats(&dir, &run2).unwrap();
-        let (last, total) = load_stats_file(&dir).expect("stats.json loads");
-        assert_eq!(last, run2);
-        assert_eq!(total, run1.plus(&run2));
+        assert_eq!(load_stats_file(&dir), Some(run2));
+        let text = std::fs::read_to_string(dir.join("stats.json")).unwrap();
+        assert!(!text.contains("total"), "{text}");
         // A corrupt stats file reads as absent, and the next record
-        // starts totals over rather than failing.
+        // replaces it rather than failing.
         std::fs::write(dir.join("stats.json"), "{broken").unwrap();
         assert!(load_stats_file(&dir).is_none());
         record_run_stats(&dir, &run1).unwrap();
-        let (_, total) = load_stats_file(&dir).unwrap();
-        assert_eq!(total, run1);
+        assert_eq!(load_stats_file(&dir), Some(run1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1194,17 +1094,17 @@ mod tests {
         let dir = tmp("stats-malformed");
         std::fs::create_dir_all(&dir).unwrap();
         let counters = r#"{"hits":1,"misses":2,"writes":3,"errors":0}"#;
-        let doc = |last_run: &str, total: &str| {
-            format!(r#"{{"schema":"{CACHE_STATS_SCHEMA}","last_run":{last_run},"total":{total}}}"#)
+        let doc = |last_run: &str| {
+            format!(r#"{{"schema":"{CACHE_STATS_SCHEMA}","last_run":{last_run}}}"#)
         };
-        std::fs::write(dir.join("stats.json"), doc(counters, counters)).unwrap();
+        std::fs::write(dir.join("stats.json"), doc(counters)).unwrap();
         let good = CacheStats {
             hits: 1,
             misses: 2,
             writes: 3,
             errors: 0,
         };
-        assert_eq!(load_stats_file(&dir), Some((good, good)));
+        assert_eq!(load_stats_file(&dir), Some(good));
         let bad_counters = [
             r#"{"hits":-5,"misses":2,"writes":3,"errors":0}"#,
             r#"{"hits":2.5,"misses":2,"writes":3,"errors":0}"#,
@@ -1213,75 +1113,20 @@ mod tests {
             r#"[1,2,3,4]"#,
         ];
         for bad in bad_counters {
-            for text in [doc(bad, counters), doc(counters, bad)] {
-                std::fs::write(dir.join("stats.json"), &text).unwrap();
-                assert_eq!(load_stats_file(&dir), None, "{text}");
-            }
+            let text = doc(bad);
+            std::fs::write(dir.join("stats.json"), &text).unwrap();
+            assert_eq!(load_stats_file(&dir), None, "{text}");
         }
         for text in [
-            format!(r#"{{"schema":"{CACHE_STATS_SCHEMA}","last_run":{counters}}}"#),
             format!(r#"{{"schema":"{CACHE_STATS_SCHEMA}","total":{counters}}}"#),
+            format!(r#"{{"schema":"compstat-cache-stats/v1","last_run":{counters}}}"#),
         ] {
             std::fs::write(dir.join("stats.json"), &text).unwrap();
             assert_eq!(load_stats_file(&dir), None, "{text}");
         }
-        // A malformed file restarts the totals instead of feeding
-        // invented counts into them.
+        // A malformed file is replaced, not fed invented counts.
         record_run_stats(&dir, &good).unwrap();
-        assert_eq!(load_stats_file(&dir), Some((good, good)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn concurrent_writers_never_lose_counts() {
-        let dir = tmp("stats-race");
-        std::fs::create_dir_all(&dir).unwrap();
-        const WRITERS: u64 = 8;
-        const ROUNDS: u64 = 25;
-        std::thread::scope(|s| {
-            for _ in 0..WRITERS {
-                s.spawn(|| {
-                    let run = CacheStats {
-                        hits: 1,
-                        misses: 2,
-                        writes: 0,
-                        errors: 0,
-                    };
-                    for _ in 0..ROUNDS {
-                        record_run_stats(&dir, &run).unwrap();
-                    }
-                });
-            }
-        });
-        let (_, total) = load_stats_file(&dir).expect("stats.json loads");
-        // Without the lock this read-modify-write is last-writer-wins
-        // and totals come up short.
-        assert_eq!(total.hits, WRITERS * ROUNDS);
-        assert_eq!(total.misses, 2 * WRITERS * ROUNDS);
-        assert!(!dir.join("stats.lock").exists(), "lock released");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_stats_lock_is_broken() {
-        let dir = tmp("stats-stale");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A lock body stamped at the epoch is as stale as it gets.
-        std::fs::write(dir.join("stats.lock"), "0 0").unwrap();
-        let run = CacheStats {
-            hits: 5,
-            ..CacheStats::default()
-        };
-        let start = std::time::Instant::now();
-        record_run_stats(&dir, &run).unwrap();
-        assert!(start.elapsed() < std::time::Duration::from_secs(4));
-        let (_, total) = load_stats_file(&dir).unwrap();
-        assert_eq!(total.hits, 5);
-        // Garbage lock bodies are treated as stale too.
-        std::fs::write(dir.join("stats.lock"), "not a lock").unwrap();
-        record_run_stats(&dir, &run).unwrap();
-        let (_, total) = load_stats_file(&dir).unwrap();
-        assert_eq!(total.hits, 10);
+        assert_eq!(load_stats_file(&dir), Some(good));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,7 +9,7 @@
 
 use compstat_bigfloat::{BigFloat, Context, HdrFloat};
 use compstat_logspace::LogF64;
-use compstat_posit::{Posit, P64E12, P64E18, P64E9};
+use compstat_posit::Posit;
 use core::fmt::Debug;
 
 /// Precision used for measurement-grade conversions (well beyond any
@@ -282,25 +282,24 @@ statfloat_for_posit!(64, 15, "posit(64,15)");
 statfloat_for_posit!(64, 18, "posit(64,18)");
 statfloat_for_posit!(64, 21, "posit(64,21)");
 
-/// The five formats compared throughout the paper's figures.
-#[must_use]
-pub fn paper_format_names() -> [&'static str; 5] {
-    [
-        <f64 as StatFloat>::NAME,
-        <LogF64 as StatFloat>::NAME,
-        <P64E9 as StatFloat>::NAME,
-        <P64E12 as StatFloat>::NAME,
-        <P64E18 as StatFloat>::NAME,
-    ]
-}
-
 // Re-exported so generic code can enumerate configurations.
 pub use compstat_posit::{P64E12 as Posit64Es12, P64E18 as Posit64Es18, P64E9 as Posit64Es9};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compstat_posit::{P64E15, P64E21, P64E6};
+    use compstat_posit::{P64E12, P64E15, P64E18, P64E21, P64E6, P64E9};
+
+    /// The five formats compared throughout the paper's figures.
+    fn paper_format_names() -> [&'static str; 5] {
+        [
+            <f64 as StatFloat>::NAME,
+            <LogF64 as StatFloat>::NAME,
+            <P64E9 as StatFloat>::NAME,
+            <P64E12 as StatFloat>::NAME,
+            <P64E18 as StatFloat>::NAME,
+        ]
+    }
 
     fn check_roundtrip<T: StatFloat>() {
         let x = T::from_f64(0.3);

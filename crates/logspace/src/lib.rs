@@ -36,10 +36,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod signed;
-
-pub use signed::SignedLogF64;
-
 use compstat_bigfloat::{BigFloat, Context, Kind, Sign};
 use core::fmt;
 
@@ -75,8 +71,7 @@ impl LogF64 {
     ///
     /// # Panics
     ///
-    /// Panics if `x` is negative or NaN; use [`SignedLogF64`] for signed
-    /// values.
+    /// Panics if `x` is negative or NaN: a `LogF64` has no sign.
     #[must_use]
     pub fn from_f64(x: f64) -> LogF64 {
         assert!(x >= 0.0, "LogF64 represents non-negative reals, got {x}");
@@ -169,27 +164,6 @@ impl LogF64 {
         let t = (d - m).exp();
         LogF64 {
             ln: m + (1.0 + t).ln(),
-        }
-    }
-
-    /// Log-space subtraction `self - other`, defined only when
-    /// `self >= other`. Returns `None` otherwise (the result would be
-    /// negative, unrepresentable here).
-    #[must_use]
-    pub fn checked_sub(self, other: LogF64) -> Option<LogF64> {
-        if other.is_zero() {
-            return Some(self);
-        }
-        match self.ln.partial_cmp(&other.ln)? {
-            core::cmp::Ordering::Less => None,
-            core::cmp::Ordering::Equal => Some(LogF64::ZERO),
-            core::cmp::Ordering::Greater => {
-                // ln(e^a - e^b) = a + ln(1 - e^(b-a)), b < a.
-                let d = other.ln - self.ln; // < 0
-                Some(LogF64 {
-                    ln: self.ln + (-d.exp()).ln_1p(),
-                })
-            }
         }
     }
 }
@@ -313,12 +287,6 @@ where
     LogF64::from_ln(m + sum.ln())
 }
 
-/// `ln(e^a + e^b)` on raw `f64` log-values (software form).
-#[must_use]
-pub fn ln_add_exp(a: f64, b: f64) -> f64 {
-    (LogF64::from_ln(a) + LogF64::from_ln(b)).ln_value()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,17 +347,6 @@ mod tests {
         assert!((nary.ln_value() - pair.ln_value()).abs() < 1e-12);
         assert!(log_sum_exp([]).is_zero());
         assert!(log_sum_exp([LogF64::ZERO, LogF64::ZERO]).is_zero());
-    }
-
-    #[test]
-    fn checked_sub_behaviour() {
-        let a = LogF64::from_f64(0.7);
-        let b = LogF64::from_f64(0.3);
-        let d = a.checked_sub(b).unwrap();
-        assert!((d.to_f64() - 0.4).abs() < 1e-14);
-        assert!(b.checked_sub(a).is_none());
-        assert!(a.checked_sub(a).unwrap().is_zero());
-        assert_eq!(a.checked_sub(LogF64::ZERO).unwrap(), a);
     }
 
     #[test]

@@ -23,16 +23,9 @@
 //! typed `try_new` constructors, and a panic in a handler is caught
 //! and returned as an `internal` error frame rather than taking a
 //! worker down.
-//!
-//! [`bench`](mod@bench) is the built-in load generator behind
-//! `compstat serve --bench` (N connections × M requests, latency
-//! histogram + throughput as an explicitly non-deterministic
-//! `compstat-serve-bench/v1` document).
 
-pub mod bench;
 pub mod proto;
 pub mod server;
 
-pub use bench::{run_bench, BenchOptions, ServeBenchDoc, SERVE_BENCH_SCHEMA};
 pub use proto::{ErrorCode, RequestLimits, Responder, ServeCounters, SERVE_SCHEMA};
 pub use server::{Server, ServerConfig};

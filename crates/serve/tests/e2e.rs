@@ -252,23 +252,6 @@ fn stats_verb_reports_activity_over_tcp() {
 }
 
 #[test]
-fn bench_load_generator_produces_a_valid_document() {
-    let server = Server::spawn(config(tmp_dir("bench"), 2)).expect("spawn");
-    let opts = compstat_serve::BenchOptions {
-        connections: 2,
-        requests_per_conn: 6,
-    };
-    let doc = compstat_serve::run_bench(&server.local_addr().to_string(), &opts);
-    assert_eq!(doc.total_requests, 12);
-    assert_eq!(doc.errors, 0);
-    // Round-trips through the validating parser.
-    let json = doc.to_json();
-    let back = compstat_serve::ServeBenchDoc::from_json(&json).unwrap();
-    assert_eq!(back, doc);
-    assert!(json.to_json_string().contains("\"non_deterministic\":true"));
-}
-
-#[test]
 fn hostile_frames_cannot_take_a_worker_down() {
     let mut cfg = config(tmp_dir("hostile"), 1);
     cfg.limits.max_frame_bytes = 64 << 10;
