@@ -5,7 +5,7 @@
 //! compstat run <name>... | --all [--scale quick|default|paper]
 //!              [--threads N] [--out DIR] [--shard K/N]
 //! compstat merge <shard-dir>... --out DIR
-//! compstat diff <baseline-dir> <new-dir> [--tolerances FILE] [--json]
+//! compstat diff <baseline-dir> <new-dir> [--json]
 //! compstat validate <dir-or-file>...
 //! cache stats | clear | export <tar> | import <tar>
 //! ```
@@ -26,10 +26,9 @@
 //! have written, byte for byte. `cache export`/`cache import` move the
 //! oracle store between machines as a deterministic ustar archive.
 //!
-//! `diff` compares two report directories cell by cell under a
-//! [`TolerancePolicy`] and exits 0 (clean), 1 (changes, all within
-//! tolerance), or 2 (violations); any usage or load error exits 3 so
-//! the three verdict codes stay unambiguous.
+//! `diff` compares two report directories cell by cell, byte for byte,
+//! and exits 0 (identical) or 2 (any difference); any usage or load
+//! error exits 3 so the two verdict codes stay unambiguous.
 //!
 //! Argument parsing is hand-rolled: the build environment has no
 //! registry access, so no `clap`.
@@ -39,10 +38,10 @@ use compstat_bench::timing;
 use compstat_core::archive::{export_cache, import_cache};
 use compstat_core::bench_doc::BenchDoc;
 use compstat_core::cache;
-use compstat_core::diff::{diff_dirs, ParsedReport, TolerancePolicy};
+use compstat_core::diff::diff_dirs;
 use compstat_core::json::Json;
 use compstat_core::merge::{merge_shard_dirs, parse_index, write_index, write_report, IndexEntry};
-use compstat_core::{Scale, INDEX_SCHEMA, REPORT_SCHEMA};
+use compstat_core::{Report, Scale, INDEX_SCHEMA, REPORT_SCHEMA};
 use compstat_runtime::{CacheMode, Runtime, Shard};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -113,7 +112,7 @@ USAGE:
     compstat bench [--quick | --scale quick|default|paper]
                    [--threads N] [--out DIR]
     compstat merge <shard-dir>... --out DIR
-    compstat diff <baseline-dir> <new-dir> [--tolerances FILE] [--json]
+    compstat diff <baseline-dir> <new-dir> [--json]
     compstat validate <dir-or-file>...
     compstat cache stats | clear | export <tar> | import <tar>
     compstat serve [--addr H:P] [--workers N] [--threads N]
@@ -139,9 +138,9 @@ COMMANDS:
                 `run --all` would write (byte-identical); exit 0 on
                 success, 1 on overlap/missing/inconsistent shards, 2 on
                 usage errors
-    diff        Compare two report directories cell by cell; exit 0 if
-                identical, 1 if all changes are within tolerance, 2 on
-                violations or added/removed experiments, 3 on errors
+    diff        Compare two report directories cell by cell, byte for
+                byte; exit 0 if identical, 2 on any changed value or
+                added/removed experiment, 3 on errors
     validate    Parse every .json report under the given paths; report
                 every malformed document with its reason
     cache       Inspect (`stats`), empty (`clear`), or move the
@@ -166,8 +165,7 @@ OPTIONS (run):
                     cores; emitted bytes are identical for every N)
     --out DIR       Write JSON reports to DIR instead of printing text
     --no-cache      Recompute every oracle sweep, bypassing the cache
-                    (reports are byte-identical either way; also
-                    available as COMPSTAT_CACHE=off)
+                    (reports are byte-identical either way)
     --shard K/N     Run shard K of an N-way round-robin partition of
                     the registry (requires --all; big oracle sweeps are
                     cached in N parts). The index.json is shard-stamped
@@ -186,9 +184,7 @@ OPTIONS (bench):
                     report directory
 
 OPTIONS (diff):
-    --tolerances F  Load a compstat-tolerances/v1 JSON policy file
-                    (default: every value must be byte-identical)
-    --json          Emit the structured compstat-diff/v1 document
+    --json          Emit the structured compstat-diff/v2 document
                     instead of the human-readable summary
 
 OPTIONS (serve):
@@ -338,13 +334,13 @@ fn cmd_run(rest: &[String]) -> ExitCode {
             }
         },
     };
-    // `compstat run` caches oracle sweeps by default; `--no-cache` (or
-    // COMPSTAT_CACHE=off) forces recomputation. Reports are
-    // byte-identical either way — that is the gate CI enforces.
+    // `compstat run` caches oracle sweeps by default; `--no-cache`
+    // forces recomputation. Reports are byte-identical either way —
+    // that is the gate CI enforces.
     let cache_mode = if parsed.no_cache {
         CacheMode::Off
     } else {
-        CacheMode::from_env_or(CacheMode::ReadWrite)
+        CacheMode::ReadWrite
     };
     let mut rt = rt.with_cache_mode(cache_mode);
     if let Some(shard) = parsed.shard {
@@ -627,22 +623,15 @@ fn cmd_merge(rest: &[String]) -> ExitCode {
 struct DiffArgs {
     baseline: PathBuf,
     new: PathBuf,
-    tolerances: Option<PathBuf>,
     json: bool,
 }
 
 fn parse_diff_args(rest: &[String]) -> Result<DiffArgs, String> {
     let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut tolerances = None;
     let mut json = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
+    for arg in rest {
         match arg.as_str() {
             "--json" => json = true,
-            "--tolerances" => match it.next() {
-                Some(v) => tolerances = Some(PathBuf::from(v)),
-                None => return Err("--tolerances needs a file".into()),
-            },
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
             dir => dirs.push(PathBuf::from(dir)),
         }
@@ -651,7 +640,6 @@ fn parse_diff_args(rest: &[String]) -> Result<DiffArgs, String> {
         Ok([baseline, new]) => Ok(DiffArgs {
             baseline,
             new,
-            tolerances,
             json,
         }),
         Err(_) => Err("pass exactly two report directories: <baseline-dir> <new-dir>".into()),
@@ -659,7 +647,7 @@ fn parse_diff_args(rest: &[String]) -> Result<DiffArgs, String> {
 }
 
 /// Exit code for `diff` usage and load errors, distinct from the
-/// 0/1/2 verdict codes.
+/// 0/2 verdict codes.
 const DIFF_TROUBLE: u8 = 3;
 
 fn cmd_diff(rest: &[String]) -> ExitCode {
@@ -670,17 +658,7 @@ fn cmd_diff(rest: &[String]) -> ExitCode {
             return ExitCode::from(DIFF_TROUBLE);
         }
     };
-    let policy = match &parsed.tolerances {
-        Some(path) => match TolerancePolicy::load(path) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("compstat diff: {e}");
-                return ExitCode::from(DIFF_TROUBLE);
-            }
-        },
-        None => TolerancePolicy::exact(),
-    };
-    let report = match diff_dirs(&parsed.baseline, &parsed.new, &policy) {
+    let report = match diff_dirs(&parsed.baseline, &parsed.new) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("compstat diff: {e}");
@@ -835,7 +813,7 @@ fn serve_config(args: &ServeArgs) -> compstat_serve::ServerConfig {
         cache_mode: if args.no_cache {
             CacheMode::Off
         } else {
-            CacheMode::from_env_or(CacheMode::ReadWrite)
+            CacheMode::ReadWrite
         },
         cache_dir: None,
         threads: args.threads,
@@ -1130,7 +1108,7 @@ fn check_schema(path: &Path, doc: &Json) -> Result<(), String> {
         .ok_or("missing schema field")?;
     match schema {
         s if s == REPORT_SCHEMA => {
-            let report = ParsedReport::from_json(doc).map_err(|e| e.message)?;
+            let report = Report::from_json(doc).map_err(|e| e.message)?;
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
             if stem != report.name {
                 return Err(format!(
@@ -1145,13 +1123,6 @@ fn check_schema(path: &Path, doc: &Json) -> Result<(), String> {
             // Full structural validation, including the mandatory
             // `"non_deterministic": true` marker.
             BenchDoc::from_json(doc).map(|_| ())
-        }
-        s if s == compstat_core::diff::TOLERANCES_SCHEMA => {
-            // Check through the real loader so bad tolerance spellings
-            // fail validation, not the later diff run.
-            TolerancePolicy::from_json(doc)
-                .map(|_| ())
-                .map_err(|e| e.message)
         }
         other => Err(format!("unknown schema {other:?}")),
     }
@@ -1266,10 +1237,8 @@ mod tests {
         assert_eq!(p.baseline, Path::new("goldens/quick"));
         assert_eq!(p.new, Path::new("fresh"));
         assert!(p.json);
-        assert_eq!(p.tolerances, None);
 
-        let p = parse_diff_args(&strings(&["a", "b", "--tolerances", "tol.json"])).unwrap();
-        assert_eq!(p.tolerances.as_deref(), Some(Path::new("tol.json")));
+        let p = parse_diff_args(&strings(&["a", "b"])).unwrap();
         assert!(!p.json);
     }
 
@@ -1278,7 +1247,8 @@ mod tests {
         assert!(parse_diff_args(&strings(&[])).is_err());
         assert!(parse_diff_args(&strings(&["only-one"])).is_err());
         assert!(parse_diff_args(&strings(&["a", "b", "c"])).is_err());
-        assert!(parse_diff_args(&strings(&["a", "b", "--tolerances"])).is_err());
+        let retired = ["--", "tolerances"].concat();
+        assert!(parse_diff_args(&strings(&["a", "b", &retired, "x"])).is_err());
         assert!(parse_diff_args(&strings(&["a", "b", "--bogus"])).is_err());
     }
 

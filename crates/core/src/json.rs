@@ -137,7 +137,7 @@ impl Json {
     /// characters, and malformed numbers are errors.
     ///
     /// Uses [`ParseLimits::TRUSTED`] — the right bounds for documents
-    /// this workspace wrote itself (reports, goldens, tolerance files).
+    /// this workspace wrote itself (reports, goldens, indexes).
     /// Input that crosses a trust boundary (network frames, anything a
     /// client sent) must go through [`Json::parse_with_limits`] with
     /// [`ParseLimits::UNTRUSTED`] or tighter.

@@ -23,7 +23,7 @@
 //!   Figures 3, 9, 10, 11);
 //! * [`accuracy`] — the Section IV-A bucketed accuracy experiment;
 //! * [`report`] — the structured [`Report`] model with
-//!   text-table and JSON rendering;
+//!   text-table and JSON rendering, and the JSON reader;
 //! * [`bench_doc`] — the explicitly non-deterministic wall-clock
 //!   timing documents behind `compstat bench` (`compstat-bench/v1`,
 //!   kept out of the byte-stable report dirs and the diff gate);
@@ -32,8 +32,8 @@
 //!   count);
 //! * [`json`] — the hand-rolled JSON writer/parser behind `--out`
 //!   report emission and validation;
-//! * [`diff`] — tolerance-aware report diffing (the `compstat diff`
-//!   accuracy regression gate);
+//! * [`diff`] — exact report diffing (the `compstat diff` accuracy
+//!   regression gate);
 //! * [`cache`] — the content-addressed store that persists 256-bit
 //!   oracle sweeps across runs (`.compstat-cache/`, `--no-cache`);
 //! * [`sources`] — the oracle crates' sources, compiled in and hashed
@@ -92,10 +92,7 @@ pub use archive::{export_cache, import_cache, ArchiveError, ImportSummary, TarEn
 pub use arith::{Arith, Native};
 pub use bench_doc::{BenchDoc, BenchEntry, BENCH_SCHEMA};
 pub use cache::{CacheKey, CacheStats, OracleCache};
-pub use diff::{
-    diff_dirs, diff_reports, diff_sets, load_report_dir, DiffReport, DiffStatus, ParsedReport,
-    Tolerance, TolerancePolicy,
-};
+pub use diff::{diff_dirs, diff_reports, diff_sets, load_report_dir, DiffReport, DiffStatus};
 pub use error::{relative_error, ErrorClass, ErrorMeasurement};
 pub use experiment::Experiment;
 pub use merge::{

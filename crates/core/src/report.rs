@@ -12,10 +12,15 @@
 //!   hand-rolled [`crate::json`] writer (schema
 //!   `compstat-report/v1`), emitted by `compstat run --out`.
 //!
+//! [`Report::from_json`] reads that document back into the same type,
+//! so `diff` and `validate` work on exactly what `run` wrote, and
+//! `to_json_string` of a read-back report reproduces its bytes.
+//!
 //! Reports contain only deterministic data — no timestamps, thread
 //! counts, or wall-clock measurements — so the emitted JSON is
 //! byte-identical for every `COMPSTAT_THREADS` setting.
 
+use crate::diff::DiffError;
 use crate::json::Json;
 use crate::scale::Scale;
 use core::fmt::Write as _;
@@ -118,17 +123,17 @@ pub enum Block {
 #[derive(Clone, Debug)]
 pub struct Report {
     /// Registry name of the experiment (e.g. `fig09`).
-    pub name: &'static str,
+    pub name: String,
     /// Human-readable title.
-    pub title: &'static str,
+    pub title: String,
     /// The scale this run used.
     pub scale: Scale,
     /// Named run parameters (sample counts, sequence lengths, seeds),
     /// in insertion order.
-    pub params: Vec<(&'static str, String)>,
+    pub params: Vec<(String, String)>,
     /// Named scalar metrics (headline numbers), in insertion order.
     /// Metrics appear only in the JSON rendering.
-    pub metrics: Vec<(&'static str, f64)>,
+    pub metrics: Vec<(String, f64)>,
     /// The report body, in order.
     pub blocks: Vec<Block>,
 }
@@ -144,10 +149,10 @@ pub const INDEX_SCHEMA: &str = "compstat-index/v1";
 impl Report {
     /// Starts an empty report.
     #[must_use]
-    pub fn new(name: &'static str, title: &'static str, scale: Scale) -> Report {
+    pub fn new(name: impl Into<String>, title: impl Into<String>, scale: Scale) -> Report {
         Report {
-            name,
-            title,
+            name: name.into(),
+            title: title.into(),
             scale,
             params: Vec::new(),
             metrics: Vec::new(),
@@ -164,7 +169,8 @@ impl Report {
     /// gate) rejects duplicate object keys, so the writer refuses to
     /// produce them.
     #[must_use]
-    pub fn param(mut self, key: &'static str, value: impl ToString) -> Report {
+    pub fn param(mut self, key: impl Into<String>, value: impl ToString) -> Report {
+        let key = key.into();
         assert!(
             !self.params.iter().any(|(k, _)| *k == key),
             "duplicate param key {key:?} in report {:?}",
@@ -179,7 +185,8 @@ impl Report {
     /// # Panics
     ///
     /// Panics on a repeated key (see [`Report::param`]).
-    pub fn metric(&mut self, key: &'static str, value: f64) {
+    pub fn metric(&mut self, key: impl Into<String>, value: f64) {
+        let key = key.into();
         assert!(
             !self.metrics.iter().any(|(k, _)| *k == key),
             "duplicate metric key {key:?} in report {:?}",
@@ -235,12 +242,12 @@ impl Report {
         let params = self
             .params
             .iter()
-            .map(|(k, v)| (k.to_string(), Json::str(v.clone())))
+            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
             .collect();
         let metrics = self
             .metrics
             .iter()
-            .map(|(k, v)| (k.to_string(), Json::Num(*v)))
+            .map(|(k, v)| (k.clone(), Json::Num(*v)))
             .collect();
         let blocks = self
             .blocks
@@ -272,8 +279,8 @@ impl Report {
             .collect();
         Json::obj(vec![
             ("schema", Json::str(REPORT_SCHEMA)),
-            ("experiment", Json::str(self.name)),
-            ("title", Json::str(self.title)),
+            ("experiment", Json::str(self.name.as_str())),
+            ("title", Json::str(self.title.as_str())),
             ("scale", Json::str(self.scale.as_str())),
             ("params", Json::Obj(params)),
             ("metrics", Json::Obj(metrics)),
@@ -288,6 +295,139 @@ impl Report {
         let mut s = self.to_json().to_json_string();
         s.push('\n');
         s
+    }
+
+    /// Parses a report document from its JSON text
+    /// ([`Report::from_json`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DiffError`] if the text is not valid JSON or not a
+    /// valid `compstat-report/v1` document.
+    pub fn parse(text: &str) -> Result<Report, DiffError> {
+        let doc = Json::parse(text).map_err(|e| DiffError::new(e.to_string()))?;
+        Report::from_json(&doc)
+    }
+
+    /// Reads a `compstat-report/v1` document back into a report — the
+    /// inverse of [`Report::to_json`]. Non-finite metrics, which the
+    /// writer spells `null`, read back as NaN. Two shapes the writer
+    /// never produces are refused: a table row whose width differs
+    /// from its headers, and a scale other than `quick`, `default` or
+    /// `full`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DiffError`] naming the first missing, mistyped or
+    /// malformed field.
+    pub fn from_json(doc: &Json) -> Result<Report, DiffError> {
+        let field = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_str)
+                .ok_or_else(|| DiffError::new(format!("report missing string field {key:?}")))
+        };
+        let schema = field("schema")?;
+        if schema != REPORT_SCHEMA {
+            return Err(DiffError::new(format!(
+                "expected schema {REPORT_SCHEMA:?}, found {schema:?}"
+            )));
+        }
+        let scale = field("scale")?;
+        let scale = [Scale::Quick, Scale::Default, Scale::Full]
+            .into_iter()
+            .find(|s| s.as_str() == scale)
+            .ok_or_else(|| {
+                DiffError::new(format!(
+                    "unknown scale {scale:?} (want quick, default or full)"
+                ))
+            })?;
+        let pairs = |key: &str| match doc.get(key) {
+            Some(Json::Obj(pairs)) => Ok(pairs),
+            _ => Err(DiffError::new(format!("report missing {key:?} object"))),
+        };
+        let params = pairs("params")?
+            .iter()
+            .map(|(k, v)| match v.as_str() {
+                Some(s) => Ok((k.clone(), s.to_string())),
+                None => Err(DiffError::new(format!("param {k:?} is not a string"))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let metrics = pairs("metrics")?
+            .iter()
+            .map(|(k, v)| match v {
+                Json::Num(x) => Ok((k.clone(), *x)),
+                Json::Null => Ok((k.clone(), f64::NAN)),
+                _ => Err(DiffError::new(format!("metric {k:?} is not a number"))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let blocks = doc
+            .get("blocks")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| DiffError::new("report missing \"blocks\" array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, b)| Block::from_json(i, b))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Report {
+            name: field("experiment")?.to_string(),
+            title: field("title")?.to_string(),
+            scale,
+            params,
+            metrics,
+            blocks,
+        })
+    }
+}
+
+impl Block {
+    /// Reads block `index` of a report document.
+    fn from_json(index: usize, b: &Json) -> Result<Block, DiffError> {
+        let bad = |msg: &str| DiffError::new(format!("block [{index}]: {msg}"));
+        let strings = |what: &str, v: &Json| -> Result<Vec<String>, DiffError> {
+            v.as_arr()
+                .ok_or_else(|| bad(&format!("{what} is not an array")))?
+                .iter()
+                .map(|c| {
+                    c.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| bad(&format!("{what} cell is not a string")))
+                })
+                .collect()
+        };
+        match b.get("kind").and_then(Json::as_str) {
+            Some("text") => match b.get("text").and_then(Json::as_str) {
+                Some(text) => Ok(Block::Text(text.to_string())),
+                None => Err(bad("text block missing text")),
+            },
+            Some("table") => {
+                let headers = strings(
+                    "headers",
+                    b.get("headers")
+                        .ok_or_else(|| bad("table missing headers"))?,
+                )?;
+                let rows = b
+                    .get("rows")
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| bad("table missing rows"))?
+                    .iter()
+                    .enumerate()
+                    .map(|(r, row)| {
+                        let cells = strings("row", row)?;
+                        if cells.len() != headers.len() {
+                            return Err(bad(&format!(
+                                "row {r} has {} cell(s) but the table has {} header(s)",
+                                cells.len(),
+                                headers.len()
+                            )));
+                        }
+                        Ok(cells)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(Block::Table(Table { headers, rows }))
+            }
+            Some(other) => Err(bad(&format!("unknown block kind {other:?}"))),
+            None => Err(bad("missing kind")),
+        }
     }
 }
 

@@ -9,10 +9,9 @@
 //! and pin that round trip, plus the strict parser's rejection of
 //! malformed documents.
 
-use compstat_core::diff::{ParsedBlock, ParsedReport};
 use compstat_core::json::Json;
 use compstat_core::report::{Report, Table};
-use compstat_core::{Block, Scale};
+use compstat_core::Scale;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -69,13 +68,8 @@ fn arb_metric(rng: &mut StdRng) -> f64 {
     }
 }
 
-fn leak(s: String) -> &'static str {
-    Box::leak(s.into_boxed_str())
-}
-
 /// Generates arbitrary [`Report`]s: random params, metrics, text
-/// blocks, and tables (leaked `&'static str` keys — test-only, bounded
-/// by the case count).
+/// blocks, and tables.
 #[derive(Clone, Copy, Debug)]
 struct ArbReport;
 
@@ -86,17 +80,17 @@ impl Strategy for ArbReport {
         let scale = *[Scale::Quick, Scale::Default, Scale::Full]
             .get(rng.gen_range(0usize..3))
             .unwrap();
-        let mut r = Report::new(leak(arb_string(rng, 8)), leak(arb_string(rng, 12)), scale);
+        let mut r = Report::new(arb_string(rng, 8), arb_string(rng, 12), scale);
         let mut keys: Vec<String> = Vec::new();
         for _ in 0..rng.gen_range(0usize..4) {
             let k = arb_key(rng, &keys);
-            r = r.param(leak(k.clone()), arb_string(rng, 10));
+            r = r.param(k.clone(), arb_string(rng, 10));
             keys.push(k);
         }
         let mut keys: Vec<String> = Vec::new();
         for _ in 0..rng.gen_range(0usize..4) {
             let k = arb_key(rng, &keys);
-            r.metric(leak(k.clone()), arb_metric(rng));
+            r.metric(k.clone(), arb_metric(rng));
             keys.push(k);
         }
         for _ in 0..rng.gen_range(0usize..4) {
@@ -142,41 +136,20 @@ proptest! {
         prop_assert_eq!(&first, &second);
     }
 
-    // Parsing back through [`ParsedReport`] preserves every field the
-    // differ compares: params, metrics, and table cells.
+    // Reading a report back into [`Report`] loses nothing the writer
+    // emits: `from_json → to_json` reproduces the exact bytes.
     #[test]
-    fn parsed_report_preserves_every_field(r in ArbReport) {
-        let p = ParsedReport::of(&r);
-        prop_assert_eq!(&p.name, r.name);
-        prop_assert_eq!(&p.title, r.title);
-        prop_assert_eq!(p.scale.as_str(), r.scale.as_str());
-        let expect_params: Vec<(String, String)> = r
-            .params
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        prop_assert_eq!(&p.params, &expect_params);
-        prop_assert_eq!(p.metrics.len(), r.metrics.len());
-        for ((pk, pv), (rk, rv)) in p.metrics.iter().zip(&r.metrics) {
-            prop_assert_eq!(pk.as_str(), *rk);
-            // The writer's shortest-round-trip formatting is value
-            // preserving under IEEE equality (the sign of -0.0 is NOT
-            // part of the contract: it serializes as "0").
-            prop_assert!(*pv == *rv, "metric {} changed: {} vs {}", rk, rv, pv);
-        }
-        prop_assert_eq!(p.blocks.len(), r.blocks.len());
-        for (pb, rb) in p.blocks.iter().zip(&r.blocks) {
-            match (pb, rb) {
-                (ParsedBlock::Text(s), Block::Text(t)) => prop_assert_eq!(s, t),
-                (ParsedBlock::Table { headers, rows }, Block::Table(t)) => {
-                    prop_assert_eq!(headers.as_slice(), t.headers());
-                    prop_assert_eq!(rows.as_slice(), t.rows());
-                }
-                (pb, rb) => {
-                    return Err(TestCaseError::fail(format!("block kind mismatch: {pb:?} vs {rb:?}")));
-                }
-            }
-        }
+    fn report_from_json_round_trip_is_byte_exact(r in ArbReport) {
+        let first = r.to_json_string();
+        let doc = match Json::parse(&first) {
+            Ok(d) => d,
+            Err(e) => return Err(TestCaseError::fail(format!("emitted JSON failed to parse: {e}\n{first}"))),
+        };
+        let back = match Report::from_json(&doc) {
+            Ok(back) => back,
+            Err(e) => return Err(TestCaseError::fail(format!("emitted report failed to load: {e}\n{first}"))),
+        };
+        prop_assert_eq!(&back.to_json_string(), &first);
     }
 
     // Strictness: the parser refuses any document with bytes after
@@ -240,7 +213,8 @@ fn non_finite_metrics_serialize_as_null_and_load_as_nan() {
     let mut again = doc.to_json_string();
     again.push('\n');
     assert_eq!(s, again);
-    // And the differ's loader maps it back to NaN.
-    let p = ParsedReport::of(&r);
-    assert!(p.metrics[0].1.is_nan());
+    // And the report reader maps it back to NaN.
+    let back = Report::parse(&s).unwrap();
+    assert!(back.metrics[0].1.is_nan());
+    assert_eq!(back.to_json_string(), s);
 }

@@ -53,11 +53,10 @@
 //!
 //! The runtime also carries the oracle-cache switch ([`CacheMode`]) so
 //! one value threads both knobs through the experiment engine. Plain
-//! constructors ([`Runtime::with_threads`], [`Runtime::serial`]) leave
-//! caching [`CacheMode::Off`]; [`Runtime::from_env`] honors the
-//! `COMPSTAT_CACHE` environment variable (`off`/`0`/`no` vs
-//! `on`/`1`/`rw`, default off at the library level — the `compstat` CLI
-//! defaults it on for `run`).
+//! constructors ([`Runtime::with_threads`], [`Runtime::serial`]) and
+//! [`Runtime::from_env`] leave caching [`CacheMode::Off`]; no
+//! environment variable switches it. The `compstat` CLI turns it on
+//! for `run` and `serve` unless `--no-cache` is passed.
 //!
 //! ## Panic propagation
 //!
@@ -293,34 +292,6 @@ pub enum CacheMode {
     ReadWrite,
 }
 
-impl CacheMode {
-    /// Resolves the mode from the `COMPSTAT_CACHE` environment
-    /// variable (case-insensitive): `off`/`0`/`no`/`false` force
-    /// [`CacheMode::Off`], `on`/`1`/`rw`/`true` force
-    /// [`CacheMode::ReadWrite`]; unset or empty yields `default`, and
-    /// any other value warns on stderr before yielding `default` —
-    /// a misspelled switch must never silently serve cached data the
-    /// user asked to recompute.
-    #[must_use]
-    pub fn from_env_or(default: CacheMode) -> CacheMode {
-        let Ok(raw) = std::env::var("COMPSTAT_CACHE") else {
-            return default;
-        };
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "" => default,
-            "off" | "0" | "no" | "false" => CacheMode::Off,
-            "on" | "1" | "rw" | "true" => CacheMode::ReadWrite,
-            _ => {
-                eprintln!(
-                    "compstat-runtime: warning: COMPSTAT_CACHE={raw:?} is not a recognized \
-                     mode (use on or off); using the default"
-                );
-                default
-            }
-        }
-    }
-}
-
 /// A rejected `COMPSTAT_THREADS` value (see [`Runtime::try_from_env`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ThreadsEnvError {
@@ -377,9 +348,9 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Builds a runtime from the `COMPSTAT_THREADS` and
-    /// `COMPSTAT_CACHE` environment variables, reporting a bad thread
-    /// count instead of guessing (see the crate docs).
+    /// Builds a runtime from the `COMPSTAT_THREADS` environment
+    /// variable, reporting a bad thread count instead of guessing (see
+    /// the crate docs). Caching starts [`CacheMode::Off`].
     ///
     /// # Errors
     ///
@@ -391,7 +362,7 @@ impl Runtime {
             Ok(raw) => parse_threads_env(&raw)?.unwrap_or(0),
             Err(_) => 0,
         };
-        Ok(Runtime::with_threads(threads).with_cache_mode(CacheMode::from_env_or(CacheMode::Off)))
+        Ok(Runtime::with_threads(threads))
     }
 
     /// Infallible [`Runtime::try_from_env`]: a bad `COMPSTAT_THREADS`
@@ -403,7 +374,7 @@ impl Runtime {
             Ok(rt) => rt,
             Err(e) => {
                 eprintln!("compstat-runtime: warning: {e}; falling back to all cores");
-                Runtime::with_threads(0).with_cache_mode(CacheMode::from_env_or(CacheMode::Off))
+                Runtime::with_threads(0)
             }
         }
     }

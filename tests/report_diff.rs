@@ -12,10 +12,8 @@
 //! cargo run --release -p compstat-cli -- run --all --scale quick --out goldens/quick
 //! ```
 
-use compstat_core::diff::{
-    diff_reports, diff_sets, load_report_dir, DiffClass, DiffStatus, ParsedReport, TolerancePolicy,
-};
-use compstat_core::Scale;
+use compstat_core::diff::{diff_reports, diff_sets, load_report_dir, DiffStatus};
+use compstat_core::{Report, Scale};
 use compstat_runtime::{CacheMode, Runtime};
 use std::path::Path;
 
@@ -27,11 +25,11 @@ fn goldens() -> &'static Path {
 fn fresh_quick_run_matches_the_golden_corpus() {
     let golden = load_report_dir(goldens()).expect("golden corpus loads");
     let rt = Runtime::from_env();
-    let fresh: Vec<ParsedReport> = compstat_bench::registry()
+    let fresh: Vec<Report> = compstat_bench::registry()
         .iter()
-        .map(|e| ParsedReport::of(&e.run(&rt, Scale::Quick)))
+        .map(|e| e.run(&rt, Scale::Quick))
         .collect();
-    let diff = diff_sets(&golden, &fresh, &TolerancePolicy::exact());
+    let diff = diff_sets(&golden, &fresh);
     assert_eq!(
         diff.status(),
         DiffStatus::Clean,
@@ -74,20 +72,20 @@ fn pre_hdr_experiments_are_byte_identical_on_a_cold_cache() {
     // then hold the 17 pre-HDR experiments to exact equality with the
     // committed goldens.
     let rt = Runtime::from_env().with_cache_mode(CacheMode::Off);
-    let golden: Vec<ParsedReport> = load_report_dir(goldens())
+    let golden: Vec<Report> = load_report_dir(goldens())
         .expect("golden corpus loads")
         .into_iter()
         .filter(|r| PRE_HDR_EXPERIMENTS.contains(&r.name.as_str()))
         .collect();
     assert_eq!(golden.len(), PRE_HDR_EXPERIMENTS.len());
-    let fresh: Vec<ParsedReport> = PRE_HDR_EXPERIMENTS
+    let fresh: Vec<Report> = PRE_HDR_EXPERIMENTS
         .iter()
         .map(|n| {
             let e = compstat_bench::find(n).expect("pre-HDR experiment is registered");
-            ParsedReport::of(&e.run(&rt, Scale::Quick))
+            e.run(&rt, Scale::Quick)
         })
         .collect();
-    let diff = diff_sets(&golden, &fresh, &TolerancePolicy::exact());
+    let diff = diff_sets(&golden, &fresh);
     assert_eq!(
         diff.status(),
         DiffStatus::Clean,
@@ -109,7 +107,12 @@ fn golden_index_lists_exactly_the_registry() {
         .collect();
     assert_eq!(names, registry);
     for r in &by_index {
-        assert_eq!(r.scale, "quick", "{} golden is not quick-scale", r.name);
+        assert_eq!(
+            r.scale,
+            Scale::Quick,
+            "{} golden is not quick-scale",
+            r.name
+        );
     }
 }
 
@@ -127,27 +130,25 @@ fn perturbing_a_golden_metric_is_caught_with_exact_location() {
     let (key, value) = victim.metrics[0].clone();
     victim.metrics[0].1 = value + value.abs().max(1.0) * 0.25;
 
-    let diff = diff_sets(&golden, &perturbed, &TolerancePolicy::exact());
+    let diff = diff_sets(&golden, &perturbed);
     assert_eq!(diff.status(), DiffStatus::Violations);
-    let violations: Vec<_> = diff
-        .changes
-        .iter()
-        .filter(|c| c.class == DiffClass::Violation)
-        .collect();
-    assert_eq!(violations.len(), 1, "{}", diff.render_text());
-    let c = violations[0];
+    assert_eq!(diff.changes.len(), 1, "{}", diff.render_text());
+    let c = &diff.changes[0];
     assert_eq!(c.experiment, name);
-    assert_eq!(c.key, key);
+    assert_eq!(c.location, format!("metric '{key}'"));
     assert!(c.rel.is_some() && c.abs.is_some(), "{c:?}");
 }
 
 #[test]
 fn every_golden_report_diffs_clean_against_itself() {
     // Reflexivity over the real corpus: no false positives from the
-    // differ on any committed report, table, or text block.
+    // differ on any committed report, table, or text block — and each
+    // report, read back, writes exactly its committed bytes.
     let golden = load_report_dir(goldens()).unwrap();
     for r in &golden {
-        let changes = diff_reports(r, r, &TolerancePolicy::exact());
+        let changes = diff_reports(r, r);
         assert!(changes.is_empty(), "{}: {changes:?}", r.name);
+        let bytes = std::fs::read_to_string(goldens().join(format!("{}.json", r.name))).unwrap();
+        assert_eq!(r.to_json_string(), bytes, "{} does not round-trip", r.name);
     }
 }
