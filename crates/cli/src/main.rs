@@ -196,7 +196,8 @@ OPTIONS (serve):
                     (default 1; replies are byte-identical for any N)
     --max-conns N   Connections queued/in-flight before new ones get
                     a busy frame (default 64)
-    --timeout-secs S  Per-connection read timeout (default 10)
+    --timeout-secs S  Idle time between frames, and the most time one
+                    frame may take (default 10)
     --no-cache      Score without the persistent oracle cache
     --send FILE     Send FILE's newline-delimited frames to --addr,
                     print one reply line each

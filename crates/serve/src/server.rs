@@ -1,5 +1,5 @@
 //! The std-TCP transport: a bounded accept queue feeding a hand-rolled
-//! worker pool, with per-connection read timeouts and max-frame-size
+//! worker pool, with per-connection timeouts and max-frame-size
 //! enforcement at the socket layer.
 //!
 //! Concurrency model: one accept thread pushes connections into a
@@ -7,6 +7,18 @@
 //! request/reply loops. When the queue is full the accept thread
 //! answers with a `busy` error frame and closes — clients are never
 //! left hanging on an unbounded backlog.
+//!
+//! Framing: each connection owns one buffered reader for its whole
+//! life, so a frame costs a syscall per buffer fill, not per byte, and
+//! bytes read ahead belong to the connection's next frame. The read
+//! timeout bounds two things: the idle time between frames, and the
+//! time one frame may take from its first byte. A frame that arrives
+//! within one buffer fill never reads the clock; only a frame that
+//! spans fills arms the deadline, so a client trickling one byte at a
+//! time cannot hold a worker past it. Oversized and timed-out
+//! connections get an error frame, then a half-close and a bounded
+//! drain of the unread input, so the peer reads the reply instead of a
+//! reset.
 
 #![cfg_attr(
     not(test),
@@ -20,14 +32,14 @@
     )
 )]
 
-use std::io::{BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use compstat_runtime::CacheMode;
 
@@ -44,8 +56,9 @@ pub struct ServerConfig {
     /// Connections queued or in flight before new ones are rejected
     /// with a `busy` frame.
     pub max_conns: usize,
-    /// How long a connection may sit idle (or mid-frame) before it is
-    /// answered with a `timeout` frame and closed.
+    /// How long a connection may sit idle between frames, and the most
+    /// time one frame may take from its first byte. Either limit is
+    /// answered with a `timeout` frame and a close.
     pub read_timeout: Duration,
     /// Untrusted-input bounds for every frame.
     pub limits: RequestLimits,
@@ -232,75 +245,132 @@ enum Frame {
     Eof,
     /// The line exceeded `max_frame` bytes before its newline.
     TooLong,
-    /// The read timed out (idle or mid-frame).
+    /// The connection sat idle past the timeout, or the frame was not
+    /// complete by its deadline.
     TimedOut,
     /// Any other I/O failure — treated as a dead peer.
     Dead,
 }
 
-/// Reads `\n`-terminated frames without buffering more than the frame
+/// A point in time that bounds a run of reads on one socket.
+struct Deadline(Instant);
+
+impl Deadline {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "transport deadline: bounds how long a peer may hold a worker; no reply byte depends on it"
+    )]
+    fn after(limit: Duration) -> Deadline {
+        Deadline(Instant::now() + limit)
+    }
+
+    /// Sets `conn`'s read timeout to the time left; `false` once the
+    /// deadline has passed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "transport deadline: bounds how long a peer may hold a worker; no reply byte depends on it"
+    )]
+    fn arm(&self, conn: &TcpStream) -> bool {
+        let left = self.0.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return false;
+        }
+        let _ = conn.set_read_timeout(Some(left));
+        true
+    }
+}
+
+/// Reads one `\n`-terminated frame without holding more than the frame
 /// limit: a peer streaming an endless line is cut off at
-/// `max_frame + 1` bytes, not held in memory indefinitely.
-fn read_frame(conn: &mut TcpStream, max_frame: usize) -> Frame {
+/// `max_frame + 1` bytes, not held in memory indefinitely. Bytes past
+/// the newline stay buffered for the next frame.
+///
+/// The socket's read timeout is the idle timeout. A frame not complete
+/// within one buffer fill gets a deadline `timeout` after that fill;
+/// the idle timeout is restored once the frame ends.
+fn read_frame(reader: &mut BufReader<TcpStream>, max_frame: usize, timeout: Duration) -> Frame {
     let mut line = Vec::new();
-    let mut byte = [0u8; 1];
-    loop {
-        match conn.read(&mut byte) {
-            Ok(0) => {
-                return if line.is_empty() {
-                    Frame::Eof
-                } else {
-                    Frame::Dead
-                };
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return match String::from_utf8(line) {
-                        Ok(s) => Frame::Line(s),
-                        Err(_) => Frame::Dead,
-                    };
-                }
-                line.push(byte[0]);
-                if line.len() > max_frame {
-                    return Frame::TooLong;
-                }
-            }
+    let mut deadline: Option<Deadline> = None;
+    let frame = loop {
+        if deadline.as_ref().is_some_and(|d| !d.arm(reader.get_ref())) {
+            break Frame::TimedOut;
+        }
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                return Frame::TimedOut;
+                break Frame::TimedOut;
             }
-            Err(_) => return Frame::Dead,
+            Err(_) => break Frame::Dead,
+        };
+        if buf.is_empty() {
+            break if line.is_empty() {
+                Frame::Eof
+            } else {
+                Frame::Dead
+            };
+        }
+        // `line` holds at most `max_frame` bytes here, so this scans no
+        // further than the first byte over the limit.
+        let take = buf.len().min((max_frame - line.len()).saturating_add(1));
+        if let Some(end) = buf[..take].iter().position(|&b| b == b'\n') {
+            line.extend_from_slice(&buf[..end]);
+            reader.consume(end + 1);
+            break match String::from_utf8(line) {
+                Ok(s) => Frame::Line(s),
+                Err(_) => Frame::Dead,
+            };
+        }
+        line.extend_from_slice(&buf[..take]);
+        reader.consume(take);
+        if line.len() > max_frame {
+            break Frame::TooLong;
+        }
+        if deadline.is_none() {
+            deadline = Some(Deadline::after(timeout));
+        }
+    };
+    if deadline.is_some() {
+        let _ = reader.get_ref().set_read_timeout(Some(timeout));
+    }
+    frame
+}
+
+/// Closes a connection whose input is mid-frame without a reset: shuts
+/// down the write half, so the peer reads the reply and then EOF, and
+/// discards what the peer still sends, up to `max_frame` bytes or
+/// `timeout`, whichever ends first. Closing a socket with unread input
+/// makes the kernel send a reset, which can destroy the reply before
+/// the peer reads it.
+fn drain_and_close(mut conn: TcpStream, max_frame: usize, timeout: Duration) {
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Deadline::after(timeout);
+    let mut left = max_frame;
+    let mut sink = [0u8; 4096];
+    while left > 0 && deadline.arm(&conn) {
+        let want = left.min(sink.len());
+        match conn.read(&mut sink[..want]) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left -= n,
         }
     }
 }
 
-fn handle_connection(
-    mut conn: TcpStream,
-    responder: &Responder,
-    timeout: Duration,
-    max_frame: usize,
-) {
+fn handle_connection(conn: TcpStream, responder: &Responder, timeout: Duration, max_frame: usize) {
     let _ = conn.set_read_timeout(Some(timeout));
     let _ = conn.set_nodelay(true);
     let Ok(write_half) = conn.try_clone() else {
         return;
     };
     let mut out = BufWriter::new(write_half);
+    let mut reader = BufReader::new(conn);
     loop {
-        let frame = {
-            // Byte-at-a-time reads go through the OS; a BufReader would
-            // be faster but must not outlive the frame (its lookahead
-            // would swallow the next frame's bytes). Request frames are
-            // one syscall-heavy path; correctness first, the bench
-            // still measures thousands of requests per second.
-            read_frame(&mut conn, max_frame)
-        };
         // Oversized and timed-out connections are answered then
         // closed: their stream position is mid-frame and cannot be
         // resynchronized safely.
-        let (reply, closing) = match frame {
+        let (reply, closing) = match read_frame(&mut reader, max_frame, timeout) {
             Frame::Line(line) => (responder.respond_line(&line), false),
             Frame::Eof | Frame::Dead => return,
             Frame::TooLong => (
@@ -322,6 +392,7 @@ fn handle_connection(
             return;
         }
         if closing {
+            drain_and_close(reader.into_inner(), max_frame, timeout);
             return;
         }
     }
@@ -330,7 +401,6 @@ fn handle_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
 
     fn test_config(name: &str) -> ServerConfig {
         let dir = std::env::temp_dir().join(format!(

@@ -279,3 +279,138 @@ fn hostile_frames_cannot_take_a_worker_down() {
     let reply = send_script(addr, std::slice::from_ref(&ping)).remove(0);
     assert!(reply.contains("\"ok\":true"), "{reply}");
 }
+
+/// Writes `bytes` in one `write_all`, half-closes, and reads every
+/// reply line until the server closes the connection.
+fn send_pipelined(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<String> {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client timeout");
+    conn.write_all(bytes).expect("send");
+    conn.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    BufReader::new(conn)
+        .lines()
+        .map(|line| line.expect("reply"))
+        .collect()
+}
+
+fn offline_twin(name: &str, limits: RequestLimits) -> Responder {
+    Responder::new(limits, 1, CacheMode::ReadWrite, Some(tmp_dir(name)))
+}
+
+/// A `ping` frame padded with JSON whitespace to exactly `len` bytes.
+fn padded_ping(len: usize) -> String {
+    let head = r#"{"schema":"compstat-serve/v1","id":"pad","verb":"ping""#;
+    format!("{head}{}}}", " ".repeat(len - head.len() - 1))
+}
+
+#[test]
+fn pipelined_frames_in_one_write_get_their_replies_in_order() {
+    let server = Server::spawn(config(tmp_dir("pipelined"), 1)).expect("spawn");
+    let frames = [
+        script()[0].clone(),
+        script()[1].clone(),
+        script()[4].clone(),
+    ];
+    let bytes: String = frames.iter().map(|f| format!("{f}\n")).collect();
+    let replies = send_pipelined(server.local_addr(), bytes.as_bytes());
+    let offline = offline_twin("pipelined-offline", RequestLimits::default());
+    let want: Vec<String> = frames.iter().map(|f| offline.respond_line(f)).collect();
+    assert_eq!(replies, want);
+}
+
+#[test]
+fn a_frame_spanning_several_buffer_fills_is_answered() {
+    let server = Server::spawn(config(tmp_dir("long-frame"), 1)).expect("spawn");
+    let symbols: Vec<&str> = (0..12_000).map(|i| ["0", "1"][i % 3 / 2]).collect();
+    let frame = format!(
+        r#"{{"schema":"compstat-serve/v1","id":"long","verb":"hmm/forward_batch","format":"binary64","prec":128,"model":{{"states":2,"symbols":2,"a":[0.7,0.3,0.4,0.6],"b":[0.9,0.1,0.2,0.8],"pi":[0.5,0.5]}},"sequences":[[{}]]}}"#,
+        symbols.join(",")
+    );
+    assert!(frame.len() >= 20 << 10, "{} bytes", frame.len());
+    let replies = send_script(server.local_addr(), std::slice::from_ref(&frame));
+    let offline = offline_twin("long-frame-offline", RequestLimits::default());
+    assert_eq!(replies, [offline.respond_line(&frame)]);
+    assert!(replies[0].contains(r#""ok":true"#), "{}", replies[0]);
+}
+
+#[test]
+fn the_frame_limit_is_exact() {
+    let limits = RequestLimits {
+        max_frame_bytes: 1024,
+        ..RequestLimits::default()
+    };
+    let mut cfg = config(tmp_dir("frame-limit"), 1);
+    cfg.limits = limits;
+    let server = Server::spawn(cfg).expect("spawn");
+    let (at, over) = (padded_ping(1024), padded_ping(1025));
+    assert_eq!((at.len(), over.len()), (1024, 1025));
+    let replies = send_pipelined(server.local_addr(), format!("{at}\n{over}\n").as_bytes());
+    let offline = offline_twin("frame-limit-offline", limits);
+    assert_eq!(
+        replies,
+        [
+            offline.respond_line(&at),
+            compstat_serve::proto::transport_error_frame(
+                compstat_serve::ErrorCode::TooLarge,
+                "frame exceeds 1024 bytes"
+            ),
+        ]
+    );
+    assert!(replies[0].contains(r#""ok":true"#), "{}", replies[0]);
+}
+
+#[test]
+fn a_slow_loris_is_cut_off_at_the_frame_deadline() {
+    let timeout = Duration::from_millis(500);
+    let mut cfg = config(tmp_dir("slow-loris"), 1);
+    cfg.read_timeout = timeout;
+    let server = Server::spawn(cfg).expect("spawn");
+    let addr = server.local_addr();
+
+    // One byte per quarter timeout: every read completes well inside
+    // the idle timeout, so only a whole-frame deadline stops the
+    // frame. 40 bytes bound the trickle to 5 s, so a server without
+    // the deadline fails this test quickly instead of hanging it.
+    let loris = TcpStream::connect(addr).expect("connect");
+    let mut trickle = loris.try_clone().expect("clone");
+    let trickler = std::thread::spawn(move || {
+        for &byte in br#"{"schema":"compstat-serve/v1","id":"slow","verb":"ping"}"#
+            .iter()
+            .take(40)
+        {
+            if trickle.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(timeout / 4);
+        }
+    });
+
+    // A well-behaved client. Connections are accepted and queued in
+    // connect order, so it waits behind the loris for the only worker.
+    let mut honest = TcpStream::connect(addr).expect("connect");
+    honest.write_all(script()[0].as_bytes()).expect("send");
+    honest.write_all(b"\n").expect("send newline");
+
+    // The loris gets a timeout frame at the deadline, plus slack.
+    loris
+        .set_read_timeout(Some(timeout * 4))
+        .expect("client timeout");
+    let mut reply = String::new();
+    BufReader::new(&loris)
+        .read_line(&mut reply)
+        .expect("the loris is answered within the frame deadline plus slack");
+    assert!(reply.contains(r#""code":"timeout""#), "{reply}");
+
+    // The honest client is then served within a bounded wait.
+    honest
+        .set_read_timeout(Some(timeout * 6))
+        .expect("client timeout");
+    let mut reply = String::new();
+    BufReader::new(&honest)
+        .read_line(&mut reply)
+        .expect("the queued client is served once the loris is cut off");
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+    trickler.join().expect("trickler");
+}
