@@ -1,9 +1,8 @@
 //! # compstat-bench
 //!
 //! The experiment harness behind the unified engine: one
-//! [`Experiment`](compstat_core::Experiment) implementation per
-//! table/figure of the paper (plus ablations), wired through
-//! [`registry()`], and the wall-clock suites in [`timing`]. The
+//! [`Experiment`] row per table/figure of the paper (plus ablations),
+//! listed by [`registry()`], and the wall-clock suites in [`timing`]. The
 //! `compstat` CLI runs the registry (`compstat run`, text or JSON
 //! reports) and the suites (`compstat bench`, the workspace's only
 //! timing path); unit tests run every experiment at a reduced scale.
@@ -19,5 +18,5 @@ pub mod registry;
 pub mod scale;
 pub mod timing;
 
-pub use registry::{find, registry};
+pub use registry::{find, registry, Experiment};
 pub use scale::Scale;

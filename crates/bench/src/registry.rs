@@ -1,164 +1,161 @@
 //! The experiment registry: every figure, table, and ablation of the
-//! paper's evaluation as a uniform [`Experiment`] catalog.
+//! paper's evaluation as one [`Experiment`] table.
 //!
 //! This is the single wiring point of the unified engine — the bench
 //! targets, the `compstat` CLI, and the differential test suites all
 //! resolve experiments here instead of hard-coding per-figure entry
-//! points. Adding a workload means adding one `entry!` line.
+//! points. Adding a workload means adding one row to the registry
+//! table.
+//!
+//! ## Contract
+//!
+//! * `run` is **deterministic**: for a fixed scale, the returned report
+//!   is byte-identical for every runtime thread count (the engine
+//!   inherits `compstat-runtime`'s parallel ≡ serial guarantee), and
+//!   contains no wall-clock or environment-dependent data.
+//! * `name` is a stable, filesystem-safe identifier (lowercase
+//!   alphanumerics and `-`), unique within the registry.
 
 use crate::experiments::*;
-use compstat_core::{Experiment, Report, Scale};
+use compstat_core::{Report, Scale};
 use compstat_runtime::{Runtime, Shard};
 
-macro_rules! entry {
-    ($strukt:ident, $name:expr, $title:expr, $run:expr) => {
-        #[doc = "Registry entry (see [`registry`])."]
-        pub struct $strukt;
-
-        impl Experiment for $strukt {
-            fn name(&self) -> &'static str {
-                $name
-            }
-            fn title(&self) -> &'static str {
-                $title
-            }
-            fn run(&self, rt: &Runtime, scale: Scale) -> Report {
-                let f: fn(Scale, &Runtime) -> Report = $run;
-                f(scale, rt)
-            }
-        }
-    };
+/// A runnable experiment of the paper's evaluation: a named unit of
+/// work that runs at any [`Scale`], on any [`Runtime`] thread budget,
+/// and returns a structured [`Report`].
+pub struct Experiment {
+    name: &'static str,
+    title: &'static str,
+    run: fn(Scale, &Runtime) -> Report,
 }
 
-entry!(
-    Fig01,
-    fig01_alpha::NAME,
-    fig01_alpha::TITLE,
-    fig01_alpha::report
-);
-entry!(Fig03, fig03_ops::NAME, fig03_ops::TITLE, fig03_ops::report);
-entry!(
-    Fig04,
-    model_tables::NAME_FIG4,
-    model_tables::TITLE_FIG4,
-    |s, _| { model_tables::fig4_report(s) }
-);
-entry!(
-    Fig05,
-    model_tables::NAME_FIG5,
-    model_tables::TITLE_FIG5,
-    |s, _| { model_tables::fig5_report(s) }
-);
-entry!(
-    Fig06,
-    fig06_forward::NAME,
-    fig06_forward::TITLE,
-    fig06_forward::report
-);
-entry!(
-    Fig07,
-    fig07_column::NAME_FIG7,
-    fig07_column::TITLE_FIG7,
-    fig07_column::fig7_report
-);
-entry!(
-    Fig08,
-    fig07_column::NAME_FIG8,
-    fig07_column::TITLE_FIG8,
-    fig07_column::fig8_report
-);
-entry!(
-    Fig09,
-    fig09_pvalues::NAME,
-    fig09_pvalues::TITLE,
-    fig09_pvalues::report
-);
-entry!(
-    Fig10,
-    fig10_vicar::NAME,
-    fig10_vicar::TITLE,
-    fig10_vicar::report
-);
-entry!(
-    Fig11,
-    fig11_lofreq::NAME,
-    fig11_lofreq::TITLE,
-    fig11_lofreq::report
-);
-entry!(
-    Tab01,
-    model_tables::NAME_TAB1,
-    model_tables::TITLE_TAB1,
-    |s, _| { model_tables::tab1_report(s) }
-);
-entry!(
-    Tab02,
-    model_tables::NAME_TAB2,
-    model_tables::TITLE_TAB2,
-    |s, _| { model_tables::tab2_report(s) }
-);
-entry!(
-    Tab03,
-    model_tables::NAME_TAB3,
-    model_tables::TITLE_TAB3,
-    |s, _| { model_tables::tab3_report(s) }
-);
-entry!(
-    Tab04,
-    model_tables::NAME_TAB4,
-    model_tables::TITLE_TAB4,
-    |s, _| { model_tables::tab4_report(s) }
-);
-entry!(
-    AblationEs,
-    ablations::NAME_ES,
-    ablations::TITLE_ES,
-    |s, _| { ablations::es_report(s) }
-);
-entry!(
-    AblationLse,
-    ablations::NAME_LSE,
-    ablations::TITLE_LSE,
-    |s, _| { ablations::lse_report(s) }
-);
-entry!(
-    AblationScaled,
-    ablations::NAME_SCALED,
-    ablations::TITLE_SCALED,
-    |s, _| { ablations::scaled_report(s) }
-);
-entry!(Hdr, hdr_format::NAME, hdr_format::TITLE, hdr_format::report);
+impl Experiment {
+    /// Stable registry identifier (e.g. `fig09`, `tab02`).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Human-readable title, as printed above the text report.
+    #[must_use]
+    pub fn title(&self) -> &'static str {
+        self.title
+    }
+
+    /// Runs the experiment at `scale`, dispatching parallel sweeps
+    /// through `rt`. See the [module docs](self) for the determinism
+    /// contract.
+    #[must_use]
+    pub fn run(&self, rt: &Runtime, scale: Scale) -> Report {
+        (self.run)(scale, rt)
+    }
+}
+
+/// The registry table behind [`registry`].
+static REGISTRY: [Experiment; 18] = [
+    Experiment {
+        name: fig01_alpha::NAME,
+        title: fig01_alpha::TITLE,
+        run: fig01_alpha::report,
+    },
+    Experiment {
+        name: fig03_ops::NAME,
+        title: fig03_ops::TITLE,
+        run: fig03_ops::report,
+    },
+    Experiment {
+        name: model_tables::NAME_FIG4,
+        title: model_tables::TITLE_FIG4,
+        run: |s, _| model_tables::fig4_report(s),
+    },
+    Experiment {
+        name: model_tables::NAME_FIG5,
+        title: model_tables::TITLE_FIG5,
+        run: |s, _| model_tables::fig5_report(s),
+    },
+    Experiment {
+        name: fig06_forward::NAME,
+        title: fig06_forward::TITLE,
+        run: fig06_forward::report,
+    },
+    Experiment {
+        name: fig07_column::NAME_FIG7,
+        title: fig07_column::TITLE_FIG7,
+        run: fig07_column::fig7_report,
+    },
+    Experiment {
+        name: fig07_column::NAME_FIG8,
+        title: fig07_column::TITLE_FIG8,
+        run: fig07_column::fig8_report,
+    },
+    Experiment {
+        name: fig09_pvalues::NAME,
+        title: fig09_pvalues::TITLE,
+        run: fig09_pvalues::report,
+    },
+    Experiment {
+        name: fig10_vicar::NAME,
+        title: fig10_vicar::TITLE,
+        run: fig10_vicar::report,
+    },
+    Experiment {
+        name: fig11_lofreq::NAME,
+        title: fig11_lofreq::TITLE,
+        run: fig11_lofreq::report,
+    },
+    Experiment {
+        name: model_tables::NAME_TAB1,
+        title: model_tables::TITLE_TAB1,
+        run: |s, _| model_tables::tab1_report(s),
+    },
+    Experiment {
+        name: model_tables::NAME_TAB2,
+        title: model_tables::TITLE_TAB2,
+        run: |s, _| model_tables::tab2_report(s),
+    },
+    Experiment {
+        name: model_tables::NAME_TAB3,
+        title: model_tables::TITLE_TAB3,
+        run: |s, _| model_tables::tab3_report(s),
+    },
+    Experiment {
+        name: model_tables::NAME_TAB4,
+        title: model_tables::TITLE_TAB4,
+        run: |s, _| model_tables::tab4_report(s),
+    },
+    Experiment {
+        name: ablations::NAME_ES,
+        title: ablations::TITLE_ES,
+        run: |s, _| ablations::es_report(s),
+    },
+    Experiment {
+        name: ablations::NAME_LSE,
+        title: ablations::TITLE_LSE,
+        run: |s, _| ablations::lse_report(s),
+    },
+    Experiment {
+        name: ablations::NAME_SCALED,
+        title: ablations::TITLE_SCALED,
+        run: |s, _| ablations::scaled_report(s),
+    },
+    Experiment {
+        name: hdr_format::NAME,
+        title: hdr_format::TITLE,
+        run: hdr_format::report,
+    },
+];
 
 /// Every registered experiment, in paper order (figures and tables
 /// first, ablations, then workspace-native format studies).
 #[must_use]
-pub fn registry() -> &'static [&'static dyn Experiment] {
-    &[
-        &Fig01,
-        &Fig03,
-        &Fig04,
-        &Fig05,
-        &Fig06,
-        &Fig07,
-        &Fig08,
-        &Fig09,
-        &Fig10,
-        &Fig11,
-        &Tab01,
-        &Tab02,
-        &Tab03,
-        &Tab04,
-        &AblationEs,
-        &AblationLse,
-        &AblationScaled,
-        &Hdr,
-    ]
+pub fn registry() -> &'static [Experiment] {
+    &REGISTRY
 }
 
 /// Looks up an experiment by registry name.
 #[must_use]
-pub fn find(name: &str) -> Option<&'static dyn Experiment> {
-    registry().iter().copied().find(|e| e.name() == name)
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.name == name)
 }
 
 /// The experiments `shard` owns, in registry order — shard K of N
@@ -167,9 +164,11 @@ pub fn find(name: &str) -> Option<&'static dyn Experiment> {
 /// [`registry`], disjointly, and `compstat merge` can reassemble
 /// registry order from the shard stamps alone.
 #[must_use]
-pub fn registry_shard(shard: Shard) -> Vec<&'static dyn Experiment> {
-    let all = registry();
-    shard.indices(all.len()).map(|i| all[i]).collect()
+pub fn registry_shard(shard: Shard) -> Vec<&'static Experiment> {
+    shard
+        .indices(REGISTRY.len())
+        .map(|i| &REGISTRY[i])
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Workload scaling for the experiment harness.
 //!
-//! [`Scale`] moved into `compstat-core` when the unified experiment
-//! engine landed (the [`compstat_core::Experiment`] trait needs it);
-//! this module re-exports it so `compstat_bench::Scale` keeps working.
+//! [`Scale`] lives in `compstat-core`, which reads it back from report
+//! documents; this module re-exports it so `compstat_bench::Scale`
+//! keeps working.
 
 pub use compstat_core::scale::Scale;

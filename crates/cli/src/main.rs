@@ -30,74 +30,179 @@
 //! and exits 0 (identical) or 2 (any difference); any usage or load
 //! error exits 3 so the two verdict codes stay unambiguous.
 //!
-//! Argument parsing is hand-rolled: the build environment has no
-//! registry access, so no `clap`.
+//! Every verb reads its command line through the one [`Args`] walker
+//! (the build environment has no registry access, so no `clap`) and
+//! ends through one exit path: it returns `Result<(), Exit>`, and
+//! [`main`] prints the [`Exit`] message and picks the exit code.
 
 use compstat_bench::registry::{find, registry, registry_shard};
 use compstat_bench::timing;
 use compstat_core::archive::{export_cache, import_cache};
 use compstat_core::bench_doc::BenchDoc;
 use compstat_core::cache;
-use compstat_core::diff::diff_dirs;
+use compstat_core::diff::{diff_dirs, DiffStatus};
 use compstat_core::json::Json;
 use compstat_core::merge::{merge_shard_dirs, parse_index, write_index, write_report, IndexEntry};
 use compstat_core::{Report, Scale, INDEX_SCHEMA, REPORT_SCHEMA};
-use compstat_runtime::{CacheMode, Runtime, Shard};
+use compstat_runtime::{CacheMode, Runtime, Shard, MAX_THREADS};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Outcome of a stdout write ([`emit`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Emit {
-    /// Written in full.
-    Ok,
-    /// The reader closed the pipe (`compstat list | head`): stop
-    /// writing and exit successfully — not an error, and `println!`
-    /// would have panicked here.
+/// Why a verb stopped before finishing its work; [`main`] prints the
+/// message once and picks the exit code.
+#[derive(Debug)]
+enum Exit {
+    /// A bad command line: exit 2.
+    Usage(String),
+    /// The work failed: exit 1.
+    Failed(String),
+    /// The reader closed stdout (`compstat list | head`): stop writing
+    /// and exit successfully — not an error, and `println!` would have
+    /// panicked here.
     Closed,
-    /// A real write failure (e.g. disk full behind a redirect): stop
-    /// and exit nonzero, the output is incomplete.
-    Failed,
+    /// `diff` found a difference: exit 2.
+    Differs,
 }
 
-/// Writes to stdout, distinguishing a closed pipe from a real failure.
-fn emit(text: &str) -> Emit {
-    use std::io::ErrorKind;
+fn usage(msg: impl Into<String>) -> Exit {
+    Exit::Usage(msg.into())
+}
+
+fn failed(msg: impl Into<String>) -> Exit {
+    Exit::Failed(msg.into())
+}
+
+/// Writes to stdout, telling a closed pipe ([`Exit::Closed`]) from a
+/// real failure such as a full disk behind a redirect.
+fn emit(text: &str) -> Result<(), Exit> {
     let mut out = std::io::stdout().lock();
     match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Ok(()) => Emit::Ok,
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => Emit::Closed,
-        Err(e) => {
-            eprintln!("compstat: cannot write to stdout: {e}");
-            Emit::Failed
-        }
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(Exit::Closed),
+        Err(e) => Err(failed(format!("cannot write to stdout: {e}"))),
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("merge") => cmd_merge(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("cache") => cmd_cache(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("help" | "--help" | "-h") | None => {
-            // Through emit(), not print!: `compstat help | head -1`
-            // must exit 0, not panic on the broken pipe.
-            match emit(USAGE) {
-                Emit::Failed => ExitCode::FAILURE,
-                _ => ExitCode::SUCCESS,
+    let verb = args.first().map_or("help", String::as_str);
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match verb {
+        "list" => cmd_list(rest),
+        "run" => cmd_run(rest),
+        "bench" => cmd_bench(rest),
+        "merge" => cmd_merge(rest),
+        "diff" => cmd_diff(rest),
+        "validate" => cmd_validate(rest),
+        "cache" => cmd_cache(rest),
+        "serve" => cmd_serve(rest),
+        // Through emit(), not print!: `compstat help | head -1` must
+        // exit 0, not panic on the broken pipe.
+        "help" | "--help" | "-h" => emit(USAGE),
+        other => {
+            eprint!("compstat: unknown command {other:?}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let (code, msg) = match result {
+        Ok(()) | Err(Exit::Closed) => return ExitCode::SUCCESS,
+        Err(Exit::Differs) => return ExitCode::from(2),
+        Err(Exit::Usage(msg)) => (2, msg),
+        Err(Exit::Failed(msg)) => (1, msg),
+    };
+    eprintln!("compstat {verb}: {msg}");
+    // `diff` keeps 0 and 2 for its verdict, so any trouble there is 3.
+    ExitCode::from(if verb == "diff" { 3 } else { code })
+}
+
+/// A verb's command line: the value of each flag given (the last one
+/// wins; a switch's value is empty) and the positional arguments.
+struct Args {
+    flags: BTreeMap<&'static str, String>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Walks `rest`: each of `switches` stands alone, each of `values`
+    /// takes the next argument, and any other argument starting with
+    /// `-` is an unknown flag.
+    fn parse(
+        rest: &[String],
+        switches: &[&'static str],
+        values: &[&'static str],
+    ) -> Result<Args, Exit> {
+        let mut args = Args {
+            flags: BTreeMap::new(),
+            positional: Vec::new(),
+        };
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            if let Some(&flag) = switches.iter().find(|&&f| f == arg) {
+                args.flags.insert(flag, String::new());
+            } else if let Some(&flag) = values.iter().find(|&&f| f == arg) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| usage(format!("{flag} needs a value")))?;
+                args.flags.insert(flag, value.clone());
+            } else if arg.starts_with('-') {
+                return Err(usage(format!("unknown flag {arg:?}")));
+            } else {
+                args.positional.push(arg.clone());
             }
         }
-        Some(other) => {
-            eprintln!("compstat: unknown command {other:?}\n");
-            eprint!("{USAGE}");
-            ExitCode::from(2)
+        Ok(args)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.contains_key(flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// `--scale`, [`Scale::Default`] when absent.
+    fn scale(&self) -> Result<Scale, Exit> {
+        match self.value("--scale") {
+            None => Ok(Scale::Default),
+            Some(v) => Scale::parse(v)
+                .ok_or_else(|| usage(format!("unknown scale {v:?} (quick|default|paper)"))),
+        }
+    }
+
+    /// A whole-number flag, refused above `cap`.
+    fn count(&self, flag: &str, cap: usize) -> Result<Option<usize>, Exit> {
+        let Some(v) = self.value(flag) else {
+            return Ok(None);
+        };
+        let n: usize = v
+            .parse()
+            .map_err(|_| usage(format!("{flag} needs a number, got {v:?}")))?;
+        if n > cap {
+            return Err(usage(format!("{flag} {n} exceeds the cap of {cap}")));
+        }
+        Ok(Some(n))
+    }
+
+    /// `--threads`, at most [`MAX_THREADS`]: the `COMPSTAT_THREADS`
+    /// cap, since a larger count is always a unit mix-up.
+    fn threads(&self) -> Result<Option<usize>, Exit> {
+        self.count("--threads", MAX_THREADS)
+    }
+
+    /// The runtime `--threads` asks for, else the one `COMPSTAT_THREADS`
+    /// asks for. Unlike library callers, which warn and fall back, the
+    /// CLI treats a bad `COMPSTAT_THREADS` as the usage error it is.
+    fn runtime(&self) -> Result<Runtime, Exit> {
+        match self.threads()? {
+            Some(n) => Ok(Runtime::with_threads(n)),
+            None => Runtime::try_from_env().map_err(|e| usage(e.to_string())),
         }
     }
 }
@@ -191,9 +296,11 @@ OPTIONS (serve):
     --addr H:P      Bind address (default 127.0.0.1:0 — a free port,
                     printed as `listening on H:P`). With --send: the
                     server to drive instead
-    --workers N     Connection-handling worker threads (default 4)
+    --workers N     Connection-handling worker threads (default 4,
+                    at most 4096)
     --threads N     Deterministic runtime threads per request
-                    (default 1; replies are byte-identical for any N)
+                    (default 1, at most 4096; replies are
+                    byte-identical for any N)
     --max-conns N   Connections queued/in-flight before new ones get
                     a busy frame (default 64)
     --timeout-secs S  Idle time between frames, and the most time one
@@ -205,146 +312,69 @@ OPTIONS (serve):
                     baseline `--send` output is diffed against in CI
 ";
 
-fn cmd_list(rest: &[String]) -> ExitCode {
-    if !rest.is_empty() {
-        eprintln!("compstat list takes no arguments");
-        return ExitCode::from(2);
+fn cmd_list(rest: &[String]) -> Result<(), Exit> {
+    if !Args::parse(rest, &[], &[])?.positional.is_empty() {
+        return Err(usage("takes no arguments"));
     }
     let width = registry().iter().map(|e| e.name().len()).max().unwrap_or(0);
     for e in registry() {
-        match emit(&format!("{:width$}  {}\n", e.name(), e.title())) {
-            Emit::Ok => {}
-            Emit::Closed => break,
-            Emit::Failed => return ExitCode::FAILURE,
-        }
+        emit(&format!("{:width$}  {}\n", e.name(), e.title()))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct RunArgs {
-    names: Vec<String>,
-    all: bool,
-    scale: Scale,
-    threads: Option<usize>,
-    out: Option<PathBuf>,
-    no_cache: bool,
-    shard: Option<Shard>,
-}
-
-fn parse_run_args(rest: &[String]) -> Result<RunArgs, String> {
-    let mut parsed = RunArgs {
-        names: Vec::new(),
-        all: false,
-        scale: Scale::Default,
-        threads: None,
-        out: None,
-        no_cache: false,
-        shard: None,
-    };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--all" => parsed.all = true,
-            "--no-cache" => parsed.no_cache = true,
-            "--scale" => {
-                let v = value_of("--scale")?;
-                parsed.scale = Scale::parse(&v)
-                    .ok_or_else(|| format!("unknown scale {v:?} (quick|default|paper)"))?;
-            }
-            "--threads" => {
-                let v = value_of("--threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads needs a number, got {v:?}"))?;
-                // Same cap as COMPSTAT_THREADS: a count this large is
-                // always a unit mix-up, not a real thread budget.
-                if n > compstat_runtime::MAX_THREADS {
-                    return Err(format!(
-                        "--threads {n} exceeds the {}-thread cap",
-                        compstat_runtime::MAX_THREADS
-                    ));
-                }
-                parsed.threads = Some(n);
-            }
-            "--out" => parsed.out = Some(PathBuf::from(value_of("--out")?)),
-            "--shard" => {
-                let v = value_of("--shard")?;
-                // Same contract as the COMPSTAT_THREADS misparse
-                // handling: a bad value is a usage error naming it.
-                parsed.shard = Some(Shard::parse(&v).map_err(|e| e.to_string())?);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            name => parsed.names.push(name.to_string()),
-        }
+fn cmd_run(rest: &[String]) -> Result<(), Exit> {
+    let args = Args::parse(
+        rest,
+        &["--all", "--no-cache"],
+        &["--scale", "--threads", "--out", "--shard"],
+    )?;
+    let all = args.has("--all");
+    let names = &args.positional;
+    let scale = args.scale()?;
+    let out = args.path("--out");
+    // Same contract as the COMPSTAT_THREADS misparse handling: a bad
+    // value is a usage error naming it.
+    let shard = args
+        .value("--shard")
+        .map(Shard::parse)
+        .transpose()
+        .map_err(|e| usage(e.to_string()))?;
+    if all && !names.is_empty() {
+        return Err(usage("pass either experiment names or --all, not both"));
     }
-    if parsed.all && !parsed.names.is_empty() {
-        return Err("pass either experiment names or --all, not both".into());
+    if shard.is_some() && !names.is_empty() {
+        return Err(usage(
+            "--shard partitions the whole registry deterministically; \
+             pass --all, not experiment names",
+        ));
     }
-    if parsed.shard.is_some() && !parsed.names.is_empty() {
-        return Err("--shard partitions the whole registry deterministically; \
-             pass --all, not experiment names"
-            .into());
+    if !all && names.is_empty() {
+        return Err(usage("nothing to run: pass experiment names or --all"));
     }
-    if !parsed.all && parsed.names.is_empty() {
-        return Err("nothing to run: pass experiment names or --all".into());
-    }
-    Ok(parsed)
-}
-
-fn cmd_run(rest: &[String]) -> ExitCode {
-    let parsed = match parse_run_args(rest) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("compstat run: {msg}");
-            return ExitCode::from(2);
-        }
+    let experiments = match shard {
+        Some(shard) => registry_shard(shard),
+        None if all => registry().iter().collect(),
+        None => names
+            .iter()
+            .map(|name| {
+                find(name).ok_or_else(|| {
+                    usage(format!("unknown experiment {name:?} (see `compstat list`)"))
+                })
+            })
+            .collect::<Result<Vec<_>, Exit>>()?,
     };
 
-    let experiments: Vec<&dyn compstat_core::Experiment> = if let Some(shard) = parsed.shard {
-        registry_shard(shard)
-    } else if parsed.all {
-        registry().to_vec()
-    } else {
-        let mut selected = Vec::new();
-        for name in &parsed.names {
-            match find(name) {
-                Some(e) => selected.push(e),
-                None => {
-                    eprintln!("compstat run: unknown experiment {name:?} (see `compstat list`)");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        selected
-    };
-
-    let rt = match parsed.threads {
-        Some(n) => Runtime::with_threads(n),
-        // Unlike library callers (which warn and fall back), the CLI
-        // treats a bad COMPSTAT_THREADS as the usage error it is.
-        None => match Runtime::try_from_env() {
-            Ok(rt) => rt,
-            Err(e) => {
-                eprintln!("compstat run: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
     // `compstat run` caches oracle sweeps by default; `--no-cache`
     // forces recomputation. Reports are byte-identical either way —
     // that is the gate CI enforces.
-    let cache_mode = if parsed.no_cache {
+    let cache_mode = if args.has("--no-cache") {
         CacheMode::Off
     } else {
         CacheMode::ReadWrite
     };
-    let mut rt = rt.with_cache_mode(cache_mode);
-    if let Some(shard) = parsed.shard {
+    let mut rt = args.runtime()?.with_cache_mode(cache_mode);
+    if let Some(shard) = shard {
         // The runtime carries the shard so the big oracle sweeps split
         // their work items (and cache entries) the same N ways.
         rt = rt.with_shard(shard);
@@ -352,57 +382,42 @@ fn cmd_run(rest: &[String]) -> ExitCode {
     let rt = rt;
     let stats_before = cache::global_stats();
 
-    if let Some(dir) = &parsed.out {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("compstat run: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+    if let Some(dir) = &out {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| failed(format!("cannot create {}: {e}", dir.display())))?;
     }
 
     let mut entries: Vec<IndexEntry> = Vec::new();
     for e in &experiments {
         eprintln!("running {} ({} threads)...", e.name(), rt.threads());
-        let report = e.run(&rt, parsed.scale);
-        match &parsed.out {
-            Some(dir) => match write_report(dir, &report) {
-                Ok(entry) => {
-                    eprintln!("wrote {}", dir.join(&entry.file).display());
-                    entries.push(entry);
-                }
-                Err(err) => {
-                    eprintln!("compstat run: {err}");
-                    return ExitCode::FAILURE;
-                }
-            },
+        let report = e.run(&rt, scale);
+        match &out {
+            Some(dir) => {
+                let entry = write_report(dir, &report).map_err(|err| failed(err.to_string()))?;
+                eprintln!("wrote {}", dir.join(&entry.file).display());
+                entries.push(entry);
+            }
             None => {
                 let banner = "=".repeat(64);
-                match emit(&format!(
+                emit(&format!(
                     "\n{banner}\n{}\n{banner}\n{}\n",
                     e.title(),
                     report.render_text()
-                )) {
-                    Emit::Ok => {}
-                    Emit::Closed => return ExitCode::SUCCESS,
-                    Emit::Failed => return ExitCode::FAILURE,
-                }
+                ))?;
             }
         }
     }
 
-    if let Some(dir) = &parsed.out {
+    if let Some(dir) = &out {
         // The index goes last: its presence marks a complete directory.
-        match write_index(dir, parsed.scale.as_str(), parsed.shard, &entries) {
-            Ok(path) => eprintln!(
-                "wrote {} ({} report{})",
-                path.display(),
-                entries.len(),
-                if entries.len() == 1 { "" } else { "s" }
-            ),
-            Err(err) => {
-                eprintln!("compstat run: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let path = write_index(dir, scale.as_str(), shard, &entries)
+            .map_err(|err| failed(err.to_string()))?;
+        eprintln!(
+            "wrote {} ({} report{})",
+            path.display(),
+            entries.len(),
+            if entries.len() == 1 { "" } else { "s" }
+        );
     }
 
     if cache_mode != CacheMode::Off {
@@ -433,523 +448,166 @@ fn cmd_run(rest: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct BenchArgs {
-    scale: Scale,
-    threads: Option<usize>,
-    out: Option<PathBuf>,
-}
-
-fn parse_bench_args(rest: &[String]) -> Result<BenchArgs, String> {
-    let mut parsed = BenchArgs {
-        scale: Scale::Default,
-        threads: None,
-        out: None,
-    };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--quick" => parsed.scale = Scale::Quick,
-            "--scale" => {
-                let v = value_of("--scale")?;
-                parsed.scale = Scale::parse(&v)
-                    .ok_or_else(|| format!("unknown scale {v:?} (quick|default|paper)"))?;
-            }
-            "--threads" => {
-                let v = value_of("--threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads needs a number, got {v:?}"))?;
-                if n > compstat_runtime::MAX_THREADS {
-                    return Err(format!(
-                        "--threads {n} exceeds the {}-thread cap",
-                        compstat_runtime::MAX_THREADS
-                    ));
-                }
-                parsed.threads = Some(n);
-            }
-            "--out" => parsed.out = Some(PathBuf::from(value_of("--out")?)),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            other => {
-                return Err(format!(
-                    "bench takes no positional arguments, got {other:?}"
-                ))
-            }
-        }
+fn cmd_bench(rest: &[String]) -> Result<(), Exit> {
+    let args = Args::parse(rest, &["--quick"], &["--scale", "--threads", "--out"])?;
+    if let Some(other) = args.positional.first() {
+        return Err(usage(format!(
+            "takes no positional arguments, got {other:?}"
+        )));
     }
-    Ok(parsed)
-}
-
-fn cmd_bench(rest: &[String]) -> ExitCode {
-    let parsed = match parse_bench_args(rest) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("compstat bench: {msg}");
-            return ExitCode::from(2);
-        }
+    let scale = if args.has("--quick") {
+        Scale::Quick
+    } else {
+        args.scale()?
     };
-    if let Some(dir) = &parsed.out {
+    let rt = args.runtime()?;
+    let out = args.path("--out");
+    if let Some(dir) = &out {
         // The diff gate loads every .json under a report directory (one
         // holding an `index.json`); wall-clock documents there would
         // break the byte-stability contract, so refuse before any timing.
         if dir.join("index.json").exists() {
-            eprintln!(
-                "compstat bench: {} holds an index.json (a report directory); \
+            return Err(usage(format!(
+                "{} holds an index.json (a report directory); \
                  refusing to write non-deterministic bench documents there",
                 dir.display()
-            );
-            return ExitCode::from(2);
+            )));
         }
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("compstat bench: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| failed(format!("cannot create {}: {e}", dir.display())))?;
     }
-    let rt = match parsed.threads {
-        Some(n) => Runtime::with_threads(n),
-        None => match Runtime::try_from_env() {
-            Ok(rt) => rt,
-            Err(e) => {
-                eprintln!("compstat bench: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
 
-    eprintln!(
-        "timing bigfloat kernels at scale {}...",
-        parsed.scale.as_str()
-    );
-    let bigfloat = timing::bigfloat_suite(parsed.scale);
+    eprintln!("timing bigfloat kernels at scale {}...", scale.as_str());
+    let bigfloat = timing::bigfloat_suite(scale);
     eprintln!(
         "timing the hdr tier vs the 256-bit path at scale {} ({} threads, cache off)...",
-        parsed.scale.as_str(),
+        scale.as_str(),
         rt.threads()
     );
-    let hdr = timing::hdr_suite(parsed.scale, &rt);
+    let hdr = timing::hdr_suite(scale, &rt);
     eprintln!(
         "timing oracle passes at scale {} ({} threads, cache off)...",
-        parsed.scale.as_str(),
+        scale.as_str(),
         rt.threads()
     );
-    let oracle = timing::oracle_suite(parsed.scale, &rt);
+    let oracle = timing::oracle_suite(scale, &rt);
     eprintln!(
         "timing the number formats at scale {} ({} threads)...",
-        parsed.scale.as_str(),
+        scale.as_str(),
         rt.threads()
     );
-    let formats = timing::formats_suite(parsed.scale, &rt);
+    let formats = timing::formats_suite(scale, &rt);
 
     for doc in [&bigfloat, &hdr, &oracle, &formats] {
-        match emit(&format!("\n{}", doc.render_text())) {
-            Emit::Ok => {}
-            Emit::Closed => return ExitCode::SUCCESS,
-            Emit::Failed => return ExitCode::FAILURE,
-        }
-        if let Some(dir) = &parsed.out {
+        emit(&format!("\n{}", doc.render_text()))?;
+        if let Some(dir) = &out {
             let path = dir.join(format!("bench-{}.json", doc.suite));
-            if let Err(e) = cache::write_atomic(&path, doc.to_json_string().as_bytes()) {
-                eprintln!("compstat bench: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            cache::write_atomic(&path, doc.to_json_string().as_bytes())
+                .map_err(|e| failed(format!("cannot write {}: {e}", path.display())))?;
             eprintln!("wrote {}", path.display());
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct MergeArgs {
-    dirs: Vec<PathBuf>,
-    out: PathBuf,
-}
-
-fn parse_merge_args(rest: &[String]) -> Result<MergeArgs, String> {
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut out: Option<PathBuf> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return Err("--out needs a directory".into()),
-            },
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            dir => dirs.push(PathBuf::from(dir)),
-        }
+fn cmd_merge(rest: &[String]) -> Result<(), Exit> {
+    let args = Args::parse(rest, &[], &["--out"])?;
+    if args.positional.is_empty() {
+        return Err(usage("pass at least one shard report directory"));
     }
-    if dirs.is_empty() {
-        return Err("pass at least one shard report directory".into());
-    }
-    let Some(out) = out else {
-        return Err("--out DIR is required (merge never writes in place)".into());
+    let Some(out) = args.path("--out") else {
+        return Err(usage("--out DIR is required (merge never writes in place)"));
     };
-    Ok(MergeArgs { dirs, out })
+    let dirs: Vec<PathBuf> = args.positional.iter().map(PathBuf::from).collect();
+    let summary = merge_shard_dirs(&dirs, &out).map_err(|e| failed(e.to_string()))?;
+    emit(&format!(
+        "merged {} shard(s), {} experiment(s) at scale {} into {}\n",
+        summary.shards,
+        summary.experiments,
+        summary.scale,
+        out.display()
+    ))
 }
 
-fn cmd_merge(rest: &[String]) -> ExitCode {
-    let parsed = match parse_merge_args(rest) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("compstat merge: {msg}");
-            return ExitCode::from(2);
-        }
+fn cmd_diff(rest: &[String]) -> Result<(), Exit> {
+    let args = Args::parse(rest, &["--json"], &[])?;
+    let [baseline, new] = args.positional.as_slice() else {
+        return Err(usage(
+            "pass exactly two report directories: <baseline-dir> <new-dir>",
+        ));
     };
-    match merge_shard_dirs(&parsed.dirs, &parsed.out) {
-        Ok(summary) => {
-            match emit(&format!(
-                "merged {} shard(s), {} experiment(s) at scale {} into {}\n",
-                summary.shards,
-                summary.experiments,
-                summary.scale,
-                parsed.out.display()
-            )) {
-                Emit::Failed => ExitCode::FAILURE,
-                _ => ExitCode::SUCCESS,
-            }
-        }
-        Err(e) => {
-            eprintln!("compstat merge: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-struct DiffArgs {
-    baseline: PathBuf,
-    new: PathBuf,
-    json: bool,
-}
-
-fn parse_diff_args(rest: &[String]) -> Result<DiffArgs, String> {
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut json = false;
-    for arg in rest {
-        match arg.as_str() {
-            "--json" => json = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            dir => dirs.push(PathBuf::from(dir)),
-        }
-    }
-    match <[PathBuf; 2]>::try_from(dirs) {
-        Ok([baseline, new]) => Ok(DiffArgs {
-            baseline,
-            new,
-            json,
-        }),
-        Err(_) => Err("pass exactly two report directories: <baseline-dir> <new-dir>".into()),
-    }
-}
-
-/// Exit code for `diff` usage and load errors, distinct from the
-/// 0/2 verdict codes.
-const DIFF_TROUBLE: u8 = 3;
-
-fn cmd_diff(rest: &[String]) -> ExitCode {
-    let parsed = match parse_diff_args(rest) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("compstat diff: {msg}");
-            return ExitCode::from(DIFF_TROUBLE);
-        }
-    };
-    let report = match diff_dirs(&parsed.baseline, &parsed.new) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("compstat diff: {e}");
-            return ExitCode::from(DIFF_TROUBLE);
-        }
-    };
-    let rendered = if parsed.json {
+    let report =
+        diff_dirs(Path::new(baseline), Path::new(new)).map_err(|e| failed(e.to_string()))?;
+    let rendered = if args.has("--json") {
         report.to_json_string()
     } else {
         report.render_text()
     };
-    if emit(&rendered) == Emit::Failed {
-        return ExitCode::from(DIFF_TROUBLE);
+    // The verdict stands even when nobody reads the rendering.
+    match emit(&rendered) {
+        Ok(()) | Err(Exit::Closed) => {}
+        Err(e) => return Err(e),
     }
-    ExitCode::from(report.status().exit_code())
+    match report.status() {
+        DiffStatus::Clean => Ok(()),
+        DiffStatus::Violations => Err(Exit::Differs),
+    }
 }
 
-fn cmd_cache(rest: &[String]) -> ExitCode {
-    match rest {
+fn cmd_cache(rest: &[String]) -> Result<(), Exit> {
+    match Args::parse(rest, &[], &[])?.positional.as_slice() {
         [action] if action == "stats" => cmd_cache_stats(),
         [action] if action == "clear" => cmd_cache_clear(),
         [action, file] if action == "export" => cmd_cache_export(Path::new(file)),
         [action, file] if action == "import" => cmd_cache_import(Path::new(file)),
-        _ => {
-            eprintln!("compstat cache: pass `stats`, `clear`, `export <tar>`, or `import <tar>`");
-            ExitCode::from(2)
-        }
+        _ => Err(usage(
+            "pass `stats`, `clear`, `export <tar>`, or `import <tar>`",
+        )),
     }
 }
 
-fn cmd_cache_export(file: &Path) -> ExitCode {
+fn cmd_cache_export(file: &Path) -> Result<(), Exit> {
     let dir = cache::default_dir();
-    let (bytes, count) = match export_cache(&dir) {
-        Ok(packed) => packed,
-        Err(e) => {
-            eprintln!("compstat cache: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = cache::write_atomic(file, &bytes) {
-        eprintln!("compstat cache: cannot write {}: {e}", file.display());
-        return ExitCode::FAILURE;
-    }
-    match emit(&format!(
+    let (bytes, count) = export_cache(&dir).map_err(|e| failed(e.to_string()))?;
+    cache::write_atomic(file, &bytes)
+        .map_err(|e| failed(format!("cannot write {}: {e}", file.display())))?;
+    emit(&format!(
         "exported {count} entr{} from {} to {} ({} bytes)\n",
         if count == 1 { "y" } else { "ies" },
         dir.display(),
         file.display(),
         bytes.len()
-    )) {
-        Emit::Failed => ExitCode::FAILURE,
-        _ => ExitCode::SUCCESS,
-    }
+    ))
 }
 
-fn cmd_cache_import(file: &Path) -> ExitCode {
-    let bytes = match std::fs::read(file) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("compstat cache: cannot read {}: {e}", file.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_cache_import(file: &Path) -> Result<(), Exit> {
+    let bytes =
+        std::fs::read(file).map_err(|e| failed(format!("cannot read {}: {e}", file.display())))?;
     let dir = cache::default_dir();
-    match import_cache(&dir, &bytes) {
-        Ok(summary) => {
-            match emit(&format!(
-                "imported {} entr{} into {} ({} new, {} already present)\n",
-                summary.total(),
-                if summary.total() == 1 { "y" } else { "ies" },
-                dir.display(),
-                summary.added,
-                summary.existing
-            )) {
-                Emit::Failed => ExitCode::FAILURE,
-                _ => ExitCode::SUCCESS,
-            }
-        }
-        Err(e) => {
-            eprintln!("compstat cache: {}: {e}", file.display());
-            ExitCode::FAILURE
-        }
-    }
+    let summary =
+        import_cache(&dir, &bytes).map_err(|e| failed(format!("{}: {e}", file.display())))?;
+    emit(&format!(
+        "imported {} entr{} into {} ({} new, {} already present)\n",
+        summary.total(),
+        if summary.total() == 1 { "y" } else { "ies" },
+        dir.display(),
+        summary.added,
+        summary.existing
+    ))
 }
 
-// ---------------------------------------------------------------------
-// serve
-// ---------------------------------------------------------------------
-
-struct ServeArgs {
-    addr: Option<String>,
-    workers: usize,
-    threads: usize,
-    max_conns: usize,
-    timeout_secs: u64,
-    no_cache: bool,
-    send: Option<PathBuf>,
-    offline: Option<PathBuf>,
-}
-
-fn parse_serve_args(rest: &[String]) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        addr: None,
-        workers: 4,
-        threads: 1,
-        max_conns: 64,
-        timeout_secs: 10,
-        no_cache: false,
-        send: None,
-        offline: None,
-    };
-    let mut it = rest.iter();
-    let value = |flag: &str, v: Option<&String>| -> Result<String, String> {
-        v.cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let number = |flag: &str, v: Option<&String>| -> Result<usize, String> {
-        value(flag, v)?
-            .parse::<usize>()
-            .map_err(|_| format!("{flag} needs a number"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => args.addr = Some(value("--addr", it.next())?),
-            "--workers" => args.workers = number("--workers", it.next())?.max(1),
-            "--threads" => args.threads = number("--threads", it.next())?.max(1),
-            "--max-conns" => args.max_conns = number("--max-conns", it.next())?.max(1),
-            "--timeout-secs" => {
-                args.timeout_secs = number("--timeout-secs", it.next())?.max(1) as u64;
-            }
-            "--no-cache" => args.no_cache = true,
-            "--send" => args.send = Some(PathBuf::from(value("--send", it.next())?)),
-            "--offline" => args.offline = Some(PathBuf::from(value("--offline", it.next())?)),
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    if args.send.is_some() && args.offline.is_some() {
-        return Err("--send and --offline are mutually exclusive".into());
-    }
-    if args.send.is_some() && args.addr.is_none() {
-        return Err("--send needs --addr pointing at a live server".into());
-    }
-    Ok(args)
-}
-
-fn serve_config(args: &ServeArgs) -> compstat_serve::ServerConfig {
-    compstat_serve::ServerConfig {
-        addr: args.addr.clone().unwrap_or_else(|| "127.0.0.1:0".into()),
-        workers: args.workers,
-        max_conns: args.max_conns,
-        read_timeout: std::time::Duration::from_secs(args.timeout_secs),
-        limits: compstat_serve::RequestLimits::default(),
-        cache_mode: if args.no_cache {
-            CacheMode::Off
-        } else {
-            CacheMode::ReadWrite
-        },
-        cache_dir: None,
-        threads: args.threads,
-    }
-}
-
-fn cmd_serve(rest: &[String]) -> ExitCode {
-    let args = match parse_serve_args(rest) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("compstat serve: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(file) = &args.offline {
-        return serve_offline(file, &args);
-    }
-    if let Some(file) = &args.send {
-        return serve_send(file, args.addr.as_deref().expect("validated"));
-    }
-    // Foreground server: print the resolved address (port 0 binds a
-    // free port), then serve until killed.
-    let server = match compstat_serve::Server::spawn(serve_config(&args)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("compstat serve: cannot bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if emit(&format!("listening on {}\n", server.local_addr())) == Emit::Failed {
-        return ExitCode::FAILURE;
-    }
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
-    }
-}
-
-/// Reads the newline-delimited request frames of a script file,
-/// skipping blank lines.
-fn read_frames(file: &Path) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(file)
-        .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-    Ok(text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(str::to_string)
-        .collect())
-}
-
-fn serve_offline(file: &Path, args: &ServeArgs) -> ExitCode {
-    let frames = match read_frames(file) {
-        Ok(f) => f,
-        Err(msg) => {
-            eprintln!("compstat serve: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cfg = serve_config(args);
-    let responder = compstat_serve::Responder::new(cfg.limits, args.threads, cfg.cache_mode, None);
-    for frame in &frames {
-        match emit(&format!("{}\n", responder.respond_line(frame))) {
-            Emit::Ok => {}
-            Emit::Closed => return ExitCode::SUCCESS,
-            Emit::Failed => return ExitCode::FAILURE,
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn serve_send(file: &Path, addr: &str) -> ExitCode {
-    use std::io::{BufRead as _, BufReader};
-    let frames = match read_frames(file) {
-        Ok(f) => f,
-        Err(msg) => {
-            eprintln!("compstat serve: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut conn = match std::net::TcpStream::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("compstat serve: cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let read_half = match conn.try_clone() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("compstat serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut reader = BufReader::new(read_half);
-    for frame in &frames {
-        if let Err(e) = conn
-            .write_all(frame.as_bytes())
-            .and_then(|()| conn.write_all(b"\n"))
-        {
-            eprintln!("compstat serve: send failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        let mut reply = String::new();
-        match reader.read_line(&mut reply) {
-            Ok(n) if n > 0 => {}
-            _ => {
-                eprintln!("compstat serve: server closed the connection mid-script");
-                return ExitCode::FAILURE;
-            }
-        }
-        match emit(&reply) {
-            Emit::Ok => {}
-            Emit::Closed => return ExitCode::SUCCESS,
-            Emit::Failed => return ExitCode::FAILURE,
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_cache_stats() -> ExitCode {
+fn cmd_cache_stats() -> Result<(), Exit> {
     let dir = cache::default_dir();
     let mut text = format!("cache directory: {}\n", dir.display());
     if !dir.is_dir() {
         text.push_str("entries: 0 (directory does not exist yet)\n");
-        return match emit(&text) {
-            Emit::Failed => ExitCode::FAILURE,
-            _ => ExitCode::SUCCESS,
-        };
+        return emit(&text);
     }
-    let entries = match cache::entry_paths(&dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("compstat cache: cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let entries = cache::entry_paths(&dir)
+        .map_err(|e| failed(format!("cannot read {}: {e}", dir.display())))?;
     let bytes: u64 = entries
         .iter()
         .filter_map(|p| std::fs::metadata(p).ok())
@@ -963,27 +621,16 @@ fn cmd_cache_stats() -> ExitCode {
         )),
         None => text.push_str("no run statistics recorded yet\n"),
     }
-    match emit(&text) {
-        Emit::Failed => ExitCode::FAILURE,
-        _ => ExitCode::SUCCESS,
-    }
+    emit(&text)
 }
 
-fn cmd_cache_clear() -> ExitCode {
+fn cmd_cache_clear() -> Result<(), Exit> {
     let dir = cache::default_dir();
     if !dir.is_dir() {
-        return match emit("cache is already empty\n") {
-            Emit::Failed => ExitCode::FAILURE,
-            _ => ExitCode::SUCCESS,
-        };
+        return emit("cache is already empty\n");
     }
-    let entries = match cache::entry_paths(&dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("compstat cache: cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+    let entries = cache::entry_paths(&dir)
+        .map_err(|e| failed(format!("cannot read {}: {e}", dir.display())))?;
     // A run killed mid-write leaves `.<name>.tmp-<pid>-<seq>` files behind;
     // clear owns those too, or they would accumulate invisibly
     // (`cache stats` only counts real entries).
@@ -1000,7 +647,7 @@ fn cmd_cache_clear() -> ExitCode {
         Err(_) => Vec::new(),
     };
     let mut removed = 0usize;
-    let mut failed = 0usize;
+    let mut failures = 0usize;
     // Remove only what the cache owns (entries, stats.json, and its
     // own temp droppings), never the directory wholesale —
     // COMPSTAT_CACHE_DIR may point anywhere.
@@ -1014,45 +661,37 @@ fn cmd_cache_clear() -> ExitCode {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => {
                 eprintln!("compstat cache: cannot remove {}: {e}", path.display());
-                failed += 1;
+                failures += 1;
             }
         }
     }
-    if failed > 0 {
-        return ExitCode::FAILURE;
+    if failures > 0 {
+        return Err(failed(format!("{failures} file(s) not removed")));
     }
-    match emit(&format!(
+    emit(&format!(
         "removed {removed} file(s) from {}\n",
         dir.display()
-    )) {
-        Emit::Failed => ExitCode::FAILURE,
-        _ => ExitCode::SUCCESS,
-    }
+    ))
 }
 
-fn cmd_validate(rest: &[String]) -> ExitCode {
-    if rest.is_empty() {
-        eprintln!("compstat validate: pass at least one directory or .json file");
-        return ExitCode::from(2);
+fn cmd_validate(rest: &[String]) -> Result<(), Exit> {
+    let args = Args::parse(rest, &[], &[])?;
+    if args.positional.is_empty() {
+        return Err(usage("pass at least one directory or .json file"));
     }
     let mut files: Vec<PathBuf> = Vec::new();
-    for arg in rest {
+    for arg in &args.positional {
         let path = Path::new(arg);
         if path.is_dir() {
-            match collect_json_files(path) {
-                Ok(mut found) => files.append(&mut found),
-                Err(e) => {
-                    eprintln!("compstat validate: cannot read {arg}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let mut found =
+                collect_json_files(path).map_err(|e| failed(format!("cannot read {arg}: {e}")))?;
+            files.append(&mut found);
         } else {
             files.push(path.to_path_buf());
         }
     }
     if files.is_empty() {
-        eprintln!("compstat validate: no .json files found");
-        return ExitCode::FAILURE;
+        return Err(failed("no .json files found"));
     }
     files.sort();
     // Check every file, accumulating failures: one invocation reports
@@ -1073,16 +712,12 @@ fn cmd_validate(rest: &[String]) -> ExitCode {
         invalid += 1;
     }
     if invalid > 0 {
-        eprintln!(
-            "compstat validate: {invalid} of {} document(s) invalid",
+        return Err(failed(format!(
+            "{invalid} of {} document(s) invalid",
             files.len()
-        );
-        return ExitCode::FAILURE;
+        )));
     }
-    if emit(&format!("{} document(s) valid\n", files.len())) == Emit::Failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    emit(&format!("{} document(s) valid\n", files.len()))
 }
 
 /// Collects every `.json` file under `dir`, recursively (sharded runs
@@ -1129,81 +764,215 @@ fn check_schema(path: &Path, doc: &Json) -> Result<(), String> {
     }
 }
 
+// ---------------------------------------------------------------------
+// serve
+// ---------------------------------------------------------------------
+
+fn cmd_serve(rest: &[String]) -> Result<(), Exit> {
+    let args = Args::parse(
+        rest,
+        &["--no-cache"],
+        &[
+            "--addr",
+            "--workers",
+            "--threads",
+            "--max-conns",
+            "--timeout-secs",
+            "--send",
+            "--offline",
+        ],
+    )?;
+    if let Some(other) = args.positional.first() {
+        return Err(usage(format!(
+            "takes no positional arguments, got {other:?}"
+        )));
+    }
+    let addr = args.value("--addr");
+    let send = args.path("--send");
+    let offline = args.path("--offline");
+    if send.is_some() && offline.is_some() {
+        return Err(usage("--send and --offline are mutually exclusive"));
+    }
+    let config = compstat_serve::ServerConfig {
+        addr: addr.unwrap_or("127.0.0.1:0").to_string(),
+        workers: args.count("--workers", MAX_THREADS)?.unwrap_or(4).max(1),
+        max_conns: args.count("--max-conns", usize::MAX)?.unwrap_or(64).max(1),
+        read_timeout: std::time::Duration::from_secs(
+            args.count("--timeout-secs", usize::MAX)?
+                .unwrap_or(10)
+                .max(1) as u64,
+        ),
+        limits: compstat_serve::RequestLimits::default(),
+        cache_mode: if args.has("--no-cache") {
+            CacheMode::Off
+        } else {
+            CacheMode::ReadWrite
+        },
+        cache_dir: None,
+        threads: args.threads()?.unwrap_or(1).max(1),
+    };
+    if let Some(file) = &offline {
+        return serve_offline(file, &config);
+    }
+    if let Some(file) = &send {
+        let addr = addr.ok_or_else(|| usage("--send needs --addr pointing at a live server"))?;
+        return serve_send(file, addr);
+    }
+    // Foreground server: print the resolved address (port 0 binds a
+    // free port), then serve until killed.
+    let server =
+        compstat_serve::Server::spawn(config).map_err(|e| failed(format!("cannot bind: {e}")))?;
+    // A closed stdout stops nothing: the server keeps serving.
+    if let Err(e @ Exit::Failed(_)) = emit(&format!("listening on {}\n", server.local_addr())) {
+        return Err(e);
+    }
+    loop {
+        std::thread::sleep(std::time::Duration::from_secs(3600));
+    }
+}
+
+/// Reads the newline-delimited request frames of a script file,
+/// skipping blank lines.
+fn read_frames(file: &Path) -> Result<Vec<String>, Exit> {
+    let text = std::fs::read_to_string(file)
+        .map_err(|e| failed(format!("cannot read {}: {e}", file.display())))?;
+    Ok(text
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(str::to_string)
+        .collect())
+}
+
+fn serve_offline(file: &Path, config: &compstat_serve::ServerConfig) -> Result<(), Exit> {
+    let frames = read_frames(file)?;
+    let responder =
+        compstat_serve::Responder::new(config.limits, config.threads, config.cache_mode, None);
+    for frame in &frames {
+        emit(&format!("{}\n", responder.respond_line(frame)))?;
+    }
+    Ok(())
+}
+
+fn serve_send(file: &Path, addr: &str) -> Result<(), Exit> {
+    use std::io::{BufRead as _, BufReader};
+    let frames = read_frames(file)?;
+    let mut conn = std::net::TcpStream::connect(addr)
+        .map_err(|e| failed(format!("cannot connect to {addr}: {e}")))?;
+    let mut reader = BufReader::new(conn.try_clone().map_err(|e| failed(e.to_string()))?);
+    for frame in &frames {
+        conn.write_all(frame.as_bytes())
+            .and_then(|()| conn.write_all(b"\n"))
+            .map_err(|e| failed(format!("send failed: {e}")))?;
+        let mut reply = String::new();
+        match reader.read_line(&mut reply) {
+            Ok(n) if n > 0 => {}
+            _ => return Err(failed("server closed the connection mid-script")),
+        }
+        emit(&reply)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn parse(
+        args: &[&str],
+        switches: &[&'static str],
+        values: &[&'static str],
+    ) -> Result<Args, Exit> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Args::parse(&args, switches, values)
     }
 
+    fn usage_message(parsed: Result<Args, Exit>) -> String {
+        match parsed {
+            Err(Exit::Usage(msg)) => msg,
+            other => panic!(
+                "expected a usage error, got {:?}",
+                other.map(|a| a.positional)
+            ),
+        }
+    }
+
+    const RUN_SWITCHES: &[&str] = &["--all", "--no-cache"];
+    const RUN_VALUES: &[&str] = &["--scale", "--threads", "--out", "--shard"];
+
     #[test]
-    fn run_args_parse_flags_and_names() {
-        let p = parse_run_args(&strings(&[
-            "fig01",
-            "--scale",
-            "quick",
-            "--threads",
-            "4",
-            "--out",
-            "reports",
-        ]))
+    fn args_split_flags_from_positionals() {
+        let args = parse(
+            &[
+                "fig01",
+                "--scale",
+                "quick",
+                "--threads",
+                "4",
+                "--out",
+                "reports",
+            ],
+            RUN_SWITCHES,
+            RUN_VALUES,
+        )
         .unwrap();
-        assert_eq!(p.names, ["fig01"]);
-        assert!(!p.all);
-        assert_eq!(p.scale, Scale::Quick);
-        assert_eq!(p.threads, Some(4));
-        assert_eq!(p.out.as_deref(), Some(Path::new("reports")));
-        assert!(!p.no_cache);
+        assert_eq!(args.positional, ["fig01"]);
+        assert!(!args.has("--all") && !args.has("--no-cache"));
+        assert_eq!(args.scale().unwrap(), Scale::Quick);
+        assert_eq!(args.threads().unwrap(), Some(4));
+        assert_eq!(args.path("--out").as_deref(), Some(Path::new("reports")));
 
-        let p = parse_run_args(&strings(&["--all", "--no-cache"])).unwrap();
-        assert!(p.no_cache);
-    }
+        let args = parse(&["--all", "--no-cache"], RUN_SWITCHES, RUN_VALUES).unwrap();
+        assert!(args.has("--all") && args.has("--no-cache"));
+        assert!(args.positional.is_empty());
+        assert_eq!(args.scale().unwrap(), Scale::Default);
+        assert_eq!(args.threads().unwrap(), None);
+        assert_eq!(args.path("--out"), None);
 
-    #[test]
-    fn run_args_paper_scale_is_full() {
-        let p = parse_run_args(&strings(&["--all", "--scale", "paper"])).unwrap();
-        assert!(p.all);
-        assert_eq!(p.scale, Scale::Full);
-    }
-
-    #[test]
-    fn run_args_reject_bad_usage() {
-        assert!(parse_run_args(&strings(&[])).is_err());
-        assert!(parse_run_args(&strings(&["--all", "fig01"])).is_err());
-        assert!(parse_run_args(&strings(&["--scale", "warp"])).is_err());
-        assert!(parse_run_args(&strings(&["--threads", "many"])).is_err());
-        assert!(parse_run_args(&strings(&["--bogus"])).is_err());
-        assert!(parse_run_args(&strings(&["fig01", "--out"])).is_err());
-    }
-
-    #[test]
-    fn bench_args_parse_flags() {
-        let p = parse_bench_args(&strings(&[
-            "--quick",
-            "--threads",
-            "2",
-            "--out",
-            "bench-docs",
-        ]))
+        // The last value wins; `paper` spells the full scale.
+        let args = parse(
+            &["--scale", "quick", "--scale", "paper"],
+            RUN_SWITCHES,
+            RUN_VALUES,
+        )
         .unwrap();
-        assert_eq!(p.scale, Scale::Quick);
-        assert_eq!(p.threads, Some(2));
-        assert_eq!(p.out.as_deref(), Some(Path::new("bench-docs")));
+        assert_eq!(args.scale().unwrap(), Scale::Full);
 
-        let p = parse_bench_args(&strings(&["--scale", "paper"])).unwrap();
-        assert_eq!(p.scale, Scale::Full);
-        assert_eq!(p.threads, None);
-        assert_eq!(p.out, None);
+        let args = parse(&["goldens/quick", "fresh", "--json"], &["--json"], &[]).unwrap();
+        assert_eq!(args.positional, ["goldens/quick", "fresh"]);
+        assert!(args.has("--json"));
     }
 
     #[test]
-    fn bench_args_reject_bad_usage() {
-        assert!(parse_bench_args(&strings(&["fig01"])).is_err());
-        assert!(parse_bench_args(&strings(&["--scale", "warp"])).is_err());
-        assert!(parse_bench_args(&strings(&["--threads", "many"])).is_err());
-        assert!(parse_bench_args(&strings(&["--out"])).is_err());
-        assert!(parse_bench_args(&strings(&["--bogus"])).is_err());
+    fn args_reject_unknown_flags_and_missing_values() {
+        let msg = usage_message(parse(&["fig01", "--bogus"], RUN_SWITCHES, RUN_VALUES));
+        assert!(msg.contains("unknown flag \"--bogus\""), "{msg}");
+        // A flag of another verb is unknown here.
+        let msg = usage_message(parse(&["a", "b", "--out", "m"], &["--json"], &[]));
+        assert!(msg.contains("unknown flag \"--out\""), "{msg}");
+        let msg = usage_message(parse(&["fig01", "--out"], RUN_SWITCHES, RUN_VALUES));
+        assert!(msg.contains("--out needs a value"), "{msg}");
+    }
+
+    #[test]
+    fn scale_and_counts_reject_bad_values() {
+        let args = parse(
+            &["--scale", "warp", "--threads", "many"],
+            RUN_SWITCHES,
+            RUN_VALUES,
+        )
+        .unwrap();
+        assert!(matches!(args.scale(), Err(Exit::Usage(m)) if m.contains("\"warp\"")));
+        assert!(matches!(args.threads(), Err(Exit::Usage(m)) if m.contains("\"many\"")));
+
+        let at_cap = MAX_THREADS.to_string();
+        let args = parse(&["--threads", &at_cap], RUN_SWITCHES, RUN_VALUES).unwrap();
+        assert_eq!(args.threads().unwrap(), Some(MAX_THREADS));
+        let over = (MAX_THREADS + 1).to_string();
+        let args = parse(&["--threads", &over], RUN_SWITCHES, RUN_VALUES).unwrap();
+        match args.threads() {
+            Err(Exit::Usage(m)) => assert!(m.contains("--threads") && m.contains(&at_cap), "{m}"),
+            other => panic!("{over} threads accepted: {other:?}"),
+        }
     }
 
     #[test]
@@ -1230,57 +999,6 @@ mod tests {
         };
         let err = check_schema(Path::new("bench-bigfloat.json"), &stripped).unwrap_err();
         assert!(err.contains("non_deterministic"), "{err}");
-    }
-
-    #[test]
-    fn diff_args_parse_dirs_and_flags() {
-        let p = parse_diff_args(&strings(&["goldens/quick", "fresh", "--json"])).unwrap();
-        assert_eq!(p.baseline, Path::new("goldens/quick"));
-        assert_eq!(p.new, Path::new("fresh"));
-        assert!(p.json);
-
-        let p = parse_diff_args(&strings(&["a", "b"])).unwrap();
-        assert!(!p.json);
-    }
-
-    #[test]
-    fn diff_args_reject_bad_usage() {
-        assert!(parse_diff_args(&strings(&[])).is_err());
-        assert!(parse_diff_args(&strings(&["only-one"])).is_err());
-        assert!(parse_diff_args(&strings(&["a", "b", "c"])).is_err());
-        let retired = ["--", "tolerances"].concat();
-        assert!(parse_diff_args(&strings(&["a", "b", &retired, "x"])).is_err());
-        assert!(parse_diff_args(&strings(&["a", "b", "--bogus"])).is_err());
-    }
-
-    #[test]
-    fn run_args_parse_and_validate_shard() {
-        let p = parse_run_args(&strings(&["--all", "--shard", "2/3"])).unwrap();
-        assert_eq!(p.shard, Some(Shard::new(2, 3).unwrap()));
-
-        for bad in ["0/3", "4/3", "a/b", "3/0", "3", ""] {
-            let err = parse_run_args(&strings(&["--all", "--shard", bad]))
-                .map(|_| ())
-                .unwrap_err();
-            assert!(err.contains(&format!("{bad:?}")), "{bad}: {err}");
-        }
-        // --shard partitions the registry; explicit names conflict.
-        assert!(parse_run_args(&strings(&["fig01", "--shard", "1/2"])).is_err());
-        assert!(parse_run_args(&strings(&["--shard", "1/2"])).is_err());
-        assert!(parse_run_args(&strings(&["--all", "--shard"])).is_err());
-    }
-
-    #[test]
-    fn merge_args_require_dirs_and_out() {
-        let p = parse_merge_args(&strings(&["shard-1", "shard-2", "--out", "merged"])).unwrap();
-        assert_eq!(p.dirs, [PathBuf::from("shard-1"), PathBuf::from("shard-2")]);
-        assert_eq!(p.out, Path::new("merged"));
-
-        assert!(parse_merge_args(&strings(&[])).is_err());
-        assert!(parse_merge_args(&strings(&["shard-1"])).is_err());
-        assert!(parse_merge_args(&strings(&["shard-1", "--out"])).is_err());
-        assert!(parse_merge_args(&strings(&["--out", "merged"])).is_err());
-        assert!(parse_merge_args(&strings(&["a", "--bogus", "--out", "m"])).is_err());
     }
 
     #[test]

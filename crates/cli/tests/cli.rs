@@ -71,6 +71,10 @@ fn usage_errors_exit_2() {
         &["frobnicate"],
         &["list", "extra"],
         &["serve", "--bench"],
+        &["run", "--all", "fig01"],
+        &["run", "--all", "--threads", "many"],
+        &["bench", "--threads", "many"],
+        &["merge"],
     ] {
         let out = compstat(args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
@@ -79,6 +83,48 @@ fn usage_errors_exit_2() {
     let out = compstat(&["help"]);
     assert!(out.status.success());
     assert!(String::from_utf8(out.stdout).unwrap().contains("USAGE"));
+}
+
+#[test]
+fn every_verb_rejects_unknown_flags_and_missing_values_with_its_usage_code() {
+    for (verb, code) in [
+        ("list", 2),
+        ("run", 2),
+        ("bench", 2),
+        ("merge", 2),
+        ("diff", 3),
+        ("validate", 2),
+        ("cache", 2),
+        ("serve", 2),
+    ] {
+        let out = compstat(&[verb, "--bogus"]);
+        assert_eq!(out.status.code(), Some(code), "{verb} --bogus");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag \"--bogus\""), "{verb}: {err}");
+    }
+    for args in [
+        &["run", "fig01", "--out"][..],
+        &["bench", "--out"],
+        &["merge", "some-dir", "--out"],
+        &["serve", "--addr"],
+    ] {
+        let out = compstat(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("needs a value"), "args {args:?}: {err}");
+    }
+}
+
+#[test]
+fn serve_thread_pools_are_capped_like_run_and_bench() {
+    // `--offline` starts no worker pool, and the flags are refused
+    // before the (missing) frames file is read, so no thread starts.
+    for flag in ["--threads", "--workers"] {
+        let out = compstat(&["serve", flag, "4097", "--offline", "no-such-frames"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} 4097");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag) && err.contains("4096"), "{flag}: {err}");
+    }
 }
 
 #[test]

@@ -106,15 +106,6 @@ impl DiffStatus {
             DiffStatus::Violations => "violations",
         }
     }
-
-    /// The `compstat diff` exit code (0 / 2).
-    #[must_use]
-    pub fn exit_code(&self) -> u8 {
-        match self {
-            DiffStatus::Clean => 0,
-            DiffStatus::Violations => 2,
-        }
-    }
 }
 
 /// The structured outcome of diffing two report sets.
@@ -656,7 +647,6 @@ mod tests {
         let d = diff_sets(&[sample_report()], &[sample_report()]);
         assert!(d.changes.is_empty(), "{:?}", d.changes);
         assert_eq!(d.status(), DiffStatus::Clean);
-        assert_eq!(d.status().exit_code(), 0);
         assert_eq!(d.compared, vec!["demo".to_string()]);
     }
 
@@ -697,7 +687,6 @@ mod tests {
         let d = diff_sets(&[sample_report(), other], &[sample_report()]);
         assert_eq!(d.removed, vec!["demo2".to_string()]);
         assert_eq!(d.status(), DiffStatus::Violations);
-        assert_eq!(d.status().exit_code(), 2);
     }
 
     #[test]

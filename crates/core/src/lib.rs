@@ -27,9 +27,6 @@
 //! * [`bench_doc`] — the explicitly non-deterministic wall-clock
 //!   timing documents behind `compstat bench` (`compstat-bench/v1`,
 //!   kept out of the byte-stable report dirs and the diff gate);
-//! * [`experiment`] — the [`Experiment`] trait of the unified engine
-//!   (run any registered experiment at any [`Scale`] on any thread
-//!   count);
 //! * [`json`] — the hand-rolled JSON writer/parser behind `--out`
 //!   report emission and validation;
 //! * [`diff`] — exact report diffing (the `compstat diff` accuracy
@@ -77,7 +74,6 @@ pub mod bench_doc;
 pub mod cache;
 pub mod diff;
 pub mod error;
-pub mod experiment;
 pub mod json;
 pub mod merge;
 pub mod report;
@@ -94,7 +90,6 @@ pub use bench_doc::{BenchDoc, BenchEntry, BENCH_SCHEMA};
 pub use cache::{CacheKey, CacheStats, OracleCache};
 pub use diff::{diff_dirs, diff_reports, diff_sets, load_report_dir, DiffReport, DiffStatus};
 pub use error::{relative_error, ErrorClass, ErrorMeasurement};
-pub use experiment::Experiment;
 pub use merge::{
     index_doc, load_index, merge_shard_dirs, parse_index, write_index, write_report, IndexEntry,
     MergeSummary, ReportIndex,

@@ -1,6 +1,6 @@
 //! Workload scaling for the experiment engine.
 //!
-//! Every [`Experiment`](crate::Experiment) runs at a [`Scale`] that
+//! Every registered experiment runs at a [`Scale`] that
 //! trades sample counts against wall-clock: `quick` for CI smoke,
 //! `default` for interactive runs, `full` for paper-scale sample counts
 //! where software emulation permits. The `compstat` CLI spells `full`

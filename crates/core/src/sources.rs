@@ -42,7 +42,7 @@ macro_rules! source_table {
 
 /// Every `.rs` file under the `src/` of each [`HASHED_CRATES`] entry,
 /// sorted by path.
-pub static TABLE: [(&str, &[u8]); 40] = source_table![
+pub static TABLE: [(&str, &[u8]); 39] = source_table![
     "crates/bigfloat/src/arith.rs",
     "crates/bigfloat/src/cmp.rs",
     "crates/bigfloat/src/convert.rs",
@@ -60,7 +60,6 @@ pub static TABLE: [(&str, &[u8]); 40] = source_table![
     "crates/core/src/cache.rs",
     "crates/core/src/diff.rs",
     "crates/core/src/error.rs",
-    "crates/core/src/experiment.rs",
     "crates/core/src/json.rs",
     "crates/core/src/lib.rs",
     "crates/core/src/merge.rs",

@@ -397,50 +397,6 @@ impl Responder {
 /// format name by [`dispatch_format`].
 struct Dispatch<T>(std::marker::PhantomData<T>);
 
-impl<T: StatFloat + Send + Sync> Dispatch<T> {
-    fn call_columns(
-        &self,
-        columns: &[Column],
-        oracles: &[BigFloat],
-        ctx: &Context,
-        rt: &Runtime,
-    ) -> Json {
-        let outcomes = call_columns::<T>(columns, oracles, ctx, rt);
-        Json::Arr(outcomes.iter().map(outcome_json).collect())
-    }
-
-    fn forward_batch(
-        &self,
-        model: &Hmm,
-        batch: &[Vec<usize>],
-        oracles: &[BigFloat],
-        ctx: &Context,
-        rt: &Runtime,
-    ) -> Json {
-        let prepared = model.prepare::<T>();
-        let values = rt.par_map(batch, |obs| forward(&prepared, obs));
-        Json::Arr(
-            values
-                .iter()
-                .zip(oracles)
-                .map(|(v, oracle)| {
-                    let exact = v.to_bigfloat();
-                    let m = error::relative_error(oracle, &exact, ctx);
-                    Json::obj(vec![
-                        (
-                            "likelihood",
-                            Json::str(exact.to_sci_string(WIRE_SCI_DIGITS)),
-                        ),
-                        ("oracle", Json::str(oracle.to_sci_string(WIRE_SCI_DIGITS))),
-                        ("log10_rel", num_or_null(m.log10_rel)),
-                        ("class", Json::str(class_str(m.class))),
-                    ])
-                })
-                .collect(),
-        )
-    }
-}
-
 /// A tiny object-safe-free dispatcher: looks the wire format name up
 /// against the [`StatFloat::NAME`] constants and runs `f` with the
 /// matching monomorphization.
@@ -490,8 +446,10 @@ impl<T: StatFloat + Send + Sync> DispatchTarget for Dispatch<T> {
         ctx: &Context,
         rt: &Runtime,
     ) -> Json {
-        Dispatch::call_columns(self, columns, oracles, ctx, rt)
+        let outcomes = call_columns::<T>(columns, oracles, ctx, rt);
+        Json::Arr(outcomes.iter().map(outcome_json).collect())
     }
+
     fn forward_batch(
         &self,
         model: &Hmm,
@@ -500,7 +458,27 @@ impl<T: StatFloat + Send + Sync> DispatchTarget for Dispatch<T> {
         ctx: &Context,
         rt: &Runtime,
     ) -> Json {
-        Dispatch::forward_batch(self, model, batch, oracles, ctx, rt)
+        let prepared = model.prepare::<T>();
+        let values = rt.par_map(batch, |obs| forward(&prepared, obs));
+        Json::Arr(
+            values
+                .iter()
+                .zip(oracles)
+                .map(|(v, oracle)| {
+                    let exact = v.to_bigfloat();
+                    let m = error::relative_error(oracle, &exact, ctx);
+                    Json::obj(vec![
+                        (
+                            "likelihood",
+                            Json::str(exact.to_sci_string(WIRE_SCI_DIGITS)),
+                        ),
+                        ("oracle", Json::str(oracle.to_sci_string(WIRE_SCI_DIGITS))),
+                        ("log10_rel", num_or_null(m.log10_rel)),
+                        ("class", Json::str(class_str(m.class))),
+                    ])
+                })
+                .collect(),
+        )
     }
 }
 
