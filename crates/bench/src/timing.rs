@@ -41,7 +41,7 @@
 
 use crate::experiments::{fig06_forward, fig07_column, fig09_pvalues, fig10_vicar};
 use crate::Scale;
-use compstat_bigfloat::{testing, BigFloat, Context, HdrFloat, MAX_PREC, MIN_PREC};
+use compstat_bigfloat::{testing, BigFloat, Context, HdrFloat};
 use compstat_core::bench_doc::{BenchDoc, BenchEntry};
 use compstat_core::StatFloat;
 use compstat_logspace::LogF64;
@@ -52,40 +52,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
-
-/// Errors from building a timing suite's inputs.
-///
-/// Suite precisions are compile-time constants today, but the operand
-/// pool builder rounds a requested precision up to whole limbs
-/// before building a [`Context`], and that widened precision — not the
-/// requested one — is what must stay inside the context's legal range.
-/// Validating here turns a future bad suite constant into a named,
-/// reportable error instead of an opaque assert deep in `bigfloat`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimingError {
-    /// The requested precision (or its whole-limb round-up) falls
-    /// outside `MIN_PREC..=MAX_PREC`.
-    PrecisionOutOfRange {
-        /// The precision the suite asked for.
-        requested: u32,
-        /// The whole-limb precision the pool would have built at.
-        rounded: u32,
-    },
-}
-
-impl core::fmt::Display for TimingError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::PrecisionOutOfRange { requested, rounded } => write!(
-                f,
-                "bench operand pool precision {requested} (rounds to {rounded} \
-                 for limb construction) is outside {MIN_PREC}..={MAX_PREC}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TimingError {}
 
 /// Times one operation: one untimed warm-up repetition, then `reps`
 /// timed repetitions of `iters` calls each, summarized in ns per call.
@@ -135,27 +101,10 @@ pub fn unix_ms_now() -> u64 {
 
 /// A deterministic pool of full-width `prec`-bit operands with
 /// exponents spread over ±500, built through the public exact API (same
-/// construction as the kernel differential tests).
-///
-/// # Errors
-///
-/// Returns [`TimingError::PrecisionOutOfRange`] when `prec`, or the
-/// whole-limb precision it rounds up to for construction, is outside
-/// `MIN_PREC..=MAX_PREC` — the limb round-up means `prec` values near
-/// `MAX_PREC` that a bare `Context::new(prec)` would accept can still
-/// be unbuildable here.
-fn operand_pool(prec: u32, count: usize, mut state: u64) -> Result<Vec<BigFloat>, TimingError> {
-    let nl = (prec as usize).div_ceil(64);
-    let rounded = u32::try_from(nl)
-        .ok()
-        .and_then(|n| n.checked_mul(64))
-        .unwrap_or(u32::MAX);
-    if !(MIN_PREC..=MAX_PREC).contains(&prec) || rounded > MAX_PREC {
-        return Err(TimingError::PrecisionOutOfRange {
-            requested: prec,
-            rounded,
-        });
-    }
+/// construction as the kernel differential tests). `prec` rounds up to
+/// whole limbs for construction, so `Context::new` asserts the range.
+fn operand_pool(prec: u32, count: usize, mut state: u64) -> Vec<BigFloat> {
+    let nl = prec.div_ceil(64);
     let mut splitmix = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;
@@ -163,8 +112,8 @@ fn operand_pool(prec: u32, count: usize, mut state: u64) -> Result<Vec<BigFloat>
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     };
-    let build = Context::new(rounded);
-    Ok((0..count)
+    let build = Context::new(nl * 64);
+    (0..count)
         .map(|_| {
             let mut acc = BigFloat::zero();
             for i in 0..nl {
@@ -177,7 +126,7 @@ fn operand_pool(prec: u32, count: usize, mut state: u64) -> Result<Vec<BigFloat>
             acc.round_to(prec)
                 .mul_pow2((splitmix() % 1001) as i64 - 500)
         })
-        .collect())
+        .collect()
 }
 
 /// The bigfloat precisions the suite times.
@@ -222,8 +171,7 @@ pub fn bigfloat_suite(scale: Scale) -> BenchDoc {
 fn bigfloat_doc(scale: Scale, reps: u32, base: u64) -> BenchDoc {
     let mut entries = Vec::new();
     for prec in BIGFLOAT_PRECS {
-        let pool = operand_pool(prec, 64, 0xBE7C_0000 + u64::from(prec))
-            .expect("BIGFLOAT_PRECS are whole limbs inside MIN_PREC..=MAX_PREC");
+        let pool = operand_pool(prec, 64, 0xBE7C_0000 + u64::from(prec));
         let ctx = Context::new(prec);
         let cost = u64::from(prec / 128).max(1);
         let mut cursor = 0usize;
@@ -268,10 +216,9 @@ fn bigfloat_doc(scale: Scale, reps: u32, base: u64) -> BenchDoc {
             },
         ));
     }
-    let coeffs = operand_pool(53, 64, 0xBE7C_0035).expect("53 bits is inside MIN_PREC..=MAX_PREC");
+    let coeffs = operand_pool(53, 64, 0xBE7C_0035);
     for prec in MIXED_MUL_PRECS {
-        let pool = operand_pool(prec, 64, 0xBE7C_1000 + u64::from(prec))
-            .expect("MIXED_MUL_PRECS are whole limbs inside MIN_PREC..=MAX_PREC");
+        let pool = operand_pool(prec, 64, 0xBE7C_1000 + u64::from(prec));
         let ctx = Context::new(prec);
         let (a, b) = (&pool[1], &coeffs[2]);
         entries.push(time_entry(
@@ -297,8 +244,7 @@ fn bigfloat_doc(scale: Scale, reps: u32, base: u64) -> BenchDoc {
     let (ln_iters, series_iters) = ((base / 8).max(16), (base / 32).max(8));
     for prec in ELEMENTARY_PRECS {
         let ctx = Context::new(prec);
-        let xs = operand_pool(prec, 64, 0xBE7C_2000 + u64::from(prec))
-            .expect("ELEMENTARY_PRECS are whole limbs inside MIN_PREC..=MAX_PREC");
+        let xs = operand_pool(prec, 64, 0xBE7C_2000 + u64::from(prec));
         let logs: Vec<BigFloat> = xs
             .iter()
             .map(|x| BigFloat::from_f64(ctx.ln(x).to_f64()))
@@ -361,8 +307,7 @@ pub fn hdr_suite(scale: Scale, rt: &Runtime) -> BenchDoc {
     let ctx = Context::new(HDR_BASELINE_PREC);
     let mut entries = Vec::new();
 
-    let pool = operand_pool(HDR_BASELINE_PREC, 64, 0x4DB_0000)
-        .expect("HDR_BASELINE_PREC is whole limbs inside MIN_PREC..=MAX_PREC");
+    let pool = operand_pool(HDR_BASELINE_PREC, 64, 0x4DB_0000);
     let hdr_pool: Vec<HdrFloat> = pool.iter().map(HdrFloat::from_bigfloat).collect();
     // The BigFloat rows get ~1/10 the iteration budget: they are the
     // slow side of the comparison, and ns/op is budget-independent.
@@ -696,8 +641,8 @@ mod tests {
 
     #[test]
     fn operand_pools_are_deterministic_and_full_width() {
-        let a = operand_pool(256, 8, 7).unwrap();
-        let b = operand_pool(256, 8, 7).unwrap();
+        let a = operand_pool(256, 8, 7);
+        let b = operand_pool(256, 8, 7);
         for (x, y) in a.iter().zip(&b) {
             assert!(compstat_bigfloat::bit_identical(x, y));
             assert_eq!(x.precision(), 256);
@@ -712,7 +657,7 @@ mod tests {
     #[test]
     fn suite_documents_validate() {
         let ctx = Context::new(128);
-        let pool = operand_pool(128, 4, 1).unwrap();
+        let pool = operand_pool(128, 4, 1);
         let doc = BenchDoc {
             suite: "bigfloat".into(),
             scale: "quick".into(),
@@ -727,38 +672,12 @@ mod tests {
         assert_eq!(back.entries[0].id, "bigfloat/div/128");
     }
 
-    #[test]
-    fn out_of_range_pool_precisions_get_a_named_error() {
-        use compstat_bigfloat::{MAX_PREC, MIN_PREC};
-        // In range, including the exact ceiling.
-        assert!(operand_pool(MIN_PREC, 1, 0).is_ok());
-        assert!(operand_pool(MAX_PREC, 1, 0).is_ok());
-        // Below the floor and above the ceiling: named error, no panic.
-        assert_eq!(
-            operand_pool(0, 1, 0),
-            Err(TimingError::PrecisionOutOfRange {
-                requested: 0,
-                rounded: 0,
-            })
-        );
-        // A precision whose whole-limb round-up would overshoot
-        // MAX_PREC is rejected by the same named error even though
-        // Context::new would have accepted the un-rounded request —
-        // this is the case the old `Context::new((nl as u32) * 64)`
-        // turned into an opaque assert.
-        let e = operand_pool(MAX_PREC * 2, 1, 0).unwrap_err();
-        let TimingError::PrecisionOutOfRange { requested, rounded } = e;
-        assert_eq!(requested, MAX_PREC * 2);
-        assert!(rounded > MAX_PREC);
-        assert!(e.to_string().contains("outside"));
-    }
-
     /// Tiny-budget pass over [`hdr_suite`]'s id grid: both sides of
     /// every comparison present and the document validates.
     #[test]
     fn hdr_suite_pairs_every_fast_row_with_a_baseline() {
         let ctx = Context::new(HDR_BASELINE_PREC);
-        let pool = operand_pool(HDR_BASELINE_PREC, 4, 2).unwrap();
+        let pool = operand_pool(HDR_BASELINE_PREC, 4, 2);
         let hdr: Vec<HdrFloat> = pool.iter().map(HdrFloat::from_bigfloat).collect();
         let mut entries = Vec::new();
         for op in ["add", "mul", "div"] {

@@ -302,9 +302,9 @@ OPTIONS (serve):
                     (default 1, at most 4096; replies are
                     byte-identical for any N)
     --max-conns N   Connections queued/in-flight before new ones get
-                    a busy frame (default 64)
+                    a busy frame (default 64, at most 4096)
     --timeout-secs S  Idle time between frames, and the most time one
-                    frame may take (default 10)
+                    frame may take (default 10, at most 86400)
     --no-cache      Score without the persistent oracle cache
     --send FILE     Send FILE's newline-delimited frames to --addr,
                     print one reply line each
@@ -738,11 +738,7 @@ fn collect_json_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// Checks a document with the loader of its schema: the same code
 /// `diff`, `merge` and `bench` read it with.
 fn check_schema(path: &Path, doc: &Json) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing schema field")?;
-    match schema {
+    match doc.str_at("schema")? {
         s if s == REPORT_SCHEMA => {
             let report = Report::from_json(doc).map_err(|e| e.message)?;
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
@@ -767,6 +763,13 @@ fn check_schema(path: &Path, doc: &Json) -> Result<(), String> {
 // ---------------------------------------------------------------------
 // serve
 // ---------------------------------------------------------------------
+
+/// `serve --max-conns` cap: every accept-queue slot is allocated up
+/// front, so a larger count costs memory before the server binds.
+const MAX_CONNS: usize = 4096;
+
+/// `serve --timeout-secs` cap: one day.
+const MAX_TIMEOUT_SECS: usize = 86_400;
 
 fn cmd_serve(rest: &[String]) -> Result<(), Exit> {
     let args = Args::parse(
@@ -796,9 +799,9 @@ fn cmd_serve(rest: &[String]) -> Result<(), Exit> {
     let config = compstat_serve::ServerConfig {
         addr: addr.unwrap_or("127.0.0.1:0").to_string(),
         workers: args.count("--workers", MAX_THREADS)?.unwrap_or(4).max(1),
-        max_conns: args.count("--max-conns", usize::MAX)?.unwrap_or(64).max(1),
+        max_conns: args.count("--max-conns", MAX_CONNS)?.unwrap_or(64).max(1),
         read_timeout: std::time::Duration::from_secs(
-            args.count("--timeout-secs", usize::MAX)?
+            args.count("--timeout-secs", MAX_TIMEOUT_SECS)?
                 .unwrap_or(10)
                 .max(1) as u64,
         ),

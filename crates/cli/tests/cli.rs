@@ -125,6 +125,16 @@ fn serve_thread_pools_are_capped_like_run_and_bench() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(flag) && err.contains("4096"), "{flag}: {err}");
     }
+    // The accept queue and the frame deadline are capped the same way.
+    for (flag, over, cap) in [
+        ("--max-conns", "4097", "4096"),
+        ("--timeout-secs", "86401", "86400"),
+    ] {
+        let out = compstat(&["serve", flag, over, "--offline", "no-such-frames"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {over}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag) && err.contains(cap), "{flag}: {err}");
+    }
 }
 
 #[test]
@@ -276,7 +286,7 @@ fn validate_checks_reports_and_indexes_with_the_loaders_diff_and_merge_use() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     for (file, reason) in [
-        ("index.json", "experiment 0 missing file field"),
+        ("index.json", "experiment 0: missing string field: file"),
         ("shard-index.json", "invalid shard stamp"),
         ("fig09.json", r#"param "columns" is not a string"#),
     ] {

@@ -41,6 +41,40 @@ pub struct BenchEntry {
     pub mean_ns: f64,
 }
 
+impl BenchEntry {
+    /// Reads one entry whose `id` the caller has already read.
+    fn from_json(id: &str, e: &Json) -> Result<BenchEntry, String> {
+        let iters = e.count_at("iters")?;
+        if iters == 0 {
+            return Err("\"iters\" must be positive".to_string());
+        }
+        let reps = e.count_at("reps")?;
+        if reps == 0 {
+            return Err("\"reps\" must be positive".to_string());
+        }
+        let timing = |key: &str| -> Result<f64, String> {
+            let x = e.num_at(key)?;
+            if !x.is_finite() || x < 0.0 {
+                return Err(format!("field {key:?} is not a finite non-negative number"));
+            }
+            Ok(x)
+        };
+        let (min_ns, median_ns, mean_ns) =
+            (timing("min_ns")?, timing("median_ns")?, timing("mean_ns")?);
+        if min_ns > median_ns || min_ns > mean_ns {
+            return Err("\"min_ns\" exceeds the median or mean".to_string());
+        }
+        Ok(BenchEntry {
+            id: id.to_string(),
+            iters,
+            reps,
+            min_ns,
+            median_ns,
+            mean_ns,
+        })
+    }
+}
+
 /// One suite's timing results — see the [module docs](self) for why
 /// this is a separate schema from reports.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,58 +158,29 @@ impl BenchDoc {
     /// negative timing, a duplicate entry id (rows are keyed by id), or
     /// a missing `"non_deterministic": true` marker.
     pub fn from_json(v: &Json) -> Result<BenchDoc, String> {
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing \"schema\"")?;
+        let schema = v.str_at("schema")?;
         if schema != BENCH_SCHEMA {
             return Err(format!("schema {schema:?} is not {BENCH_SCHEMA:?}"));
         }
         if v.get("non_deterministic") != Some(&Json::Bool(true)) {
             return Err("bench documents must declare \"non_deterministic\": true".to_string());
         }
-        let suite = req_str(v, "suite")?.to_string();
-        let scale = req_str(v, "scale")?.to_string();
+        let suite = v.str_at("suite")?.to_string();
+        let scale = v.str_at("scale")?.to_string();
         if Scale::parse(&scale).is_none() {
             return Err(format!("unknown scale {scale:?}"));
         }
-        let threads = req_count(v, "threads")? as usize;
-        let unix_ms = req_count(v, "unix_ms")?;
-        let raw = v
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"entries\" array")?;
-        let mut entries = Vec::with_capacity(raw.len());
-        for (i, e) in raw.iter().enumerate() {
-            let at = |msg: String| format!("entry {i}: {msg}");
-            let id = req_str(e, "id").map_err(at)?.to_string();
-            if entries.iter().any(|prev: &BenchEntry| prev.id == id) {
-                return Err(at(format!("duplicate id {id:?}")));
+        let threads = v.count_at("threads")?;
+        let unix_ms = v.count_at("unix_ms")?;
+        let mut entries: Vec<BenchEntry> = Vec::new();
+        for (i, e) in v.arr_at("entries")?.iter().enumerate() {
+            let id = e.str_at("id").map_err(|m| format!("entry {i}: {m}"))?;
+            if entries.iter().any(|prev| prev.id == id) {
+                return Err(format!("entry {i}: duplicate id {id:?}"));
             }
-            let at = |msg: String| format!("entry {i} ({id:?}): {msg}");
-            let iters = req_count(e, "iters").map_err(at)?;
-            if iters == 0 {
-                return Err(at("\"iters\" must be positive".to_string()));
-            }
-            let reps = u32::try_from(req_count(e, "reps").map_err(at)?)
-                .map_err(|_| at("\"reps\" out of range".to_string()))?;
-            if reps == 0 {
-                return Err(at("\"reps\" must be positive".to_string()));
-            }
-            let min_ns = req_timing(e, "min_ns").map_err(at)?;
-            let median_ns = req_timing(e, "median_ns").map_err(at)?;
-            let mean_ns = req_timing(e, "mean_ns").map_err(at)?;
-            if min_ns > median_ns || min_ns > mean_ns {
-                return Err(at("\"min_ns\" exceeds the median or mean".to_string()));
-            }
-            entries.push(BenchEntry {
-                id,
-                iters,
-                reps,
-                min_ns,
-                median_ns,
-                mean_ns,
-            });
+            entries.push(
+                BenchEntry::from_json(id, e).map_err(|m| format!("entry {i} ({id:?}): {m}"))?,
+            );
         }
         Ok(BenchDoc {
             suite,
@@ -222,36 +227,6 @@ fn fmt_ns(x: f64) -> String {
     } else {
         format!("{x:.0}")
     }
-}
-
-fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-/// A non-negative integer field (counts, timestamps).
-fn req_count(v: &Json, key: &str) -> Result<u64, String> {
-    let x = v
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))?;
-    if x < 0.0 || x != x.trunc() || x >= 9_007_199_254_740_992.0 {
-        return Err(format!("field {key:?} is not a non-negative integer"));
-    }
-    Ok(x as u64)
-}
-
-/// A finite, non-negative timing field.
-fn req_timing(v: &Json, key: &str) -> Result<f64, String> {
-    let x = v
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))?;
-    if !x.is_finite() || x < 0.0 {
-        return Err(format!("field {key:?} is not a finite non-negative number"));
-    }
-    Ok(x)
 }
 
 #[cfg(test)]

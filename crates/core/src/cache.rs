@@ -680,7 +680,7 @@ fn stats_obj(s: &CacheStats) -> Json {
 /// Reads a counter object; `None` unless every counter is present and
 /// a whole, non-negative number.
 fn stats_from_obj(v: &Json) -> Option<CacheStats> {
-    let get = |k: &str| v.get(k).and_then(Json::as_count);
+    let get = |k: &str| v.count_at(k).ok();
     Some(CacheStats {
         hits: get("hits")?,
         misses: get("misses")?,
@@ -697,7 +697,7 @@ fn stats_from_obj(v: &Json) -> Option<CacheStats> {
 pub fn load_stats_file(dir: &Path) -> Option<CacheStats> {
     let text = std::fs::read_to_string(dir.join("stats.json")).ok()?;
     let doc = Json::parse(&text).ok()?;
-    if doc.get("schema").and_then(Json::as_str) != Some(CACHE_STATS_SCHEMA) {
+    if doc.str_at("schema").ok() != Some(CACHE_STATS_SCHEMA) {
         return None;
     }
     stats_from_obj(doc.get("last_run")?)

@@ -18,7 +18,7 @@
 //! a/ b/` maps [`DiffStatus`] onto exit codes 0 (identical) / 2
 //! (differences).
 
-use crate::json::Json;
+use crate::json::{FieldError, Json};
 use crate::merge::load_index;
 use crate::report::{Block, Report};
 use core::fmt::Write as _;
@@ -64,6 +64,12 @@ impl core::fmt::Display for DiffError {
 }
 
 impl std::error::Error for DiffError {}
+
+impl From<FieldError> for DiffError {
+    fn from(e: FieldError) -> DiffError {
+        DiffError::new(e)
+    }
+}
 
 // ---------------------------------------------------------------------
 // The diff itself

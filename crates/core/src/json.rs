@@ -10,7 +10,13 @@
 //!   escaping;
 //! * [`Json::parse`] — a strict recursive-descent parser, used by the
 //!   CLI's `validate` subcommand and by tests to check that every
-//!   emitted report is well-formed.
+//!   emitted report is well-formed;
+//! * the field accessors [`Json::str_at`], [`Json::count_at`],
+//!   [`Json::num_at`], [`Json::arr_at`] and [`Json::obj_at`] — the one
+//!   way every reader (reports, indexes, bench documents, cache stats,
+//!   serve requests) takes a typed field out of a parsed document, with
+//!   one whole-number rule ([`Json::as_count`]) and one error,
+//!   [`FieldError`].
 //!
 //! Numbers are stored as `f64`. Values without a fractional part
 //! serialize as integers; non-finite values (which valid reports never
@@ -75,13 +81,18 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a count, if this is a whole,
-    /// non-negative number (`2.5`, `-5` and `"5"` are not counts).
+    /// The numeric payload as a count: an integer from 0 to 2^53 that
+    /// fits `T` (`2.5`, `-5`, `1e20` and `"5"` are not counts). Up to
+    /// 2^53 every integer is an exact `f64` that the writer spells
+    /// digit for digit, so a count read back writes its own bytes.
+    /// This is the one whole-number rule of every reader.
     #[must_use]
-    pub fn as_count(&self) -> Option<u64> {
-        self.as_f64()
-            .filter(|x| x.fract() == 0.0 && *x >= 0.0)
-            .map(|x| x as u64)
+    pub fn as_count<T: TryFrom<u64>>(&self) -> Option<T> {
+        let x = self.as_f64()?;
+        if x.fract() != 0.0 || !(0.0..=MAX_COUNT).contains(&x) {
+            return None;
+        }
+        T::try_from(x as u64).ok()
     }
 
     /// The element list, if this is an array.
@@ -90,6 +101,46 @@ impl Json {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
+        }
+    }
+
+    // The field accessors: each reads `key` of this object, and fails
+    // with a `FieldError` naming the key and the type it expected when
+    // the key is absent or holds another type.
+
+    /// The string at `key`.
+    pub fn str_at(&self, key: &str) -> Result<&str, FieldError> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| FieldError::new(key, "string"))
+    }
+
+    /// The count at `key` ([`Json::as_count`]).
+    pub fn count_at<T: TryFrom<u64>>(&self, key: &str) -> Result<T, FieldError> {
+        self.get(key)
+            .and_then(Json::as_count)
+            .ok_or_else(|| FieldError::new(key, "whole-number"))
+    }
+
+    /// The number at `key`.
+    pub fn num_at(&self, key: &str) -> Result<f64, FieldError> {
+        self.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| FieldError::new(key, "number"))
+    }
+
+    /// The array at `key`.
+    pub fn arr_at(&self, key: &str) -> Result<&[Json], FieldError> {
+        self.get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| FieldError::new(key, "array"))
+    }
+
+    /// The `(key, value)` pairs of the object at `key`.
+    pub fn obj_at(&self, key: &str) -> Result<&[(String, Json)], FieldError> {
+        match self.get(key) {
+            Some(Json::Obj(pairs)) => Ok(pairs),
+            _ => Err(FieldError::new(key, "object")),
         }
     }
 
@@ -187,6 +238,43 @@ impl Json {
     }
 }
 
+/// 2^53, the largest count [`Json::as_count`] accepts: every integer
+/// up to it is an exact `f64`.
+const MAX_COUNT: f64 = 9_007_199_254_740_992.0;
+
+/// A field a reader needs is absent or has the wrong type. Displays as
+/// `missing <type> field: <key>`, the wording of serve's replies.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FieldError {
+    /// The key that was looked up.
+    pub key: String,
+    /// The type the reader expected (`string`, `whole-number`, …).
+    pub expected: &'static str,
+}
+
+impl FieldError {
+    fn new(key: &str, expected: &'static str) -> FieldError {
+        FieldError {
+            key: key.to_string(),
+            expected,
+        }
+    }
+}
+
+impl core::fmt::Display for FieldError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "missing {} field: {}", self.expected, self.key)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.to_string()
+    }
+}
+
 /// Resource bounds applied while parsing.
 ///
 /// Two presets cover the workspace: [`ParseLimits::TRUSTED`] for
@@ -224,7 +312,7 @@ impl ParseLimits {
 fn write_number(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");
-    } else if x == x.trunc() && x.abs() < 9_007_199_254_740_992.0 {
+    } else if x == x.trunc() && x.abs() < MAX_COUNT {
         let _ = write!(out, "{}", x as i64);
     } else {
         // Rust's shortest round-trip formatting: deterministic, and
@@ -594,6 +682,33 @@ mod tests {
         }
         // But a lone high surrogate followed by a pair is fine.
         assert!(Json::parse("\"\\ud83d\\ude00\"").is_ok());
+    }
+
+    #[test]
+    fn counts_are_the_integers_from_0_to_2_pow_53_that_fit() {
+        let count = |text: &str| Json::parse(text).unwrap().as_count::<u64>();
+        assert_eq!(count("0"), Some(0));
+        assert_eq!(count("9007199254740992"), Some(1 << 53));
+        assert_eq!(
+            Json::Num((1u64 << 53) as f64).to_json_string(),
+            "9007199254740992"
+        );
+        for not in ["9007199254740994", "1e20", "-1", "2.5", "\"5\"", "null"] {
+            assert_eq!(count(not), None, "{not}");
+        }
+        assert_eq!(Json::Num(70_000.0).as_count::<u16>(), None);
+        let doc = Json::parse(r#"{"n":3,"s":"x","a":[],"o":{}}"#).unwrap();
+        assert_eq!(doc.count_at::<usize>("n"), Ok(3));
+        assert_eq!(doc.str_at("s"), Ok("x"));
+        assert_eq!(doc.arr_at("a").map(<[Json]>::len), Ok(0));
+        assert_eq!(doc.obj_at("o").map(<[(String, Json)]>::len), Ok(0));
+        assert_eq!(doc.num_at("n"), Ok(3.0));
+        let err = doc.count_at::<u64>("s").unwrap_err();
+        assert_eq!(err.to_string(), "missing whole-number field: s");
+        assert_eq!(
+            doc.obj_at("missing").unwrap_err().to_string(),
+            "missing object field: missing"
+        );
     }
 
     #[test]

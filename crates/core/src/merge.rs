@@ -31,7 +31,7 @@
 
 use crate::cache::write_atomic;
 use crate::diff::DiffError;
-use crate::json::Json;
+use crate::json::{FieldError, Json};
 use crate::report::{Report, INDEX_SCHEMA};
 use compstat_runtime::Shard;
 use std::path::{Path, PathBuf};
@@ -65,6 +65,18 @@ impl IndexEntry {
             blocks: report.blocks.len(),
             metrics: report.metrics.len(),
         }
+    }
+
+    /// Reads one entry of an index's `experiments` array, the inverse
+    /// of [`IndexEntry::to_json`].
+    fn from_json(v: &Json) -> Result<IndexEntry, FieldError> {
+        Ok(IndexEntry {
+            name: v.str_at("name")?.to_string(),
+            title: v.str_at("title")?.to_string(),
+            file: v.str_at("file")?.to_string(),
+            blocks: v.count_at("blocks")?,
+            metrics: v.count_at("metrics")?,
+        })
     }
 
     fn to_json(&self) -> Json {
@@ -118,12 +130,6 @@ pub struct ReportIndex {
     pub entries: Vec<IndexEntry>,
 }
 
-/// A JSON number that is a whole, non-negative count
-/// ([`Json::as_count`]).
-fn whole_number(v: &Json) -> Option<usize> {
-    v.as_count().map(|x| x as usize)
-}
-
 /// Interprets an already-parsed JSON value as an `index.json`
 /// document — the one index parser.
 ///
@@ -133,64 +139,35 @@ fn whole_number(v: &Json) -> Option<usize> {
 /// missing `scale`, a malformed shard stamp, an entry missing one of
 /// its five fields, or a `count` that is not the number of entries.
 pub fn parse_index(doc: &Json) -> Result<ReportIndex, DiffError> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or_else(|| DiffError::new("index missing schema field"))?;
+    let schema = doc.str_at("schema")?;
     if schema != INDEX_SCHEMA {
         return Err(DiffError::new(format!(
             "expected schema {INDEX_SCHEMA:?}, found {schema:?}"
         )));
     }
-    let scale = doc
-        .get("scale")
-        .and_then(Json::as_str)
-        .ok_or_else(|| DiffError::new("index missing scale field"))?
-        .to_string();
+    let scale = doc.str_at("scale")?.to_string();
     let shard = match doc.get("shard") {
         None => None,
         Some(stamp) => {
-            let field = |name: &str| {
-                stamp
-                    .get(name)
-                    .and_then(whole_number)
-                    .ok_or_else(|| DiffError::new(format!("shard stamp missing {name} field")))
-            };
-            let (index, count) = (field("index")?, field("count")?);
+            let at = |e: FieldError| DiffError::new(format!("shard stamp: {e}"));
+            let index = stamp.count_at("index").map_err(at)?;
+            let count = stamp.count_at("count").map_err(at)?;
             Some(
                 Shard::new(index, count)
                     .map_err(|e| DiffError::new(format!("invalid shard stamp: {e}")))?,
             )
         }
     };
-    let raw = doc
-        .get("experiments")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| DiffError::new("index missing experiments array"))?;
-    let mut entries = Vec::with_capacity(raw.len());
-    for (i, item) in raw.iter().enumerate() {
-        let missing = |name: &str| DiffError::new(format!("experiment {i} missing {name} field"));
-        let text_field = |name: &str| {
-            item.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| missing(name))
-        };
-        let num_field = |name: &str| {
-            item.get(name)
-                .and_then(whole_number)
-                .ok_or_else(|| missing(name))
-        };
-        entries.push(IndexEntry {
-            name: text_field("name")?,
-            title: text_field("title")?,
-            file: text_field("file")?,
-            blocks: num_field("blocks")?,
-            metrics: num_field("metrics")?,
-        });
-    }
+    let entries = doc
+        .arr_at("experiments")?
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            IndexEntry::from_json(item).map_err(|e| DiffError::new(format!("experiment {i}: {e}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     if let Some(count) = doc.get("count") {
-        if whole_number(count) != Some(entries.len()) {
+        if count.as_count() != Some(entries.len()) {
             return Err(DiffError::new(format!(
                 "count field says {} but the index lists {} experiment(s)",
                 count.to_json_string(),

@@ -321,18 +321,13 @@ impl Report {
     /// Returns a [`DiffError`] naming the first missing, mistyped or
     /// malformed field.
     pub fn from_json(doc: &Json) -> Result<Report, DiffError> {
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| DiffError::new(format!("report missing string field {key:?}")))
-        };
-        let schema = field("schema")?;
+        let schema = doc.str_at("schema")?;
         if schema != REPORT_SCHEMA {
             return Err(DiffError::new(format!(
                 "expected schema {REPORT_SCHEMA:?}, found {schema:?}"
             )));
         }
-        let scale = field("scale")?;
+        let scale = doc.str_at("scale")?;
         let scale = [Scale::Quick, Scale::Default, Scale::Full]
             .into_iter()
             .find(|s| s.as_str() == scale)
@@ -341,18 +336,16 @@ impl Report {
                     "unknown scale {scale:?} (want quick, default or full)"
                 ))
             })?;
-        let pairs = |key: &str| match doc.get(key) {
-            Some(Json::Obj(pairs)) => Ok(pairs),
-            _ => Err(DiffError::new(format!("report missing {key:?} object"))),
-        };
-        let params = pairs("params")?
+        let params = doc
+            .obj_at("params")?
             .iter()
             .map(|(k, v)| match v.as_str() {
                 Some(s) => Ok((k.clone(), s.to_string())),
                 None => Err(DiffError::new(format!("param {k:?} is not a string"))),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let metrics = pairs("metrics")?
+        let metrics = doc
+            .obj_at("metrics")?
             .iter()
             .map(|(k, v)| match v {
                 Json::Num(x) => Ok((k.clone(), *x)),
@@ -361,16 +354,16 @@ impl Report {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let blocks = doc
-            .get("blocks")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| DiffError::new("report missing \"blocks\" array"))?
+            .arr_at("blocks")?
             .iter()
             .enumerate()
-            .map(|(i, b)| Block::from_json(i, b))
+            .map(|(i, b)| {
+                Block::from_json(b).map_err(|m| DiffError::new(format!("block [{i}]: {m}")))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Report {
-            name: field("experiment")?.to_string(),
-            title: field("title")?.to_string(),
+            name: doc.str_at("experiment")?.to_string(),
+            title: doc.str_at("title")?.to_string(),
             scale,
             params,
             metrics,
@@ -380,53 +373,43 @@ impl Report {
 }
 
 impl Block {
-    /// Reads block `index` of a report document.
-    fn from_json(index: usize, b: &Json) -> Result<Block, DiffError> {
-        let bad = |msg: &str| DiffError::new(format!("block [{index}]: {msg}"));
-        let strings = |what: &str, v: &Json| -> Result<Vec<String>, DiffError> {
-            v.as_arr()
-                .ok_or_else(|| bad(&format!("{what} is not an array")))?
-                .iter()
+    /// Reads one block of a report document.
+    fn from_json(b: &Json) -> Result<Block, String> {
+        let strings = |what: &str, v: &[Json]| -> Result<Vec<String>, String> {
+            v.iter()
                 .map(|c| {
                     c.as_str()
                         .map(str::to_string)
-                        .ok_or_else(|| bad(&format!("{what} cell is not a string")))
+                        .ok_or_else(|| format!("{what} cell is not a string"))
                 })
                 .collect()
         };
-        match b.get("kind").and_then(Json::as_str) {
-            Some("text") => match b.get("text").and_then(Json::as_str) {
-                Some(text) => Ok(Block::Text(text.to_string())),
-                None => Err(bad("text block missing text")),
-            },
-            Some("table") => {
-                let headers = strings(
-                    "headers",
-                    b.get("headers")
-                        .ok_or_else(|| bad("table missing headers"))?,
-                )?;
+        match b.str_at("kind")? {
+            "text" => Ok(Block::Text(b.str_at("text")?.to_string())),
+            "table" => {
+                let headers = strings("headers", b.arr_at("headers")?)?;
                 let rows = b
-                    .get("rows")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("table missing rows"))?
+                    .arr_at("rows")?
                     .iter()
                     .enumerate()
                     .map(|(r, row)| {
-                        let cells = strings("row", row)?;
+                        let cells = row
+                            .as_arr()
+                            .ok_or_else(|| format!("row {r} is not an array"))?;
+                        let cells = strings("row", cells)?;
                         if cells.len() != headers.len() {
-                            return Err(bad(&format!(
+                            return Err(format!(
                                 "row {r} has {} cell(s) but the table has {} header(s)",
                                 cells.len(),
                                 headers.len()
-                            )));
+                            ));
                         }
                         Ok(cells)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Block::Table(Table { headers, rows }))
             }
-            Some(other) => Err(bad(&format!("unknown block kind {other:?}"))),
-            None => Err(bad("missing kind")),
+            other => Err(format!("unknown block kind {other:?}")),
         }
     }
 }

@@ -3,10 +3,14 @@
 //! report directories through. Index files travel between machines in
 //! a sharded run, so every input must either parse or fail with an
 //! error naming the `index.json` it came from — never panic. Inputs
-//! are seeded truncations, byte flips and splices of the committed
-//! `goldens/quick/index.json` and of a shard-stamped index; 2000 of
-//! them run well under a second.
+//! are seeded truncations, byte flips, splices and number swaps of the
+//! committed `goldens/quick/index.json` and of a shard-stamped index;
+//! 2000 of them run well under a second. The number swaps put counts
+//! that are not whole numbers from 0 to 2^53 where the index has
+//! counts: whatever the parser accepts, the writer must spell back as
+//! the same value.
 
+use compstat_core::json::Json;
 use compstat_core::merge::{index_doc, load_index, parse_index, IndexEntry};
 use compstat_runtime::Shard;
 use rand::rngs::StdRng;
@@ -35,11 +39,26 @@ fn seeds() -> Vec<Vec<u8>> {
     vec![golden, stamped.into_bytes()]
 }
 
+/// Number spellings swapped in for a count: past 2^53, negative,
+/// fractional, exponent forms, and the edges of the count range.
+const NUMBERS: [&str; 9] = [
+    "1e20",
+    "-1",
+    "2.5",
+    "-0",
+    "1e1",
+    "0",
+    "9007199254740992",
+    "9007199254740993",
+    "18446744073709551616",
+];
+
 /// One mutant of a random seed: a truncation, one to four byte flips,
-/// or a splice of two seeds at random cut points.
+/// a splice of two seeds at random cut points, or one run of digits
+/// replaced by a spelling from [`NUMBERS`].
 fn mutate(rng: &mut StdRng, seeds: &[Vec<u8>]) -> Vec<u8> {
     let base = &seeds[rng.gen_range(0..seeds.len())];
-    match rng.gen_range(0..3) {
+    match rng.gen_range(0..4) {
         0 => base[..rng.gen_range(0..base.len())].to_vec(),
         1 => {
             let mut bytes = base.clone();
@@ -53,10 +72,25 @@ fn mutate(rng: &mut StdRng, seeds: &[Vec<u8>]) -> Vec<u8> {
             }
             bytes
         }
-        _ => {
+        2 => {
             let other = &seeds[rng.gen_range(0..seeds.len())];
             let mut bytes = base[..rng.gen_range(0..=base.len())].to_vec();
             bytes.extend_from_slice(&other[rng.gen_range(0..=other.len())..]);
+            bytes
+        }
+        _ => {
+            let digits: Vec<usize> = (0..base.len())
+                .filter(|&i| base[i].is_ascii_digit() && base[i - 1] == b':')
+                .collect();
+            let start = digits[rng.gen_range(0..digits.len())];
+            let end = start
+                + base[start..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit())
+                    .count();
+            let mut bytes = base[..start].to_vec();
+            bytes.extend_from_slice(NUMBERS[rng.gen_range(0..NUMBERS.len())].as_bytes());
+            bytes.extend_from_slice(&base[end..]);
             bytes
         }
     }
@@ -81,9 +115,19 @@ fn mutated_indexes_parse_or_fail_naming_the_index() {
                 String::from_utf8_lossy(&bytes)
             ),
             Ok(Ok(index)) => {
-                // What parses, the writer reproduces exactly.
+                // What parses, the writer reproduces exactly: the same
+                // counts, and text that reads back to the same index.
+                let read = Json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
                 let rewritten = index_doc(&index.scale, index.shard, &index.entries);
-                assert_eq!(parse_index(&rewritten), Ok(index), "case {case}");
+                for key in ["shard", "experiments"] {
+                    assert_eq!(rewritten.get(key), read.get(key), "case {case}: {key}");
+                }
+                let text = rewritten.to_json_string();
+                assert_eq!(
+                    parse_index(&Json::parse(&text).unwrap()),
+                    Ok(index),
+                    "case {case}"
+                );
                 parsed += 1;
             }
             Ok(Err(e)) => {

@@ -221,10 +221,10 @@ impl Responder {
             Ok(doc) => doc,
             Err(e) => return reply_err(None, ErrorCode::Parse, &e.to_string()),
         };
-        let id = match doc.get("id").and_then(Json::as_str) {
-            Some(id) if id.len() <= 200 => id.to_string(),
-            Some(_) => return reply_err(None, ErrorCode::BadRequest, "id is over 200 bytes"),
-            None => return reply_err(None, ErrorCode::BadRequest, "missing string field: id"),
+        let id = match doc.str_at("id") {
+            Ok(id) if id.len() <= 200 => id.to_string(),
+            Ok(_) => return reply_err(None, ErrorCode::BadRequest, "id is over 200 bytes"),
+            Err(e) => return reply_err(None, ErrorCode::BadRequest, &e.to_string()),
         };
         if doc.get("schema").and_then(Json::as_str) != Some(SERVE_SCHEMA) {
             return reply_err(
@@ -233,15 +233,9 @@ impl Responder {
                 &format!("schema must be {SERVE_SCHEMA:?}"),
             );
         }
-        let verb = match doc.get("verb").and_then(Json::as_str) {
-            Some(v) => v,
-            None => {
-                return reply_err(
-                    Some(&id),
-                    ErrorCode::BadRequest,
-                    "missing string field: verb",
-                )
-            }
+        let verb = match doc.str_at("verb") {
+            Ok(v) => v,
+            Err(e) => return reply_err(Some(&id), ErrorCode::BadRequest, &e.to_string()),
         };
         let outcome = match verb {
             "ping" => Ok(Vec::new()),
@@ -281,18 +275,16 @@ impl Responder {
     }
 
     fn call_columns(&self, doc: &Json) -> Result<Vec<(&'static str, Json)>, HandlerError> {
-        let format = req_str(doc, "format")?;
-        let prec = self.req_prec(doc)?;
-        let cols = req_arr(doc, "columns", self.limits.max_batch_items)?;
+        let format = doc.str_at("format").map_err(bad)?;
+        let prec = self.prec(doc)?;
+        let cols = items(doc, "columns", self.limits.max_batch_items)?;
         let mut columns = Vec::with_capacity(cols.len());
         for (i, col) in cols.iter().enumerate() {
-            let probs = req_nums(col, "probs", self.limits.max_item_len)
-                .map_err(|(c, m)| (c, format!("column {i}: {m}")))?;
-            let k = req_index(col, "k", usize::MAX)
-                .map_err(|(c, m)| (c, format!("column {i}: {m}")))?;
-            let column = Column::try_new(probs, k)
-                .map_err(|m| (ErrorCode::BadRequest, format!("column {i}: {m}")))?;
-            columns.push(column);
+            let column = numbers(col, "probs", self.limits.max_item_len).and_then(|probs| {
+                let k = col.count_at("k").map_err(bad)?;
+                Column::try_new(probs, k).map_err(bad)
+            });
+            columns.push(column.map_err(|(c, m)| (c, format!("column {i}: {m}")))?);
         }
         let ctx = Context::new(prec);
         let rt = self.runtime();
@@ -309,24 +301,23 @@ impl Responder {
     }
 
     fn forward_batch(&self, doc: &Json) -> Result<Vec<(&'static str, Json)>, HandlerError> {
-        let format = req_str(doc, "format")?;
-        let prec = self.req_prec(doc)?;
+        let format = doc.str_at("format").map_err(bad)?;
+        let prec = self.prec(doc)?;
         let model = doc
             .get("model")
             .ok_or_else(|| bad("missing field: model"))?;
-        let h = req_index(model, "states", self.limits.max_states)?;
-        let m = req_index(model, "symbols", self.limits.max_symbols)?;
-        let a = req_nums(model, "a", self.limits.max_item_len)?;
-        let b = req_nums(model, "b", self.limits.max_item_len)?;
-        let pi = req_nums(model, "pi", self.limits.max_item_len)?;
-        let hmm = Hmm::try_new(h, m, a, b, pi)
-            .map_err(|msg| (ErrorCode::BadRequest, format!("model: {msg}")))?;
-        let seqs = req_arr(doc, "sequences", self.limits.max_batch_items)?;
+        let h = dimension(model, "states", self.limits.max_states)?;
+        let m = dimension(model, "symbols", self.limits.max_symbols)?;
+        let a = numbers(model, "a", self.limits.max_item_len)?;
+        let b = numbers(model, "b", self.limits.max_item_len)?;
+        let pi = numbers(model, "pi", self.limits.max_item_len)?;
+        let hmm = Hmm::try_new(h, m, a, b, pi).map_err(|msg| bad(format!("model: {msg}")))?;
+        let seqs = items(doc, "sequences", self.limits.max_batch_items)?;
         let mut batch: Vec<Vec<usize>> = Vec::with_capacity(seqs.len());
         for (i, seq) in seqs.iter().enumerate() {
             let arr = seq
                 .as_arr()
-                .ok_or_else(|| bad(&format!("sequence {i} is not an array")))?;
+                .ok_or_else(|| bad(format!("sequence {i} is not an array")))?;
             if arr.len() > self.limits.max_item_len {
                 return Err((
                     ErrorCode::TooLarge,
@@ -339,10 +330,11 @@ impl Responder {
             }
             let mut obs = Vec::with_capacity(arr.len());
             for (t, sym) in arr.iter().enumerate() {
-                let s = as_index(sym)
-                    .ok_or_else(|| bad(&format!("sequence {i}, position {t}: not a symbol")))?;
+                let s = sym
+                    .as_count()
+                    .ok_or_else(|| bad(format!("sequence {i}, position {t}: not a symbol")))?;
                 if s >= hmm.num_symbols() {
-                    return Err(bad(&format!(
+                    return Err(bad(format!(
                         "sequence {i}, position {t}: symbol {s} out of range (M = {})",
                         hmm.num_symbols()
                     )));
@@ -367,15 +359,14 @@ impl Responder {
         ])
     }
 
-    fn req_prec(&self, doc: &Json) -> Result<u32, HandlerError> {
-        let prec = match doc.get("prec") {
-            None => return Ok(256),
-            Some(v) => v,
-        };
-        let p = prec
-            .as_f64()
-            .filter(|p| p.fract() == 0.0 && *p >= 0.0 && *p <= f64::from(u32::MAX))
-            .ok_or_else(|| bad("prec is not a whole number"))? as u32;
+    /// The request's `prec`, 256 when absent.
+    fn prec(&self, doc: &Json) -> Result<u32, HandlerError> {
+        if doc.get("prec").is_none() {
+            return Ok(256);
+        }
+        let p: u32 = doc
+            .count_at("prec")
+            .map_err(|_| bad("prec is not a whole number"))?;
         if p < self.limits.min_prec || p > self.limits.max_prec {
             return Err((
                 ErrorCode::TooLarge,
@@ -551,24 +542,16 @@ fn class_str(class: ErrorClass) -> &'static str {
 }
 
 // ---------------------------------------------------------------------
-// Field extraction (untrusted input)
+// Request limits, on top of the `json` field accessors
 // ---------------------------------------------------------------------
 
-fn bad(msg: &str) -> HandlerError {
+fn bad(msg: impl ToString) -> HandlerError {
     (ErrorCode::BadRequest, msg.to_string())
 }
 
-fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, HandlerError> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad(&format!("missing string field: {key}")))
-}
-
-fn req_arr<'a>(doc: &'a Json, key: &str, max_len: usize) -> Result<&'a [Json], HandlerError> {
-    let arr = doc
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad(&format!("missing array field: {key}")))?;
+/// The array at `key`, refused as too large past `max_len` items.
+fn items<'a>(doc: &'a Json, key: &str, max_len: usize) -> Result<&'a [Json], HandlerError> {
+    let arr = doc.arr_at(key).map_err(bad)?;
     if arr.len() > max_len {
         return Err((
             ErrorCode::TooLarge,
@@ -578,33 +561,26 @@ fn req_arr<'a>(doc: &'a Json, key: &str, max_len: usize) -> Result<&'a [Json], H
     Ok(arr)
 }
 
-fn req_nums(doc: &Json, key: &str, max_len: usize) -> Result<Vec<f64>, HandlerError> {
-    let arr = req_arr(doc, key, max_len)?;
-    arr.iter()
-        .map(|v| v.as_f64())
+/// [`items`] whose every element is a number.
+fn numbers(doc: &Json, key: &str, max_len: usize) -> Result<Vec<f64>, HandlerError> {
+    items(doc, key, max_len)?
+        .iter()
+        .map(Json::as_f64)
         .collect::<Option<Vec<f64>>>()
-        .ok_or_else(|| bad(&format!("{key} must be an array of numbers")))
+        .ok_or_else(|| bad(format!("{key} must be an array of numbers")))
 }
 
-fn as_index(v: &Json) -> Option<usize> {
-    v.as_f64()
-        .filter(|x| x.fract() == 0.0 && *x >= 0.0 && *x <= (1u64 << 53) as f64)
-        .map(|x| x as usize)
-}
-
-fn req_index(doc: &Json, key: &str, max: usize) -> Result<usize, HandlerError> {
-    let v = doc
-        .get(key)
-        .and_then(as_index)
-        .ok_or_else(|| bad(&format!("missing whole-number field: {key}")))?;
+/// A model dimension: a positive count of at most `max`.
+fn dimension(model: &Json, key: &str, max: usize) -> Result<usize, HandlerError> {
+    let v = model.count_at(key).map_err(bad)?;
     if v > max {
         return Err((
             ErrorCode::TooLarge,
             format!("{key} is {v}, over the {max} limit"),
         ));
     }
-    if v == 0 && (key == "states" || key == "symbols") {
-        return Err(bad(&format!("{key} must be positive")));
+    if v == 0 {
+        return Err(bad(format!("{key} must be positive")));
     }
     Ok(v)
 }
@@ -711,6 +687,226 @@ mod tests {
                 Some(want),
                 "{fields}"
             );
+        }
+    }
+
+    /// The exact reply line for every field failure. Serve's replies
+    /// are its wire contract, so a refactor of the field readers must
+    /// keep each of these bytes.
+    #[test]
+    fn field_failures_get_pinned_reply_lines() {
+        let dir = std::env::temp_dir().join(format!("compstat-serve-pins-{}", std::process::id()));
+        let limits = RequestLimits {
+            max_batch_items: 2,
+            max_item_len: 2,
+            ..RequestLimits::default()
+        };
+        let r = Responder::new(limits, 1, CacheMode::Off, Some(dir));
+        let reply = |id: &str, code: &str, message: &str| {
+            format!(
+                r#"{{"schema":"compstat-serve/v1","id":{id},"ok":false,"error":{{"code":"{code}","message":"{message}"}}}}"#
+            )
+        };
+        let cols = r#""id":"c","verb":"pbd/call_columns","format":"binary64""#;
+        let hmm = r#""id":"h","verb":"hmm/forward_batch","format":"binary64""#;
+        let model = |states: &str| {
+            format!(
+                r#"{hmm},"model":{{{states}"symbols":1,"a":[1],"b":[1],"pi":[1]}},"sequences":[]"#
+            )
+        };
+        let long_id = "i".repeat(201);
+        let cases = [
+            // id
+            (
+                r#""verb":"ping""#.to_string(),
+                reply("null", "bad-request", "missing string field: id"),
+            ),
+            (
+                r#""id":5,"verb":"ping""#.to_string(),
+                reply("null", "bad-request", "missing string field: id"),
+            ),
+            (
+                format!(r#""id":"{long_id}","verb":"ping""#),
+                reply("null", "bad-request", "id is over 200 bytes"),
+            ),
+            // format
+            (
+                r#""id":"c","verb":"pbd/call_columns","columns":[]"#.to_string(),
+                reply(r#""c""#, "bad-request", "missing string field: format"),
+            ),
+            (
+                r#""id":"c","verb":"pbd/call_columns","format":7,"columns":[]"#.to_string(),
+                reply(r#""c""#, "bad-request", "missing string field: format"),
+            ),
+            (
+                r#""id":"c","verb":"pbd/call_columns","format":"float128","columns":[]"#
+                    .to_string(),
+                reply(r#""c""#, "unsupported", r#"unknown format \"float128\""#),
+            ),
+            // columns
+            (
+                cols.to_string(),
+                reply(r#""c""#, "bad-request", "missing array field: columns"),
+            ),
+            (
+                format!(r#"{cols},"columns":{{}}"#),
+                reply(r#""c""#, "bad-request", "missing array field: columns"),
+            ),
+            (
+                format!(r#"{cols},"columns":[{{}},{{}},{{}}]"#),
+                reply(
+                    r#""c""#,
+                    "too-large",
+                    "columns has 3 items, over the 2 limit",
+                ),
+            ),
+            // probs
+            (
+                format!(r#"{cols},"columns":[{{"k":0}}]"#),
+                reply(
+                    r#""c""#,
+                    "bad-request",
+                    "column 0: missing array field: probs",
+                ),
+            ),
+            (
+                format!(r#"{cols},"columns":[{{"probs":"x","k":0}}]"#),
+                reply(
+                    r#""c""#,
+                    "bad-request",
+                    "column 0: missing array field: probs",
+                ),
+            ),
+            (
+                format!(r#"{cols},"columns":[{{"probs":[0.5,"x"],"k":0}}]"#),
+                reply(
+                    r#""c""#,
+                    "bad-request",
+                    "column 0: probs must be an array of numbers",
+                ),
+            ),
+            (
+                format!(r#"{cols},"columns":[{{"probs":[0.5,0.5,0.5],"k":0}}]"#),
+                reply(
+                    r#""c""#,
+                    "too-large",
+                    "column 0: probs has 3 items, over the 2 limit",
+                ),
+            ),
+            // k
+            (
+                format!(r#"{cols},"columns":[{{"probs":[0.5]}}]"#),
+                reply(
+                    r#""c""#,
+                    "bad-request",
+                    "column 0: missing whole-number field: k",
+                ),
+            ),
+            (
+                format!(r#"{cols},"columns":[{{"probs":[0.5],"k":"1"}}]"#),
+                reply(
+                    r#""c""#,
+                    "bad-request",
+                    "column 0: missing whole-number field: k",
+                ),
+            ),
+            (
+                format!(r#"{cols},"columns":[{{"probs":[0.5],"k":0.5}}]"#),
+                reply(
+                    r#""c""#,
+                    "bad-request",
+                    "column 0: missing whole-number field: k",
+                ),
+            ),
+            (
+                format!(r#"{cols},"columns":[{{"probs":[0.5],"k":-1}}]"#),
+                reply(
+                    r#""c""#,
+                    "bad-request",
+                    "column 0: missing whole-number field: k",
+                ),
+            ),
+            (
+                format!(r#"{cols},"columns":[{{"probs":[0.5],"k":1e20}}]"#),
+                reply(
+                    r#""c""#,
+                    "bad-request",
+                    "column 0: missing whole-number field: k",
+                ),
+            ),
+            // states
+            (
+                format!(r#"{hmm},"sequences":[]"#),
+                reply(r#""h""#, "bad-request", "missing field: model"),
+            ),
+            (
+                model(""),
+                reply(
+                    r#""h""#,
+                    "bad-request",
+                    "missing whole-number field: states",
+                ),
+            ),
+            (
+                model(r#""states":"1","#),
+                reply(
+                    r#""h""#,
+                    "bad-request",
+                    "missing whole-number field: states",
+                ),
+            ),
+            (
+                model(r#""states":1.5,"#),
+                reply(
+                    r#""h""#,
+                    "bad-request",
+                    "missing whole-number field: states",
+                ),
+            ),
+            (
+                model(r#""states":1e20,"#),
+                reply(
+                    r#""h""#,
+                    "bad-request",
+                    "missing whole-number field: states",
+                ),
+            ),
+            (
+                model(r#""states":65,"#),
+                reply(r#""h""#, "too-large", "states is 65, over the 64 limit"),
+            ),
+            (
+                model(r#""states":0,"#),
+                reply(r#""h""#, "bad-request", "states must be positive"),
+            ),
+            // prec
+            (
+                format!(r#"{cols},"prec":"256","columns":[]"#),
+                reply(r#""c""#, "bad-request", "prec is not a whole number"),
+            ),
+            (
+                format!(r#"{cols},"prec":128.5,"columns":[]"#),
+                reply(r#""c""#, "bad-request", "prec is not a whole number"),
+            ),
+            (
+                format!(r#"{cols},"prec":-128,"columns":[]"#),
+                reply(r#""c""#, "bad-request", "prec is not a whole number"),
+            ),
+            (
+                format!(r#"{cols},"prec":1e10,"columns":[]"#),
+                reply(r#""c""#, "bad-request", "prec is not a whole number"),
+            ),
+            (
+                format!(r#"{cols},"prec":8192,"columns":[]"#),
+                reply(
+                    r#""c""#,
+                    "too-large",
+                    "prec 8192 outside the accepted 64..=4096 range",
+                ),
+            ),
+        ];
+        for (fields, want) in cases {
+            assert_eq!(r.respond_line(&frame(&fields)), want, "{fields}");
         }
     }
 

@@ -252,8 +252,10 @@ enum Frame {
     Dead,
 }
 
-/// A point in time that bounds a run of reads on one socket.
-struct Deadline(Instant);
+/// A point in time that bounds a run of reads on one socket; `None`
+/// when the limit reaches past what an `Instant` can hold, which is
+/// no bound at all.
+struct Deadline(Option<Instant>);
 
 impl Deadline {
     #[expect(
@@ -261,17 +263,21 @@ impl Deadline {
         reason = "transport deadline: bounds how long a peer may hold a worker; no reply byte depends on it"
     )]
     fn after(limit: Duration) -> Deadline {
-        Deadline(Instant::now() + limit)
+        Deadline(Instant::now().checked_add(limit))
     }
 
     /// Sets `conn`'s read timeout to the time left; `false` once the
-    /// deadline has passed.
+    /// deadline has passed. An unbounded deadline leaves the socket's
+    /// own timeout in force.
     #[expect(
         clippy::disallowed_methods,
         reason = "transport deadline: bounds how long a peer may hold a worker; no reply byte depends on it"
     )]
     fn arm(&self, conn: &TcpStream) -> bool {
-        let left = self.0.saturating_duration_since(Instant::now());
+        let Some(at) = self.0 else {
+            return true;
+        };
+        let left = at.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return false;
         }
@@ -468,5 +474,24 @@ mod tests {
             .read_line(&mut reply)
             .unwrap();
         assert!(reply.contains("timeout"), "{reply}");
+    }
+
+    #[test]
+    fn an_unbounded_timeout_still_answers_a_frame_split_over_two_writes() {
+        let mut config = test_config("no-deadline");
+        config.workers = 1;
+        config.read_timeout = Duration::MAX;
+        let server = Server::spawn(config).unwrap();
+        // The second half arrives after the first buffer fill, so the
+        // frame gets a deadline `Duration::MAX` from now.
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.write_all(br#"{"schema":"compstat-serve/v1","#)
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        conn.write_all(b"\"id\":\"a\",\"verb\":\"ping\"}\n")
+            .unwrap();
+        let mut reply = String::new();
+        BufReader::new(conn).read_line(&mut reply).unwrap();
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
     }
 }
