@@ -300,6 +300,33 @@ fn validate_checks_reports_and_indexes_with_the_loaders_diff_and_merge_use() {
     assert!(err.contains("3 of 3 document(s) invalid"), "{err}");
 }
 
+#[test]
+fn validate_refuses_a_number_beyond_f64_range() {
+    // The writer emits a non-finite metric as `null`, so `1e999` is a
+    // number no report can hold: it must not read back as infinity.
+    let dir = tmp_dir("reports-overflowing-number");
+    std::fs::create_dir_all(&dir).unwrap();
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../goldens/quick/fig09.json");
+    let golden = std::fs::read_to_string(golden).unwrap();
+    let huge = golden.replace(
+        r#""binary64_underflows":5"#,
+        r#""binary64_underflows":1e999"#,
+    );
+    assert_ne!(huge, golden);
+    std::fs::write(dir.join("fig09.json"), huge).unwrap();
+
+    let out = compstat(&["validate", dir.to_str().unwrap()]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    let named = format!("{}: ", dir.join("fig09.json").display());
+    assert!(
+        err.lines()
+            .any(|l| l.contains(&named) && l.contains("number out of range: 1e999")),
+        "{err}"
+    );
+    assert!(err.contains("1 of 1 document(s) invalid"), "{err}");
+}
+
 /// Reads, mutates, and rewrites one report's first metric value.
 fn perturb_first_metric(path: &Path, factor: f64) -> (String, f64, f64) {
     let text = std::fs::read_to_string(path).unwrap();

@@ -600,10 +600,23 @@ impl Parser<'_> {
             }
         }
         let token = core::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        // A token beyond f64's range would read as an infinity, which no
+        // writer emits (it writes `null`): refuse it, naming the token.
+        match token.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            Ok(_) => {
+                // The token is ASCII, so any byte index is a char boundary.
+                let more = if token.len() > 40 { "..." } else { "" };
+                Err(ParseError {
+                    offset: start,
+                    message: format!(
+                        "number out of range: {}{more}",
+                        &token[..token.len().min(40)]
+                    ),
+                })
+            }
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -715,6 +728,31 @@ mod tests {
     fn non_finite_numbers_become_null() {
         assert_eq!(Json::Num(f64::NAN).to_json_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_json_string(), "null");
+    }
+
+    #[test]
+    fn numbers_beyond_f64_range_are_refused_by_name() {
+        for (doc, token) in [(r#"{"x":1e999}"#, "1e999"), (r#"[0,-1E+400]"#, "-1E+400")] {
+            let err = Json::parse(doc).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("number out of range: {token}"),
+                "{doc}"
+            );
+            assert_eq!(err.offset, doc.find(token).unwrap(), "{doc}");
+        }
+        let long = format!("[{}]", "9".repeat(400));
+        let err = Json::parse(&long).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("number out of range: {}...", "9".repeat(40))
+        );
+        // The largest finite values and underflow to zero still read.
+        assert_eq!(
+            Json::parse("1.7976931348623157e308"),
+            Ok(Json::Num(f64::MAX))
+        );
+        assert_eq!(Json::parse("-1e-999"), Ok(Json::Num(-0.0)));
     }
 
     #[test]

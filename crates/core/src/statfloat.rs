@@ -248,14 +248,17 @@ macro_rules! statfloat_for_posit {
                 self.is_nar()
             }
 
+            #[inline]
             fn add(self, other: Self) -> Self {
                 self + other
             }
 
+            #[inline]
             fn mul(self, other: Self) -> Self {
                 self * other
             }
 
+            #[inline]
             fn div(self, other: Self) -> Self {
                 self / other
             }

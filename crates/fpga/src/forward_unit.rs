@@ -241,16 +241,9 @@ impl ColumnUnit {
 }
 
 /// Figure 6's configuration sweep.
-#[must_use]
-pub fn figure6_h_values() -> [u64; 4] {
+#[cfg(test)]
+fn figure6_h_values() -> [u64; 4] {
     [13, 32, 64, 128]
-}
-
-/// Convenience: the pipeline-fill term (`H`, or `K`) the paper calls
-/// "pipeline latency".
-#[must_use]
-pub fn pipeline_latency(h: u64, lanes: u64) -> u64 {
-    h * h.div_ceil(lanes.max(1))
 }
 
 #[cfg(test)]

@@ -204,8 +204,8 @@ impl Design {
     }
 
     /// True for the posit designs.
-    #[must_use]
-    pub fn is_posit(self) -> bool {
+    #[cfg(test)]
+    fn is_posit(self) -> bool {
         !matches!(self, Design::LogSpace)
     }
 }

@@ -1,165 +1,188 @@
 //! Posit arithmetic on raw bit patterns.
 //!
-//! All operations unpack to sign/scale/Q1.63-significand form, compute in
-//! `u128` intermediates wide enough for exact pattern rounding, and pack
-//! with round-to-nearest-even. NaR propagates through every operation.
+//! Each kernel is const-generic over `posit(N, ES)` and `#[inline]`, so
+//! it compiles into its caller with the format's shifts and masks as
+//! immediates. One branch screens zero and NaR for both operands. The
+//! finite path unpacks both operands to sign/scale/Q1.63-significand
+//! form, computes the exact result's leading 64 bits plus a sticky bit,
+//! and packs with round-to-nearest-even on the pattern. Only the
+//! alignment shift and cancellation of [`add`], the product of [`mul`]
+//! and the quotient of [`div`] take `u128`s. NaR propagates through every
+//! operation.
 
-use crate::decode::{decode, mask, Decoded, Unpacked};
+use crate::decode::{either_special, unpack, Format, Unpacked};
 use crate::encode::pack;
-
-#[inline]
-fn nar_bits(n: u32) -> u64 {
-    1u64 << (n - 1)
-}
 
 /// Exact negation: two's complement of the pattern.
 #[inline]
-pub fn neg_bits(a: u64, n: u32) -> u64 {
-    a.wrapping_neg() & mask(n)
+pub(crate) fn neg<const N: u32, const ES: u32>(a: u64) -> u64 {
+    a.wrapping_neg() & Format::<N, ES>::MASK
 }
 
 /// Posit addition.
-pub fn add_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
-    let da = decode(a, n, es);
-    let db = decode(b, n, es);
-    match (da, db) {
-        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits(n),
-        (Decoded::Zero, _) => b,
-        (_, Decoded::Zero) => a,
-        (Decoded::Finite(x), Decoded::Finite(y)) => add_unpacked(x, y, n, es),
+#[inline]
+pub(crate) fn add<const N: u32, const ES: u32>(a: u64, b: u64) -> u64 {
+    if either_special::<N, ES>(a, b) {
+        let nar = Format::<N, ES>::NAR;
+        return if a == nar || b == nar {
+            nar
+        } else if a == 0 {
+            b
+        } else {
+            a
+        };
     }
+    add_finite::<N, ES>(unpack::<N, ES>(a), unpack::<N, ES>(b))
 }
 
 /// Posit subtraction (`a + (-b)`).
-pub fn sub_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
-    add_bits(a, neg_bits(b, n), n, es)
+#[inline]
+pub(crate) fn sub<const N: u32, const ES: u32>(a: u64, b: u64) -> u64 {
+    add::<N, ES>(a, neg::<N, ES>(b))
 }
 
-fn add_unpacked(x: Unpacked, y: Unpacked, n: u32, es: u32) -> u64 {
+#[inline]
+fn add_finite<const N: u32, const ES: u32>(x: Unpacked, y: Unpacked) -> u64 {
     // Order by magnitude: |big| >= |small|.
     let (big, small) = if (x.scale, x.frac) >= (y.scale, y.frac) {
         (x, y)
     } else {
         (y, x)
     };
-    let d = (big.scale - small.scale) as u64; // >= 0
-
-    // Fixed point with the hidden bit of `big` at bit 126 (one headroom
-    // bit at 127 for the same-sign carry).
-    let abig = (big.frac as u128) << 63;
-    let asmall_full = (small.frac as u128) << 63;
-    let (asmall, small_sticky) = if d >= 127 {
-        (0u128, true)
-    } else {
-        let shifted = asmall_full >> d;
-        let lost = d > 0 && asmall_full & (((1u128) << d) - 1) != 0;
-        (shifted, lost)
-    };
-
+    let d = (big.scale - small.scale) as u64;
+    // small's significand scaled by 2^-d, split at big's LSB: `hi` lines
+    // up with big.frac and `lo` holds the next 64 bits. Bits shifted past
+    // those are dropped; `lo` is then nonzero, which is all the sticky bit
+    // and a renormalization need from them.
+    let wide = (u128::from(small.frac) << 64) >> d.min(127);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the two u64 halves of a u128"
+    )]
+    let (hi, lo) = ((wide >> 64) as u64, wide as u64);
     if big.negative == small.negative {
-        let sum = abig + asmall;
-        let (scale_adj, frac, mut sticky) = normalize_sum(sum);
-        sticky |= small_sticky;
-        pack(big.negative, big.scale + scale_adj, frac, sticky, n, es)
-    } else {
-        let mut diff = abig - asmall;
-        let mut sticky = false;
-        if small_sticky {
-            // True value is diff - epsilon, epsilon in (0,1) array ulps:
-            // rewrite as (diff - 1) + (1 - epsilon) to keep the residue
-            // positive for the sticky bit.
-            diff -= 1;
-            sticky = true;
+        let (sum, carry) = big.frac.overflowing_add(hi);
+        if carry {
+            // The carry is the new hidden bit: scale + 1.
+            pack::<N, ES>(
+                big.negative,
+                big.scale + 1,
+                (sum >> 1) | 1 << 63,
+                sum & 1 != 0 || lo != 0,
+            )
+        } else {
+            pack::<N, ES>(big.negative, big.scale, sum, lo != 0)
         }
-        if diff == 0 {
+    } else {
+        // big - small = (big.frac - hi - borrow) + (2^64 - lo) / 2^64,
+        // with a borrow when lo is nonzero; |big| >= |small| keeps it >= 0.
+        let int = big.frac - hi - u64::from(lo != 0);
+        let rest = lo.wrapping_neg();
+        if int >> 63 == 1 {
+            return pack::<N, ES>(big.negative, big.scale, int, rest != 0);
+        }
+        // Cancellation: renormalize the hidden bit to bit 63.
+        let w = (u128::from(int) << 64) | u128::from(rest);
+        if w == 0 {
             return 0; // exact cancellation
         }
-        let top = 127 - diff.leading_zeros() as i64;
-        // Renormalize the hidden bit to position 126 (top <= 126 since the
-        // difference cannot exceed the larger operand).
-        let shift = 126 - top;
-        debug_assert!(shift >= 0);
-        let v = diff << shift;
-        let scale_adj = -shift;
-        let frac = (v >> 63) as u64;
-        sticky |= v & ((1u128 << 63) - 1) != 0;
-        pack(big.negative, big.scale + scale_adj, frac, sticky, n, es)
+        let shift = w.leading_zeros();
+        let v = w << shift;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the two u64 halves of a u128"
+        )]
+        let (frac, below) = ((v >> 64) as u64, v as u64);
+        pack::<N, ES>(big.negative, big.scale - i64::from(shift), frac, below != 0)
     }
 }
 
-/// Normalizes a sum with hidden bits at 126 (result top at 126 or 127).
+/// Splits a significand product, with its top bit at 126 or 127, into a
+/// scale step, the Q1.63 significand and a sticky bit for the rest.
 #[inline]
-fn normalize_sum(sum: u128) -> (i64, u64, bool) {
-    if sum >> 127 != 0 {
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "each cast keeps 64 bits on purpose: a right shift by >= 63 of a u128 below 2^128 fits, and `p as u64` is the low half tested for sticky bits"
+)]
+fn normalize_product(p: u128) -> (i64, u64, bool) {
+    if p >> 127 != 0 {
         // Carry: top at 127 -> scale + 1.
-        let frac = (sum >> 64) as u64;
-        let sticky = sum as u64 != 0;
+        let frac = (p >> 64) as u64;
+        let sticky = p as u64 != 0;
         (1, frac, sticky)
     } else {
-        debug_assert!(sum >> 126 != 0);
-        let frac = (sum >> 63) as u64;
-        let sticky = sum & ((1u128 << 63) - 1) != 0;
+        debug_assert!(p >> 126 != 0);
+        let frac = (p >> 63) as u64;
+        let sticky = p & ((1u128 << 63) - 1) != 0;
         (0, frac, sticky)
     }
 }
 
 /// Posit multiplication.
-pub fn mul_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
-    let da = decode(a, n, es);
-    let db = decode(b, n, es);
-    match (da, db) {
-        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits(n),
-        (Decoded::Zero, _) | (_, Decoded::Zero) => 0,
-        (Decoded::Finite(x), Decoded::Finite(y)) => {
-            let negative = x.negative != y.negative;
-            // Q1.63 * Q1.63 = Q2.126: product in [2^126, 2^128).
-            let p = x.frac as u128 * y.frac as u128;
-            let (scale_adj, frac, sticky) = normalize_sum(p);
-            pack(negative, x.scale + y.scale + scale_adj, frac, sticky, n, es)
-        }
+#[inline]
+pub(crate) fn mul<const N: u32, const ES: u32>(a: u64, b: u64) -> u64 {
+    if either_special::<N, ES>(a, b) {
+        let nar = Format::<N, ES>::NAR;
+        return if a == nar || b == nar { nar } else { 0 };
     }
+    let x = unpack::<N, ES>(a);
+    let y = unpack::<N, ES>(b);
+    // Q1.63 * Q1.63 = Q2.126: product in [2^126, 2^128).
+    let p = u128::from(x.frac) * u128::from(y.frac);
+    let (scale_adj, frac, sticky) = normalize_product(p);
+    pack::<N, ES>(
+        x.negative != y.negative,
+        x.scale + y.scale + scale_adj,
+        frac,
+        sticky,
+    )
 }
 
 /// Posit division.
-pub fn div_bits(a: u64, b: u64, n: u32, es: u32) -> u64 {
-    let da = decode(a, n, es);
-    let db = decode(b, n, es);
-    match (da, db) {
-        (Decoded::NaR, _) | (_, Decoded::NaR) => nar_bits(n),
+#[inline]
+pub(crate) fn div<const N: u32, const ES: u32>(a: u64, b: u64) -> u64 {
+    if either_special::<N, ES>(a, b) {
         // x/0 is NaR (no infinities in posit); 0/x is 0.
-        (_, Decoded::Zero) => nar_bits(n),
-        (Decoded::Zero, Decoded::Finite(_)) => 0,
-        (Decoded::Finite(x), Decoded::Finite(y)) => {
-            let negative = x.negative != y.negative;
-            // Compute fa/fb in (1/2, 2) with 64 quotient bits + remainder.
-            let (num_shift, scale_adj) = if x.frac >= y.frac {
-                (63u32, 0i64)
-            } else {
-                (64, -1)
-            };
-            let num = (x.frac as u128) << num_shift;
-            let q = num / y.frac as u128;
-            let rem = num % y.frac as u128;
-            debug_assert!(q >> 63 == 1, "quotient normalized to Q1.63");
-            pack(
-                negative,
-                x.scale - y.scale + scale_adj,
-                q as u64,
-                rem != 0,
-                n,
-                es,
-            )
-        }
+        let nar = Format::<N, ES>::NAR;
+        return if a == nar || b & Format::<N, ES>::BODY == 0 {
+            nar
+        } else {
+            0
+        };
     }
+    let x = unpack::<N, ES>(a);
+    let y = unpack::<N, ES>(b);
+    // Compute fa/fb in (1/2, 2) with 64 quotient bits + remainder.
+    let (num_shift, scale_adj) = if x.frac >= y.frac {
+        (63u32, 0i64)
+    } else {
+        (64, -1)
+    };
+    let num = u128::from(x.frac) << num_shift;
+    let q = num / u128::from(y.frac);
+    let rem = num % u128::from(y.frac);
+    debug_assert!(q >> 63 == 1, "quotient normalized to Q1.63");
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the significands' ratio is below 2, so q < 2^64"
+    )]
+    let q = q as u64;
+    pack::<N, ES>(
+        x.negative != y.negative,
+        x.scale - y.scale + scale_adj,
+        q,
+        rem != 0,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::{decode, Decoded};
 
     // posit(8,2) value table helpers: decode to f64 by formula.
     fn p8_to_f64(bits: u64) -> f64 {
-        match decode(bits, 8, 2) {
+        match decode::<8, 2>(bits) {
             Decoded::Zero => 0.0,
             Decoded::NaR => f64::NAN,
             Decoded::Finite(u) => {
@@ -218,7 +241,7 @@ mod tests {
             .collect();
         for &(ab, av) in &vals {
             for &(bb, bv) in &vals {
-                let got = add_bits(ab, bb, 8, 2);
+                let got = add::<8, 2>(ab, bb);
                 assert_ne!(got, 0x80, "add must not produce NaR");
                 let gv = p8_to_f64(got);
                 let exact = av + bv;
@@ -250,10 +273,10 @@ mod tests {
         let one = p8_from_f64_exact(1.0);
         let two = p8_from_f64_exact(2.0);
         let three = p8_from_f64_exact(3.0);
-        assert_eq!(add_bits(one, one, 8, 2), two);
-        assert_eq!(add_bits(one, two, 8, 2), three);
-        assert_eq!(sub_bits(three, two, 8, 2), one);
-        assert_eq!(sub_bits(one, one, 8, 2), 0);
+        assert_eq!(add::<8, 2>(one, one), two);
+        assert_eq!(add::<8, 2>(one, two), three);
+        assert_eq!(sub::<8, 2>(three, two), one);
+        assert_eq!(sub::<8, 2>(one, one), 0);
     }
 
     #[test]
@@ -262,9 +285,9 @@ mod tests {
         let two = p8_from_f64_exact(2.0);
         let four = p8_from_f64_exact(4.0);
         let one = p8_from_f64_exact(1.0);
-        assert_eq!(mul_bits(two, two, 8, 2), four);
-        assert_eq!(mul_bits(two, half, 8, 2), one);
-        assert_eq!(mul_bits(0, two, 8, 2), 0);
+        assert_eq!(mul::<8, 2>(two, two), four);
+        assert_eq!(mul::<8, 2>(two, half), one);
+        assert_eq!(mul::<8, 2>(0, two), 0);
     }
 
     #[test]
@@ -275,7 +298,7 @@ mod tests {
             .collect();
         for &(ab, av) in &vals {
             for &(bb, bv) in &vals {
-                let got = mul_bits(ab, bb, 8, 2);
+                let got = mul::<8, 2>(ab, bb);
                 assert_ne!(got, 0x80);
                 let gv = p8_to_f64(got);
                 let exact = av * bv;
@@ -310,7 +333,7 @@ mod tests {
             for &b in &vals {
                 let pa = p8_from_f64_exact(a);
                 let pb = p8_from_f64_exact(b);
-                let q = div_bits(mul_bits(pa, pb, 8, 2), pb, 8, 2);
+                let q = div::<8, 2>(mul::<8, 2>(pa, pb), pb);
                 // a*b then /b returns a when all intermediates are exact.
                 if (a * b).abs() <= p8_to_f64(0x7F) && p8_to_f64(p8_from_f64_exact(a * b)) == a * b
                 {
@@ -322,33 +345,31 @@ mod tests {
 
     #[test]
     fn div_by_zero_is_nar() {
-        assert_eq!(div_bits(p8_from_f64_exact(1.0), 0, 8, 2), 0x80);
-        assert_eq!(div_bits(0, 0, 8, 2), 0x80);
-        assert_eq!(div_bits(0, p8_from_f64_exact(2.0), 8, 2), 0);
+        assert_eq!(div::<8, 2>(p8_from_f64_exact(1.0), 0), 0x80);
+        assert_eq!(div::<8, 2>(0, 0), 0x80);
+        assert_eq!(div::<8, 2>(0, p8_from_f64_exact(2.0)), 0);
     }
 
     #[test]
     fn nar_propagates() {
         let one = p8_from_f64_exact(1.0);
-        for op in [add_bits, sub_bits, mul_bits, div_bits] {
-            assert_eq!(op(0x80, one, 8, 2), 0x80);
-            assert_eq!(op(one, 0x80, 8, 2), 0x80);
+        for op in [add::<8, 2>, sub::<8, 2>, mul::<8, 2>, div::<8, 2>] {
+            assert_eq!(op(0x80, one), 0x80);
+            assert_eq!(op(one, 0x80), 0x80);
         }
-        assert_eq!(neg_bits(0x80, 8), 0x80);
-        assert_eq!(neg_bits(0, 8), 0);
+        assert_eq!(neg::<8, 2>(0x80), 0x80);
+        assert_eq!(neg::<8, 2>(0), 0);
     }
 
     #[test]
     fn deep_product_chain_posit64() {
         // 0.5^k scales exactly: bits should decode back to scale -k while
         // in range.
-        let n = 64;
-        let es = 12;
-        let half = pack(false, -1, 1u64 << 63, false, n, es);
-        let mut acc = pack(false, 0, 1u64 << 63, false, n, es);
+        let half = pack::<64, 12>(false, -1, 1u64 << 63, false);
+        let mut acc = pack::<64, 12>(false, 0, 1u64 << 63, false);
         for k in 1..=1000 {
-            acc = mul_bits(acc, half, n, es);
-            if let Decoded::Finite(u) = decode(acc, n, es) {
+            acc = mul::<64, 12>(acc, half);
+            if let Decoded::Finite(u) = decode::<64, 12>(acc) {
                 assert_eq!(u.scale, -k, "iteration {k}");
                 assert_eq!(u.frac, 1u64 << 63);
             } else {

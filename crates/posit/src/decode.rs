@@ -1,4 +1,8 @@
 //! Decoding posit bit patterns into sign/scale/significand form.
+//!
+//! [`unpack`] is const-generic over the format, so the regime and
+//! exponent shifts are immediates and the whole decode inlines into each
+//! arithmetic kernel.
 
 /// A decoded finite, nonzero posit value.
 ///
@@ -27,71 +31,78 @@ pub enum Decoded {
     Finite(Unpacked),
 }
 
-/// Decodes an `n`-bit posit with `es` exponent bits.
-///
-/// `bits` must carry the pattern in its low `n` bits (upper bits zero).
+/// The pattern constants of `posit(N, ES)`, folded at compile time.
+pub(crate) struct Format<const N: u32, const ES: u32>;
+
+impl<const N: u32, const ES: u32> Format<N, ES> {
+    /// The low `N` bits.
+    pub(crate) const MASK: u64 = u64::MAX >> (64 - N);
+    /// Not-a-Real: the sign bit alone.
+    pub(crate) const NAR: u64 = 1 << (N - 1);
+    /// The `N - 1` bits below the sign; also the body of maxpos.
+    pub(crate) const BODY: u64 = Self::NAR - 1;
+    /// The scale of maxpos, `(N - 2) · 2^ES`; minpos has its negation.
+    pub(crate) const MAXPOS_SCALE: i64 = (N as i64 - 2) << ES;
+}
+
+/// True when `a` or `b` is zero or NaR, the two patterns whose body bits
+/// are all zero. One branch screens both operands: a zero body wraps to
+/// all ones on the decrement, and every other body stays below `BODY`.
 #[inline]
-pub fn decode(bits: u64, n: u32, es: u32) -> Decoded {
-    debug_assert!((3..=64).contains(&n));
-    debug_assert!(es <= 30);
-    debug_assert!(n == 64 || bits >> n == 0, "stray bits above the pattern");
-    if bits == 0 {
-        return Decoded::Zero;
+pub(crate) fn either_special<const N: u32, const ES: u32>(a: u64, b: u64) -> bool {
+    let body = Format::<N, ES>::BODY;
+    ((a & body).wrapping_sub(1) | (b & body).wrapping_sub(1)) > body
+}
+
+/// Decodes a pattern held in the low `N` bits (upper bits zero).
+#[inline]
+pub(crate) fn decode<const N: u32, const ES: u32>(bits: u64) -> Decoded {
+    if bits & Format::<N, ES>::BODY != 0 {
+        Decoded::Finite(unpack::<N, ES>(bits))
+    } else if bits == 0 {
+        Decoded::Zero
+    } else {
+        Decoded::NaR
     }
-    let sign_mask = 1u64 << (n - 1);
-    if bits == sign_mask {
-        return Decoded::NaR;
-    }
-    let negative = bits & sign_mask != 0;
-    // Two's-complement negation within n bits yields the magnitude pattern.
+}
+
+/// Unpacks a pattern that is neither zero nor NaR.
+#[inline]
+pub(crate) fn unpack<const N: u32, const ES: u32>(bits: u64) -> Unpacked {
+    debug_assert!(
+        bits & !Format::<N, ES>::MASK == 0,
+        "stray bits above the pattern"
+    );
+    debug_assert!(bits & Format::<N, ES>::BODY != 0, "zero or NaR");
+    let negative = bits & Format::<N, ES>::NAR != 0;
+    // Two's-complement negation within N bits yields the magnitude pattern.
     let mag = if negative {
-        bits.wrapping_neg() & mask(n)
+        bits.wrapping_neg() & Format::<N, ES>::MASK
     } else {
         bits
     };
-    // Left-align the n-1 body bits at bit 63; vacated low bits read as the
+    // Left-align the N-1 body bits at bit 63; vacated low bits read as the
     // zero padding the posit standard prescribes for truncated fields.
-    let body = mag << (64 - (n - 1));
-    let r = body >> 63;
-    let run = if r == 1 {
-        body.leading_ones()
+    let body = mag << (65 - N);
+    // The regime is the run of copies of bit 63. XOR with the
+    // sign-extended top bit turns either run into leading zeros; the
+    // padding ends a run of ones by maxpos at the latest.
+    let run = (body ^ ((body as i64 >> 63) as u64)).leading_zeros();
+    let k = if body >> 63 == 1 {
+        i64::from(run) - 1
     } else {
-        body.leading_zeros()
+        -i64::from(run)
     };
-    // A run of ones can extend into the zero padding only for maxpos,
-    // where leading_ones stops at the padding; cap to the body width.
-    let run = run.min(n - 1);
-    let k: i64 = if r == 1 {
-        run as i64 - 1
-    } else {
-        -(run as i64)
-    };
-    // Regime field: run + terminating bit, capped at the body width.
-    let regime_len = (run + 1).min(n - 1);
-    let rem = if regime_len >= 64 {
-        0
-    } else {
-        body << regime_len
-    };
-    let e = if es == 0 { 0 } else { rem >> (64 - es) };
-    let frac_field = if es >= 64 { 0 } else { rem << es };
+    // Drop the run and its terminator; after maxpos's full-width run only
+    // padding is left.
+    let rem = body << run << 1;
+    let e = if ES == 0 { 0 } else { rem >> (64 - ES) };
     // Q1.63: hidden bit at 63, fraction below.
-    let frac = (1u64 << 63) | (frac_field >> 1);
-    let scale = k * (1i64 << es) + e as i64;
-    Decoded::Finite(Unpacked {
+    let frac = (1 << 63) | (rem << ES >> 1);
+    Unpacked {
         negative,
-        scale,
+        scale: (k << ES) + e as i64,
         frac,
-    })
-}
-
-/// Mask of the low `n` bits (`n` in 1..=64).
-#[inline]
-pub fn mask(n: u32) -> u64 {
-    if n == 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
     }
 }
 
@@ -107,7 +118,7 @@ mod tests {
     fn paper_worked_example_posit_8_2() {
         // Section III: 0_0001_10_1 -> 1.5 * 2^-10.
         let bits = 0b0_0001_10_1u64;
-        match decode(bits, 8, 2) {
+        match decode::<8, 2>(bits) {
             Decoded::Finite(u) => {
                 assert!(!u.negative);
                 assert_eq!(u.scale, -10);
@@ -119,43 +130,62 @@ mod tests {
 
     #[test]
     fn specials() {
-        assert_eq!(decode(0, 8, 2), Decoded::Zero);
-        assert_eq!(decode(0x80, 8, 2), Decoded::NaR);
-        assert_eq!(decode(0, 64, 9), Decoded::Zero);
-        assert_eq!(decode(1u64 << 63, 64, 9), Decoded::NaR);
+        assert_eq!(decode::<8, 2>(0), Decoded::Zero);
+        assert_eq!(decode::<8, 2>(0x80), Decoded::NaR);
+        assert_eq!(decode::<64, 9>(0), Decoded::Zero);
+        assert_eq!(decode::<64, 9>(1u64 << 63), Decoded::NaR);
+    }
+
+    #[test]
+    fn either_special_screens_exactly_zero_and_nar() {
+        for a in 0u64..256 {
+            for b in [0u64, 1, 0x40, 0x7F, 0x80, 0x81, 0xFF] {
+                let want = [a, b].iter().any(|&x| x == 0 || x == 0x80);
+                assert_eq!(either_special::<8, 2>(a, b), want, "{a:#x} {b:#x}");
+                assert_eq!(either_special::<8, 2>(b, a), want, "{b:#x} {a:#x}");
+            }
+        }
+        let nar = 1u64 << 63;
+        assert!(either_special::<64, 12>(nar, 1));
+        assert!(either_special::<64, 12>(u64::MAX, 0));
+        assert!(!either_special::<64, 12>(nar + 1, nar - 1));
     }
 
     #[test]
     fn one_decodes_to_scale_zero() {
         // 0b01000...0 is always 1.0.
-        for (n, es) in [(8u32, 2u32), (16, 1), (32, 2), (64, 9), (64, 18)] {
-            let bits = 1u64 << (n - 2);
-            match decode(bits, n, es) {
+        fn check<const N: u32, const ES: u32>() {
+            match decode::<N, ES>(1u64 << (N - 2)) {
                 Decoded::Finite(u) => {
                     assert!(!u.negative);
-                    assert_eq!(u.scale, 0, "posit({n},{es})");
+                    assert_eq!(u.scale, 0, "posit({N},{ES})");
                     assert_eq!(u.frac, 1u64 << 63);
                 }
                 other => panic!("{other:?}"),
             }
         }
+        check::<8, 2>();
+        check::<16, 1>();
+        check::<32, 2>();
+        check::<64, 9>();
+        check::<64, 18>();
     }
 
     #[test]
     fn minpos_scale_matches_table_one() {
         // minpos pattern: 0...01. Table I: smallest positive of
         // posit(64,es) is 2^(-62 * 2^es).
-        for (es, want) in [
-            (6i64, -3_968i64),
-            (9, -31_744),
-            (12, -253_952),
-            (15, -2_031_616),
-            (18, -16_252_928),
-            (21, -130_023_424),
+        for (got, want) in [
+            (decode::<64, 6>(1), -3_968i64),
+            (decode::<64, 9>(1), -31_744),
+            (decode::<64, 12>(1), -253_952),
+            (decode::<64, 15>(1), -2_031_616),
+            (decode::<64, 18>(1), -16_252_928),
+            (decode::<64, 21>(1), -130_023_424),
         ] {
-            match decode(1, 64, es as u32) {
+            match got {
                 Decoded::Finite(u) => {
-                    assert_eq!(u.scale, want, "posit(64,{es}) minpos");
+                    assert_eq!(u.scale, want, "minpos");
                     assert_eq!(u.frac, 1u64 << 63);
                 }
                 other => panic!("{other:?}"),
@@ -166,11 +196,11 @@ mod tests {
     #[test]
     fn maxpos_scale() {
         // maxpos pattern: 0111...1 -> k = n-2, e = 0, frac = 1.0.
-        match decode(0x7F, 8, 2) {
+        match decode::<8, 2>(0x7F) {
             Decoded::Finite(u) => assert_eq!(u.scale, 6 * 4),
             other => panic!("{other:?}"),
         }
-        match decode((1u64 << 63) - 1, 64, 9) {
+        match decode::<64, 9>((1u64 << 63) - 1) {
             Decoded::Finite(u) => assert_eq!(u.scale, 62 * 512),
             other => panic!("{other:?}"),
         }
@@ -180,7 +210,7 @@ mod tests {
     fn negative_patterns_decode_via_twos_complement() {
         // -1.0 is 0b11000...0 for any config.
         let bits = 0b11u64 << 6; // 8-bit: 0xC0
-        match decode(bits, 8, 2) {
+        match decode::<8, 2>(bits) {
             Decoded::Finite(u) => {
                 assert!(u.negative);
                 assert_eq!(u.scale, 0);
@@ -200,7 +230,7 @@ mod tests {
         // terminator... run=5, regime_len=6), remaining 1 bit = exponent
         // MSB -> e = 0b10 = 2. scale = -5*4 + 2 = -18.
         let bits = 0b0_000001_1u64;
-        match decode(bits, 8, 2) {
+        match decode::<8, 2>(bits) {
             Decoded::Finite(u) => assert_eq!(u.scale, -18),
             other => panic!("{other:?}"),
         }

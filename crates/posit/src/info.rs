@@ -74,6 +74,10 @@ impl FormatInfo {
     pub fn fraction_bits_at_scale(&self, scale: i64) -> u32 {
         let k = scale.div_euclid(1 << self.es);
         let run = if k >= 0 { k + 1 } else { -k };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "run >= 1 and the min caps at n - 1, so the length is in 2..=63"
+        )]
         let regime_len = (run + 1).min(self.n as i64 - 1) as u32;
         (self.n - 1)
             .saturating_sub(regime_len)

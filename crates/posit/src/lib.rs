@@ -10,7 +10,10 @@
 //! encoding of Equation (4), arithmetic with round-to-nearest-even on the
 //! bit pattern (matching softposit/MArTo behavior), the standard's
 //! saturation rules (results never round to zero or NaR), and exact
-//! conversions to and from the [`BigFloat`] oracle.
+//! conversions to and from the [`BigFloat`] oracle. Every operation and
+//! conversion runs through one unpack/round/pack datapath that is
+//! const-generic over `N, ES` and inlined into its caller, so each format
+//! gets its own code with its shifts and masks as immediates.
 //!
 //! # Examples
 //!
@@ -26,11 +29,19 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_precision_loss)
+)]
 
-pub mod arith;
-pub mod decode;
-pub mod encode;
+mod arith;
+mod decode;
+mod encode;
 mod info;
+/// Differential-test hooks: the runtime-`(n, es)` datapath that the
+/// const-generic kernels replaced. Not a public API.
+#[doc(hidden)]
+pub mod testing;
 
 pub use decode::{Decoded, Unpacked};
 pub use info::FormatInfo;
@@ -115,12 +126,19 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     /// Panics if bits above the pattern width are set.
     #[must_use]
     pub fn from_bits(bits: u64) -> Self {
+        assert!(N == 64 || bits >> N == 0, "bits beyond pattern width");
+        Self::from_kernel(bits)
+    }
+
+    /// Wraps a pattern that a kernel produced, so it already fits `N`.
+    #[inline]
+    fn from_kernel(bits: u64) -> Self {
         #[expect(
             clippy::let_unit_value,
             reason = "naming the unit-typed VALID const forces its compile-time width check"
         )]
         let _ = Self::VALID;
-        assert!(N == 64 || bits >> N == 0, "bits beyond pattern width");
+        debug_assert!(N == 64 || bits >> N == 0, "bits beyond pattern width");
         Self {
             bits,
             _marker: PhantomData,
@@ -142,7 +160,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     #[must_use]
     pub fn from_parts(negative: bool, scale: i64, frac: u64) -> Self {
         assert!(frac >> 63 == 1, "hidden bit must be set");
-        Self::from_bits(encode::pack(negative, scale, frac, false, N, ES))
+        Self::from_kernel(encode::pack::<N, ES>(negative, scale, frac, false))
     }
 
     /// True for the zero pattern.
@@ -166,7 +184,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     /// Decodes into sign/scale/significand form.
     #[must_use]
     pub fn decode(self) -> Decoded {
-        decode::decode(self.bits, N, ES)
+        decode::decode::<N, ES>(self.bits)
     }
 
     /// The combined binary scale `k·2^ES + e`, or `None` for zero/NaR.
@@ -189,27 +207,6 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
         } else {
             self
         }
-    }
-
-    /// The next representable posit above (pattern + 1), saturating at
-    /// [`Self::MAX`].
-    #[must_use]
-    pub fn next_up(self) -> Self {
-        if self.bits == Self::MAX.bits {
-            return self;
-        }
-        Self::from_bits(self.bits.wrapping_add(1) & decode::mask(N))
-    }
-
-    /// The next representable posit below (pattern - 1), saturating at
-    /// the most negative value.
-    #[must_use]
-    pub fn next_down(self) -> Self {
-        let min_bits = (1u64 << (N - 1)) | 1; // most negative finite
-        if self.bits == min_bits {
-            return self;
-        }
-        Self::from_bits(self.bits.wrapping_sub(1) & decode::mask(N))
     }
 
     /// Converts exactly into the [`BigFloat`] oracle (NaR maps to NaN).
@@ -241,7 +238,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
                 let limbs = x.limbs();
                 let frac = limbs[limbs.len() - 1];
                 let sticky = limbs[..limbs.len() - 1].iter().any(|&l| l != 0);
-                Self::from_bits(encode::pack(negative, scale, frac, sticky, N, ES))
+                Self::from_kernel(encode::pack::<N, ES>(negative, scale, frac, sticky))
             }
         }
     }
@@ -277,7 +274,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
         } else {
             (biased - 1023, (mantissa << 11) | (1u64 << 63))
         };
-        Self::from_bits(encode::pack(negative, scale, frac, false, N, ES))
+        Self::from_kernel(encode::pack::<N, ES>(negative, scale, frac, false))
     }
 
     /// Format metadata (Table I row for this configuration).
@@ -290,20 +287,22 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
 impl<const N: u32, const ES: u32> core::ops::Neg for Posit<N, ES> {
     type Output = Self;
     fn neg(self) -> Self {
-        Self::from_bits(arith::neg_bits(self.bits, N))
+        Self::from_kernel(arith::neg::<N, ES>(self.bits))
     }
 }
 
 macro_rules! posit_bin_op {
-    ($trait:ident, $method:ident, $fn:path) => {
+    ($trait:ident, $method:ident) => {
         impl<const N: u32, const ES: u32> core::ops::$trait for Posit<N, ES> {
             type Output = Self;
+            #[inline]
             fn $method(self, rhs: Self) -> Self {
-                Self::from_bits($fn(self.bits, rhs.bits, N, ES))
+                Self::from_kernel(arith::$method::<N, ES>(self.bits, rhs.bits))
             }
         }
         impl<const N: u32, const ES: u32> core::ops::$trait<&Posit<N, ES>> for Posit<N, ES> {
             type Output = Self;
+            #[inline]
             fn $method(self, rhs: &Self) -> Self {
                 <Self as core::ops::$trait>::$method(self, *rhs)
             }
@@ -311,14 +310,15 @@ macro_rules! posit_bin_op {
     };
 }
 
-posit_bin_op!(Add, add, arith::add_bits);
-posit_bin_op!(Sub, sub, arith::sub_bits);
-posit_bin_op!(Mul, mul, arith::mul_bits);
-posit_bin_op!(Div, div, arith::div_bits);
+posit_bin_op!(Add, add);
+posit_bin_op!(Sub, sub);
+posit_bin_op!(Mul, mul);
+posit_bin_op!(Div, div);
 
 macro_rules! posit_assign_op {
     ($trait:ident, $method:ident, $op:tt) => {
         impl<const N: u32, const ES: u32> core::ops::$trait for Posit<N, ES> {
+            #[inline]
             fn $method(&mut self, rhs: Self) {
                 *self = *self $op rhs;
             }
@@ -464,15 +464,6 @@ mod tests {
         }
         // NaR below everything.
         assert!(P16E2::NAR < P16E2::from_f64(-1e9));
-    }
-
-    #[test]
-    fn next_up_down_walk_patterns() {
-        let one = P8E2::ONE;
-        assert!(one.next_up() > one);
-        assert!(one.next_down() < one);
-        assert_eq!(one.next_up().next_down(), one);
-        assert_eq!(P8E2::MAX.next_up(), P8E2::MAX);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! BigFloat oracle.
 
 use compstat_bigfloat::{BigFloat, Context};
-use compstat_posit::{Decoded, Posit, P16E2, P32E2, P64E12, P64E18, P64E9, P8E2};
+use compstat_posit::{
+    Decoded, Posit, P16E2, P32E2, P64E12, P64E15, P64E18, P64E21, P64E6, P64E9, P8E2,
+};
 use proptest::prelude::*;
 
 /// A strategy over valid (non-NaR) posit bit patterns.
@@ -137,11 +139,8 @@ macro_rules! oracle_props {
                     let p = <$ty>::from_bits(a);
                     match p.decode() {
                         Decoded::Finite(u) => {
-                            let es = <$ty>::format_info().es();
-                            let packed = compstat_posit::encode::pack(
-                                u.negative, u.scale, u.frac, false, $n, es,
-                            );
-                            prop_assert_eq!(packed, a, "decode->pack drifted");
+                            let packed = <$ty>::from_parts(u.negative, u.scale, u.frac);
+                            prop_assert_eq!(packed.to_bits(), a, "decode->pack drifted");
                         }
                         Decoded::Zero => prop_assert!(p.is_zero()),
                         Decoded::NaR => prop_assert!(false, "posit_bits filters NaR"),
@@ -155,9 +154,12 @@ macro_rules! oracle_props {
 oracle_props!(p8e2, P8E2, 8);
 oracle_props!(p16e2, P16E2, 16);
 oracle_props!(p32e2, P32E2, 32);
+oracle_props!(p64e6, P64E6, 64);
 oracle_props!(p64e9, P64E9, 64);
 oracle_props!(p64e12, P64E12, 64);
+oracle_props!(p64e15, P64E15, 64);
 oracle_props!(p64e18, P64E18, 64);
+oracle_props!(p64e21, P64E21, 64);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]

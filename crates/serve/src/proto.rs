@@ -834,6 +834,16 @@ mod tests {
                     "column 0: missing whole-number field: k",
                 ),
             ),
+            // A number beyond f64's range fails the frame's parse, before
+            // any field is read.
+            (
+                format!(r#"{cols},"columns":[{{"probs":[0.5],"k":1e999}}]"#),
+                reply(
+                    "null",
+                    "parse",
+                    "JSON parse error at byte 115: number out of range: 1e999",
+                ),
+            ),
             // states
             (
                 format!(r#"{hmm},"sequences":[]"#),

@@ -93,6 +93,13 @@ pub fn lint_gate_probe(x: f64) -> usize {
 }
 EOF
 
+gate compstat-posit crates/posit/src/encode.rs cast_possible_truncation <<'EOF'
+/// Lint-gate probe: a silent u128 -> u64 cast in a posit kernel.
+pub fn lint_gate_probe(x: u128) -> u64 {
+    x as u64
+}
+EOF
+
 gate compstat-serve crates/serve/src/proto.rs unwrap_used disallowed_macros <<'EOF'
 /// Lint-gate probe: panics reachable from the request path.
 pub fn lint_gate_probe(v: Option<u32>) -> u32 {
