@@ -88,7 +88,7 @@ fn model_table(t_sites: u64) -> Table {
 /// Workload of the software forward sweep at a given scale:
 /// `(sequences, sites, states)`.
 #[must_use]
-pub fn sweep_dims(scale: Scale) -> (usize, usize, usize) {
+fn sweep_dims(scale: Scale) -> (usize, usize, usize) {
     (
         scale.pick(8, 16, 64),
         scale.pick(1_500, 8_000, 100_000),

@@ -11,6 +11,7 @@ use compstat_logspace::LogF64;
 use compstat_pbd::{accuracy_corpus, Column};
 use compstat_posit::{P64E12, P64E18, P64E9};
 use compstat_runtime::Runtime;
+use std::sync::OnceLock;
 
 /// One evaluated column: the oracle p-value exponent plus each format's
 /// error measurement.
@@ -84,7 +85,8 @@ pub fn corpus_for(scale: Scale) -> Vec<Column> {
 /// Cache key of the default corpus's oracle sweep at `scale`.
 ///
 /// Figures 9 and 11 evaluate the *same* corpus, so they share this key
-/// deliberately: one cold fig09 run already warms fig11's oracle pass.
+/// deliberately: a cold fig09 run in one process warms fig11's oracle
+/// pass in the next. Within one process they share [`corpus_evals`].
 #[must_use]
 pub fn corpus_cache_key(scale: Scale, columns: &[Column], ctx: &Context) -> CacheKey {
     compstat_pbd::batch::oracle_cache_key(
@@ -94,6 +96,29 @@ pub fn corpus_cache_key(scale: Scale, columns: &[Column], ctx: &Context) -> Cach
         columns,
         ctx,
     )
+}
+
+/// The default corpus at `scale`, evaluated by
+/// [`evaluate_corpus_cached`] on the first call in this process: fig09
+/// and fig11 both read it, so a run that prints both evaluates the
+/// corpus once. The evaluations do not depend on the thread count, the
+/// shard or the cache mode, so whichever runtime calls first serves
+/// every later caller.
+pub fn corpus_evals(scale: Scale, rt: &Runtime) -> &'static [ColumnEval] {
+    static QUICK: OnceLock<Vec<ColumnEval>> = OnceLock::new();
+    static DEFAULT: OnceLock<Vec<ColumnEval>> = OnceLock::new();
+    static FULL: OnceLock<Vec<ColumnEval>> = OnceLock::new();
+    let evals = match scale {
+        Scale::Quick => &QUICK,
+        Scale::Default => &DEFAULT,
+        Scale::Full => &FULL,
+    };
+    evals.get_or_init(|| {
+        let ctx = Context::new(256);
+        let corpus = corpus_for(scale);
+        let key = corpus_cache_key(scale, &corpus, &ctx);
+        evaluate_corpus_cached(&corpus, &ctx, rt, &key)
+    })
 }
 
 /// Registry name of this experiment.
@@ -107,10 +132,7 @@ pub const TITLE: &str = "Figure 9: accuracy of final p-values by magnitude bucke
 /// is why posit(64,9) vanishes from the deepest buckets.
 #[must_use]
 pub fn report(scale: Scale, rt: &Runtime) -> Report {
-    let ctx = Context::new(256);
-    let corpus = corpus_for(scale);
-    let key = corpus_cache_key(scale, &corpus, &ctx);
-    let evals = evaluate_corpus_cached(&corpus, &ctx, rt, &key);
+    let evals = corpus_evals(scale, rt);
     let buckets = figure9_buckets();
 
     let mut t = Table::new(vec![
@@ -129,7 +151,7 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
             let mut excluded = 0usize;
             let mut underflow = 0usize;
             let mut total = 0usize;
-            for e in &evals {
+            for e in evals {
                 let Some(exp) = e.oracle_exp else { continue };
                 if !bucket.contains(exp) {
                     continue;
@@ -172,7 +194,7 @@ pub fn report(scale: Scale, rt: &Runtime) -> Report {
 
     // Range-failure tallies (the paper's underflow counts: posit(64,9)
     // 132, posit(64,12) 2 of 222,131; ours scale with corpus size).
-    let mut r = Report::new(NAME, TITLE, scale).param("columns", corpus.len());
+    let mut r = Report::new(NAME, TITLE, scale).param("columns", evals.len());
     let mut tallies = String::new();
     for (fi, fname) in FORMATS.iter().enumerate() {
         let under = evals
@@ -203,13 +225,10 @@ mod tests {
 
     #[test]
     fn report_reproduces_headline_effects() {
-        let ctx = Context::new(256);
-        let corpus = corpus_for(Scale::Quick);
-        let key = corpus_cache_key(Scale::Quick, &corpus, &ctx);
-        let evals = evaluate_corpus_cached(&corpus, &ctx, &Runtime::from_env(), &key);
+        let evals = corpus_evals(Scale::Quick, &Runtime::from_env());
         // binary64 underflows on every column whose p-value is below
         // 2^-1074.
-        for e in &evals {
+        for e in evals {
             let Some(exp) = e.oracle_exp else { continue };
             if exp < -1_080 {
                 assert_eq!(
@@ -224,7 +243,7 @@ mod tests {
         // posit(64,12) beats Log on most in-range critical columns.
         let mut posit_wins = 0;
         let mut total = 0;
-        for e in &evals {
+        for e in evals {
             let Some(exp) = e.oracle_exp else { continue };
             if (-100_000..-200).contains(&exp) {
                 let log_err = e.errors[1].1.log10_rel;

@@ -1,11 +1,8 @@
 //! Figure 11: CDFs of final p-value relative error in LoFreq, split into
 //! critical (p < 2^-200) and non-critical columns.
 
-use crate::experiments::fig09_pvalues::{
-    corpus_cache_key, corpus_for, evaluate_corpus_cached, FORMATS,
-};
+use crate::experiments::fig09_pvalues::{corpus_evals, FORMATS};
 use crate::Scale;
-use compstat_bigfloat::Context;
 use compstat_core::report::{fmt_f64, Report, Table};
 use compstat_core::{Cdf, ErrorClass};
 use compstat_pbd::CRITICAL_EXP;
@@ -19,24 +16,20 @@ pub const TITLE: &str =
 
 /// Builds both panels: CDF points per format for critical and
 /// non-critical columns. The corpus evaluation (oracle plus per-format
-/// errors) runs through `rt`; the report is bitwise-identical for
-/// every thread count.
+/// errors) is fig09's, computed once per process through
+/// [`corpus_evals`]; the report is bitwise-identical for every thread
+/// count.
 #[must_use]
 pub fn report(scale: Scale, rt: &Runtime) -> Report {
-    let ctx = Context::new(256);
-    let corpus = corpus_for(scale);
-    // Same corpus, same key as fig09: a warm cache (or a cold run that
-    // already executed fig09) serves the oracle sweep from disk.
-    let key = corpus_cache_key(scale, &corpus, &ctx);
-    let evals = evaluate_corpus_cached(&corpus, &ctx, rt, &key);
+    let evals = corpus_evals(scale, rt);
 
-    let mut r = Report::new(NAME, TITLE, scale).param("columns", corpus.len());
+    let mut r = Report::new(NAME, TITLE, scale).param("columns", evals.len());
     for (panel, critical) in [
         ("(a) p-values < 2^-200 (critical)", true),
         ("(b) p-values >= 2^-200", false),
     ] {
         let mut per_format: Vec<Vec<f64>> = vec![Vec::new(); FORMATS.len()];
-        for e in &evals {
+        for e in evals {
             let Some(exp) = e.oracle_exp else { continue };
             if (exp < CRITICAL_EXP) != critical {
                 continue;
@@ -100,10 +93,7 @@ mod tests {
 
     #[test]
     fn critical_panel_shows_posit_advantage() {
-        let ctx = Context::new(256);
-        let corpus = corpus_for(Scale::Quick);
-        let key = corpus_cache_key(Scale::Quick, &corpus, &ctx);
-        let evals = evaluate_corpus_cached(&corpus, &ctx, &Runtime::from_env(), &key);
+        let evals = corpus_evals(Scale::Quick, &Runtime::from_env());
         // On critical columns the posit(64,12) error distribution must be
         // left of (better than) the Log distribution at the median.
         let collect = |fi: usize| -> Vec<f64> {

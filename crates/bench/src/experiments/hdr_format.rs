@@ -122,7 +122,7 @@ pub struct HdrErrors {
 /// 256-bit oracle pass is cached (sharded-aware) under this
 /// experiment's own name.
 #[must_use]
-pub fn hdr_errors(t_len: usize, models: usize, h: usize, seed: u64, rt: &Runtime) -> HdrErrors {
+fn hdr_errors(t_len: usize, models: usize, h: usize, seed: u64, rt: &Runtime) -> HdrErrors {
     let ctx = Context::new(256);
     let sweep = DirichletSweep {
         experiment: NAME,

@@ -45,7 +45,6 @@ use compstat_bigfloat::{testing, BigFloat, Context, HdrFloat};
 use compstat_core::bench_doc::{BenchDoc, BenchEntry};
 use compstat_core::StatFloat;
 use compstat_logspace::LogF64;
-use compstat_pbd::PbdResult;
 use compstat_posit::{P64E12, P64E18};
 use compstat_runtime::{CacheMode, Runtime};
 use rand::rngs::StdRng;
@@ -60,7 +59,7 @@ use std::time::Instant;
 ///
 /// Panics if `iters` or `reps` is zero (the summary would be empty).
 #[must_use]
-pub fn time_entry(id: &str, iters: u64, reps: u32, mut op: impl FnMut()) -> BenchEntry {
+fn time_entry(id: &str, iters: u64, reps: u32, mut op: impl FnMut()) -> BenchEntry {
     assert!(iters > 0 && reps > 0, "empty measurement for {id:?}");
     for _ in 0..iters {
         op();
@@ -93,7 +92,7 @@ pub fn time_entry(id: &str, iters: u64, reps: u32, mut op: impl FnMut()) -> Benc
 /// Wall-clock milliseconds since the Unix epoch (0 if the clock is
 /// before the epoch — bench documents are diagnostics, not evidence).
 #[must_use]
-pub fn unix_ms_now() -> u64 {
+fn unix_ms_now() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
@@ -619,7 +618,7 @@ fn forward_row<T: StatFloat>(
 /// The `pbd/200x24/{label}` row of [`formats_suite`].
 fn pbd_row<T: StatFloat>(label: &str, probs: &[f64], iters: u64, reps: u32) -> BenchEntry {
     time_entry(&format!("pbd/200x24/{label}"), iters, reps, || {
-        black_box::<PbdResult<T>>(compstat_pbd::pbd_pvalue(black_box(probs), 24));
+        black_box::<T>(compstat_pbd::pbd_pvalue(black_box(probs), 24));
     })
 }
 

@@ -9,7 +9,7 @@ impl BigFloat {
     /// Returns `None` if either value is NaN. Infinities compare larger
     /// than every finite value.
     #[must_use]
-    pub fn cmp_abs(&self, other: &BigFloat) -> Option<Ordering> {
+    fn cmp_abs(&self, other: &BigFloat) -> Option<Ordering> {
         let (_, ka, ea, la, _) = self.parts();
         let (_, kb, eb, lb, _) = other.parts();
         match (ka, kb) {

@@ -293,17 +293,6 @@ pub fn mul<L: Limb>(a: &[L], b: &[L], out: &mut [L]) {
     }
 }
 
-/// Multiplies a magnitude by a single limb in place, returning the carry.
-pub fn mul_small_in_place<L: Limb>(limbs: &mut [L], m: L) -> L {
-    let mut carry = L::ZERO;
-    for l in limbs.iter_mut() {
-        let (lo, hi) = l.carrying_mul_add(m, carry, L::ZERO);
-        *l = lo;
-        carry = hi;
-    }
-    carry
-}
-
 /// Divides a magnitude by a single limb in place, returning the remainder.
 ///
 /// # Panics
@@ -693,6 +682,18 @@ mod tests {
         assert_eq!(out[1], hi as u64);
         assert_eq!(out[2], (hi >> 64) as u64);
         assert_eq!(out[3], 0);
+    }
+
+    /// Multiplies a magnitude by a single limb in place, returning the
+    /// carry: the inverse of [`div_small_in_place`].
+    fn mul_small_in_place<L: Limb>(limbs: &mut [L], m: L) -> L {
+        let mut carry = L::ZERO;
+        for l in limbs.iter_mut() {
+            let (lo, hi) = l.carrying_mul_add(m, carry, L::ZERO);
+            *l = lo;
+            carry = hi;
+        }
+        carry
     }
 
     #[test]

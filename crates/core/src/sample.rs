@@ -16,15 +16,6 @@ pub fn uniform_in_binade<R: Rng + ?Sized>(rng: &mut R, exp: i64) -> BigFloat {
     BigFloat::from_scaled_u128(Sign::Pos, sig, exp)
 }
 
-/// Draws a value whose base-2 exponent is uniform over `[lo, hi)` and
-/// whose mantissa is uniform — the paper's "uniform sampling implemented
-/// in MPFR" for operand generation.
-pub fn uniform_exponent_range<R: Rng + ?Sized>(rng: &mut R, lo: i64, hi: i64) -> BigFloat {
-    assert!(lo < hi, "empty exponent range");
-    let exp = rng.gen_range(lo..hi);
-    uniform_in_binade(rng, exp)
-}
-
 /// An operand pair together with its exact result under some operation.
 #[derive(Clone, Debug)]
 pub struct SampledOp {
@@ -159,21 +150,6 @@ mod tests {
             let x = uniform_in_binade(&mut r, -5_000);
             assert_eq!(x.exponent(), Some(-5_000));
         }
-    }
-
-    #[test]
-    fn exponent_range_sampling_covers_range() {
-        let mut r = rng();
-        let mut seen_low = false;
-        let mut seen_high = false;
-        for _ in 0..500 {
-            let x = uniform_exponent_range(&mut r, -100, -90);
-            let e = x.exponent().unwrap();
-            assert!((-100..-90).contains(&e));
-            seen_low |= e == -100;
-            seen_high |= e == -91;
-        }
-        assert!(seen_low && seen_high);
     }
 
     #[test]

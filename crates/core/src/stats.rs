@@ -49,7 +49,7 @@ impl BoxStats {
 ///
 /// Panics if `sorted` is empty or `q` is outside `[0, 1]`.
 #[must_use]
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile out of [0,1]");
     if sorted.len() == 1 {

@@ -69,7 +69,7 @@ fn forward_sram(h: u64) -> u64 {
 /// real designs pack at 40-75% efficiency. `eff` is calibrated per
 /// design family against Tables III/IV (see [`clb_estimate`]).
 #[must_use]
-pub fn clb_estimate_with_eff(lut: u64, register: u64, eff: f64) -> u64 {
+fn clb_estimate_with_eff(lut: u64, register: u64, eff: f64) -> u64 {
     let by_lut = lut as f64 / 8.0;
     let by_ff = register as f64 / 16.0;
     (by_lut.max(by_ff) / eff).round() as u64

@@ -63,30 +63,6 @@ fn forward_in<A: Arith>(
     ar.sum(alpha_prev.iter().cloned())
 }
 
-/// The backward recurrence in the arithmetic `ar`: combines the beta
-/// variables into `P(O | lambda)`, or one for an empty sequence. Each
-/// path sum is one [`Arith::sum`] over `q` in order, as in
-/// [`forward_in`].
-pub(crate) fn backward_in<A: Arith>(ar: &A, model: &PreparedHmm<A::V>, obs: &[usize]) -> A::V {
-    let (h, m) = (model.h, model.m);
-    check_symbols(obs, m);
-    let Some((&o0, rest)) = obs.split_first() else {
-        return ar.one();
-    };
-    let mut beta: Vec<A::V> = vec![ar.one(); h];
-    let mut next: Vec<A::V> = vec![ar.zero(); h];
-    for &ot in rest.iter().rev() {
-        for (p, slot) in next.iter_mut().enumerate() {
-            *slot = ar.sum(
-                (0..h)
-                    .map(|q| ar.mul(&ar.mul(&model.a[p * h + q], &model.b[q * m + ot]), &beta[q])),
-            );
-        }
-        core::mem::swap(&mut beta, &mut next);
-    }
-    ar.sum((0..h).map(|q| ar.mul(&ar.mul(&model.pi[q], &model.b[q * m + o0]), &beta[q])))
-}
-
 /// The symbol check every kernel runs over the whole sequence before
 /// any arithmetic.
 ///
@@ -94,7 +70,7 @@ pub(crate) fn backward_in<A: Arith>(ar: &A, model: &PreparedHmm<A::V>, obs: &[us
 ///
 /// Panics with "observation symbol out of range" if any symbol is not
 /// below `m`.
-pub(crate) fn check_symbols(obs: &[usize], m: usize) {
+fn check_symbols(obs: &[usize], m: usize) {
     assert!(
         obs.iter().all(|&o| o < m),
         "observation symbol out of range"
@@ -289,6 +265,36 @@ mod tests {
     use super::*;
     use compstat_posit::{P64E12, P64E18};
 
+    /// The backward recurrence in the arithmetic `ar`: combines the beta
+    /// variables into `P(O | lambda)`, or one for an empty sequence. Each
+    /// path sum is one [`Arith::sum`] over `q` in order, as in
+    /// [`forward_in`].
+    fn backward_in<A: Arith>(ar: &A, model: &PreparedHmm<A::V>, obs: &[usize]) -> A::V {
+        let (h, m) = (model.h, model.m);
+        check_symbols(obs, m);
+        let Some((&o0, rest)) = obs.split_first() else {
+            return ar.one();
+        };
+        let mut beta: Vec<A::V> = vec![ar.one(); h];
+        let mut next: Vec<A::V> = vec![ar.zero(); h];
+        for &ot in rest.iter().rev() {
+            for (p, slot) in next.iter_mut().enumerate() {
+                *slot =
+                    ar.sum((0..h).map(|q| {
+                        ar.mul(&ar.mul(&model.a[p * h + q], &model.b[q * m + ot]), &beta[q])
+                    }));
+            }
+            core::mem::swap(&mut beta, &mut next);
+        }
+        ar.sum((0..h).map(|q| ar.mul(&ar.mul(&model.pi[q], &model.b[q * m + o0]), &beta[q])))
+    }
+
+    /// The backward algorithm over format `T`: the beta variables'
+    /// final combination `P(O | lambda)`, a cross-check of [`forward`].
+    fn backward<T: StatFloat>(model: &PreparedHmm<T>, obs: &[usize]) -> T {
+        backward_in(&Native::<T>::new(), model, obs)
+    }
+
     /// The classic umbrella/weather textbook HMM with a hand-computable
     /// likelihood.
     fn toy() -> Hmm {
@@ -471,5 +477,30 @@ mod tests {
             oracle_ln
         );
         assert_eq!(s.rescales, 5_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "observation symbol out of range")]
+    fn backward_rejects_out_of_range_symbols() {
+        // Symbol 2 of state 0 would index row 1's entries: only the
+        // check stands between it and a silently wrong likelihood.
+        let _: f64 = backward(&toy().prepare(), &[2, 0]);
+    }
+
+    #[test]
+    fn backward_equals_forward_likelihood() {
+        let m = toy();
+        let obs: Vec<usize> = (0..50).map(|i| (i * 3 + 1) % 2).collect();
+        let f: f64 = forward(&m.prepare::<f64>(), &obs);
+        let b: f64 = backward(&m.prepare::<f64>(), &obs);
+        // Forward and backward associate the same sum differently; agree
+        // to within a few ulps.
+        assert!((f - b).abs() < 1e-13 * f.abs(), "forward {f} backward {b}");
+        let fp: P64E12 = forward(&m.prepare(), &obs);
+        let bp: P64E12 = backward(&m.prepare(), &obs);
+        let rel = (fp.to_f64() / bp.to_f64() - 1.0).abs();
+        assert!(rel < 1e-10);
+        let bl: LogF64 = backward(&m.prepare(), &obs);
+        assert!((bl.to_f64() / f - 1.0).abs() < 1e-10);
     }
 }

@@ -21,10 +21,6 @@
 //!   the Dirichlet-model sweep of Figure 10, [`DirichletSweep`]), each
 //!   bitwise-identical for any `COMPSTAT_THREADS` or shard count.
 //!
-//! The backward algorithm ([`backward`]) is the same kind of recurrence
-//! over [`compstat_core::Arith`]; Viterbi decoding ([`viterbi`]) is
-//! included as an extension with the same numerical structure.
-//!
 //! # Examples
 //!
 //! ```
@@ -54,7 +50,6 @@ mod batch;
 mod forward;
 mod gen;
 mod model;
-mod viterbi;
 
 pub use batch::{forward_oracle_batch_cached, forward_oracle_cache_key, DirichletSweep};
 pub use forward::{
@@ -63,4 +58,3 @@ pub use forward::{
 };
 pub use gen::{dirichlet_hmm, hcg_like, model_observations, uniform_observations};
 pub use model::{Hmm, PreparedHmm};
-pub use viterbi::{backward, backward_log, viterbi, ViterbiPath};

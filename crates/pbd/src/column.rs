@@ -58,7 +58,7 @@ impl Column {
     /// The p-value computed in format `T`.
     #[must_use]
     pub fn pvalue_in<T: StatFloat>(&self) -> T {
-        pbd_pvalue::<T>(&self.success_probs, self.k).pvalue
+        pbd_pvalue::<T>(&self.success_probs, self.k)
     }
 }
 

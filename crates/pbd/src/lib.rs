@@ -11,7 +11,9 @@
 //! to 1 — far beyond binary64's range, which is why the computation is
 //! conventionally done in log-space and why the paper proposes posits.
 //!
-//! * [`pbd_pvalue`] — Listing 2, generic over number format;
+//! * [`pbd_pvalue`] — Listing 2's p-value `P(X >= K)`, generic over
+//!   number format. Each trial updates only the states that can still
+//!   reach `K`, bit-identical to sweeping all `K` of them;
 //! * [`pbd_pvalue_log`] / [`pbd_pvalue_oracle`] — explicit log-space and
 //!   256-bit reference versions, all three one recurrence over
 //!   [`compstat_core::Arith`];
@@ -28,13 +30,13 @@
 //! # Examples
 //!
 //! ```
-//! use compstat_pbd::{pbd_pvalue, PbdResult};
+//! use compstat_pbd::pbd_pvalue;
 //! use compstat_posit::P64E12;
 //!
 //! // 40 reads, each with a 1e-4 error probability, 12 observed variants:
 //! let probs = vec![1e-4; 40];
-//! let r: PbdResult<P64E12> = pbd_pvalue(&probs, 12);
-//! assert!(!r.pvalue.is_zero());
+//! let p: P64E12 = pbd_pvalue(&probs, 12);
+//! assert!(!p.is_zero());
 //! ```
 
 #![warn(missing_docs)]
@@ -54,4 +56,4 @@ pub use column::{call_column, call_column_with_oracle, CallOutcome, Column, CRIT
 pub use datasets::{
     accuracy_corpus, perf_dataset, perf_datasets, ColumnDims, DatasetSpec, PERF_DATASET_COUNT,
 };
-pub use pmf::{pbd_pvalue, pbd_pvalue_log, pbd_pvalue_oracle, PbdResult};
+pub use pmf::{pbd_pvalue, pbd_pvalue_log, pbd_pvalue_oracle};

@@ -1,59 +1,68 @@
-//! The Poisson Binomial Distribution recurrence (Listing 2): PMF and
-//! p-value computation in every number system under study, written once
-//! as `pbd_in` over any [`Arith`].
+//! The Poisson Binomial Distribution recurrence (Listing 2): p-value
+//! computation in every number system under study, written once as
+//! `pbd_in` over any [`Arith`].
 
 use compstat_bigfloat::{BigFloat, Context};
 use compstat_core::{Arith, Native, StatFloat};
 use compstat_logspace::LogF64;
 
-/// Result of a p-value computation in format `T`.
-#[derive(Clone, Debug)]
-pub struct PbdResult<T> {
-    /// `pr[k] = P(X = k)` for `k < K` after all `N` trials.
-    pub pmf: Vec<T>,
-    /// `P(X >= K)`: the tail mass that crossed the `K` boundary —
-    /// LoFreq's p-value for the column.
-    pub pvalue: T,
-}
-
-/// Listing 2 in the arithmetic `ar`.
+/// Listing 2 in the arithmetic `ar`: `P(X >= k)` over the trials'
+/// success probabilities.
 ///
-/// States `0..k` are tracked exactly as in the paper's accelerator: the
-/// inner loop is the multiply-and-add `pr[j]*(1-p) + pr[j-1]*p`, and mass
+/// States `0..k` are tracked as in the paper's accelerator: the inner
+/// loop is the multiply-and-add `pr[j]*(1-p) + pr[j-1]*p`, and mass
 /// reaching state `k` is absorbed into the running p-value. `k == 0`
 /// trivially yields p-value 1.
-fn pbd_in<A: Arith>(ar: &A, success_probs: &[f64], k: usize) -> PbdResult<A::V> {
+///
+/// Trial `t` (0-based) of `n` updates only the states `j` with
+/// `max(k + t + 1 - n, 0) <= j <= min(t + 1, k - 1)`, and the p-value is
+/// bit-identical to a sweep over all `k` states:
+///
+/// * a state above `t + 1` holds no mass yet. The full sweep computes it
+///   as `0·(1-p) + 0·p`, which returns the zero it already holds in every
+///   format (binary64, posit, `LogF64`, `HdrFloat` and `BigFloat`);
+/// * a state below `k + t + 1 - n` never feeds the p-value again. Each
+///   later trial reads `pr[k - 1]` before its update, so the last read
+///   comes `n - t - 2` updates after this trial, and a state climbs at
+///   most one step per update.
+///
+/// The states below the window are left stale, which is why no PMF is
+/// returned. The window saves about `k²` of the `n·k` updates.
+fn pbd_in<A: Arith>(ar: &A, success_probs: &[f64], k: usize) -> A::V {
     if k == 0 {
-        return PbdResult {
-            pmf: Vec::new(),
-            pvalue: ar.one(),
-        };
+        return ar.one();
     }
+    let n = success_probs.len();
     let mut pr: Vec<A::V> = vec![ar.zero(); k];
     pr[0] = ar.one(); // zero successes after zero trials
     let mut pvalue = ar.zero();
-    for &p in success_probs {
+    for (t, &p) in success_probs.iter().enumerate() {
         debug_assert!((0.0..=1.0).contains(&p), "success probability out of range");
         let pn = ar.import_f64(p);
         let qn = ar.import_f64(1.0 - p);
         // Mass crossing from k-1 into >= k (Listing 2 line 7).
         pvalue = ar.add(&pvalue, &ar.mul(&pr[k - 1], &pn));
+        // The window `lo..end` of states that can still reach k; `n - t - 1`
+        // trials remain after this one.
+        let lo = k.saturating_sub(n - t - 1);
+        let end = (t + 2).min(k);
         // In-place reverse sweep == the paper's double-buffered update.
-        for j in (1..k).rev() {
+        for j in (lo.max(1)..end).rev() {
             pr[j] = ar.add(&ar.mul(&pr[j], &qn), &ar.mul(&pr[j - 1], &pn));
         }
-        pr[0] = ar.mul(&pr[0], &qn);
+        if lo == 0 {
+            pr[0] = ar.mul(&pr[0], &qn);
+        }
     }
-    PbdResult { pmf: pr, pvalue }
+    pvalue
 }
 
 /// Computes `P(X >= k)` for a Poisson-binomial with the given per-trial
 /// success probabilities (Listing 2 of the paper), in format `T`.
 ///
-/// With `k = N + 1` nothing crosses the boundary and `pmf` is the full
-/// distribution `P(X = j)` for `j in 0..=N`.
+/// `k = 0` gives 1, and `k > N` gives 0: nothing crosses the boundary.
 #[must_use]
-pub fn pbd_pvalue<T: StatFloat>(success_probs: &[f64], k: usize) -> PbdResult<T> {
+pub fn pbd_pvalue<T: StatFloat>(success_probs: &[f64], k: usize) -> T {
     pbd_in(&Native::<T>::new(), success_probs, k)
 }
 
@@ -61,7 +70,7 @@ pub fn pbd_pvalue<T: StatFloat>(success_probs: &[f64], k: usize) -> PbdResult<T>
 /// multiply-and-add as log-add + binary LSE — what LoFreq's software and
 /// the paper's log-space column unit compute.
 #[must_use]
-pub fn pbd_pvalue_log(success_probs: &[f64], k: usize) -> PbdResult<LogF64> {
+pub fn pbd_pvalue_log(success_probs: &[f64], k: usize) -> LogF64 {
     // LogF64's StatFloat `add` *is* the binary LSE of Equation (2).
     pbd_pvalue::<LogF64>(success_probs, k)
 }
@@ -69,13 +78,110 @@ pub fn pbd_pvalue_log(success_probs: &[f64], k: usize) -> PbdResult<LogF64> {
 /// The 256-bit oracle p-value — the "correct result" of Figures 9/11.
 #[must_use]
 pub fn pbd_pvalue_oracle(success_probs: &[f64], k: usize, ctx: &Context) -> BigFloat {
-    pbd_in(ctx, success_probs, k).pvalue
+    pbd_in(ctx, success_probs, k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::accuracy_corpus;
+    use compstat_bigfloat::HdrFloat;
     use compstat_posit::{P64E12, P64E18, P64E9};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Listing 2's full sweep, every state on every trial: the
+    /// differential reference for `pbd_in`'s window.
+    fn pbd_in_full_sweep<A: Arith>(ar: &A, success_probs: &[f64], k: usize) -> A::V {
+        if k == 0 {
+            return ar.one();
+        }
+        let mut pr: Vec<A::V> = vec![ar.zero(); k];
+        pr[0] = ar.one(); // zero successes after zero trials
+        let mut pvalue = ar.zero();
+        for &p in success_probs {
+            debug_assert!((0.0..=1.0).contains(&p), "success probability out of range");
+            let pn = ar.import_f64(p);
+            let qn = ar.import_f64(1.0 - p);
+            // Mass crossing from k-1 into >= k (Listing 2 line 7).
+            pvalue = ar.add(&pvalue, &ar.mul(&pr[k - 1], &pn));
+            // In-place reverse sweep == the paper's double-buffered update.
+            for j in (1..k).rev() {
+                pr[j] = ar.add(&ar.mul(&pr[j], &qn), &ar.mul(&pr[j - 1], &pn));
+            }
+            pr[0] = ar.mul(&pr[0], &qn);
+        }
+        pvalue
+    }
+
+    /// The `(probs, k)` cases of the window's differential test: small
+    /// seeded corpus columns, and edge cases of `k`, `N` and `p`.
+    fn window_cases() -> Vec<(Vec<f64>, usize)> {
+        let mut cases: Vec<(Vec<f64>, usize)> = accuracy_corpus(20_260_610, 48)
+            .into_iter()
+            .filter(|c| c.n() * c.k <= 40_000)
+            .map(|c| (c.success_probs, c.k))
+            .collect();
+        assert!(cases.len() >= 40, "too few small corpus columns");
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut draw = |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(0.0..0.6)).collect() };
+        let base = draw(13);
+        for k in [0, 1, base.len(), base.len() + 1] {
+            cases.push((base.clone(), k));
+        }
+        for k in [0, 1, 2] {
+            cases.push((vec![0.4], k));
+        }
+        // N < 2K and N > 3K.
+        cases.push((draw(30), 20));
+        cases.push((draw(50), 12));
+        // Exactly 0 and exactly 1, alone and mixed in.
+        for k in [1, 3, 6] {
+            cases.push((vec![0.0; 7], k));
+            cases.push((vec![1.0; 7], k));
+            cases.push((vec![0.3, 0.0, 1.0, 0.7, 1.0, 0.0, 0.5], k));
+        }
+        cases
+    }
+
+    /// `pbd_in` and the full sweep, case by case, compared through `key`.
+    fn assert_window_exact<A: Arith, K: PartialEq + core::fmt::Debug>(
+        label: &str,
+        cases: &[(Vec<f64>, usize)],
+        ar: &A,
+        key: impl Fn(&A::V) -> K,
+    ) {
+        for (i, (probs, k)) in cases.iter().enumerate() {
+            let got = key(&pbd_in(ar, probs, *k));
+            let want = key(&pbd_in_full_sweep(ar, probs, *k));
+            assert_eq!(got, want, "{label}: case {i} (N={}, K={k})", probs.len());
+        }
+    }
+
+    #[test]
+    fn window_is_bit_identical_to_the_full_sweep_in_every_format() {
+        let cases = window_cases();
+        assert_window_exact("binary64", &cases, &Native::<f64>::new(), |v| v.to_bits());
+        assert_window_exact("Log", &cases, &Native::<LogF64>::new(), |v| {
+            v.ln_value().to_bits()
+        });
+        assert_window_exact("posit(64,9)", &cases, &Native::<P64E9>::new(), |v| {
+            v.to_bits()
+        });
+        assert_window_exact("posit(64,12)", &cases, &Native::<P64E12>::new(), |v| {
+            v.to_bits()
+        });
+        assert_window_exact("posit(64,18)", &cases, &Native::<P64E18>::new(), |v| {
+            v.to_bits()
+        });
+        assert_window_exact("hdr", &cases, &Native::<HdrFloat>::new(), |v| {
+            (v.mantissa().to_bits(), v.exponent())
+        });
+        for bits in [128, 256] {
+            let label = format!("Context({bits})");
+            assert_window_exact(&label, &cases, &Context::new(bits), BigFloat::to_bytes);
+        }
+    }
 
     /// Brute-force `P(X >= k)` by enumerating all outcome subsets.
     fn brute_pvalue(probs: &[f64], k: usize) -> f64 {
@@ -100,33 +206,37 @@ mod tests {
         let probs = [0.3, 0.1, 0.5, 0.25, 0.9, 0.05];
         for k in 0..=6 {
             let want = brute_pvalue(&probs, k);
-            let got: PbdResult<f64> = pbd_pvalue(&probs, k);
-            assert!(
-                (got.pvalue - want).abs() < 1e-14,
-                "k={k}: got {} want {want}",
-                got.pvalue
-            );
-            let gp: PbdResult<P64E9> = pbd_pvalue(&probs, k);
-            assert!((gp.pvalue.to_f64() - want).abs() < 1e-12, "posit k={k}");
+            let got: f64 = pbd_pvalue(&probs, k);
+            assert!((got - want).abs() < 1e-14, "k={k}: got {got} want {want}");
+            let gp: P64E9 = pbd_pvalue(&probs, k);
+            assert!((gp.to_f64() - want).abs() < 1e-12, "posit k={k}");
             let gl = pbd_pvalue_log(&probs, k);
-            assert!((gl.pvalue.to_f64() - want).abs() < 1e-12, "log k={k}");
+            assert!((gl.to_f64() - want).abs() < 1e-12, "log k={k}");
             let ctx = Context::new(256);
             let go = pbd_pvalue_oracle(&probs, k, &ctx);
             assert!((go.to_f64() - want).abs() < 1e-15, "oracle k={k}");
         }
     }
 
+    /// `P(X = j) = P(X >= j) - P(X >= j + 1)` for `j` in `0..=N`.
+    fn pmf_from_pvalues(probs: &[f64]) -> Vec<f64> {
+        (0..=probs.len())
+            .map(|j| pbd_pvalue::<f64>(probs, j) - pbd_pvalue::<f64>(probs, j + 1))
+            .collect()
+    }
+
     #[test]
     fn pmf_full_sums_to_one() {
-        // With k = N + 1 nothing crosses the boundary: pmf is P(X = j)
-        // for every j in 0..=N.
+        // With k = N + 1 nothing crosses the boundary, so the tail
+        // differences are P(X = j) for every j in 0..=N.
         let probs = [0.2, 0.7, 0.4, 0.9, 0.01, 0.35, 0.5];
-        let pmf: Vec<f64> = pbd_pvalue(&probs, probs.len() + 1).pmf;
+        assert_eq!(pbd_pvalue::<f64>(&probs, probs.len() + 1), 0.0);
+        let pmf = pmf_from_pvalues(&probs);
         let sum: f64 = pmf.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         // And matches the binomial closed form when all p equal.
         let equal = [0.3; 10];
-        let pmf: Vec<f64> = pbd_pvalue(&equal, equal.len() + 1).pmf;
+        let pmf = pmf_from_pvalues(&equal);
         for (k, &got) in pmf.iter().enumerate() {
             let binom = binomial(10, k) * 0.3f64.powi(k as i32) * 0.7f64.powi((10 - k) as i32);
             assert!((got - binom).abs() < 1e-12, "k={k}: {got} vs {binom}");
@@ -146,16 +256,16 @@ mod tests {
         let probs: Vec<f64> = (0..20).map(|i| 0.1 + 0.03 * (i % 7) as f64).collect();
         let mut prev = 2.0;
         for k in 0..=20 {
-            let r: PbdResult<f64> = pbd_pvalue(&probs, k);
-            assert!(r.pvalue <= prev + 1e-15, "k={k}");
-            prev = r.pvalue;
+            let r: f64 = pbd_pvalue(&probs, k);
+            assert!(r <= prev + 1e-15, "k={k}");
+            prev = r;
         }
     }
 
     #[test]
     fn k_zero_is_certain() {
-        let r: PbdResult<f64> = pbd_pvalue(&[0.5, 0.5], 0);
-        assert_eq!(r.pvalue, 1.0);
+        let r: f64 = pbd_pvalue(&[0.5, 0.5], 0);
+        assert_eq!(r, 1.0);
         let ctx = Context::new(128);
         assert_eq!(pbd_pvalue_oracle(&[0.5], 0, &ctx).to_f64(), 1.0);
     }
@@ -163,16 +273,14 @@ mod tests {
     #[test]
     fn paper_motivating_binomial_underflow() {
         // Section II: P = 0.3^N underflows binary64 for N > 618. The
-        // probability of N successes in N trials is the last entry of the
-        // full PMF (k = N + 1).
+        // probability of N successes in N trials is P(X >= N).
         let probs = vec![0.3; 700];
-        let pmf: Vec<f64> = pbd_pvalue(&probs, probs.len() + 1).pmf;
-        assert_eq!(pmf[700], 0.0, "binary64 underflows at 0.3^700");
-        let pmf: Vec<P64E18> = pbd_pvalue(&probs, probs.len() + 1).pmf;
-        let last = pmf[700];
-        assert!(!last.is_zero(), "posit(64,18) holds 0.3^700");
+        let all: f64 = pbd_pvalue(&probs, probs.len());
+        assert_eq!(all, 0.0, "binary64 underflows at 0.3^700");
+        let all: P64E18 = pbd_pvalue(&probs, probs.len());
+        assert!(!all.is_zero(), "posit(64,18) holds 0.3^700");
         // 0.3^700 = 2^(700*log2(0.3)) ~ 2^-1215.6.
-        let e = last.to_bigfloat().exponent().unwrap();
+        let e = all.to_bigfloat().exponent().unwrap();
         assert_eq!(e, -1216);
     }
 
@@ -185,13 +293,13 @@ mod tests {
         let oracle = pbd_pvalue_oracle(&probs, 40, &ctx);
         let oe = oracle.exponent().unwrap();
         assert!(oe < -1_400, "oracle exponent {oe}");
-        let f: PbdResult<f64> = pbd_pvalue(&probs, 40);
-        assert!(f.pvalue.is_zero(), "binary64 underflows");
-        let p: PbdResult<P64E12> = pbd_pvalue(&probs, 40);
-        let pe = p.pvalue.to_bigfloat().exponent().unwrap();
+        let f: f64 = pbd_pvalue(&probs, 40);
+        assert!(f.is_zero(), "binary64 underflows");
+        let p: P64E12 = pbd_pvalue(&probs, 40);
+        let pe = p.to_bigfloat().exponent().unwrap();
         assert!((pe - oe).abs() <= 1, "posit exponent {pe} vs oracle {oe}");
         let l = pbd_pvalue_log(&probs, 40);
-        let le = (l.pvalue.ln_value() / core::f64::consts::LN_2).round() as i64;
+        let le = (l.ln_value() / core::f64::consts::LN_2).round() as i64;
         assert!((le - oe).abs() <= 1, "log exponent {le} vs oracle {oe}");
     }
 }

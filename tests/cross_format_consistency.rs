@@ -8,7 +8,7 @@ use compstat::core::error::measure;
 use compstat::core::StatFloat;
 use compstat::hmm::{dirichlet_hmm, forward, forward_log, forward_oracle, uniform_observations};
 use compstat::logspace::LogF64;
-use compstat::pbd::{pbd_pvalue, pbd_pvalue_oracle, PbdResult};
+use compstat::pbd::{pbd_pvalue, pbd_pvalue_oracle};
 use compstat::posit::{P64E12, P64E18, P64E9};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,12 +68,12 @@ fn pbd_pvalues_cross_check() {
     let k = 12;
     let ctx = Context::new(256);
     let oracle = pbd_pvalue_oracle(&probs, k, &ctx);
-    let f: PbdResult<f64> = pbd_pvalue(&probs, k);
-    let p: PbdResult<P64E12> = pbd_pvalue(&probs, k);
-    let l: PbdResult<LogF64> = pbd_pvalue(&probs, k);
-    assert!(measure(&oracle, &f.pvalue, &ctx).log10_rel < -11.0);
-    assert!(measure(&oracle, &p.pvalue, &ctx).log10_rel < -10.0);
-    assert!(measure(&oracle, &l.pvalue, &ctx).log10_rel < -9.0);
+    let f: f64 = pbd_pvalue(&probs, k);
+    let p: P64E12 = pbd_pvalue(&probs, k);
+    let l: LogF64 = pbd_pvalue(&probs, k);
+    assert!(measure(&oracle, &f, &ctx).log10_rel < -11.0);
+    assert!(measure(&oracle, &p, &ctx).log10_rel < -10.0);
+    assert!(measure(&oracle, &l, &ctx).log10_rel < -9.0);
 }
 
 #[test]

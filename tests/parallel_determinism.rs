@@ -89,6 +89,38 @@ fn fig07_column_unit_rows_are_identical_across_thread_counts_and_match_the_seria
 }
 
 #[test]
+fn fig09_fig11_corpus_evals_are_identical_across_thread_counts() {
+    // fig09 and fig11 read one per-process copy of these evaluations,
+    // so the report comparisons below see that copy every time; this
+    // test recomputes them at each thread count instead.
+    use compstat::bigfloat::Context;
+    use compstat::core::ErrorClass;
+    use experiments::fig09_pvalues::{
+        corpus_cache_key, corpus_for, evaluate_corpus_cached, FORMATS,
+    };
+
+    // `Runtime::with_threads` leaves the oracle cache off.
+    let ctx = Context::new(256);
+    let corpus = corpus_for(Scale::Quick);
+    let key = corpus_cache_key(Scale::Quick, &corpus, &ctx);
+    // One `(oracle exponent, error bits, class)` per column and format.
+    let bits = |rt: Runtime| -> Vec<(Option<i64>, u64, ErrorClass)> {
+        evaluate_corpus_cached(&corpus, &ctx, &rt, &key)
+            .iter()
+            .flat_map(|e| {
+                let errors = e.errors.iter();
+                errors.map(|(_, m)| (e.oracle_exp, m.log10_rel.to_bits(), m.class))
+            })
+            .collect()
+    };
+    let serial_bits = bits(serial());
+    assert_eq!(serial_bits.len(), corpus.len() * FORMATS.len());
+    assert_eq!(serial_bits, bits(Runtime::with_threads(3)));
+    assert_eq!(serial_bits, bits(four()));
+    assert_eq!(serial_bits, bits(Runtime::with_threads(64)));
+}
+
+#[test]
 fn fig09_pvalue_report_is_bitwise_identical_across_thread_counts() {
     let a = text("fig09", &serial());
     let b = text("fig09", &four());
