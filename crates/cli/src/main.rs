@@ -7,7 +7,7 @@
 //! compstat merge <shard-dir>... --out DIR
 //! compstat diff <baseline-dir> <new-dir> [--json]
 //! compstat validate <dir-or-file>...
-//! cache stats | clear | export <tar> | import <tar>
+//! compstat cache stats | clear
 //! ```
 //!
 //! `run` resolves experiments in the `compstat-bench` registry and runs
@@ -23,8 +23,9 @@
 //! (and splits the big oracle sweeps into cached parts), writing a
 //! shard-stamped `index.json`; `merge` reassembles a complete shard
 //! set into the canonical directory an unsharded `run --all` would
-//! have written, byte for byte. `cache export`/`cache import` move the
-//! oracle store between machines as a deterministic ustar archive.
+//! have written, byte for byte. The oracle store moves between
+//! machines as a plain copy of its directory: every entry names its own
+//! key, so a misplaced file is recomputed, never served.
 //!
 //! `diff` compares two report directories cell by cell, byte for byte,
 //! and exits 0 (identical) or 2 (any difference); any usage or load
@@ -37,7 +38,6 @@
 
 use compstat_bench::registry::{find, registry, registry_shard};
 use compstat_bench::timing;
-use compstat_core::archive::{export_cache, import_cache};
 use compstat_core::bench_doc::BenchDoc;
 use compstat_core::cache;
 use compstat_core::diff::{diff_dirs, DiffStatus};
@@ -219,7 +219,7 @@ USAGE:
     compstat merge <shard-dir>... --out DIR
     compstat diff <baseline-dir> <new-dir> [--json]
     compstat validate <dir-or-file>...
-    compstat cache stats | clear | export <tar> | import <tar>
+    compstat cache stats | clear
     compstat serve [--addr H:P] [--workers N] [--threads N]
                    [--max-conns N] [--timeout-secs S] [--no-cache]
     compstat serve --send FILE --addr H:P | --offline FILE
@@ -248,10 +248,10 @@ COMMANDS:
                 added/removed experiment, 3 on errors
     validate    Parse every .json report under the given paths; report
                 every malformed document with its reason
-    cache       Inspect (`stats`), empty (`clear`), or move the
-                persistent oracle cache ($COMPSTAT_CACHE_DIR, default
-                .compstat-cache/) between machines as a deterministic
-                ustar archive (`export <tar>` / `import <tar>`)
+    cache       Inspect (`stats`) or empty (`clear`) the persistent
+                oracle cache ($COMPSTAT_CACHE_DIR, default
+                .compstat-cache/); copy the directory to move it
+                between machines
     serve       Run the batched scoring service: newline-delimited
                 compstat-serve/v1 JSON frames over TCP (pbd
                 call_columns + hmm forward_batch, ping/stats control
@@ -561,42 +561,8 @@ fn cmd_cache(rest: &[String]) -> Result<(), Exit> {
     match Args::parse(rest, &[], &[])?.positional.as_slice() {
         [action] if action == "stats" => cmd_cache_stats(),
         [action] if action == "clear" => cmd_cache_clear(),
-        [action, file] if action == "export" => cmd_cache_export(Path::new(file)),
-        [action, file] if action == "import" => cmd_cache_import(Path::new(file)),
-        _ => Err(usage(
-            "pass `stats`, `clear`, `export <tar>`, or `import <tar>`",
-        )),
+        _ => Err(usage("pass `stats` or `clear`")),
     }
-}
-
-fn cmd_cache_export(file: &Path) -> Result<(), Exit> {
-    let dir = cache::default_dir();
-    let (bytes, count) = export_cache(&dir).map_err(|e| failed(e.to_string()))?;
-    cache::write_atomic(file, &bytes)
-        .map_err(|e| failed(format!("cannot write {}: {e}", file.display())))?;
-    emit(&format!(
-        "exported {count} entr{} from {} to {} ({} bytes)\n",
-        if count == 1 { "y" } else { "ies" },
-        dir.display(),
-        file.display(),
-        bytes.len()
-    ))
-}
-
-fn cmd_cache_import(file: &Path) -> Result<(), Exit> {
-    let bytes =
-        std::fs::read(file).map_err(|e| failed(format!("cannot read {}: {e}", file.display())))?;
-    let dir = cache::default_dir();
-    let summary =
-        import_cache(&dir, &bytes).map_err(|e| failed(format!("{}: {e}", file.display())))?;
-    emit(&format!(
-        "imported {} entr{} into {} ({} new, {} already present)\n",
-        summary.total(),
-        if summary.total() == 1 { "y" } else { "ies" },
-        dir.display(),
-        summary.added,
-        summary.existing
-    ))
 }
 
 fn cmd_cache_stats() -> Result<(), Exit> {

@@ -626,8 +626,8 @@ fn cache_cold_warm_and_no_cache_runs_are_byte_identical() {
         warm_log.contains("oracle cache: 3 hit(s), 0 miss(es)"),
         "{warm_log}"
     );
-    // A stray `.bfc` file is not an entry: stats, clear (and export)
-    // count only `<64 hex>.bfc` names, the ones the cache writes.
+    // A stray `.bfc` file is not an entry: stats and clear count only
+    // `<64 hex>.bfc` names, the ones the cache writes.
     std::fs::write(cache_dir.join("notes.bfc"), "not a cache entry\n").unwrap();
     let stats = compstat_env(&["cache", "stats"], &env);
     assert!(stats.status.success());
@@ -891,109 +891,101 @@ fn sharded_runs_merge_back_byte_identical_to_unsharded() {
     }
 }
 
+/// The oracle cache's entry files under `dir`, sorted by name.
+fn cache_entries(dir: &Path) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "bfc"))
+        .collect();
+    entries.sort();
+    entries
+}
+
 #[test]
-fn cache_export_import_round_trip_makes_a_fresh_machine_warm() {
-    // Portability story: machine A runs cold and exports its cache;
-    // machine B imports the tar and re-runs warm, without computing a
-    // single oracle value.
-    let machine_a = tmp_dir("cache-export-a");
-    let machine_b = tmp_dir("cache-import-b");
+fn a_copied_cache_directory_serves_warm_and_refuses_misplaced_entries() {
+    // Portability story: machine A runs cold, and machine B receives a
+    // plain copy of A's entry files and runs warm, without computing a
+    // single oracle value. A file under the wrong name is refused by
+    // the key digest in its header and recomputed, never served.
+    let machine_a = tmp_dir("cache-copy-a");
+    let machine_b = tmp_dir("cache-copy-b");
     let env_a: Vec<(&str, &str)> = vec![("COMPSTAT_CACHE_DIR", machine_a.to_str().unwrap())];
     let env_b: Vec<(&str, &str)> = vec![("COMPSTAT_CACHE_DIR", machine_b.to_str().unwrap())];
-
-    let out_a = tmp_dir("cache-export-reports-a");
-    let cold = compstat_env(
-        &[
+    let run = |name: &str, env: &[(&str, &str)], out: &Path, extra: &[&str]| {
+        let mut args = vec![
             "run",
-            "fig09",
+            name,
             "--scale",
             "quick",
             "--out",
-            out_a.to_str().unwrap(),
-        ],
-        &env_a,
-    );
-    assert!(cold.status.success());
-    assert!(
-        String::from_utf8_lossy(&cold.stderr).contains("1 miss(es)"),
-        "{}",
-        String::from_utf8_lossy(&cold.stderr)
-    );
+            out.to_str().unwrap(),
+        ];
+        args.extend(extra);
+        let got = compstat_env(&args, env);
+        let stderr = String::from_utf8_lossy(&got.stderr).into_owned();
+        assert!(got.status.success(), "{args:?}: {stderr}");
+        stderr
+    };
 
-    let tar = Path::new(env!("CARGO_TARGET_TMPDIR")).join("oracle-cache.tar");
-    let _ = std::fs::remove_file(&tar);
-    let out = compstat_env(&["cache", "export", tar.to_str().unwrap()], &env_a);
+    let out_a = tmp_dir("cache-copy-reports-a");
+    let cold = run("fig09", &env_a, &out_a, &[]);
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        cold.contains("oracle cache: 0 hit(s), 1 miss(es)"),
+        "{cold}"
     );
-    assert!(
-        String::from_utf8(out.stdout)
-            .unwrap()
-            .contains("exported 1 entry"),
-        "export summary"
-    );
+    let [fig09_entry] = cache_entries(&machine_a).try_into().unwrap();
+    run("fig10", &env_a, &tmp_dir("cache-copy-fig10-a"), &[]);
+    let fig10_entry = cache_entries(&machine_a)
+        .into_iter()
+        .find(|p| *p != fig09_entry)
+        .expect("fig10 wrote an entry");
 
-    let out = compstat_env(&["cache", "import", tar.to_str().unwrap()], &env_b);
+    std::fs::create_dir_all(&machine_b).unwrap();
+    for entry in cache_entries(&machine_a) {
+        std::fs::copy(&entry, machine_b.join(entry.file_name().unwrap())).unwrap();
+    }
+    let out_b = tmp_dir("cache-copy-reports-b");
+    let warm = run("fig09", &env_b, &out_b, &[]);
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        warm.contains("oracle cache: 1 hit(s), 0 miss(es)"),
+        "the copied cache must serve the sweep: {warm}"
     );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("1 new, 0 already present"), "{text}");
-    // Importing again is a no-op, not an error.
-    let out = compstat_env(&["cache", "import", tar.to_str().unwrap()], &env_b);
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("0 new, 1 already present"), "{text}");
+    assert_eq!(read_dir_bytes(&out_a), read_dir_bytes(&out_b));
 
-    // Machine B runs entirely warm and emits identical bytes.
-    let out_b = tmp_dir("cache-import-reports-b");
-    let warm = compstat_env(
-        &[
-            "run",
-            "fig09",
-            "--scale",
-            "quick",
-            "--out",
-            out_b.to_str().unwrap(),
-        ],
-        &env_b,
-    );
-    assert!(warm.status.success());
+    // fig10's bytes under fig09's name: an intact entry of the wrong
+    // key. The run counts one error and one miss, recomputes, and
+    // rewrites fig09's own entry.
+    let fig09_on_b = machine_b.join(fig09_entry.file_name().unwrap());
+    std::fs::copy(&fig10_entry, &fig09_on_b).unwrap();
+    let out_misplaced = tmp_dir("cache-copy-reports-misplaced");
+    let refused = run("fig09", &env_b, &out_misplaced, &[]);
     assert!(
-        String::from_utf8_lossy(&warm.stderr).contains("1 hit(s), 0 miss(es)"),
-        "imported cache must serve the sweep: {}",
-        String::from_utf8_lossy(&warm.stderr)
+        refused.contains("oracle cache: 0 hit(s), 1 miss(es), 1 write(s), 1 error(s)"),
+        "{refused}"
     );
+    let digest = |p: &Path| p.file_stem().unwrap().to_str().unwrap().to_string();
+    assert!(refused.contains("key digest mismatch"), "{refused}");
+    assert!(
+        refused.contains(&digest(&fig09_entry)) && refused.contains(&digest(&fig10_entry)),
+        "the warning names both digests: {refused}"
+    );
+    let out_off = tmp_dir("cache-copy-reports-off");
+    run("fig09", &env_b, &out_off, &["--no-cache"]);
+    assert_eq!(read_dir_bytes(&out_misplaced), read_dir_bytes(&out_off));
     assert_eq!(
-        std::fs::read(out_a.join("fig09.json")).unwrap(),
-        std::fs::read(out_b.join("fig09.json")).unwrap()
+        std::fs::read(&fig09_on_b).unwrap(),
+        std::fs::read(&fig09_entry).unwrap(),
+        "the rewrite restores fig09's own entry"
     );
-    let stats = compstat_env(&["cache", "stats"], &env_b);
-    assert!(String::from_utf8(stats.stdout)
-        .unwrap()
-        .contains("last run: 1 hit(s), 0 miss(es)"));
 
-    // A corrupted tar is rejected wholesale: exit 1, cache untouched.
-    // Flipping the first header byte guarantees a checksum mismatch.
-    let mut bytes = std::fs::read(&tar).unwrap();
-    bytes[0] ^= 0xFF;
-    let bad_tar = Path::new(env!("CARGO_TARGET_TMPDIR")).join("oracle-cache-corrupt.tar");
-    std::fs::write(&bad_tar, &bytes).unwrap();
-    let machine_c = tmp_dir("cache-import-c");
-    let env_c: Vec<(&str, &str)> = vec![("COMPSTAT_CACHE_DIR", machine_c.to_str().unwrap())];
-    let out = compstat_env(&["cache", "import", bad_tar.to_str().unwrap()], &env_c);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        !machine_c.exists() || std::fs::read_dir(&machine_c).unwrap().count() == 0,
-        "rejected import must write nothing"
-    );
-    // Missing tar file is also exit 1.
-    let out = compstat_env(&["cache", "import", "/nonexistent/nope.tar"], &env_c);
-    assert_eq!(out.status.code(), Some(1));
+    // The store moves by copy only: there is no archive verb.
+    for verb in ["export", "import"] {
+        let out = compstat_env(&["cache", verb, "x.tar"], &env_b);
+        assert_eq!(out.status.code(), Some(2), "cache {verb}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("pass `stats` or `clear`"), "{err}");
+    }
 }
 
 #[test]

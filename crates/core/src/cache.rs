@@ -12,8 +12,8 @@
 //! * [`CacheKey`] — a structured description of one sweep, hashed
 //!   (SHA-256) into the content address;
 //! * [`OracleCache`] — the store under `.compstat-cache/` (or
-//!   `$COMPSTAT_CACHE_DIR`): one file per key holding the exact binary
-//!   serialization of the result vector
+//!   `$COMPSTAT_CACHE_DIR`): one file per key holding the key's digest
+//!   and the exact binary serialization of the result vector
 //!   ([`compstat_bigfloat::serial`]), FNV-checksummed, written via
 //!   temp-file + atomic rename;
 //! * [`CacheStats`] — hit/miss/write/error counters, both per-instance
@@ -25,9 +25,13 @@
 //! wrong-format file logs a warning, counts an error, and falls back to
 //! recomputing (and rewriting) — it never panics and never yields wrong
 //! bytes, because the checksum and the strict BigFloat decoder reject
-//! anything that is not exactly what [`OracleCache::store`] wrote. The
-//! `compstat diff` golden gate then enforces end-to-end that cached and
-//! uncached runs emit byte-identical reports.
+//! anything that is not exactly what [`OracleCache::store`] wrote.
+//! Every entry also names its own key's digest, and [`decode_values`]
+//! refuses an entry read under any other key, so a file copied or
+//! renamed to the wrong address is recomputed like any corrupt one: a
+//! copied store is as safe as the one that wrote it. The `compstat
+//! diff` golden gate then enforces end-to-end that cached and uncached
+//! runs emit byte-identical reports.
 //!
 //! ## Invalidation
 //!
@@ -51,7 +55,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic line opening every cache file.
-pub const CACHE_MAGIC: &[u8] = b"compstat-oracle-cache/v1\n";
+pub const CACHE_MAGIC: &[u8] = b"compstat-oracle-cache/v2\n";
+
+/// Length of a key digest ([`CacheKey::digest`]): 64 lowercase hex
+/// digits, as in an entry's header and file name.
+const DIGEST_LEN: usize = 64;
 
 /// File extension of cache entries (`<sha256>.bfc`, "BigFloat cache").
 pub const CACHE_FILE_EXT: &str = "bfc";
@@ -265,13 +273,17 @@ impl core::fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
-/// Encodes a result vector as cache-file bytes: magic, count, the
+/// Encodes a result vector as the cache-file bytes of the key whose
+/// digest is `digest`: magic, the digest and a newline, count, the
 /// exact binary serialization of every value, and a trailing FNV-1a 64
 /// checksum over everything before it.
 #[must_use]
-pub fn encode_values(values: &[BigFloat]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CACHE_MAGIC.len() + 8 + values.len() * 48 + 8);
+pub fn encode_values(digest: &str, values: &[BigFloat]) -> Vec<u8> {
+    let mut out =
+        Vec::with_capacity(CACHE_MAGIC.len() + DIGEST_LEN + 1 + 8 + values.len() * 48 + 8);
     out.extend_from_slice(CACHE_MAGIC);
+    out.extend_from_slice(digest.as_bytes());
+    out.push(b'\n');
     out.extend_from_slice(&(values.len() as u64).to_le_bytes());
     for v in values {
         v.write_bytes(&mut out);
@@ -281,16 +293,19 @@ pub fn encode_values(values: &[BigFloat]) -> Vec<u8> {
     out
 }
 
-/// Decodes cache-file bytes back into the result vector, verifying the
-/// magic, the checksum, every value's representation invariants, and
-/// that nothing trails the declared count.
+/// Decodes the cache-file bytes of the key whose digest is `digest`
+/// back into the result vector, verifying the magic, the checksum, that
+/// the entry names `digest` (so a file under another key's name is
+/// refused), every value's representation invariants, and that nothing
+/// trails the declared count.
 ///
 /// # Errors
 ///
 /// Returns a [`CacheError`] describing the first defect; no partially
 /// decoded data escapes.
-pub fn decode_values(bytes: &[u8]) -> Result<Vec<BigFloat>, CacheError> {
-    let min = CACHE_MAGIC.len() + 8 + 8;
+pub fn decode_values(digest: &str, bytes: &[u8]) -> Result<Vec<BigFloat>, CacheError> {
+    let header = CACHE_MAGIC.len() + DIGEST_LEN + 1;
+    let min = header + 8 + 8;
     if bytes.len() < min {
         return Err(CacheError::new(format!(
             "truncated: {} bytes, need at least {min}",
@@ -298,14 +313,21 @@ pub fn decode_values(bytes: &[u8]) -> Result<Vec<BigFloat>, CacheError> {
         )));
     }
     if &bytes[..CACHE_MAGIC.len()] != CACHE_MAGIC {
-        return Err(CacheError::new("not a compstat-oracle-cache/v1 file"));
+        return Err(CacheError::new("not a compstat-oracle-cache/v2 file"));
     }
     let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
     if fnv1a64(payload) != stored {
         return Err(CacheError::new("checksum mismatch (corrupt or tampered)"));
     }
-    let mut at = CACHE_MAGIC.len();
+    let named = &payload[CACHE_MAGIC.len()..header];
+    if named.strip_suffix(b"\n") != Some(digest.as_bytes()) {
+        return Err(CacheError::new(format!(
+            "key digest mismatch: the entry belongs to {}, not {digest}",
+            String::from_utf8_lossy(&named[..DIGEST_LEN])
+        )));
+    }
+    let mut at = header;
     let count = u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
     at += 8;
     let count = usize::try_from(count).map_err(|_| CacheError::new("absurd value count"))?;
@@ -419,7 +441,11 @@ impl OracleCache {
     /// Entry path for a key.
     #[must_use]
     pub fn path_for(&self, key: &CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.{CACHE_FILE_EXT}", key.digest()))
+        self.entry_path(&key.digest())
+    }
+
+    fn entry_path(&self, digest: &str) -> PathBuf {
+        self.dir.join(format!("{digest}.{CACHE_FILE_EXT}"))
     }
 
     /// Instance counters since construction.
@@ -434,15 +460,16 @@ impl OracleCache {
     }
 
     /// Loads the entry for `key`, if present and intact. A corrupt or
-    /// unreadable entry logs a warning, counts an error, and reads as
-    /// absent. Does not bump hit/miss counters (that is
-    /// [`OracleCache::sweep`]'s job).
+    /// unreadable entry, or one that names another key, logs a warning,
+    /// counts an error, and reads as absent. Does not bump hit/miss
+    /// counters (that is [`OracleCache::sweep`]'s job).
     #[must_use]
     pub fn load(&self, key: &CacheKey) -> Option<Vec<BigFloat>> {
         if self.mode == CacheMode::Off {
             return None;
         }
-        let path = self.path_for(key);
+        let digest = key.digest();
+        let path = self.entry_path(&digest);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
@@ -451,7 +478,7 @@ impl OracleCache {
                 return None;
             }
         };
-        match decode_values(&bytes) {
+        match decode_values(&digest, &bytes) {
             Ok(values) => Some(values),
             Err(e) => {
                 self.note_error(&format!(
@@ -469,8 +496,9 @@ impl OracleCache {
         if self.mode == CacheMode::Off {
             return false;
         }
-        let path = self.path_for(key);
-        let bytes = encode_values(values);
+        let digest = key.digest();
+        let path = self.entry_path(&digest);
+        let bytes = encode_values(&digest, values);
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
             self.note_error(&format!("cannot create {}: {e}", self.dir.display()));
             return false;
@@ -504,8 +532,8 @@ impl OracleCache {
     ///    computed and stored;
     /// 3. the reassembled full vector is stored under the monolithic
     ///    `key` too, so a later *unsharded* run (or another shard
-    ///    sharing this sweep through `cache export`/`import`) hits
-    ///    without recomputation in either direction.
+    ///    sharing this sweep through a copy of the cache directory)
+    ///    hits without recomputation in either direction.
     ///
     /// Unsharded, the sweep is one entry under `key`: one hit or one
     /// miss. With a shared cache directory, concurrent shards running
@@ -612,21 +640,20 @@ impl OracleCache {
 
 /// Returns whether `name` is a cache entry file name: 64 lowercase hex
 /// digits plus `.bfc`, the only names [`OracleCache::path_for`] makes.
-#[must_use]
-pub fn is_cache_entry_name(name: &str) -> bool {
+fn is_cache_entry_name(name: &str) -> bool {
     let Some(stem) = name.strip_suffix(&format!(".{CACHE_FILE_EXT}")) else {
         return false;
     };
-    stem.len() == 64
+    stem.len() == DIGEST_LEN
         && stem
             .bytes()
             .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
 /// The entry files directly under `dir` (the store is flat), sorted by
-/// name; none when `dir` does not exist. Only [`is_cache_entry_name`]
-/// names count, so `cache stats`, `cache clear` and `cache export`
-/// agree on what the cache owns and never count, delete or ship a
+/// name; none when `dir` does not exist. Only names of the form
+/// [`OracleCache::path_for`] makes count, so `cache stats` and `cache
+/// clear` agree on what the cache owns and never count or delete a
 /// stranger's file.
 ///
 /// # Errors
@@ -851,10 +878,11 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trips_bit_exactly() {
+        let digest = CacheKey::new("test/encode").digest();
         for n in [0, 1, 7] {
             let values = sample_values(n);
-            let bytes = encode_values(&values);
-            let back = decode_values(&bytes).expect("decodes");
+            let bytes = encode_values(&digest, &values);
+            let back = decode_values(&digest, &bytes).expect("decodes");
             assert_eq!(back.len(), values.len());
             for (a, b) in values.iter().zip(&back) {
                 assert!(bit_identical(a, b));
@@ -864,22 +892,37 @@ mod tests {
 
     #[test]
     fn decode_rejects_corruption_everywhere() {
-        let bytes = encode_values(&sample_values(3));
+        let digest = CacheKey::new("test/corrupt").digest();
+        let bytes = encode_values(&digest, &sample_values(3));
         // Truncation at every length.
         for n in 0..bytes.len() {
-            assert!(decode_values(&bytes[..n]).is_err(), "prefix {n}");
+            assert!(decode_values(&digest, &bytes[..n]).is_err(), "prefix {n}");
         }
         // Any single flipped bit fails the checksum (or a stricter
-        // structural check).
-        for at in [0, CACHE_MAGIC.len(), CACHE_MAGIC.len() + 3, bytes.len() - 1] {
+        // structural check): in the magic, the key digest, its newline,
+        // the count, and the checksum.
+        let header = CACHE_MAGIC.len() + DIGEST_LEN + 1;
+        for at in [
+            0,
+            CACHE_MAGIC.len() + 10,
+            header - 1,
+            header,
+            header + 3,
+            bytes.len() - 1,
+        ] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x01;
-            assert!(decode_values(&bad).is_err(), "flip at {at}");
+            assert!(decode_values(&digest, &bad).is_err(), "flip at {at}");
         }
         // Trailing garbage after a valid document.
         let mut bad = bytes.clone();
         bad.push(0);
-        assert!(decode_values(&bad).is_err());
+        assert!(decode_values(&digest, &bad).is_err());
+        // An intact entry read under another key is refused, naming
+        // both digests.
+        let other = CacheKey::new("test/other").digest();
+        let err = decode_values(&other, &bytes).unwrap_err().message;
+        assert!(err.contains(&digest) && err.contains(&other), "{err}");
     }
 
     #[test]
@@ -925,7 +968,7 @@ mod tests {
         assert!(got.iter().zip(&values).all(|(a, b)| bit_identical(a, b)));
         assert!(cache.stats().errors >= 1);
         // The rewrite healed the entry.
-        assert!(decode_values(&std::fs::read(&path).unwrap()).is_ok());
+        assert!(decode_values(&key.digest(), &std::fs::read(&path).unwrap()).is_ok());
 
         // Truncate: same recovery story.
         let bytes = std::fs::read(&path).unwrap();
@@ -937,6 +980,34 @@ mod tests {
         assert_eq!(computed, 3);
         assert_eq!(got.len(), 5);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_copied_under_another_keys_name_is_recomputed() {
+        let dir = tmp("misplaced");
+        let a = CacheKey::new("test/misplaced").field("key", "a");
+        let b = CacheKey::new("test/misplaced").field("key", "b");
+        let writer = OracleCache::new(&dir, CacheMode::ReadWrite);
+        let _ = writer.get_or_compute(&a, 3, || sample_values(3));
+        // B's entry is A's bytes: the same length, so only the key
+        // digest in the header tells them apart.
+        std::fs::copy(writer.path_for(&a), writer.path_for(&b)).unwrap();
+        let cache = OracleCache::new(&dir, CacheMode::ReadWrite);
+        let want = sample_values(4).split_off(1);
+        let got = cache.get_or_compute(&b, 3, || want.clone());
+        assert!(got.iter().zip(&want).all(|(x, y)| bit_identical(x, y)));
+        let refused = CacheStats {
+            hits: 0,
+            misses: 1,
+            writes: 1,
+            errors: 1,
+        };
+        assert_eq!(cache.stats(), refused);
+        // The rewrite healed B: the next lookup is a hit.
+        let got = cache.get_or_compute(&b, 3, || unreachable!("B is warm"));
+        assert!(got.iter().zip(&want).all(|(x, y)| bit_identical(x, y)));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, ..refused });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1006,7 +1077,7 @@ mod tests {
             let part_key = key2.clone().field("part", Shard::new(p, 3).unwrap());
             let path = cache.path_for(&part_key);
             assert!(path.is_file(), "part {p}/3 entry missing");
-            let entry = decode_values(&std::fs::read(&path).unwrap()).unwrap();
+            let entry = decode_values(&part_key.digest(), &std::fs::read(&path).unwrap()).unwrap();
             let want: Vec<usize> = Shard::new(p, 3).unwrap().indices(n).collect();
             assert_eq!(entry.len(), want.len());
             for (v, &i) in entry.iter().zip(&want) {

@@ -35,8 +35,6 @@
 //!   oracle sweeps across runs (`.compstat-cache/`, `--no-cache`);
 //! * [`sources`] — the oracle crates' sources, compiled in and hashed
 //!   into every cache key, so a cached sweep always matches the code;
-//! * [`archive`] — hand-rolled deterministic ustar archives that make
-//!   the cache fleet-portable (`compstat cache export` / `import`);
 //! * [`merge`] — the report-directory layout (the one `index.json`
 //!   parser and the report and index writers) and the `compstat
 //!   merge` fan-in that reassembles a canonical report directory from
@@ -68,7 +66,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod accuracy;
-pub mod archive;
 pub mod arith;
 pub mod bench_doc;
 pub mod cache;
@@ -84,7 +81,6 @@ pub mod statfloat;
 pub mod stats;
 
 pub use accuracy::{figure3_buckets, figure9_buckets, ExponentBucket, OpKind};
-pub use archive::{export_cache, import_cache, ArchiveError, ImportSummary, TarEntry};
 pub use arith::{Arith, Native};
 pub use bench_doc::{BenchDoc, BenchEntry, BENCH_SCHEMA};
 pub use cache::{CacheKey, CacheStats, OracleCache};

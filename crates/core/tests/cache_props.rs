@@ -120,11 +120,19 @@ proptest! {
 
     // The store's value encoding is bit-exact at every oracle
     // precision from 24 to 4096 bits — sign, kind, exponent, precision
-    // tag, and every significand limb survive the disk round trip.
+    // tag, and every significand limb survive the disk round trip —
+    // and an entry decodes under its own key's digest only.
     #[test]
-    fn encode_decode_round_trips_bit_exactly_at_any_precision(values in ArbVector) {
-        let bytes = encode_values(&values);
-        let back = match decode_values(&bytes) {
+    fn encode_decode_round_trips_bit_exactly_at_any_precision(
+        values in ArbVector,
+        id in ArbSweepId,
+    ) {
+        let digest = key_of(&id).digest();
+        let bytes = encode_values(&digest, &values);
+        let mut other = id.clone();
+        other.seed = other.seed.wrapping_add(1);
+        prop_assert!(decode_values(&key_of(&other).digest(), &bytes).is_err());
+        let back = match decode_values(&digest, &bytes) {
             Ok(v) => v,
             Err(e) => return Err(TestCaseError::fail(format!("decode failed: {e}"))),
         };
@@ -137,13 +145,14 @@ proptest! {
     // No truncation of an encoded vector decodes: every strict prefix
     // is rejected, so a torn cache write can never be served.
     #[test]
-    fn truncated_encodings_never_decode(values in ArbVector) {
-        let bytes = encode_values(&values);
+    fn truncated_encodings_never_decode(values in ArbVector, id in ArbSweepId) {
+        let digest = key_of(&id).digest();
+        let bytes = encode_values(&digest, &values);
         // Probe a spread of prefix lengths (all of them on short
         // buffers; a sample on long ones).
         let step = (bytes.len() / 64).max(1);
         for n in (0..bytes.len()).step_by(step) {
-            prop_assert!(decode_values(&bytes[..n]).is_err(), "prefix {} decoded", n);
+            prop_assert!(decode_values(&digest, &bytes[..n]).is_err(), "prefix {} decoded", n);
         }
     }
 }
