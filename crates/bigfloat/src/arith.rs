@@ -5,18 +5,21 @@
 //! rounding. Working arrays keep at least `prec + 66` bits plus a sticky
 //! bit, which is sufficient for correct RNE results of `+ - * /`.
 //!
-//! Two kernel tiers sit below the `Context` API. Operands that fit the
+//! Three kernel tiers sit below the `Context` API. At a whole-limb
+//! precision (`64 * N` bits, `N <= 5`: the oracle's 256, serve's 128),
+//! the two shapes the oracle recurrences run, a same-sign sum and a
+//! product by a one-limb `from_f64` coefficient, work on `N + 1` limbs
+//! (the result, one guard limb) plus a sticky flag and round in
+//! registers ([`BigFloat::from_guarded`]). Other operands that fit the
 //! inline widths (anything up to 320-bit precision) route through the
 //! const-generic kernels in [`crate::limb::fixed`] on stack arrays, which
-//! feed the rounding core directly, so `add`/`sub`/`mul` never touch the
-//! heap there. That includes the mixed `N x 1`-limb products the oracle
-//! runs most (a 256-bit state times a 53-bit `from_f64` coefficient).
-//! Everything wider falls back to the general slice kernels. Division is
-//! word-at-a-time ([`crate::limb::div_rem_knuth`]) at every width. The
-//! tiers are bit-identical by construction — both feed the single
-//! rounding point — and are cross-checked by differential tests against
-//! the general kernels and the retired bit-indexed rounding (see
-//! `testing`).
+//! feed the general rounding core directly, so `add`/`sub`/`mul` never
+//! touch the heap there. Everything wider falls back to the general
+//! slice kernels. Division is word-at-a-time
+//! ([`crate::limb::div_rem_knuth`]) at every width. Every tier rounds
+//! correctly, so they agree bit for bit; differential tests check each
+//! against the general kernels and the retired bit-indexed rounding
+//! (see `testing`).
 
 use crate::limb;
 use crate::repr::{BigFloat, Kind, Sign, DEFAULT_PREC, INLINE_LIMBS, MAX_PREC, MIN_PREC};
@@ -142,6 +145,7 @@ fn add_signed(a: &BigFloat, b: &BigFloat, negate_b: bool, prec: u32) -> BigFloat
     add_signed_with(a, b, negate_b, prec, Path::Fast)
 }
 
+#[inline]
 fn add_signed_with(a: &BigFloat, b: &BigFloat, negate_b: bool, prec: u32, path: Path) -> BigFloat {
     let (sa, ka, ea, la, _) = a.parts();
     let (sb0, kb, eb, lb, _) = b.parts();
@@ -185,6 +189,18 @@ fn add_signed_with(a: &BigFloat, b: &BigFloat, negate_b: bool, prec: u32, path: 
     // Fixed-width fast paths: every operand and target width up to the
     // inline limit stays on the stack.
     if path == Path::Fast {
+        // Same-sign sums at a whole-limb precision, the oracle's: one
+        // guard limb and a sticky flag carry everything rounding reads.
+        if sx == sy && lx.len().max(ly.len()) <= nlimbs(prec) {
+            match prec {
+                64 => return add_whole::<1, 2>(sx, ex, lx, ey, ly, prec),
+                128 => return add_whole::<2, 3>(sx, ex, lx, ey, ly, prec),
+                192 => return add_whole::<3, 4>(sx, ex, lx, ey, ly, prec),
+                256 => return add_whole::<4, 5>(sx, ex, lx, ey, ly, prec),
+                320 => return add_whole::<5, 6>(sx, ex, lx, ey, ly, prec),
+                _ => {}
+            }
+        }
         match lx.len().max(ly.len()).max(nlimbs(prec)) + 2 {
             3 => return add_core_fixed::<3>(sx, ex, lx, sy, ey, ly, prec),
             4 => return add_core_fixed::<4>(sx, ex, lx, sy, ey, ly, prec),
@@ -344,6 +360,59 @@ fn add_core_fixed<const W: usize>(
     BigFloat::from_raw_wide(sx, exp_of_top, &out, sticky, prec)
 }
 
+/// The same-sign sum `x + y` (`ex >= ey`, each of at most `N` limbs)
+/// rounded to `prec = 64 * N` bits, on `N + 1` limbs: `x` fills the top
+/// `N` and `y` is shifted under it, so the limb below the result is a
+/// guard and whatever falls off the bottom folds into a sticky flag.
+/// A carry out of the top shifts the sum back down one bit.
+fn add_whole<const N: usize, const N1: usize>(
+    sign: Sign,
+    ex: i64,
+    lx: &[u64],
+    ey: i64,
+    ly: &[u64],
+    prec: u32,
+) -> BigFloat {
+    let x = place::<N1>(lx);
+    let (y, mut sticky) = shr_sticky(&place::<N1>(ly), ex.abs_diff(ey));
+    let (mut sum, carry) = limb::fixed::add(&x, &y);
+    let mut exp = i128::from(ex);
+    if carry {
+        sticky |= sum[0] & 1 == 1;
+        for i in 0..N1 - 1 {
+            sum[i] = sum[i] >> 1 | sum[i + 1] << 63;
+        }
+        sum[N1 - 1] = sum[N1 - 1] >> 1 | 1 << 63;
+        exp += 1;
+    }
+    BigFloat::from_guarded::<N, N1>(sign, exp, &sum, sticky, prec)
+}
+
+/// `limbs` (at most `W`) at the top of a zeroed `W`-limb array, limb by
+/// limb: a copy of run-time length would be a `memcpy` call.
+#[inline]
+fn place<const W: usize>(limbs: &[u64]) -> [u64; W] {
+    let off = W - limbs.len();
+    core::array::from_fn(|i| limbs.get(i.wrapping_sub(off)).copied().unwrap_or(0))
+}
+
+/// `x >> d` and whether a set bit fell off the bottom.
+#[inline]
+fn shr_sticky<const W: usize>(x: &[u64; W], d: u64) -> ([u64; W], bool) {
+    // A word shift of W or more leaves only dust: zero, and the sticky
+    // bit. Limbs past the top read as zero.
+    let (q, r) = ((d / 64).min(W as u64) as usize, (d % 64) as u32);
+    let limb = |i: usize| x.get(i).copied().unwrap_or(0);
+    // `<< (63 - r) << 1` is `<< (64 - r)`, and zero when `r == 0`.
+    let mut sticky = limb(q) << (63 - r) << 1 != 0;
+    let mut out = [0; W];
+    for i in 0..W {
+        sticky |= i < q && x[i] != 0;
+        out[i] = limb(i + q) >> r | limb(i + q + 1) << (63 - r) << 1;
+    }
+    (out, sticky)
+}
+
 fn cmp_magnitude(a: &[u64], b: &[u64]) -> core::cmp::Ordering {
     // Both normalized with the top bit of the last limb set; compare from
     // the top down, treating the shorter as zero-extended at the bottom.
@@ -376,6 +445,7 @@ fn mul_impl(a: &BigFloat, b: &BigFloat, prec: u32) -> BigFloat {
     mul_impl_with(a, b, prec, Path::Fast)
 }
 
+#[inline]
 fn mul_impl_with(a: &BigFloat, b: &BigFloat, prec: u32, path: Path) -> BigFloat {
     let (sa, ka, ea, la, _) = a.parts();
     let (sb, kb, eb, lb, _) = b.parts();
@@ -404,9 +474,10 @@ fn mul_impl_with(a: &BigFloat, b: &BigFloat, prec: u32, path: Path) -> BigFloat 
     if path == Path::Reference {
         return round(&mul_slices(la, lb));
     }
+    let exp_sum = i128::from(ea) + i128::from(eb);
     match (la.len(), lb.len()) {
-        (_, 1) => mul_by_limb(la, lb[0], round),
-        (1, _) => mul_by_limb(lb, la[0], round),
+        (_, 1) => mul_by_limb(sign, exp_sum, la, lb[0], prec, round),
+        (1, _) => mul_by_limb(sign, exp_sum, lb, la[0], prec, round),
         (2, 2) => round(&limb::fixed::mul::<u64, 2, 4>(fixed_ref(la), fixed_ref(lb))),
         (4, 4) => round(&limb::fixed::mul::<u64, 4, 8>(fixed_ref(la), fixed_ref(lb))),
         (m, n) if m + n <= 2 * INLINE_LIMBS => {
@@ -419,10 +490,28 @@ fn mul_impl_with(a: &BigFloat, b: &BigFloat, prec: u32, path: Path) -> BigFloat 
     }
 }
 
-/// `a * b` for a one-limb `b` (a 53-bit `from_f64` coefficient, say):
-/// the `N x 1` kernel on the stack up to the inline width, the general
-/// slice kernel above it.
-fn mul_by_limb(a: &[u64], b: u64, round: impl Fn(&[u64]) -> BigFloat) -> BigFloat {
+/// `a * b` for a one-limb `b` (a 53-bit `from_f64` coefficient, say),
+/// where `exp_sum` is the sum of the operands' exponents: the `N x 1`
+/// kernel on the stack up to the inline width, the general slice kernel
+/// above it. A whole-limb `prec` rounds in [`mul_whole`].
+fn mul_by_limb(
+    sign: Sign,
+    exp_sum: i128,
+    a: &[u64],
+    b: u64,
+    prec: u32,
+    round: impl Fn(&[u64]) -> BigFloat,
+) -> BigFloat {
+    if a.len() <= nlimbs(prec) {
+        match prec {
+            64 => return mul_whole::<1, 2>(sign, exp_sum, a, b, prec),
+            128 => return mul_whole::<2, 3>(sign, exp_sum, a, b, prec),
+            192 => return mul_whole::<3, 4>(sign, exp_sum, a, b, prec),
+            256 => return mul_whole::<4, 5>(sign, exp_sum, a, b, prec),
+            320 => return mul_whole::<5, 6>(sign, exp_sum, a, b, prec),
+            _ => {}
+        }
+    }
     match a.len() {
         1 => round(&limb::fixed::mul_1::<u64, 1, 2>(fixed_ref(a), b)),
         2 => round(&limb::fixed::mul_1::<u64, 2, 3>(fixed_ref(a), b)),
@@ -431,6 +520,31 @@ fn mul_by_limb(a: &[u64], b: u64, round: impl Fn(&[u64]) -> BigFloat) -> BigFloa
         5 => round(&limb::fixed::mul_1::<u64, 5, 6>(fixed_ref(a), b)),
         _ => round(&mul_slices(a, &[b])),
     }
+}
+
+/// `a * b` (`a` of at most `N` limbs) rounded to `prec = 64 * N` bits.
+/// The exact product fills the top of `N + 1` limbs; when its top bit
+/// is clear, one left shift normalizes it without losing a bit, and the
+/// limb below the result is the guard.
+fn mul_whole<const N: usize, const N1: usize>(
+    sign: Sign,
+    exp_sum: i128,
+    a: &[u64],
+    b: u64,
+    prec: u32,
+) -> BigFloat {
+    let mut p = limb::fixed::mul_1::<u64, N, N1>(&place::<N>(a), b);
+    // Significands in [1, 2) multiply into [1, 4).
+    let mut exp = exp_sum;
+    if p[N] >> 63 == 1 {
+        exp += 1;
+    } else {
+        for i in (1..N1).rev() {
+            p[i] = p[i] << 1 | p[i - 1] >> 63;
+        }
+        p[0] <<= 1;
+    }
+    BigFloat::from_guarded::<N, N1>(sign, exp, &p, false, prec)
 }
 
 /// Views a slice whose length the caller matched as a fixed array.

@@ -100,16 +100,34 @@ fn inline_precisions_never_allocate() {
 
 #[test]
 fn oracle_shapes_never_allocate() {
-    // The exact shapes of the forward and PBD oracle inner loops: a
-    // 256- or 128-bit state times a 53-bit coefficient, then a sum.
-    for prec in [128u32, 256] {
+    // The exact shapes of the forward and PBD oracle inner loops, at
+    // every whole-limb precision the inline kernels round in registers:
+    // a state times a 53-bit coefficient (either order, and a coefficient
+    // times a coefficient), then a same-sign sum of states.
+    for prec in [128u32, 192, 256, 320] {
         let ctx = Context::new(prec);
         let state = operand(prec, 5.0, 11.0);
         let coeff = BigFloat::from_f64(0.3);
         assert_eq!(allocations(|| BigFloat::from_f64(0.3)), 0);
         assert_eq!(allocations(|| ctx.mul(&state, &coeff)), 0, "{prec}x53 mul");
+        assert_eq!(allocations(|| ctx.mul(&coeff, &state)), 0, "53x{prec} mul");
+        assert_eq!(
+            allocations(|| ctx.mul(&coeff, &coeff)),
+            0,
+            "53x53 mul at {prec}"
+        );
         let term = ctx.mul(&state, &coeff);
-        assert_eq!(allocations(|| ctx.add(&state, &term)), 0);
+        assert_eq!(allocations(|| ctx.add(&state, &term)), 0, "{prec} sum");
+        assert_eq!(
+            allocations(|| ctx.add(&term, &state)),
+            0,
+            "{prec} sum swapped"
+        );
+        assert_eq!(
+            allocations(|| ctx.add(&state, &coeff)),
+            0,
+            "{prec} + 53 sum"
+        );
         assert_eq!(allocations(|| state.clone()), 0);
     }
 }

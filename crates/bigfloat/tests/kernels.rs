@@ -17,7 +17,7 @@
 //!    `N x 1`-limb products, carries out of rounding, and exponent
 //!    saturation.
 
-use compstat_bigfloat::{bit_identical, testing, BigFloat, Context};
+use compstat_bigfloat::{bit_identical, testing, BigFloat, Context, Kind};
 use proptest::prelude::*;
 
 /// Deterministic splitmix64 stream for the fixed-width sweeps.
@@ -273,6 +273,208 @@ fn exponent_saturation_matches_general() {
                 assert_matches_reference(a, b, prec, "exponent edge");
             }
         }
+    }
+}
+
+/// The whole-limb precisions: `64 * N` for every inline limb count.
+const WHOLE_PRECS: [u32; 5] = [64, 128, 192, 256, 320];
+
+/// The exact value with little-endian limbs `limbs` (top limb nonzero),
+/// scaled so its top bit weighs `2^exp`.
+fn from_limbs(limbs: &[u64], exp: i64) -> BigFloat {
+    let build = Context::new(64 * limbs.len() as u32);
+    let v = limbs.iter().rev().fold(BigFloat::zero(), |acc, &l| {
+        build.add(&acc.mul_pow2(64), &BigFloat::from_u64(l))
+    });
+    v.mul_pow2(exp - v.exponent().unwrap())
+}
+
+/// `1 + k * 2^(1 - prec)`: `1` plus `k` units in the last place, on
+/// exactly `prec / 64` limbs.
+fn one_plus_ulps(prec: u32, k: u64) -> BigFloat {
+    let mut limbs = vec![0u64; prec as usize / 64];
+    limbs[0] |= k;
+    *limbs.last_mut().unwrap() |= 1 << 63;
+    from_limbs(&limbs, 0)
+}
+
+/// Same-sign sums and products of `x` and `y`, in both orders, each
+/// against the general kernels and the bit-indexed rounding.
+fn assert_whole_limb_ops(x: &BigFloat, y: &BigFloat, prec: u32, what: &str) {
+    let cp = Context::new(prec);
+    let pairs = [
+        ("x + y", cp.add(x, y), testing::add_general(x, y, prec)),
+        ("y + x", cp.add(y, x), testing::add_general(y, x, prec)),
+        (
+            "-x - y",
+            cp.sub(&x.neg(), y),
+            testing::sub_general(&x.neg(), y, prec),
+        ),
+        ("x * y", cp.mul(x, y), testing::mul_general(x, y, prec)),
+        ("y * x", cp.mul(y, x), testing::mul_general(y, x, prec)),
+    ];
+    for (name, fast, general) in pairs {
+        assert!(
+            bit_identical(&fast, &general),
+            "{name} ({what}) at prec {prec}: fast {fast:?} != general {general:?}"
+        );
+    }
+}
+
+/// The operand shapes of the whole-limb kernels at `n` limbs: full
+/// width, all ones (carries out of the top limb), every shorter limb
+/// count, a 53-bit `from_f64` import, and one- and two-limb edge
+/// patterns. All are positive; `assert_whole_limb_ops` negates.
+fn whole_limb_operands(st: &mut u64, n: u32) -> Vec<(String, BigFloat)> {
+    let mut out = vec![
+        ("full".to_string(), random_operand(st, 64 * n).abs()),
+        ("all ones".to_string(), all_ones(64 * n)),
+        ("f64 0.3".to_string(), BigFloat::from_f64(0.3)),
+        ("1".to_string(), from_limbs(&[1 << 63], 0)),
+        ("one-limb ones".to_string(), all_ones(64)),
+        ("1 + 2^-63".to_string(), from_limbs(&[1 << 63 | 1], 0)),
+        ("1 + 2^-65".to_string(), from_limbs(&[1 << 62, 1 << 63], 0)),
+        ("1 + 2^-127".to_string(), from_limbs(&[1, 1 << 63], 0)),
+    ];
+    for k in 1..n {
+        out.push((format!("{k} limbs"), operand_of_limbs(st, k).abs()));
+    }
+    out
+}
+
+#[test]
+fn whole_limb_sums_and_products_match_general_at_every_gap() {
+    let mut st = 0x5EED_0006u64;
+    for &prec in &WHOLE_PRECS {
+        let operands = whole_limb_operands(&mut st, prec / 64);
+        let width = i64::from(prec);
+        let gaps = [0, 1, 63, 64, 65]
+            .into_iter()
+            .chain(width - 2..=width + 65)
+            .chain([2 * width + 64, 1 << 40, i64::MAX]);
+        for gap in gaps {
+            // The exponents straddle zero, so even a gap of i64::MAX fits.
+            let (ex, ey) = (gap - gap / 2, -(gap / 2));
+            for (xn, x) in &operands {
+                let x = x.mul_pow2(ex - x.exponent().unwrap());
+                for (yn, y) in &operands {
+                    let y = y.mul_pow2(ey - y.exponent().unwrap());
+                    assert_whole_limb_ops(&x, &y, prec, &format!("{xn}, {yn} at gap {gap}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn whole_limb_ties_round_to_even_and_break_on_the_lowest_sticky_bit() {
+    for &prec in &WHOLE_PRECS {
+        let cp = Context::new(prec);
+        let half_ulp = -i64::from(prec);
+        let (even, odd) = (one_plus_ulps(prec, 2), one_plus_ulps(prec, 1));
+        let tie = from_limbs(&[1 << 63], half_ulp);
+        // A tie keeps an even last bit and rounds an odd one up.
+        assert!(
+            bit_identical(&cp.add(&even, &tie), &even),
+            "even tie at {prec}"
+        );
+        assert!(
+            bit_identical(&cp.add(&odd, &tie), &even),
+            "odd tie at {prec}"
+        );
+        // Half an ulp plus a bit in the guard limb, or plus only the
+        // lowest bit of the limb shifted out under the guard: above the
+        // tie, so both round up.
+        let in_guard = from_limbs(&[3 << 62], half_ulp);
+        let shifted_out = from_limbs(&[1, 1 << 63], half_ulp);
+        let above = one_plus_ulps(prec, 3);
+        assert!(
+            bit_identical(&cp.add(&even, &in_guard), &above),
+            "guard sticky at {prec}"
+        );
+        assert!(
+            bit_identical(&cp.add(&even, &shifted_out), &above),
+            "low sticky at {prec}"
+        );
+        for (x, y, what) in [
+            (&even, &tie, "even tie"),
+            (&odd, &tie, "odd tie"),
+            (&even, &in_guard, "tie + guard bit"),
+            (&even, &shifted_out, "tie + lowest shifted-out bit"),
+            (&odd, &shifted_out, "odd tie + lowest shifted-out bit"),
+        ] {
+            assert_whole_limb_ops(x, y, prec, what);
+        }
+        if prec > 64 {
+            // A sum that carries out of the top limb, leaving a tie whose
+            // only sticky bit is the one the renormalizing shift drops.
+            let carry_tie = from_limbs(&[1 << 62, 1 << 63], 1 - i64::from(prec));
+            let r = cp.add(&all_ones(prec), &carry_tie);
+            assert!(
+                r > Context::new(prec + 2).add(&all_ones(prec), &carry_tie),
+                "carry tie at {prec}"
+            );
+            assert_whole_limb_ops(&all_ones(prec), &carry_tie, prec, "carry tie");
+        }
+        // Products: 1.5 * (1 + k ulps) leaves exactly half an ulp for odd
+        // k, and 1.25 * (1 + k ulps) a quarter.
+        for k in [1, 2, 3] {
+            let x = one_plus_ulps(prec, k);
+            assert_whole_limb_ops(
+                &x,
+                &BigFloat::from_f64(1.5),
+                prec,
+                &format!("1.5 * (1 + {k} ulps)"),
+            );
+            assert_whole_limb_ops(
+                &x,
+                &BigFloat::from_f64(1.25),
+                prec,
+                &format!("1.25 * (1 + {k} ulps)"),
+            );
+        }
+        let up = cp.mul(&odd, &BigFloat::from_f64(1.5));
+        assert!(
+            up > Context::new(prec + 2).mul(&odd, &BigFloat::from_f64(1.5)),
+            "odd product tie at {prec}"
+        );
+    }
+}
+
+#[test]
+fn whole_limb_results_saturate_like_general() {
+    for &prec in &WHOLE_PRECS {
+        let cp = Context::new(prec);
+        // `all_ones` lies just under 1: scale its top bit to 2^MAX.
+        let ones = all_ones(prec);
+        let top = ones.mul_pow2(i64::MAX).mul_pow2(1);
+        // All ones at the top exponent plus half an ulp: the tie rounds
+        // up and carries one past i64::MAX.
+        let half_ulp = BigFloat::pow2(i64::MAX - i64::from(prec)).round_to(64);
+        let bottom = BigFloat::pow2(i64::MIN).round_to(64);
+        let edges = [
+            (top.clone(), half_ulp.clone(), "ones + half ulp at MAX"),
+            (top.clone(), top.clone(), "carry past MAX"),
+            (top.clone(), BigFloat::from_f64(1.5), "product past MAX"),
+            (
+                BigFloat::pow2(i64::MAX).round_to(64),
+                BigFloat::from_f64(0.75),
+                "MAX times 0.75",
+            ),
+            (
+                bottom.clone(),
+                BigFloat::from_f64(0.75),
+                "product under MIN",
+            ),
+            (ones.clone(), ones.mul_pow2(i64::MIN + 1), "dust at MIN"),
+        ];
+        for (x, y, what) in &edges {
+            assert_whole_limb_ops(x, y, prec, what);
+        }
+        assert_eq!(cp.add(&top, &half_ulp).kind(), Kind::Inf);
+        assert_eq!(cp.add(&top, &top).kind(), Kind::Inf);
+        assert_eq!(cp.mul(&top, &BigFloat::from_f64(1.5)).kind(), Kind::Inf);
+        assert!(cp.mul(&bottom, &BigFloat::from_f64(0.75)).is_zero());
     }
 }
 

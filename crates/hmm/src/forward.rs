@@ -263,7 +263,10 @@ pub fn forward_trace_rt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use compstat_bigfloat::{bit_identical, testing};
     use compstat_posit::{P64E12, P64E18};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// The backward recurrence in the arithmetic `ar`: combines the beta
     /// variables into `P(O | lambda)`, or one for an empty sequence. Each
@@ -345,6 +348,54 @@ mod tests {
         assert!((o.to_f64() - want).abs() < 1e-14);
         let s = forward_scaled(&m, &obs);
         assert!((s.ln_likelihood - want.ln()).abs() < 1e-12);
+    }
+
+    /// The oracle arithmetic through the general slice kernels and the
+    /// bit-indexed rounding (`compstat_bigfloat::testing`): the
+    /// reference the production kernel tiers must reproduce.
+    struct GeneralKernels(u32);
+
+    impl Arith for GeneralKernels {
+        type V = BigFloat;
+
+        fn zero(&self) -> BigFloat {
+            BigFloat::zero()
+        }
+
+        fn one(&self) -> BigFloat {
+            BigFloat::one()
+        }
+
+        fn import_f64(&self, x: f64) -> BigFloat {
+            BigFloat::from_f64(x)
+        }
+
+        fn add(&self, a: &BigFloat, b: &BigFloat) -> BigFloat {
+            testing::add_general(a, b, self.0)
+        }
+
+        fn mul(&self, a: &BigFloat, b: &BigFloat) -> BigFloat {
+            testing::mul_general(a, b, self.0)
+        }
+    }
+
+    #[test]
+    fn oracle_forward_matches_the_general_kernels_bit_for_bit() {
+        // A Figure 10-shaped pass: 8 states, 16 symbols, 2,000 steps,
+        // whose likelihood falls thousands of binades below binary64.
+        let mut rng = StdRng::seed_from_u64(10);
+        let model = crate::dirichlet_hmm(&mut rng, 8, 16, 0.8);
+        let obs = crate::uniform_observations(&mut rng, 16, 2_000);
+        for bits in [128, 256] {
+            let got = forward_oracle(&model, &obs, &Context::new(bits));
+            let general = GeneralKernels(bits);
+            let want = forward_in(&general, &model.prepare_in(&general), &obs, |_, _| {});
+            assert!(got.exponent().unwrap() < -2_000);
+            assert!(
+                bit_identical(&got, &want),
+                "{bits} bits: {got:?} != {want:?}"
+            );
+        }
     }
 
     #[test]

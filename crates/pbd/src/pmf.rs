@@ -85,7 +85,7 @@ pub fn pbd_pvalue_oracle(success_probs: &[f64], k: usize, ctx: &Context) -> BigF
 mod tests {
     use super::*;
     use crate::datasets::accuracy_corpus;
-    use compstat_bigfloat::HdrFloat;
+    use compstat_bigfloat::{bit_identical, testing, HdrFloat};
     use compstat_posit::{P64E12, P64E18, P64E9};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -180,6 +180,54 @@ mod tests {
         for bits in [128, 256] {
             let label = format!("Context({bits})");
             assert_window_exact(&label, &cases, &Context::new(bits), BigFloat::to_bytes);
+        }
+    }
+
+    /// The oracle arithmetic through the general slice kernels and the
+    /// bit-indexed rounding (`compstat_bigfloat::testing`): the
+    /// reference the production kernel tiers must reproduce.
+    struct GeneralKernels(u32);
+
+    impl Arith for GeneralKernels {
+        type V = BigFloat;
+
+        fn zero(&self) -> BigFloat {
+            BigFloat::zero()
+        }
+
+        fn one(&self) -> BigFloat {
+            BigFloat::one()
+        }
+
+        fn import_f64(&self, x: f64) -> BigFloat {
+            BigFloat::from_f64(x)
+        }
+
+        fn add(&self, a: &BigFloat, b: &BigFloat) -> BigFloat {
+            testing::add_general(a, b, self.0)
+        }
+
+        fn mul(&self, a: &BigFloat, b: &BigFloat) -> BigFloat {
+            testing::mul_general(a, b, self.0)
+        }
+    }
+
+    #[test]
+    fn oracle_pvalues_match_the_general_kernels_bit_for_bit() {
+        // Every operation of a corpus column's recurrence: N x 1-limb
+        // products and same-sign sums, plus the p-value's accumulation.
+        let cases = window_cases();
+        for bits in [128, 256] {
+            let ctx = Context::new(bits);
+            for (i, (probs, k)) in cases.iter().enumerate() {
+                let got = pbd_pvalue_oracle(probs, *k, &ctx);
+                let want = pbd_in(&GeneralKernels(bits), probs, *k);
+                assert!(
+                    bit_identical(&got, &want),
+                    "case {i} (N={}, K={k}) at {bits} bits: {got:?} != {want:?}",
+                    probs.len()
+                );
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! # compstat-runtime
 //!
-//! A deterministic chunked parallel-map engine for the experiment
+//! A deterministic, work-balanced parallel-map engine for the experiment
 //! harness, built on [`std::thread::scope`] — no external thread-pool
 //! crate is available in this build environment, and none is needed:
 //! every sweep in the paper's evaluation is an embarrassingly parallel
@@ -17,19 +17,20 @@
 //! 1. **Pure per-item work.** The mapped closure receives only its item
 //!    (and index); it shares no mutable state, so item results cannot
 //!    depend on scheduling.
-//! 2. **Ordered merging.** Items are processed in contiguous chunks and
-//!    chunk results are concatenated in chunk order, so the output
+//! 2. **Placement by index.** Workers claim items one at a time from a
+//!    shared counter, so an expensive item never holds up a fixed share
+//!    of the others; each result lands in its item's slot, so the output
 //!    `Vec` is index-for-index the serial output.
 //! 3. **Index-derived RNG streams.** Randomized sweeps draw from one
 //!    independent generator per work *item*, derived from a base
 //!    generator via the vendored xoshiro's jump-equivalent
 //!    [`split`](rand::rngs::StdRng::split) reseeding keyed by item
-//!    index. Which thread (or chunk) an item lands in never touches its
+//!    index. Which thread claims an item never touches its
 //!    stream, so sample draws are independent of thread count.
 //!
-//! The serial path is not a separate code path: `threads = 1` runs the
-//! identical chunk loop on the calling thread, so there is nothing to
-//! drift apart. The workspace's differential test suite
+//! The serial path maps the same per-item closure over `0..n` in order
+//! on the calling thread; the parallel path differs only in who runs
+//! each item. The workspace's differential test suite
 //! (`tests/parallel_determinism.rs`) locks the contract down
 //! experiment by experiment.
 //!
@@ -72,10 +73,10 @@
 )]
 
 use rand::rngs::StdRng;
-use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Upper bound on an explicitly requested thread count. Chunking caps
-/// real spawns at the item count, so larger values could not help —
+/// Upper bound on an explicitly requested thread count. Real spawns are
+/// capped at the item count, so larger values could not help —
 /// they only ever indicate a unit mix-up in `COMPSTAT_THREADS`.
 pub const MAX_THREADS: usize = 4096;
 
@@ -452,7 +453,7 @@ impl Runtime {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        self.run_chunks(items.len(), |range| items[range].iter().map(&f).collect())
+        self.run_items(items.len(), |i| f(&items[i]))
     }
 
     /// Maps `f` over the index range `0..n`, returning results in index
@@ -462,7 +463,7 @@ impl Runtime {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        self.run_chunks(n, |range| range.map(&f).collect())
+        self.run_items(n, f)
     }
 
     /// Maps `f` over `0..n` where each item draws from its own RNG
@@ -480,13 +481,9 @@ impl Runtime {
         U: Send,
         F: Fn(usize, &mut StdRng) -> U + Sync,
     {
-        self.run_chunks(n, |range| {
-            range
-                .map(|i| {
-                    let mut rng = base.split(i as u64);
-                    f(i, &mut rng)
-                })
-                .collect()
+        self.run_items(n, |i| {
+            let mut rng = base.split(i as u64);
+            f(i, &mut rng)
         })
     }
 
@@ -505,49 +502,54 @@ impl Runtime {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        self.run_chunks(indices.len(), |range| {
-            indices[range].iter().map(|&i| f(i)).collect()
-        })
+        self.run_items(indices.len(), |k| f(indices[k]))
     }
 
-    /// The chunk engine behind every map: splits `0..n` into at most
-    /// `threads` contiguous ranges, runs `work` on each (scoped threads
-    /// when more than one), and concatenates results in range order.
+    /// The engine behind every map: runs `item(i)` for each `i` in
+    /// `0..n` and returns the results in index order. With more than one
+    /// thread, scoped workers claim one index at a time from a shared
+    /// counter, so a sweep whose cost sits in a few items is not held up
+    /// behind a fixed split; each result is placed by its index, so the
+    /// output never depends on which worker ran what.
     ///
-    /// If any worker panics, the first panic (in chunk order) is
+    /// If any worker panics, the first panic (in worker order) is
     /// propagated on the calling thread after the scope joins every
     /// worker.
-    fn run_chunks<U, W>(&self, n: usize, work: W) -> Vec<U>
+    fn run_items<U, I>(&self, n: usize, item: I) -> Vec<U>
     where
         U: Send,
-        W: Fn(Range<usize>) -> Vec<U> + Sync,
+        I: Fn(usize) -> U + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
         let threads = self.threads.min(n);
         if threads <= 1 {
-            return work(0..n);
+            return (0..n).map(item).collect();
         }
-        let chunk = n.div_ceil(threads);
-        let ranges: Vec<Range<usize>> = (0..n)
-            .step_by(chunk)
-            .map(|start| start..(start + chunk).min(n))
-            .collect();
-        let work = &work;
-        let mut out = Vec::with_capacity(n);
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                // Relaxed: the counter only hands out indices; results
+                // travel back through `join`, which synchronizes.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return done;
+                }
+                done.push((i, item(i)));
+            }
+        };
+        let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| scope.spawn(move || work(range)))
-                .collect();
-            // Joining in spawn order keeps the merge ordered; a panic
-            // payload is carried out of the scope (which still joins
-            // the remaining workers) and re-raised for the caller.
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            // A panic payload is carried out of the scope (which still
+            // joins the remaining workers) and re-raised for the caller.
             let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
             for handle in handles {
                 match handle.join() {
-                    Ok(part) => out.extend(part),
+                    Ok(part) => {
+                        for (i, u) in part {
+                            slots[i] = Some(u);
+                        }
+                    }
                     Err(payload) => {
                         panic.get_or_insert(payload);
                     }
@@ -557,7 +559,10 @@ impl Runtime {
                 std::panic::resume_unwind(payload);
             }
         });
-        out
+        slots
+            .into_iter()
+            .map(|u| u.expect("every index is claimed exactly once"))
+            .collect()
     }
 }
 
@@ -640,6 +645,29 @@ mod tests {
             let got = Runtime::with_threads(threads).par_map_index(n, |i| i);
             assert_eq!(got, (0..n).collect::<Vec<_>>(), "n={n} threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_slow_item_does_not_hold_up_the_others() {
+        // Item 0 waits until every other item has run. Workers that
+        // claim items one at a time get there with one thread stuck on
+        // item 0; a fixed split would leave items queued behind it, so
+        // item 0 gives up after the timeout instead of hanging.
+        use std::sync::{mpsc, Mutex};
+        use std::time::Duration;
+        let n = 16;
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let got = Runtime::with_threads(2).par_map_index(n, |i| {
+            if i > 0 {
+                tx.send(i).expect("the receiver outlives the map");
+                return true;
+            }
+            let rx = rx.lock().expect("only item 0 takes the lock");
+            (1..n).all(|_| rx.recv_timeout(Duration::from_secs(10)).is_ok())
+        });
+        assert!(got[0], "items stayed queued behind the slow item 0");
+        assert_eq!(got, vec![true; n]);
     }
 
     #[test]
