@@ -8,21 +8,22 @@
 //! Three kernel tiers sit below the `Context` API. At a whole-limb
 //! precision (`64 * N` bits, `N <= 5`: the oracle's 256, serve's 128),
 //! the two shapes the oracle recurrences run, a same-sign sum and a
-//! product by a one-limb `from_f64` coefficient, work on `N + 1` limbs
-//! (the result, one guard limb) plus a sticky flag and round in
-//! registers ([`BigFloat::from_guarded`]). Other operands that fit the
-//! inline widths (anything up to 320-bit precision) route through the
-//! const-generic kernels in [`crate::limb::fixed`] on stack arrays, which
-//! feed the general rounding core directly, so `add`/`sub`/`mul` never
-//! touch the heap there. Everything wider falls back to the general
-//! slice kernels. Division is word-at-a-time
-//! ([`crate::limb::div_rem_knuth`]) at every width. Every tier rounds
-//! correctly, so they agree bit for bit; differential tests check each
-//! against the general kernels and the retired bit-indexed rounding
-//! (see `testing`).
+//! product by a one-limb `from_f64` coefficient, place their operands
+//! in `[u64; N]` arrays and call the kernels of [`crate::WholeFloat`],
+//! which work on the result limbs, one guard limb and a sticky flag and
+//! round in registers. Other operands that fit the inline widths
+//! (anything up to 320-bit precision) route through the const-generic
+//! kernels in [`crate::limb::fixed`] on stack arrays, which feed the
+//! general rounding core directly, so `add`/`sub`/`mul` never touch the
+//! heap there. Everything wider falls back to the general slice
+//! kernels. Division is word-at-a-time ([`crate::limb::div_rem_knuth`])
+//! at every width. Every tier rounds correctly, so they agree bit for
+//! bit; differential tests check each against the general kernels and
+//! the retired bit-indexed rounding (see `testing`).
 
 use crate::limb;
 use crate::repr::{BigFloat, Kind, Sign, DEFAULT_PREC, INLINE_LIMBS, MAX_PREC, MIN_PREC};
+use crate::whole::{self, place};
 
 /// An arithmetic context carrying the target precision.
 ///
@@ -189,15 +190,16 @@ fn add_signed_with(a: &BigFloat, b: &BigFloat, negate_b: bool, prec: u32, path: 
     // Fixed-width fast paths: every operand and target width up to the
     // inline limit stays on the stack.
     if path == Path::Fast {
-        // Same-sign sums at a whole-limb precision, the oracle's: one
-        // guard limb and a sticky flag carry everything rounding reads.
+        // Same-sign sums at a whole-limb precision, the oracle's, run
+        // the `WholeFloat` kernel: one guard limb and a sticky flag carry
+        // everything rounding reads.
         if sx == sy && lx.len().max(ly.len()) <= nlimbs(prec) {
             match prec {
-                64 => return add_whole::<1, 2>(sx, ex, lx, ey, ly, prec),
-                128 => return add_whole::<2, 3>(sx, ex, lx, ey, ly, prec),
-                192 => return add_whole::<3, 4>(sx, ex, lx, ey, ly, prec),
-                256 => return add_whole::<4, 5>(sx, ex, lx, ey, ly, prec),
-                320 => return add_whole::<5, 6>(sx, ex, lx, ey, ly, prec),
+                64 => return add_whole::<1>(sx, ex, lx, ey, ly),
+                128 => return add_whole::<2>(sx, ex, lx, ey, ly),
+                192 => return add_whole::<3>(sx, ex, lx, ey, ly),
+                256 => return add_whole::<4>(sx, ex, lx, ey, ly),
+                320 => return add_whole::<5>(sx, ex, lx, ey, ly),
                 _ => {}
             }
         }
@@ -361,56 +363,11 @@ fn add_core_fixed<const W: usize>(
 }
 
 /// The same-sign sum `x + y` (`ex >= ey`, each of at most `N` limbs)
-/// rounded to `prec = 64 * N` bits, on `N + 1` limbs: `x` fills the top
-/// `N` and `y` is shifted under it, so the limb below the result is a
-/// guard and whatever falls off the bottom folds into a sticky flag.
-/// A carry out of the top shifts the sum back down one bit.
-fn add_whole<const N: usize, const N1: usize>(
-    sign: Sign,
-    ex: i64,
-    lx: &[u64],
-    ey: i64,
-    ly: &[u64],
-    prec: u32,
-) -> BigFloat {
-    let x = place::<N1>(lx);
-    let (y, mut sticky) = shr_sticky(&place::<N1>(ly), ex.abs_diff(ey));
-    let (mut sum, carry) = limb::fixed::add(&x, &y);
-    let mut exp = i128::from(ex);
-    if carry {
-        sticky |= sum[0] & 1 == 1;
-        for i in 0..N1 - 1 {
-            sum[i] = sum[i] >> 1 | sum[i + 1] << 63;
-        }
-        sum[N1 - 1] = sum[N1 - 1] >> 1 | 1 << 63;
-        exp += 1;
-    }
-    BigFloat::from_guarded::<N, N1>(sign, exp, &sum, sticky, prec)
-}
-
-/// `limbs` (at most `W`) at the top of a zeroed `W`-limb array, limb by
-/// limb: a copy of run-time length would be a `memcpy` call.
+/// rounded to `64 * N` bits: the operands placed in `N` limbs, through
+/// the whole-limb kernel.
 #[inline]
-fn place<const W: usize>(limbs: &[u64]) -> [u64; W] {
-    let off = W - limbs.len();
-    core::array::from_fn(|i| limbs.get(i.wrapping_sub(off)).copied().unwrap_or(0))
-}
-
-/// `x >> d` and whether a set bit fell off the bottom.
-#[inline]
-fn shr_sticky<const W: usize>(x: &[u64; W], d: u64) -> ([u64; W], bool) {
-    // A word shift of W or more leaves only dust: zero, and the sticky
-    // bit. Limbs past the top read as zero.
-    let (q, r) = ((d / 64).min(W as u64) as usize, (d % 64) as u32);
-    let limb = |i: usize| x.get(i).copied().unwrap_or(0);
-    // `<< (63 - r) << 1` is `<< (64 - r)`, and zero when `r == 0`.
-    let mut sticky = limb(q) << (63 - r) << 1 != 0;
-    let mut out = [0; W];
-    for i in 0..W {
-        sticky |= i < q && x[i] != 0;
-        out[i] = limb(i + q) >> r | limb(i + q + 1) << (63 - r) << 1;
-    }
-    (out, sticky)
+fn add_whole<const N: usize>(sign: Sign, ex: i64, lx: &[u64], ey: i64, ly: &[u64]) -> BigFloat {
+    BigFloat::from_whole(sign, whole::add_kernel::<N>(ex, &place(lx), ey, &place(ly)))
 }
 
 fn cmp_magnitude(a: &[u64], b: &[u64]) -> core::cmp::Ordering {
@@ -504,11 +461,11 @@ fn mul_by_limb(
 ) -> BigFloat {
     if a.len() <= nlimbs(prec) {
         match prec {
-            64 => return mul_whole::<1, 2>(sign, exp_sum, a, b, prec),
-            128 => return mul_whole::<2, 3>(sign, exp_sum, a, b, prec),
-            192 => return mul_whole::<3, 4>(sign, exp_sum, a, b, prec),
-            256 => return mul_whole::<4, 5>(sign, exp_sum, a, b, prec),
-            320 => return mul_whole::<5, 6>(sign, exp_sum, a, b, prec),
+            64 => return mul_whole::<1>(sign, exp_sum, a, b),
+            128 => return mul_whole::<2>(sign, exp_sum, a, b),
+            192 => return mul_whole::<3>(sign, exp_sum, a, b),
+            256 => return mul_whole::<4>(sign, exp_sum, a, b),
+            320 => return mul_whole::<5>(sign, exp_sum, a, b),
             _ => {}
         }
     }
@@ -522,29 +479,12 @@ fn mul_by_limb(
     }
 }
 
-/// `a * b` (`a` of at most `N` limbs) rounded to `prec = 64 * N` bits.
-/// The exact product fills the top of `N + 1` limbs; when its top bit
-/// is clear, one left shift normalizes it without losing a bit, and the
-/// limb below the result is the guard.
-fn mul_whole<const N: usize, const N1: usize>(
-    sign: Sign,
-    exp_sum: i128,
-    a: &[u64],
-    b: u64,
-    prec: u32,
-) -> BigFloat {
-    let mut p = limb::fixed::mul_1::<u64, N, N1>(&place::<N>(a), b);
-    // Significands in [1, 2) multiply into [1, 4).
-    let mut exp = exp_sum;
-    if p[N] >> 63 == 1 {
-        exp += 1;
-    } else {
-        for i in (1..N1).rev() {
-            p[i] = p[i] << 1 | p[i - 1] >> 63;
-        }
-        p[0] <<= 1;
-    }
-    BigFloat::from_guarded::<N, N1>(sign, exp, &p, false, prec)
+/// `a * b` (`a` of at most `N` limbs, `exp_sum` the operands' exponent
+/// sum) rounded to `64 * N` bits: `a` placed in `N` limbs, through the
+/// whole-limb kernel.
+#[inline]
+fn mul_whole<const N: usize>(sign: Sign, exp_sum: i128, a: &[u64], b: u64) -> BigFloat {
+    BigFloat::from_whole(sign, whole::mul_kernel::<N>(exp_sum, &place(a), b))
 }
 
 /// Views a slice whose length the caller matched as a fixed array.

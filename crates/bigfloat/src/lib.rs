@@ -18,6 +18,10 @@
 //!   exponent: bit-identical to `Context::new(53)` at hardware speed,
 //!   for the precision-ladder rungs that need BigFloat's range but not
 //!   its precision.
+//! * [`WholeFloat`] — a `Copy` finite, non-negative value at a
+//!   whole-limb precision `64 * N` (`N <= 5`): an `i64` exponent and
+//!   `N` limbs, bit-identical to `Context::new(64 * N)` on the oracle
+//!   recurrences' sums and products of probabilities.
 //!
 //! # Examples
 //!
@@ -55,6 +59,7 @@ mod hdr;
 pub mod limb;
 mod repr;
 pub mod serial;
+mod whole;
 
 /// Differential-test hooks: the retired kernels each fast path is
 /// checked against. Not a public API.
@@ -68,3 +73,4 @@ pub use elementary::ln2;
 pub use hdr::{HdrFloat, HDR_FAST_PREC};
 pub use repr::{BigFloat, Kind, Sign, DEFAULT_PREC, MAX_PREC, MIN_PREC};
 pub use serial::{bit_identical, SerialError};
+pub use whole::WholeFloat;

@@ -406,47 +406,24 @@ impl BigFloat {
         BigFloat::normal_or_saturated(sign, exp, limbs, prec)
     }
 
-    /// The rounding point of the whole-limb kernels: `prec = 64 * N`,
-    /// and `w` holds the `N` result limbs (`w[1..]`, top bit of `w[N]`
-    /// set, weighing `2^exp_of_top_bit`) above one guard limb (`w[0]`).
-    /// `sticky_in` reports set bits already discarded below the guard.
-    ///
-    /// The guard's top bit is the round bit, so ties-to-even needs no
-    /// window walk: it reads the guard, the flag and the lowest result
-    /// limb, adds one at most, and builds the value inline. It returns
-    /// exactly what [`BigFloat::from_raw_wide`] returns for the same
-    /// magnitude and sticky flag.
+    /// The value of a whole-limb kernel result ([`crate::whole`]): `N`
+    /// normalized limbs whose top bit weighs `2^exp`, at `prec = 64 * N`,
+    /// built inline. An exponent outside the `i64` range saturates as
+    /// [`BigFloat::from_raw_wide`]'s does.
     #[inline]
     #[expect(
         clippy::cast_possible_truncation,
         reason = "`N <= INLINE_LIMBS` (5), checked at compile time"
     )]
-    pub(crate) fn from_guarded<const N: usize, const N1: usize>(
+    pub(crate) fn from_whole<const N: usize>(
         sign: Sign,
-        exp_of_top_bit: i128,
-        w: &[u64; N1],
-        sticky_in: bool,
-        prec: u32,
+        (exp, limbs): (i128, [u64; N]),
     ) -> BigFloat {
-        const { assert!(N1 == N + 1 && N <= INLINE_LIMBS) };
-        debug_assert!(prec as usize == 64 * N && w[N] >> 63 == 1);
-        let guard = w[0];
+        const { assert!(N <= INLINE_LIMBS) };
         let mut buf = [0; INLINE_LIMBS];
-        buf[..N].copy_from_slice(&w[1..]);
-        let mut exp = exp_of_top_bit;
-        if guard >> 63 == 1 && (sticky_in || guard << 1 != 0 || buf[0] & 1 == 1) {
-            let mut carry = true;
-            for l in &mut buf[..N] {
-                (*l, carry) = l.overflowing_add(u64::from(carry));
-            }
-            if carry {
-                // 1.111..1 rounded up to 10.000..0.
-                buf[N - 1] = 1 << 63;
-                exp += 1;
-            }
-        }
+        buf[..N].copy_from_slice(&limbs);
         let limbs = Limbs::Inline { len: N as u8, buf };
-        BigFloat::normal_or_saturated(sign, exp, limbs, prec)
+        BigFloat::normal_or_saturated(sign, exp, limbs, 64 * N as u32)
     }
 
     /// A `Normal` value from normalized limbs, or — when the exponent

@@ -15,9 +15,10 @@
 //!    through the retired bit-indexed rounding, so the same comparisons
 //!    check the whole-limb rounding core, including the mixed
 //!    `N x 1`-limb products, carries out of rounding, and exponent
-//!    saturation.
+//!    saturation. The whole-limb cases also run through `WholeFloat`,
+//!    the `Copy` value that calls the same kernels.
 
-use compstat_bigfloat::{bit_identical, testing, BigFloat, Context, Kind};
+use compstat_bigfloat::{bit_identical, testing, BigFloat, Context, Kind, WholeFloat};
 use proptest::prelude::*;
 
 /// Deterministic splitmix64 stream for the fixed-width sweeps.
@@ -299,7 +300,8 @@ fn one_plus_ulps(prec: u32, k: u64) -> BigFloat {
 }
 
 /// Same-sign sums and products of `x` and `y`, in both orders, each
-/// against the general kernels and the bit-indexed rounding.
+/// against the general kernels and the bit-indexed rounding, and
+/// through `WholeFloat` ([`assert_whole_value_ops`]).
 fn assert_whole_limb_ops(x: &BigFloat, y: &BigFloat, prec: u32, what: &str) {
     let cp = Context::new(prec);
     let pairs = [
@@ -318,6 +320,63 @@ fn assert_whole_limb_ops(x: &BigFloat, y: &BigFloat, prec: u32, what: &str) {
             bit_identical(&fast, &general),
             "{name} ({what}) at prec {prec}: fast {fast:?} != general {general:?}"
         );
+    }
+    assert_whole_value_ops(x, y, prec, what);
+}
+
+/// `a + b`, or `a * b` when `mul` is set, through `WholeFloat<N>`, or
+/// `None` if an operand has no `WholeFloat<N>` value. The result must be
+/// canonical (zero has exponent 0), so `==` on values is `==` on
+/// numbers.
+fn whole_value_op<const N: usize>(a: &BigFloat, b: &BigFloat, mul: bool) -> Option<BigFloat> {
+    let (a, b) = (
+        WholeFloat::<N>::from_bigfloat(a)?,
+        WholeFloat::from_bigfloat(b)?,
+    );
+    let r = if mul { a.mul(&b) } else { a.add(&b) };
+    let back = r.to_bigfloat();
+    assert_eq!(WholeFloat::from_bigfloat(&back), Some(r), "not canonical");
+    Some(back)
+}
+
+/// Sums and products of `x` and `y` in both orders, and of each with
+/// zero, through `WholeFloat` at the whole-limb `prec`, each against
+/// `Context::new(prec)`: value, exponent and precision tag. Operands
+/// wider than `prec` have no value, and an operation whose `Context`
+/// result overflows to infinity is skipped: the value panics there by
+/// design.
+fn assert_whole_value_ops(x: &BigFloat, y: &BigFloat, prec: u32, what: &str) {
+    let n = prec as usize / 64;
+    if x.limbs().len() > n || y.limbs().len() > n {
+        return;
+    }
+    let cp = Context::new(prec);
+    let zero = BigFloat::zero();
+    for (a, b, pair) in [
+        (x, y, "x, y"),
+        (y, x, "y, x"),
+        (x, &zero, "x, 0"),
+        (&zero, y, "0, y"),
+    ] {
+        for (mul, want) in [(false, cp.add(a, b)), (true, cp.mul(a, b))] {
+            if want.kind() == Kind::Inf {
+                continue;
+            }
+            let got = match prec {
+                64 => whole_value_op::<1>(a, b, mul),
+                128 => whole_value_op::<2>(a, b, mul),
+                192 => whole_value_op::<3>(a, b, mul),
+                256 => whole_value_op::<4>(a, b, mul),
+                320 => whole_value_op::<5>(a, b, mul),
+                _ => panic!("{prec} is not a whole-limb precision"),
+            }
+            .unwrap_or_else(|| panic!("({what}) has no {prec}-bit whole-limb value"));
+            let op = if mul { "*" } else { "+" };
+            assert!(
+                bit_identical(&got, &want),
+                "WholeFloat {op} of ({pair}) ({what}) at prec {prec}: {got:?} != Context {want:?}"
+            );
+        }
     }
 }
 
@@ -476,6 +535,54 @@ fn whole_limb_results_saturate_like_general() {
         assert_eq!(cp.mul(&top, &BigFloat::from_f64(1.5)).kind(), Kind::Inf);
         assert!(cp.mul(&bottom, &BigFloat::from_f64(0.75)).is_zero());
     }
+}
+
+/// The products around `i64::MIN` through `WholeFloat<N>`: an exponent
+/// sum just below it gives `Context`'s zero, tagged `64 * N`, unless the
+/// product's carry lifts it back to `i64::MIN`.
+fn assert_whole_value_underflow<const N: usize>() {
+    let prec = WholeFloat::<N>::PREC;
+    let cp = Context::new(prec);
+    let value = |x: &BigFloat| WholeFloat::<N>::from_bigfloat(x).unwrap();
+    let at_min = BigFloat::pow2(i64::MIN).round_to(64);
+    let one_and_half_at_min = BigFloat::from_f64(1.5).mul_pow2(i64::MIN);
+    let cases = [
+        // 1 * 1.5 at exponent sum MIN - 1: no carry, under the range.
+        (&at_min, BigFloat::from_f64(0.75), true),
+        // 1.5 * 1.5 = 2.25 carries the sum MIN - 1 back to MIN.
+        (&one_and_half_at_min, BigFloat::from_f64(0.75), false),
+        // Exactly MIN.
+        (&at_min, BigFloat::from_f64(1.0), false),
+        (&one_and_half_at_min, BigFloat::from_f64(0.5), true),
+    ];
+    for (x, y, zero) in &cases {
+        let want = cp.mul(x, y);
+        for got in [value(x).mul(&value(y)), value(y).mul(&value(x))] {
+            assert_eq!(got.is_zero(), *zero, "{x:?} * {y:?} at {prec}");
+            let got = got.to_bigfloat();
+            assert!(
+                bit_identical(&got, &want),
+                "{x:?} * {y:?} at {prec}: {got:?} != {want:?}"
+            );
+            assert_eq!(got.precision(), prec);
+        }
+    }
+}
+
+#[test]
+fn whole_values_underflow_to_the_tagged_zero_below_i64_min() {
+    assert_whole_value_underflow::<1>();
+    assert_whole_value_underflow::<2>();
+    assert_whole_value_underflow::<3>();
+    assert_whole_value_underflow::<4>();
+    assert_whole_value_underflow::<5>();
+}
+
+#[test]
+#[should_panic(expected = "overflowed the i64 exponent range")]
+fn whole_values_refuse_to_overflow() {
+    let top = WholeFloat::<2>::from_bigfloat(&BigFloat::pow2(i64::MAX).round_to(128)).unwrap();
+    let _ = top.mul(&WholeFloat::from_f64(2.0));
 }
 
 proptest! {

@@ -1,11 +1,24 @@
 //! [`Arith`]: the [`StatFloat`] operations taken through `&self`, so an
 //! arithmetic may carry runtime state. The 256-bit oracle needs that:
 //! a `Context` holds its precision at run time. A recurrence written
-//! once over `A: Arith` runs on a `Context` and, through the zero-sized
-//! [`Native`], on every `StatFloat`.
+//! once over `A: Arith` runs on a `Context`, on the whole-limb
+//! [`Whole<N>`], and, through the zero-sized [`Native`], on every
+//! `StatFloat`.
+//!
+//! The oracle runs in one of two arithmetics, and [`run_oracle`] is the
+//! one place that picks between them by precision:
+//!
+//! * at a whole-limb precision `64 * N` (`N <= 5`: serve's 128 bits,
+//!   the fig01 trace's 192 and the oracle's 256, plus 64 and 320), on
+//!   [`Whole<N>`]: `Copy` [`WholeFloat<N>`] values, an `i64` exponent
+//!   and `N` limbs, run through the same kernels as `Context`'s
+//!   whole-limb tier;
+//! * at every other precision, on the `Context` itself.
+//!
+//! Both give the same bits, precision tags included ([`Oracle`]).
 
 use crate::statfloat::StatFloat;
-use compstat_bigfloat::{BigFloat, Context};
+use compstat_bigfloat::{BigFloat, Context, WholeFloat};
 use core::marker::PhantomData;
 
 /// A number system as a value: the operations statistical recurrences
@@ -34,8 +47,9 @@ pub trait Arith {
     ///
     /// The fold is seeded with the first term, which is bit-identical
     /// to seeding with zero wherever `add(zero, x)` is `x`: non-negative
-    /// binary64, posits, log-space, `HdrFloat`, and `Context` values at
-    /// the context's precision (checked by the property tests below).
+    /// binary64, posits, log-space, `HdrFloat`, `Context` values at the
+    /// context's precision, and the whole-limb [`Whole<N>`] (checked by
+    /// the property tests below).
     /// The iterator is `Clone` so an override may take two passes, as
     /// the n-ary log-sum-exp does.
     fn sum(&self, terms: impl Iterator<Item = Self::V> + Clone) -> Self::V {
@@ -75,6 +89,93 @@ impl Arith for Context {
     #[inline]
     fn mul(&self, a: &BigFloat, b: &BigFloat) -> BigFloat {
         Context::mul(self, a, b)
+    }
+}
+
+/// The oracle at the whole-limb precision `64 * N` bits (`N <= 5`), on
+/// `Copy` [`WholeFloat<N>`] values. Every result is bit-identical to
+/// `Context::new(64 * N)`'s, but only finite non-negative values exist
+/// here: importing any other `f64` panics.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Whole<const N: usize>;
+
+impl<const N: usize> Arith for Whole<N> {
+    type V = WholeFloat<N>;
+
+    #[inline]
+    fn zero(&self) -> WholeFloat<N> {
+        WholeFloat::ZERO
+    }
+
+    #[inline]
+    fn one(&self) -> WholeFloat<N> {
+        WholeFloat::ONE
+    }
+
+    #[inline]
+    fn import_f64(&self, x: f64) -> WholeFloat<N> {
+        WholeFloat::from_f64(x)
+    }
+
+    #[inline]
+    fn add(&self, a: &WholeFloat<N>, b: &WholeFloat<N>) -> WholeFloat<N> {
+        a.add(b)
+    }
+
+    #[inline]
+    fn mul(&self, a: &WholeFloat<N>, b: &WholeFloat<N>) -> WholeFloat<N> {
+        a.mul(b)
+    }
+}
+
+/// An oracle arithmetic: its values convert back to the `BigFloat` a
+/// `Context` at its precision computes.
+pub trait Oracle: Arith {
+    /// `v` as that `BigFloat`, precision tag included.
+    fn to_bigfloat(&self, v: &Self::V) -> BigFloat;
+}
+
+impl Oracle for Context {
+    fn to_bigfloat(&self, v: &BigFloat) -> BigFloat {
+        v.clone()
+    }
+}
+
+impl<const N: usize> Oracle for Whole<N> {
+    fn to_bigfloat(&self, v: &WholeFloat<N>) -> BigFloat {
+        v.to_bigfloat()
+    }
+}
+
+/// A computation written once over every [`Oracle`] arithmetic: what
+/// [`run_oracle`] runs.
+pub trait OraclePass {
+    /// What the pass returns.
+    type Output;
+
+    /// Runs the pass in `ar`.
+    fn run<A: Oracle>(self, ar: &A) -> Self::Output;
+}
+
+/// Runs `pass` in the fastest arithmetic that computes `ctx`'s bits:
+/// [`Whole<N>`] when `ctx.prec()` is `64 * N` with `N <= 5`, `ctx`
+/// itself at every other precision.
+///
+/// Two things hold for a pass that [`Whole<N>`] may run. It imports
+/// only finite, non-negative `f64`s, since other values do not exist
+/// there. And every value it returns comes out of an `add` or a `mul`:
+/// those carry the context's precision tag, while `Context`'s `zero()`
+/// and `one()` carry the default tag, which a whole-limb value cannot
+/// remember. A caller whose inputs break either rule runs the pass on
+/// `ctx` instead.
+pub fn run_oracle<P: OraclePass>(ctx: &Context, pass: P) -> P::Output {
+    match ctx.prec() {
+        64 => pass.run(&Whole::<1>),
+        128 => pass.run(&Whole::<2>),
+        192 => pass.run(&Whole::<3>),
+        256 => pass.run(&Whole::<4>),
+        320 => pass.run(&Whole::<5>),
+        _ => pass.run(ctx),
     }
 }
 
@@ -166,6 +267,20 @@ mod tests {
         seeded_is_zero_fold(&Native::<T>::new(), &vs, bits)
     }
 
+    /// The whole-limb arithmetic at `64 * N` bits: its sum is a
+    /// zero-seeded fold, and `Context`'s sum to the bit.
+    fn whole<const N: usize>(xs: &[BigFloat]) -> bool {
+        let ctx = Context::new(WholeFloat::<N>::PREC);
+        let rounded: Vec<BigFloat> = xs.iter().map(|x| ctx.round(x)).collect();
+        let vs: Vec<WholeFloat<N>> = rounded
+            .iter()
+            .map(|x| WholeFloat::from_bigfloat(x).expect("a non-negative term"))
+            .collect();
+        let whole_sum = Whole::<N>.sum(vs.iter().copied()).to_bigfloat();
+        seeded_is_zero_fold(&Whole::<N>, &vs, |v| v.to_bigfloat().to_bytes())
+            && (xs.is_empty() || whole_sum.to_bytes() == ctx.sum(rounded.into_iter()).to_bytes())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -184,6 +299,8 @@ mod tests {
                 let vs: Vec<BigFloat> = xs.iter().map(|x| ctx.round(x)).collect();
                 prop_assert!(seeded_is_zero_fold(&ctx, &vs, |v| v.to_bytes()), "prec {} {:?}", prec, xs);
             }
+            prop_assert!(whole::<2>(&xs), "Whole<2> {:?}", xs);
+            prop_assert!(whole::<4>(&xs), "Whole<4> {:?}", xs);
         }
 
         #[test]

@@ -42,7 +42,7 @@ macro_rules! source_table {
 
 /// Every `.rs` file under the `src/` of each [`HASHED_CRATES`] entry,
 /// sorted by path.
-pub static TABLE: [(&str, &[u8]); 37] = source_table![
+pub static TABLE: [(&str, &[u8]); 38] = source_table![
     "crates/bigfloat/src/arith.rs",
     "crates/bigfloat/src/cmp.rs",
     "crates/bigfloat/src/convert.rs",
@@ -53,6 +53,7 @@ pub static TABLE: [(&str, &[u8]); 37] = source_table![
     "crates/bigfloat/src/limb.rs",
     "crates/bigfloat/src/repr.rs",
     "crates/bigfloat/src/serial.rs",
+    "crates/bigfloat/src/whole.rs",
     "crates/core/src/accuracy.rs",
     "crates/core/src/arith.rs",
     "crates/core/src/bench_doc.rs",

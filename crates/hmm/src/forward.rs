@@ -8,20 +8,21 @@
 //! * [`forward_log`] — Listing 3, the explicit log-space formulation
 //!   whose path sums are one n-ary LSE, as the paper's log accelerators
 //!   implement it;
-//! * [`forward_oracle`] — the 256-bit reference result, on a [`Context`];
+//! * [`forward_oracle`] — the 256-bit reference result, in the oracle
+//!   arithmetic [`run_oracle`] picks for a [`Context`];
 //! * [`forward_scaled`] — binary64 renormalized after every step, the
 //!   rescaling baseline discussed in Section VII (Related Works);
 //! * [`forward_trace`] — the Figure 1 experiment: the base-2 exponent of
 //!   the `alpha` vector over iterations, tracked exactly. At most
-//!   [`HDR_FAST_PREC`] bits it runs on `HdrFloat`, above that on the
-//!   context itself.
+//!   [`HDR_FAST_PREC`] bits it runs on `HdrFloat`, above that in the
+//!   oracle arithmetic.
 //!
 //! Every kernel checks the whole sequence before any arithmetic and
 //! panics with "observation symbol out of range" on a bad symbol.
 
 use crate::model::{Hmm, PreparedHmm};
 use compstat_bigfloat::{BigFloat, Context, HdrFloat, HDR_FAST_PREC};
-use compstat_core::{Arith, Native, StatFloat};
+use compstat_core::{run_oracle, Arith, Native, Oracle, OraclePass, StatFloat};
 use compstat_logspace::{log_sum_exp, LogF64};
 use compstat_runtime::Runtime;
 
@@ -130,12 +131,31 @@ pub fn forward_log(model: &Hmm, obs: &[usize]) -> LogF64 {
 /// The 256-bit oracle forward pass: the baseline "correct value" for
 /// every accuracy figure.
 ///
+/// The result is `Context`'s, bit for bit. At a whole-limb precision
+/// (`64 * N` bits, `N <= 5`: the oracle's 256, serve's 128) the pass runs
+/// on `Copy` whole-limb values ([`run_oracle`]) and converts back once;
+/// at every other precision, and for an empty sequence (whose result is
+/// the untagged `BigFloat::one()`), it runs on `ctx` itself.
+///
 /// # Panics
 ///
 /// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward_oracle(model: &Hmm, obs: &[usize], ctx: &Context) -> BigFloat {
-    forward_in(ctx, &model.prepare_in(ctx), obs, |_, _| {})
+    struct Pass<'a>(&'a Hmm, &'a [usize]);
+    impl OraclePass for Pass<'_> {
+        type Output = BigFloat;
+        fn run<A: Oracle>(self, ar: &A) -> BigFloat {
+            let Pass(model, obs) = self;
+            ar.to_bigfloat(&forward_in(ar, &model.prepare_in(ar), obs, |_, _| {}))
+        }
+    }
+    let pass = Pass(model, obs);
+    if obs.is_empty() {
+        pass.run(ctx)
+    } else {
+        run_oracle(ctx, pass)
+    }
 }
 
 /// Result of the rescaling forward pass ([`forward_scaled`]).
@@ -205,8 +225,10 @@ pub fn forward_trace(model: &Hmm, obs: &[usize], ctx: &Context, stride: usize) -
 /// context's precision. At `prec <= HDR_FAST_PREC` (53 bits) that is
 /// [`HdrFloat`]: hardware `f64` with a software exponent, bit-identical
 /// to `Context::new(53)` and computing at 53 bits for any smaller
-/// request. Above 53 bits, including the oracle-grade 192-bit trace of
-/// Figure 1, it runs on `ctx` itself.
+/// request. Above 53 bits it runs in the oracle arithmetic
+/// [`run_oracle`] picks: whole-limb values at `64 * N` bits (the
+/// 192-bit trace of Figure 1), converted to `BigFloat` per snapshot,
+/// and `ctx` itself at every other precision.
 #[must_use]
 pub fn forward_trace_rt(
     model: &Hmm,
@@ -250,11 +272,31 @@ pub fn forward_trace_rt(
             }
         });
     } else {
-        forward_in(ctx, &model.prepare_in(ctx), obs, |t, alpha| {
-            if t % stride == 0 {
-                record(t, alpha.to_vec());
+        struct Trace<'a, R> {
+            model: &'a Hmm,
+            obs: &'a [usize],
+            stride: usize,
+            record: R,
+        }
+        impl<R: FnMut(usize, Vec<BigFloat>)> OraclePass for Trace<'_, R> {
+            type Output = ();
+            fn run<A: Oracle>(mut self, ar: &A) {
+                forward_in(ar, &self.model.prepare_in(ar), self.obs, |t, alpha| {
+                    if t % self.stride == 0 {
+                        (self.record)(t, alpha.iter().map(|v| ar.to_bigfloat(v)).collect());
+                    }
+                });
             }
-        });
+        }
+        run_oracle(
+            ctx,
+            Trace {
+                model,
+                obs,
+                stride,
+                record: &mut record,
+            },
+        );
     }
     flush(&mut snapshots, &mut out);
     out
@@ -395,6 +437,110 @@ mod tests {
                 bit_identical(&got, &want),
                 "{bits} bits: {got:?} != {want:?}"
             );
+        }
+    }
+
+    /// The precisions the dispatched oracle is checked at: every
+    /// whole-limb one, and 200 bits, which keeps the `Context` path.
+    const ORACLE_PRECS: [u32; 6] = [64, 128, 192, 256, 320, 200];
+
+    /// The edge models of the dispatch tests: the toy, one state, and
+    /// entries of exactly 0, exactly 1 and 5e-324, where symbol 0 can
+    /// never be emitted.
+    fn edge_models() -> Vec<Hmm> {
+        vec![
+            toy(),
+            Hmm::new(1, 3, vec![1.0], vec![0.2, 0.5, 0.3], vec![1.0]),
+            Hmm::new(
+                2,
+                3,
+                vec![1.0, 0.0, 5e-324, 1.0],
+                vec![0.0, 0.5, 0.5, 0.0, 0.0, 1.0],
+                vec![0.5, 0.5],
+            ),
+        ]
+    }
+
+    /// `forward_oracle` against `forward_in` on the context itself,
+    /// precision tag included.
+    fn assert_oracle_is_context(model: &Hmm, obs: &[usize], what: &str) {
+        for bits in ORACLE_PRECS {
+            let ctx = Context::new(bits);
+            let got = forward_oracle(model, obs, &ctx);
+            let want = forward_in(&ctx, &model.prepare_in(&ctx), obs, |_, _| {});
+            assert!(
+                bit_identical(&got, &want),
+                "{what} (T={}) at {bits} bits: {got:?} != {want:?}",
+                obs.len()
+            );
+        }
+    }
+
+    #[test]
+    fn dispatched_oracle_is_the_context_oracle_on_edge_cases() {
+        for (i, model) in edge_models().iter().enumerate() {
+            let m = model.num_symbols();
+            let long: Vec<usize> = (0..300).map(|t| (t * 7 + 1) % m).collect();
+            let last = vec![m - 1; 300];
+            for obs in [&[][..], &[0], &[m - 1], &long, &last] {
+                assert_oracle_is_context(model, obs, &format!("edge model {i}"));
+            }
+        }
+        // The empty sequence is the untagged one, not a 64·N-bit one.
+        assert!(bit_identical(
+            &forward_oracle(&toy(), &[], &Context::new(128)),
+            &BigFloat::one()
+        ));
+        // A zero likelihood is tagged with the context precision.
+        let zeros = &edge_models()[2];
+        let got = forward_oracle(zeros, &[2, 0], &Context::new(128));
+        assert!(got.is_zero() && got.precision() == 128, "{got:?}");
+    }
+
+    #[test]
+    fn dispatched_oracle_is_the_context_oracle_on_a_fig10_shaped_model() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let model = crate::dirichlet_hmm(&mut rng, 8, 16, 0.8);
+        let obs = crate::uniform_observations(&mut rng, 16, 500);
+        assert_oracle_is_context(&model, &obs, "fig10-shaped");
+    }
+
+    /// The Figure 1 trace computed on the context itself: the exponent
+    /// of each recorded alpha's 64-bit sum.
+    fn context_trace(model: &Hmm, obs: &[usize], ctx: &Context, stride: usize) -> Vec<TracePoint> {
+        let ctx64 = Context::new(64);
+        let mut points = Vec::new();
+        forward_in(ctx, &model.prepare_in(ctx), obs, |t, alpha| {
+            if t % stride == 0 {
+                let s = alpha
+                    .iter()
+                    .fold(BigFloat::zero(), |acc, x| ctx64.add(&acc, x));
+                points.extend(s.exponent().map(|exponent| TracePoint { t, exponent }));
+            }
+        });
+        points
+    }
+
+    #[test]
+    fn trace_at_192_bits_is_the_context_trace() {
+        let ctx = Context::new(192);
+        let mut rng = StdRng::seed_from_u64(31);
+        let fig10 = crate::dirichlet_hmm(&mut rng, 8, 16, 0.8);
+        let fig10_obs = crate::uniform_observations(&mut rng, 16, 600);
+        let toy_obs: Vec<usize> = (0..2_000).map(|i| (i * 13 + 1) % 2).collect();
+        let runs = [
+            (&fig10, &fig10_obs, 1),
+            (&fig10, &fig10_obs, 37),
+            (&toy(), &toy_obs, 100),
+        ];
+        for (model, obs, stride) in runs {
+            let want = context_trace(model, obs, &ctx, stride);
+            assert!(!want.is_empty());
+            for threads in [1, 2] {
+                let got =
+                    forward_trace_rt(model, obs, &ctx, stride, &Runtime::with_threads(threads));
+                assert_eq!(got, want, "stride {stride}, {threads} thread(s)");
+            }
         }
     }
 

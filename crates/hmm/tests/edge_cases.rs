@@ -101,15 +101,19 @@ fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
 #[test]
 fn out_of_range_symbol_panics_with_one_message_across_kernels() {
     const WANT: &str = "observation symbol out of range";
-    let kernels: [fn(&Hmm, &[usize]) -> f64; 6] = [
+    let kernels: [fn(&Hmm, &[usize]) -> f64; 8] = [
         |m, obs| forward::<f64>(&m.prepare(), obs),
         |m, obs| forward_log(m, obs).to_f64(),
         |m, obs| forward_scaled(m, obs).ln_likelihood,
+        // The oracle in both of its arithmetics: whole-limb values at
+        // 64 bits, the context itself at 200.
         |m, obs| forward_oracle(m, obs, &Context::new(64)).to_f64(),
-        // The trace in both of its arithmetics: HdrFloat at <= 53 bits,
-        // the context itself above.
+        |m, obs| forward_oracle(m, obs, &Context::new(200)).to_f64(),
+        // The trace in all three: HdrFloat at <= 53 bits, whole-limb
+        // values at 128, the context itself at 200.
         |m, obs| forward_trace(m, obs, &Context::new(53), 1).len() as f64,
         |m, obs| forward_trace(m, obs, &Context::new(128), 1).len() as f64,
+        |m, obs| forward_trace(m, obs, &Context::new(200), 1).len() as f64,
     ];
     // At the first symbol, mid-sequence, and one past the last symbol
     // (which a flat `b[q * m + o]` index would silently read as the

@@ -3,7 +3,7 @@
 //! `pbd_in` over any [`Arith`].
 
 use compstat_bigfloat::{BigFloat, Context};
-use compstat_core::{Arith, Native, StatFloat};
+use compstat_core::{run_oracle, Arith, Native, Oracle, OraclePass, StatFloat};
 use compstat_logspace::LogF64;
 
 /// Listing 2 in the arithmetic `ar`: `P(X >= k)` over the trials'
@@ -76,9 +76,31 @@ pub fn pbd_pvalue_log(success_probs: &[f64], k: usize) -> LogF64 {
 }
 
 /// The 256-bit oracle p-value — the "correct result" of Figures 9/11.
+///
+/// The result is `Context`'s, bit for bit. At a whole-limb precision
+/// (`64 * N` bits, `N <= 5`: the oracle's 256, serve's 128) the
+/// recurrence runs on `Copy` whole-limb values ([`run_oracle`]) and
+/// converts back once. It runs on `ctx` itself at every other
+/// precision, for `k = 0` (the untagged `BigFloat::one()`), for no
+/// trials (the untagged `BigFloat::zero()` when `k > 0`), and when any
+/// `p` lies outside `[0, 1]`: the slices are raw, and only a
+/// probability has a whole-limb value.
 #[must_use]
 pub fn pbd_pvalue_oracle(success_probs: &[f64], k: usize, ctx: &Context) -> BigFloat {
-    pbd_in(ctx, success_probs, k)
+    struct Pass<'a>(&'a [f64], usize);
+    impl OraclePass for Pass<'_> {
+        type Output = BigFloat;
+        fn run<A: Oracle>(self, ar: &A) -> BigFloat {
+            ar.to_bigfloat(&pbd_in(ar, self.0, self.1))
+        }
+    }
+    let pass = Pass(success_probs, k);
+    let probabilities = success_probs.iter().all(|p| (0.0..=1.0).contains(p));
+    if k == 0 || success_probs.is_empty() || !probabilities {
+        pass.run(ctx)
+    } else {
+        run_oracle(ctx, pass)
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +251,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dispatched_oracle_is_the_context_oracle_on_edge_cases() {
+        // 48 seeded corpus columns, and every edge of `k`, `N` and `p`:
+        // k = 0, k = N, k > N, N = 0, and p of exactly 0, exactly 1 and
+        // the least subnormal.
+        let mut cases: Vec<(Vec<f64>, usize)> = accuracy_corpus(20_261_019, 48)
+            .into_iter()
+            .map(|c| (c.success_probs, c.k))
+            .collect();
+        for k in [0, 1, 3] {
+            cases.push((Vec::new(), k));
+        }
+        let mixed = vec![0.3, 0.0, 1.0, 5e-324, 0.7, 1.0, 0.0, 5e-324];
+        for p in [0.0, 1.0, 5e-324] {
+            for k in [0, 1, 3, 7, 8] {
+                cases.push((vec![p; 7], k));
+                cases.push((mixed.clone(), k));
+            }
+        }
+        for bits in [64, 128, 192, 256, 320, 200] {
+            let ctx = Context::new(bits);
+            for (i, (probs, k)) in cases.iter().enumerate() {
+                let got = pbd_pvalue_oracle(probs, *k, &ctx);
+                let want = pbd_in(&ctx, probs, *k);
+                assert!(
+                    bit_identical(&got, &want),
+                    "case {i} (N={}, K={k}) at {bits} bits: {got:?} != {want:?}",
+                    probs.len()
+                );
+            }
+        }
+        // k = 0 and N = 0 give the untagged constants; a p-value that
+        // is exactly zero carries the context precision.
+        let ctx = Context::new(128);
+        assert!(bit_identical(
+            &pbd_pvalue_oracle(&[0.5], 0, &ctx),
+            &BigFloat::one()
+        ));
+        assert!(bit_identical(
+            &pbd_pvalue_oracle(&[], 2, &ctx),
+            &BigFloat::zero()
+        ));
+        let none = pbd_pvalue_oracle(&[0.0; 3], 1, &ctx);
+        assert!(none.is_zero() && none.precision() == 128, "{none:?}");
     }
 
     /// Brute-force `P(X >= k)` by enumerating all outcome subsets.
