@@ -147,6 +147,42 @@ pub fn fig8_report(scale: Scale, rt: &Runtime) -> Report {
 mod tests {
     use super::*;
 
+    /// `ColumnUnit::dataset_cycles` as it first was: longest column
+    /// first, each onto the PE `Iterator::min` finds least loaded. The
+    /// fixed overhead is what an empty dataset costs.
+    fn min_loop_cycles(unit: &ColumnUnit, columns: &[(u64, u64)]) -> u64 {
+        let mut work: Vec<u64> = columns
+            .iter()
+            .map(|&(n, k)| unit.column_cycles(n, k))
+            .collect();
+        work.sort_unstable_by(|a, b| b.cmp(a));
+        let mut pe_load = vec![0u64; unit.num_pes() as usize];
+        for w in work {
+            let min = pe_load.iter_mut().min().expect("pes >= 1");
+            *min += w;
+        }
+        let overhead = unit.dataset_cycles(core::iter::empty::<(u64, u64)>());
+        pe_load.into_iter().max().unwrap_or(0) + overhead
+    }
+
+    #[test]
+    fn pe_assignment_matches_the_min_loop_on_every_perf_dataset() {
+        for i in 0..PERF_DATASET_COUNT {
+            let columns: Vec<(u64, u64)> =
+                perf_dataset(i).columns.iter().map(|c| (c.n, c.k)).collect();
+            for design in [Design::Posit64Es12, Design::LogSpace] {
+                for pes in [1, 3, 8] {
+                    let unit = ColumnUnit::new(design, pes);
+                    assert_eq!(
+                        unit.dataset_cycles(&columns),
+                        min_loop_cycles(&unit, &columns),
+                        "D{i}, {design:?}, {pes} PEs"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn figure7_posit_faster_on_every_dataset() {
         let r = fig7_report(Scale::Default, &Runtime::serial()).render_text();

@@ -2,8 +2,17 @@
 //! arithmetic may carry runtime state. The 256-bit oracle needs that:
 //! a `Context` holds its precision at run time. A recurrence written
 //! once over `A: Arith` runs on a `Context`, on the whole-limb
-//! [`Whole<N>`], and, through the zero-sized [`Native`], on every
-//! `StatFloat`.
+//! [`Whole<N>`], on the decoded posits of [`DecodedPosit<N, ES>`], and,
+//! through the zero-sized [`Native`], on every `StatFloat`.
+//!
+//! A format pass, one recurrence computing format `T`'s bits, runs in
+//! the arithmetic that [`StatFloat::run_pass`] picks, the one place
+//! where that choice is made: [`Native<T>`] by default, and for every
+//! `Posit<N, ES>` the [`DecodedPosit<N, ES>`] arithmetic, whose
+//! [`PositValue`]s stay decoded between operations and round exactly as
+//! the posit's own operators do. The pass converts its inputs into the
+//! arithmetic's values once and its result back once ([`FormatArith`]),
+//! so a posit result is encoded once, bit-identical to a `Native` pass.
 //!
 //! The oracle runs in one of two arithmetics, and [`run_oracle`] is the
 //! one place that picks between them by precision:
@@ -19,6 +28,7 @@
 
 use crate::statfloat::StatFloat;
 use compstat_bigfloat::{BigFloat, Context, WholeFloat};
+use compstat_posit::{Posit, PositValue};
 use core::marker::PhantomData;
 
 /// A number system as a value: the operations statistical recurrences
@@ -62,18 +72,19 @@ pub trait Arith {
 }
 
 /// The oracle: correctly rounded at the context precision, with `f64`
-/// inputs imported exactly.
+/// inputs imported exactly. Zero and one carry the context's precision
+/// tag, as every sum and product does.
 impl Arith for Context {
     type V = BigFloat;
 
     #[inline]
     fn zero(&self) -> BigFloat {
-        BigFloat::zero()
+        BigFloat::zero().round_to(self.prec())
     }
 
     #[inline]
     fn one(&self) -> BigFloat {
-        BigFloat::one()
+        BigFloat::one().round_to(self.prec())
     }
 
     #[inline]
@@ -161,13 +172,9 @@ pub trait OraclePass {
 /// [`Whole<N>`] when `ctx.prec()` is `64 * N` with `N <= 5`, `ctx`
 /// itself at every other precision.
 ///
-/// Two things hold for a pass that [`Whole<N>`] may run. It imports
-/// only finite, non-negative `f64`s, since other values do not exist
-/// there. And every value it returns comes out of an `add` or a `mul`:
-/// those carry the context's precision tag, while `Context`'s `zero()`
-/// and `one()` carry the default tag, which a whole-limb value cannot
-/// remember. A caller whose inputs break either rule runs the pass on
-/// `ctx` instead.
+/// A pass that [`Whole<N>`] may run imports only finite, non-negative
+/// `f64`s, since other values do not exist there. A caller whose inputs
+/// may break that rule runs the pass on `ctx` instead.
 pub fn run_oracle<P: OraclePass>(ctx: &Context, pass: P) -> P::Output {
     match ctx.prec() {
         64 => pass.run(&Whole::<1>),
@@ -225,10 +232,90 @@ impl<T: StatFloat> Arith for Native<T> {
     }
 }
 
+/// An arithmetic that computes format `T`'s bits on values of its own,
+/// each standing for exactly one `T`.
+pub trait FormatArith<T>: Arith {
+    /// The value standing for `x` (exact).
+    fn decode(&self, x: &T) -> Self::V;
+
+    /// The `T` that `v` stands for (exact).
+    fn encode(&self, v: &Self::V) -> T;
+}
+
+/// A computation written once over every [`FormatArith`] of format `T`:
+/// what [`StatFloat::run_pass`] runs.
+pub trait FormatPass<T> {
+    /// What the pass returns.
+    type Output;
+
+    /// Runs the pass in `ar`.
+    fn run<A: FormatArith<T>>(self, ar: &A) -> Self::Output;
+}
+
+impl<T: StatFloat> FormatArith<T> for Native<T> {
+    #[inline]
+    fn decode(&self, x: &T) -> T {
+        *x
+    }
+
+    #[inline]
+    fn encode(&self, v: &T) -> T {
+        *v
+    }
+}
+
+/// `posit(N, ES)` on decoded [`PositValue`]s: each operand is decoded
+/// once, and every sum and product rounds onto the posit grid without
+/// being encoded, bit-identical to [`Native<Posit<N, ES>>`]. What
+/// [`StatFloat::run_pass`] runs a posit's format passes on.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DecodedPosit<const N: u32, const ES: u32>;
+
+impl<const N: u32, const ES: u32> Arith for DecodedPosit<N, ES> {
+    type V = PositValue<N, ES>;
+
+    #[inline]
+    fn zero(&self) -> PositValue<N, ES> {
+        PositValue::ZERO
+    }
+
+    #[inline]
+    fn one(&self) -> PositValue<N, ES> {
+        PositValue::ONE
+    }
+
+    #[inline]
+    fn import_f64(&self, x: f64) -> PositValue<N, ES> {
+        PositValue::from_f64(x)
+    }
+
+    #[inline]
+    fn add(&self, a: &PositValue<N, ES>, b: &PositValue<N, ES>) -> PositValue<N, ES> {
+        *a + *b
+    }
+
+    #[inline]
+    fn mul(&self, a: &PositValue<N, ES>, b: &PositValue<N, ES>) -> PositValue<N, ES> {
+        *a * *b
+    }
+}
+
+impl<const N: u32, const ES: u32> FormatArith<Posit<N, ES>> for DecodedPosit<N, ES> {
+    #[inline]
+    fn decode(&self, x: &Posit<N, ES>) -> PositValue<N, ES> {
+        PositValue::from_posit(*x)
+    }
+
+    #[inline]
+    fn encode(&self, v: &PositValue<N, ES>) -> Posit<N, ES> {
+        v.to_posit()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compstat_bigfloat::{bit_identical, HdrFloat};
+    use compstat_bigfloat::HdrFloat;
     use compstat_logspace::{log_sum_exp, LogF64};
     use compstat_posit::{P64E12, P64E18, P64E9};
     use proptest::prelude::*;
@@ -318,9 +405,7 @@ mod tests {
     #[test]
     fn empty_sum_is_zero() {
         assert_eq!(Native::<f64>::new().sum(core::iter::empty()), 0.0);
-        assert!(bit_identical(
-            &Arith::sum(&Context::new(64), core::iter::empty()),
-            &BigFloat::zero()
-        ));
+        let zero = Arith::sum(&Context::new(64), core::iter::empty());
+        assert!(zero.is_zero() && zero.precision() == 64, "{zero:?}");
     }
 }

@@ -81,7 +81,9 @@ pub mod statfloat;
 pub mod stats;
 
 pub use accuracy::{figure3_buckets, figure9_buckets, ExponentBucket, OpKind};
-pub use arith::{run_oracle, Arith, Native, Oracle, OraclePass, Whole};
+pub use arith::{
+    run_oracle, Arith, DecodedPosit, FormatArith, FormatPass, Native, Oracle, OraclePass, Whole,
+};
 pub use bench_doc::{BenchDoc, BenchEntry, BENCH_SCHEMA};
 pub use cache::{CacheKey, CacheStats, OracleCache};
 pub use diff::{diff_dirs, diff_reports, diff_sets, load_report_dir, DiffReport, DiffStatus};

@@ -7,6 +7,7 @@
 //! trait is that method as an interface: applications are written once,
 //! generically, and the formats plug in.
 
+use crate::arith::{DecodedPosit, FormatPass, Native};
 use compstat_bigfloat::{BigFloat, Context, HdrFloat};
 use compstat_logspace::LogF64;
 use compstat_posit::Posit;
@@ -84,6 +85,15 @@ pub trait StatFloat: Copy + Clone + Debug + PartialEq + 'static {
     /// Base-2 exponent of the represented value, if finite nonzero.
     fn exponent(&self) -> Option<i64> {
         self.to_bigfloat().exponent()
+    }
+
+    /// Runs `pass` in the fastest arithmetic that computes this format's
+    /// bits: the format's own values ([`Native`]) unless it overrides
+    /// this, as every posit does with its decoded values
+    /// ([`DecodedPosit`]). The one place a format pass's arithmetic is
+    /// chosen.
+    fn run_pass<P: FormatPass<Self>>(pass: P) -> P::Output {
+        pass.run(&Native::<Self>::new())
     }
 }
 
@@ -273,6 +283,10 @@ macro_rules! statfloat_for_posit {
 
             fn to_bigfloat(&self) -> BigFloat {
                 Posit::to_bigfloat(*self)
+            }
+
+            fn run_pass<P: FormatPass<Self>>(pass: P) -> P::Output {
+                pass.run(&DecodedPosit::<$n, $es>)
             }
         }
     };

@@ -118,20 +118,6 @@ impl Cdf {
     pub fn quantile(&self, q: f64) -> f64 {
         percentile_sorted(&self.sorted, q)
     }
-
-    /// Samples the CDF curve at `points` evenly spaced x positions
-    /// between `lo` and `hi`, returning `(x, fraction)` pairs — the
-    /// series used to regenerate Figures 10 and 11.
-    #[must_use]
-    pub fn curve(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least two curve points");
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.fraction_at_most(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -171,17 +157,5 @@ mod tests {
         assert_eq!(c.quantile(0.0), 1.0);
         assert_eq!(c.quantile(1.0), 4.0);
         assert_eq!(c.len(), 4);
-    }
-
-    #[test]
-    fn cdf_curve_is_monotone() {
-        let c = Cdf::new(&[-12.0, -10.0, -8.0, -8.0, -6.0]);
-        let curve = c.curve(-14.0, -4.0, 11);
-        assert_eq!(curve.len(), 11);
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert_eq!(curve[0].1, 0.0);
-        assert_eq!(curve[10].1, 1.0);
     }
 }

@@ -224,8 +224,15 @@ impl ColumnUnit {
         work.sort_unstable_by(|a, b| b.cmp(a));
         let mut pe_load = vec![0u64; self.pes as usize];
         for w in work {
-            let min = pe_load.iter_mut().min().expect("pes >= 1");
-            *min += w;
+            // The first least-loaded PE. Carrying its load along lets the
+            // scan compile to selects rather than branches.
+            let (mut min, mut least) = (0, pe_load[0]);
+            for (pe, &load) in pe_load.iter().enumerate().skip(1) {
+                let less = load < least;
+                min = if less { pe } else { min };
+                least = if less { load } else { least };
+            }
+            pe_load[min] = least + w;
         }
         pe_load.into_iter().max().unwrap_or(0) + FIXED_OVERHEAD_CYCLES
     }

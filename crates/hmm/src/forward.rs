@@ -4,7 +4,7 @@
 //!
 //! * [`forward`] — Listing 1 over any [`StatFloat`] (binary64, posit
 //!   configurations, `HdrFloat`, and even log-space via its binary LSE
-//!   `add`);
+//!   `add`), in the arithmetic [`StatFloat::run_pass`] picks;
 //! * [`forward_log`] — Listing 3, the explicit log-space formulation
 //!   whose path sums are one n-ary LSE, as the paper's log accelerators
 //!   implement it;
@@ -22,7 +22,9 @@
 
 use crate::model::{Hmm, PreparedHmm};
 use compstat_bigfloat::{BigFloat, Context, HdrFloat, HDR_FAST_PREC};
-use compstat_core::{run_oracle, Arith, Native, Oracle, OraclePass, StatFloat};
+use compstat_core::{
+    run_oracle, Arith, FormatArith, FormatPass, Native, Oracle, OraclePass, StatFloat,
+};
 use compstat_logspace::{log_sum_exp, LogF64};
 use compstat_runtime::Runtime;
 
@@ -80,12 +82,26 @@ fn check_symbols(obs: &[usize], m: usize) {
 
 /// The forward algorithm (Listing 1): returns `P(O | lambda)`.
 ///
+/// The pass runs in the arithmetic [`StatFloat::run_pass`] picks for
+/// `T`, with the same bits as on `T` itself: for a posit, on decoded
+/// values, so the model is decoded once per call and the result encoded
+/// once.
+///
 /// # Panics
 ///
 /// Panics if any observation symbol is out of range.
 #[must_use]
 pub fn forward<T: StatFloat>(model: &PreparedHmm<T>, obs: &[usize]) -> T {
-    forward_in(&Native::<T>::new(), model, obs, |_, _| {})
+    struct Pass<'a, T>(&'a PreparedHmm<T>, &'a [usize]);
+    impl<T> FormatPass<T> for Pass<'_, T> {
+        type Output = T;
+        fn run<A: FormatArith<T>>(self, ar: &A) -> T {
+            let Pass(model, obs) = self;
+            let model = model.map(|x| ar.decode(x));
+            ar.encode(&forward_in(ar, &model, obs, |_, _| {}))
+        }
+    }
+    T::run_pass(Pass(model, obs))
 }
 
 /// Listing 3's arithmetic: log-space values whose path sums are one
@@ -134,8 +150,7 @@ pub fn forward_log(model: &Hmm, obs: &[usize]) -> LogF64 {
 /// The result is `Context`'s, bit for bit. At a whole-limb precision
 /// (`64 * N` bits, `N <= 5`: the oracle's 256, serve's 128) the pass runs
 /// on `Copy` whole-limb values ([`run_oracle`]) and converts back once;
-/// at every other precision, and for an empty sequence (whose result is
-/// the untagged `BigFloat::one()`), it runs on `ctx` itself.
+/// at every other precision it runs on `ctx` itself.
 ///
 /// # Panics
 ///
@@ -150,12 +165,7 @@ pub fn forward_oracle(model: &Hmm, obs: &[usize], ctx: &Context) -> BigFloat {
             ar.to_bigfloat(&forward_in(ar, &model.prepare_in(ar), obs, |_, _| {}))
         }
     }
-    let pass = Pass(model, obs);
-    if obs.is_empty() {
-        pass.run(ctx)
-    } else {
-        run_oracle(ctx, pass)
-    }
+    run_oracle(ctx, Pass(model, obs))
 }
 
 /// Result of the rescaling forward pass ([`forward_scaled`]).
@@ -306,7 +316,8 @@ pub fn forward_trace_rt(
 mod tests {
     use super::*;
     use compstat_bigfloat::{bit_identical, testing};
-    use compstat_posit::{P64E12, P64E18};
+    use compstat_posit::testing as posit_testing;
+    use compstat_posit::{Posit, P64E12, P64E18, P64E6, P64E9};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -401,11 +412,11 @@ mod tests {
         type V = BigFloat;
 
         fn zero(&self) -> BigFloat {
-            BigFloat::zero()
+            BigFloat::zero().round_to(self.0)
         }
 
         fn one(&self) -> BigFloat {
-            BigFloat::one()
+            BigFloat::one().round_to(self.0)
         }
 
         fn import_f64(&self, x: f64) -> BigFloat {
@@ -486,11 +497,9 @@ mod tests {
                 assert_oracle_is_context(model, obs, &format!("edge model {i}"));
             }
         }
-        // The empty sequence is the untagged one, not a 64·N-bit one.
-        assert!(bit_identical(
-            &forward_oracle(&toy(), &[], &Context::new(128)),
-            &BigFloat::one()
-        ));
+        // The empty sequence's one carries the context precision.
+        let one = forward_oracle(&toy(), &[], &Context::new(128));
+        assert!(one.to_f64() == 1.0 && one.precision() == 128, "{one:?}");
         // A zero likelihood is tagged with the context precision.
         let zeros = &edge_models()[2];
         let got = forward_oracle(zeros, &[2, 0], &Context::new(128));
@@ -542,6 +551,102 @@ mod tests {
                 assert_eq!(got, want, "stride {stride}, {threads} thread(s)");
             }
         }
+    }
+
+    /// posit(N, ES) through the runtime-`(n, es)` reference datapath
+    /// (`compstat_posit::testing`), on patterns: what the posit passes
+    /// must reproduce, whichever arithmetic runs them.
+    struct ReferencePosit<const N: u32, const ES: u32>;
+
+    impl<const N: u32, const ES: u32> Arith for ReferencePosit<N, ES> {
+        type V = u64;
+
+        fn zero(&self) -> u64 {
+            0
+        }
+
+        fn one(&self) -> u64 {
+            1 << (N - 2)
+        }
+
+        fn import_f64(&self, x: f64) -> u64 {
+            posit_testing::from_f64_bits(x, N, ES)
+        }
+
+        fn add(&self, a: &u64, b: &u64) -> u64 {
+            posit_testing::add_bits(*a, *b, N, ES)
+        }
+
+        fn mul(&self, a: &u64, b: &u64) -> u64 {
+            posit_testing::mul_bits(*a, *b, N, ES)
+        }
+    }
+
+    /// The dispatched `forward` against a pass on `Posit<N, ES>` itself
+    /// and against the reference datapath, by `to_bits`.
+    fn assert_dispatch_is_native<const N: u32, const ES: u32>(model: &Hmm, obs: &[usize])
+    where
+        Posit<N, ES>: StatFloat,
+    {
+        let got: Posit<N, ES> = forward(&model.prepare(), obs);
+        let native = Native::<Posit<N, ES>>::new();
+        let want = forward_in(&native, &model.prepare_in(&native), obs, |_, _| {});
+        let reference = forward_in(
+            &ReferencePosit::<N, ES>,
+            &model.prepare_in(&ReferencePosit::<N, ES>),
+            obs,
+            |_, _| {},
+        );
+        for (what, want) in [("native", want.to_bits()), ("reference", reference)] {
+            assert_eq!(
+                got.to_bits(),
+                want,
+                "posit({N},{ES}) T={}: {got:?} != {what} {want:#x}",
+                obs.len()
+            );
+        }
+    }
+
+    fn assert_every_posit_dispatch_is_native(model: &Hmm, obs: &[usize]) {
+        assert_dispatch_is_native::<64, 6>(model, obs);
+        assert_dispatch_is_native::<64, 9>(model, obs);
+        assert_dispatch_is_native::<64, 12>(model, obs);
+        assert_dispatch_is_native::<64, 15>(model, obs);
+        assert_dispatch_is_native::<64, 18>(model, obs);
+        assert_dispatch_is_native::<64, 21>(model, obs);
+    }
+
+    #[test]
+    fn dispatched_posit_forward_is_the_native_posit_forward() {
+        // fig06/fig10-shaped: 8 states, 16 symbols.
+        let mut rng = StdRng::seed_from_u64(32);
+        let fig10 = crate::dirichlet_hmm(&mut rng, 8, 16, 0.8);
+        let obs = crate::uniform_observations(&mut rng, 16, 3_000);
+        for t in [0, 1, 2, 500, 3_000] {
+            assert_every_posit_dispatch_is_native(&fig10, &obs[..t]);
+        }
+        for model in &edge_models() {
+            let m = model.num_symbols();
+            let long: Vec<usize> = (0..300).map(|t| (t * 7 + 1) % m).collect();
+            for obs in [&[0][..], &[m - 1], &long] {
+                assert_every_posit_dispatch_is_native(model, obs);
+            }
+        }
+        // Long enough to reach the band where the regime leaves no
+        // fraction bits: below 2^-26_624 for posit(64, 9) and 2^-3_520
+        // for posit(64, 6). Products there round back to the coarse grid
+        // they came from, so the likelihood stalls above minpos.
+        let deep: Vec<usize> = (0..50_000).map(|i| (i * 13 + 1) % 2).collect();
+        for t in [36_000, 40_000, 50_000] {
+            assert_every_posit_dispatch_is_native(&toy(), &deep[..t]);
+        }
+        let scale = |t: usize| forward::<P64E9>(&toy().prepare(), &deep[..t]).scale();
+        let minpos = P64E9::format_info().min_positive_exp();
+        for t in [40_000, 50_000] {
+            assert!((minpos + 1..-26_624).contains(&scale(t).unwrap()), "T={t}");
+        }
+        let p6 = forward::<P64E6>(&toy().prepare(), &deep).scale().unwrap();
+        assert!((P64E6::format_info().min_positive_exp()..-3_520).contains(&p6));
     }
 
     #[test]

@@ -143,6 +143,20 @@ pub struct PreparedHmm<T> {
     pub(crate) pi: Vec<T>,
 }
 
+impl<T> PreparedHmm<T> {
+    /// The same model with every probability mapped through `f`.
+    pub(crate) fn map<U>(&self, f: impl Fn(&T) -> U) -> PreparedHmm<U> {
+        let map = |xs: &[T]| xs.iter().map(&f).collect();
+        PreparedHmm {
+            h: self.h,
+            m: self.m,
+            a: map(&self.a),
+            b: map(&self.b),
+            pi: map(&self.pi),
+        }
+    }
+}
+
 impl<T: Copy> PreparedHmm<T> {
     /// Number of hidden states.
     #[must_use]

@@ -3,7 +3,7 @@
 //! `pbd_in` over any [`Arith`].
 
 use compstat_bigfloat::{BigFloat, Context};
-use compstat_core::{run_oracle, Arith, Native, Oracle, OraclePass, StatFloat};
+use compstat_core::{run_oracle, Arith, FormatArith, FormatPass, Oracle, OraclePass, StatFloat};
 use compstat_logspace::LogF64;
 
 /// Listing 2 in the arithmetic `ar`: `P(X >= k)` over the trials'
@@ -61,9 +61,20 @@ fn pbd_in<A: Arith>(ar: &A, success_probs: &[f64], k: usize) -> A::V {
 /// success probabilities (Listing 2 of the paper), in format `T`.
 ///
 /// `k = 0` gives 1, and `k > N` gives 0: nothing crosses the boundary.
+///
+/// The recurrence runs in the arithmetic [`StatFloat::run_pass`] picks
+/// for `T`, with the same bits as on `T` itself: for a posit, on decoded
+/// values, encoding only the p-value.
 #[must_use]
 pub fn pbd_pvalue<T: StatFloat>(success_probs: &[f64], k: usize) -> T {
-    pbd_in(&Native::<T>::new(), success_probs, k)
+    struct Pass<'a>(&'a [f64], usize);
+    impl<T> FormatPass<T> for Pass<'_> {
+        type Output = T;
+        fn run<A: FormatArith<T>>(self, ar: &A) -> T {
+            ar.encode(&pbd_in(ar, self.0, self.1))
+        }
+    }
+    T::run_pass(Pass(success_probs, k))
 }
 
 /// The explicit log-space formulation: probabilities as logs, the
@@ -81,10 +92,8 @@ pub fn pbd_pvalue_log(success_probs: &[f64], k: usize) -> LogF64 {
 /// (`64 * N` bits, `N <= 5`: the oracle's 256, serve's 128) the
 /// recurrence runs on `Copy` whole-limb values ([`run_oracle`]) and
 /// converts back once. It runs on `ctx` itself at every other
-/// precision, for `k = 0` (the untagged `BigFloat::one()`), for no
-/// trials (the untagged `BigFloat::zero()` when `k > 0`), and when any
-/// `p` lies outside `[0, 1]`: the slices are raw, and only a
-/// probability has a whole-limb value.
+/// precision, and when any `p` lies outside `[0, 1]`: the slices are
+/// raw, and only a probability has a whole-limb value.
 #[must_use]
 pub fn pbd_pvalue_oracle(success_probs: &[f64], k: usize, ctx: &Context) -> BigFloat {
     struct Pass<'a>(&'a [f64], usize);
@@ -95,11 +104,10 @@ pub fn pbd_pvalue_oracle(success_probs: &[f64], k: usize, ctx: &Context) -> BigF
         }
     }
     let pass = Pass(success_probs, k);
-    let probabilities = success_probs.iter().all(|p| (0.0..=1.0).contains(p));
-    if k == 0 || success_probs.is_empty() || !probabilities {
-        pass.run(ctx)
-    } else {
+    if success_probs.iter().all(|p| (0.0..=1.0).contains(p)) {
         run_oracle(ctx, pass)
+    } else {
+        pass.run(ctx)
     }
 }
 
@@ -108,7 +116,9 @@ mod tests {
     use super::*;
     use crate::datasets::accuracy_corpus;
     use compstat_bigfloat::{bit_identical, testing, HdrFloat};
-    use compstat_posit::{P64E12, P64E18, P64E9};
+    use compstat_core::Native;
+    use compstat_posit::testing as posit_testing;
+    use compstat_posit::{Posit, P64E12, P64E18, P64E9};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -205,6 +215,107 @@ mod tests {
         }
     }
 
+    /// Columns whose p-values are `2^-300`-sized crossings, `k` of them
+    /// in `k + 4` trials: p-values from about `2^-25_000` to below
+    /// `2^-33_000`, through posit(64, 9)'s band where the regime leaves
+    /// no fraction bits (`fbits <= 0` below `2^-26_624`) and past its
+    /// minpos `2^-31_744`, where every format of at most ES = 9
+    /// saturates.
+    fn deep_cases() -> Vec<(Vec<f64>, usize)> {
+        let mut rng = StdRng::seed_from_u64(31);
+        (80..=112)
+            .step_by(4)
+            .map(|k| {
+                let mut probs: Vec<f64> = (0..k)
+                    .map(|_| rng.gen_range(0.5..1.0) * 2f64.powi(-300))
+                    .collect();
+                probs.extend((0..4).map(|_| rng.gen_range(0.0..0.3)));
+                (probs, k)
+            })
+            .collect()
+    }
+
+    /// posit(N, ES) through the runtime-`(n, es)` reference datapath
+    /// (`compstat_posit::testing`), on patterns: what the posit passes
+    /// must reproduce, whichever arithmetic runs them.
+    struct ReferencePosit<const N: u32, const ES: u32>;
+
+    impl<const N: u32, const ES: u32> Arith for ReferencePosit<N, ES> {
+        type V = u64;
+
+        fn zero(&self) -> u64 {
+            0
+        }
+
+        fn one(&self) -> u64 {
+            1 << (N - 2)
+        }
+
+        fn import_f64(&self, x: f64) -> u64 {
+            posit_testing::from_f64_bits(x, N, ES)
+        }
+
+        fn add(&self, a: &u64, b: &u64) -> u64 {
+            posit_testing::add_bits(*a, *b, N, ES)
+        }
+
+        fn mul(&self, a: &u64, b: &u64) -> u64 {
+            posit_testing::mul_bits(*a, *b, N, ES)
+        }
+    }
+
+    /// The dispatched `pbd_pvalue` against a pass on `Posit<N, ES>`
+    /// itself and against the reference datapath, by `to_bits`.
+    fn assert_dispatch_is_native<const N: u32, const ES: u32>(cases: &[(Vec<f64>, usize)])
+    where
+        Posit<N, ES>: StatFloat,
+    {
+        for (i, (probs, k)) in cases.iter().enumerate() {
+            let got: Posit<N, ES> = pbd_pvalue(probs, *k);
+            let native = pbd_in(&Native::<Posit<N, ES>>::new(), probs, *k).to_bits();
+            let reference = pbd_in(&ReferencePosit::<N, ES>, probs, *k);
+            for (what, want) in [("native", native), ("reference", reference)] {
+                assert_eq!(
+                    got.to_bits(),
+                    want,
+                    "posit({N},{ES}) case {i} (N={}, K={k}): {got:?} != {what} {want:#x}",
+                    probs.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_posit_pvalues_are_the_native_posit_pvalues() {
+        let mut cases = window_cases();
+        cases.extend(deep_cases());
+        // Corpus columns of every depth, the deep tail included.
+        cases.extend(
+            accuracy_corpus(20_261_020, 64)
+                .into_iter()
+                .filter(|c| c.n() * c.k <= 200_000)
+                .map(|c| (c.success_probs, c.k)),
+        );
+        assert_dispatch_is_native::<64, 6>(&cases);
+        assert_dispatch_is_native::<64, 9>(&cases);
+        assert_dispatch_is_native::<64, 12>(&cases);
+        assert_dispatch_is_native::<64, 15>(&cases);
+        assert_dispatch_is_native::<64, 18>(&cases);
+        assert_dispatch_is_native::<64, 21>(&cases);
+        // The deep cases do cross posit(64, 9)'s short-fraction band and
+        // saturate at its minpos.
+        let scales: Vec<i64> = deep_cases()
+            .iter()
+            .map(|(probs, k)| pbd_pvalue::<P64E9>(probs, *k).scale().expect("nonzero"))
+            .collect();
+        let minpos = P64E9::format_info().min_positive_exp();
+        assert!(scales.contains(&minpos), "{scales:?}");
+        assert!(
+            scales.iter().any(|&s| (minpos + 1..-26_624).contains(&s)),
+            "{scales:?}"
+        );
+    }
+
     /// The oracle arithmetic through the general slice kernels and the
     /// bit-indexed rounding (`compstat_bigfloat::testing`): the
     /// reference the production kernel tiers must reproduce.
@@ -214,11 +325,11 @@ mod tests {
         type V = BigFloat;
 
         fn zero(&self) -> BigFloat {
-            BigFloat::zero()
+            BigFloat::zero().round_to(self.0)
         }
 
         fn one(&self) -> BigFloat {
-            BigFloat::one()
+            BigFloat::one().round_to(self.0)
         }
 
         fn import_f64(&self, x: f64) -> BigFloat {
@@ -284,19 +395,15 @@ mod tests {
                 );
             }
         }
-        // k = 0 and N = 0 give the untagged constants; a p-value that
-        // is exactly zero carries the context precision.
+        // k = 0, N = 0 and a p-value that is exactly zero all carry the
+        // context precision.
         let ctx = Context::new(128);
-        assert!(bit_identical(
-            &pbd_pvalue_oracle(&[0.5], 0, &ctx),
-            &BigFloat::one()
-        ));
-        assert!(bit_identical(
-            &pbd_pvalue_oracle(&[], 2, &ctx),
-            &BigFloat::zero()
-        ));
-        let none = pbd_pvalue_oracle(&[0.0; 3], 1, &ctx);
-        assert!(none.is_zero() && none.precision() == 128, "{none:?}");
+        let one = pbd_pvalue_oracle(&[0.5], 0, &ctx);
+        assert!(one.to_f64() == 1.0 && one.precision() == 128, "{one:?}");
+        for (probs, k) in [(&[][..], 2), (&[0.0; 3][..], 1)] {
+            let none = pbd_pvalue_oracle(probs, k, &ctx);
+            assert!(none.is_zero() && none.precision() == 128, "{none:?}");
+        }
     }
 
     /// Brute-force `P(X >= k)` by enumerating all outcome subsets.

@@ -1,8 +1,8 @@
 //! Decoding posit bit patterns into sign/scale/significand form.
 //!
 //! [`unpack`] is const-generic over the format, so the regime and
-//! exponent shifts are immediates and the whole decode inlines into each
-//! arithmetic kernel.
+//! exponent shifts are immediates and the whole decode inlines into
+//! [`PositValue::from_posit`](crate::PositValue::from_posit).
 
 /// A decoded finite, nonzero posit value.
 ///
@@ -43,15 +43,6 @@ impl<const N: u32, const ES: u32> Format<N, ES> {
     pub(crate) const BODY: u64 = Self::NAR - 1;
     /// The scale of maxpos, `(N - 2) · 2^ES`; minpos has its negation.
     pub(crate) const MAXPOS_SCALE: i64 = (N as i64 - 2) << ES;
-}
-
-/// True when `a` or `b` is zero or NaR, the two patterns whose body bits
-/// are all zero. One branch screens both operands: a zero body wraps to
-/// all ones on the decrement, and every other body stays below `BODY`.
-#[inline]
-pub(crate) fn either_special<const N: u32, const ES: u32>(a: u64, b: u64) -> bool {
-    let body = Format::<N, ES>::BODY;
-    ((a & body).wrapping_sub(1) | (b & body).wrapping_sub(1)) > body
 }
 
 /// Decodes a pattern held in the low `N` bits (upper bits zero).
@@ -134,21 +125,6 @@ mod tests {
         assert_eq!(decode::<8, 2>(0x80), Decoded::NaR);
         assert_eq!(decode::<64, 9>(0), Decoded::Zero);
         assert_eq!(decode::<64, 9>(1u64 << 63), Decoded::NaR);
-    }
-
-    #[test]
-    fn either_special_screens_exactly_zero_and_nar() {
-        for a in 0u64..256 {
-            for b in [0u64, 1, 0x40, 0x7F, 0x80, 0x81, 0xFF] {
-                let want = [a, b].iter().any(|&x| x == 0 || x == 0x80);
-                assert_eq!(either_special::<8, 2>(a, b), want, "{a:#x} {b:#x}");
-                assert_eq!(either_special::<8, 2>(b, a), want, "{b:#x} {a:#x}");
-            }
-        }
-        let nar = 1u64 << 63;
-        assert!(either_special::<64, 12>(nar, 1));
-        assert!(either_special::<64, 12>(u64::MAX, 0));
-        assert!(!either_special::<64, 12>(nar + 1, nar - 1));
     }
 
     #[test]

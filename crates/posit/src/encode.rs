@@ -1,36 +1,149 @@
-//! Encoding (packing) real values into posit bit patterns, with the
-//! standard's round-to-nearest-even on the bit pattern and saturation at
-//! minpos/maxpos (a posit operation never rounds a nonzero value to zero
-//! or to NaR).
+//! Rounding onto the posit grid, and encoding grid values into bit
+//! patterns.
 //!
-//! [`pack`] is const-generic over the format. The regime, exponent and
-//! fraction are assembled in one `u64` window that holds the `N - 1`
-//! kept body bits and the round bit; every bit that falls below it only
-//! feeds the sticky bit.
+//! [`round`] is the crate's one rounding: round-to-nearest-even on the
+//! bit pattern (as softposit and MArTo do) and the standard's saturation
+//! at minpos and maxpos (a posit operation never rounds a nonzero value
+//! to zero or to NaR). It works on the decoded magnitude and returns the
+//! decoded magnitude of the chosen posit. [`encode`] then assembles that
+//! posit's pattern exactly: regime, exponent and fraction in one `u64`
+//! window, with nothing left to round.
 
 use crate::decode::Format;
 
-/// Packs a finite nonzero magnitude `1.f * 2^scale` (with `frac` in Q1.63,
-/// hidden bit set) into a `posit(N, ES)` pattern.
+/// The Q1.63 significand of a power of two: the hidden bit alone.
+pub(crate) const HIDDEN: u64 = 1 << 63;
+
+/// Rounds the magnitude `frac/2^63 · 2^scale` to the nearest
+/// `posit(N, ES)` magnitude, returned as its `(scale, frac)`.
 ///
-/// `sticky` reports nonzero value bits below `frac`'s LSB (from a wider
-/// intermediate result). `negative` selects the two's-complement encoding.
+/// `frac` is Q1.63 with the hidden bit set; `sticky` reports nonzero
+/// value bits below its LSB (from a wider intermediate result).
+///
+/// The pattern keeps `N - 1 - regime_len - ES` fraction bits at `scale`
+/// ([`crate::FormatInfo::fraction_bits_at_scale`]), so rounding needs
+/// no pattern: where that count is positive it rounds `frac` alone,
+/// with the fraction's last kept bit as the pattern's LSB. A carry out
+/// of the significand gives `2^(scale + 1)`, the next posit, which is
+/// what incrementing the pattern gives. Where the regime leaves no
+/// fraction bits (and possibly truncates the exponent), [`round_short`]
+/// rounds the exponent field instead.
 #[inline]
-pub(crate) fn pack<const N: u32, const ES: u32>(
-    negative: bool,
+pub(crate) fn round<const N: u32, const ES: u32>(
     scale: i64,
     frac: u64,
     sticky: bool,
-) -> u64 {
+) -> (i64, u64) {
     debug_assert!(frac >> 63 == 1, "hidden bit must be set");
+    // The shift by ES is an immediate: k = floor(scale / 2^ES). The
+    // regime is k + 2 bits long for k >= 0 and 1 - k below, and
+    // k ^ (k >> 63) is k or -k - 1, so no branch picks the length.
+    let k = scale >> ES;
+    let fbits = i64::from(N) - 1 - ((k ^ (k >> 63)) + 2) - i64::from(ES);
+    if fbits <= 0 {
+        // Also every scale beyond maxpos's or minpos's binade: there the
+        // regime alone would not fit.
+        return round_short::<N, ES>(scale, frac, sticky);
+    }
+    // `drop` fraction bits fall below the pattern: 63 - fbits, in 2..=62.
+    #[expect(clippy::cast_possible_truncation, reason = "fbits is in 1..=N - 3")]
+    let drop = (63 - fbits) as u32;
+    let lsb = (frac >> drop) & 1;
+    // Adding half an ulp, less one unless a tie should go up (the kept
+    // LSB is odd, or the sticky bit breaks the tie), carries into the
+    // kept bits exactly when round-to-nearest-even rounds up.
+    let bias = (1 << (drop - 1)) - 1 + (lsb | u64::from(sticky));
+    match frac.overflowing_add(bias) {
+        (_, true) => (scale + 1, HIDDEN),
+        (r, false) => (scale, r & (u64::MAX << drop)),
+    }
+}
+
+/// [`round`] where the regime leaves no fraction bits: saturation, and
+/// the `avail <= ES` body bits left after the regime, where the pattern
+/// ends inside the exponent field (or, at `avail == 0`, with the
+/// regime's terminator) and every posit of regime `k` is a power of two
+/// whose exponent's low `ES - avail` bits are zero.
+#[cold]
+fn round_short<const N: u32, const ES: u32>(scale: i64, frac: u64, sticky: bool) -> (i64, u64) {
     // Saturation: values at or beyond maxpos's binade clamp to maxpos;
     // values strictly below minpos's binade clamp to minpos (never zero).
+    let max = Format::<N, ES>::MAXPOS_SCALE;
+    if scale >= max {
+        return (max, HIDDEN);
+    }
+    if scale < -max {
+        return (-max, HIDDEN);
+    }
+    let k = scale >> ES;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "in range the regime is at most N - 1 bits long, so avail is in 0..=ES"
+    )]
+    let avail = (i64::from(N) - 1 - ((k ^ (k >> 63)) + 2)) as u32;
+    // The exponent field, in 0..2^ES.
+    let e = (scale - (k << ES)) as u128;
+    // The ES + 63 bits after the regime: exponent, then fraction.
+    let tail = (e << 63) | u128::from(frac & !HIDDEN);
+    let drop = ES + 63 - avail;
+    let kept = tail >> drop;
+    let round_bit = (tail >> (drop - 1)) & 1 == 1;
+    let rest = tail & ((1 << (drop - 1)) - 1) != 0 || sticky;
+    // The pattern's LSB: the last kept exponent bit, or else the regime's
+    // terminator, a one for k < 0 and a zero for k >= 0.
+    let lsb = if avail > 0 { kept & 1 == 1 } else { k < 0 };
+    let kept = kept + u128::from(round_bit && (rest || lsb));
+    if kept >> avail != 0 {
+        // Carried out of the exponent field: the first posit of regime
+        // k + 1, which is maxpos when k + 1 = N - 2.
+        ((k + 1) << ES, HIDDEN)
+    } else {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "kept < 2^avail, so the shifted exponent is below 2^ES"
+        )]
+        let e = (kept << (ES - avail)) as i64;
+        ((k << ES) + e, HIDDEN)
+    }
+}
+
+/// The pattern of the `posit(N, ES)` magnitude `frac/2^63 · 2^scale`,
+/// which must be a posit: a value [`round`] returned, or a decoded one.
+/// `negative` selects the two's-complement encoding.
+#[inline]
+pub(crate) fn encode<const N: u32, const ES: u32>(negative: bool, scale: i64, frac: u64) -> u64 {
+    debug_assert!(frac >> 63 == 1, "hidden bit must be set");
     let body = if scale >= Format::<N, ES>::MAXPOS_SCALE {
         Format::<N, ES>::BODY
-    } else if scale < -Format::<N, ES>::MAXPOS_SCALE {
-        1
     } else {
-        round_body::<N, ES>(scale, frac, sticky)
+        // The shifts by ES are immediates: k = floor(scale / 2^ES).
+        let k = scale >> ES;
+        let e = (scale & ((1 << ES) - 1)) as u64;
+        debug_assert!((-(i64::from(N) - 2)..(i64::from(N) - 2)).contains(&k));
+        // Regime, left-aligned: k+1 ones then a zero for k >= 0, -k zeros
+        // then a one for k < 0. With m = k ^ (k >> 63), which is k or
+        // -k - 1, that is m + 1 ones, with the run flipped into its
+        // terminator for k < 0; no branch picks it. Its length m + 2 is at
+        // most N - 1 <= 63.
+        let m = k ^ (k >> 63);
+        let flip = (k >> 63) as u64 & (i64::MIN >> (m + 1)) as u64;
+        let (regime, len) = ((i64::MIN >> m) as u64 ^ flip, m + 2);
+        // Exponent ++ the 63 fraction bits, left-aligned; on the grid,
+        // every bit that falls below the N - 1 body bits is zero.
+        let fbits = frac << 1;
+        let tail = if ES == 0 {
+            fbits
+        } else {
+            (e << (64 - ES)) | (fbits >> ES)
+        };
+        let window = regime | (tail >> len);
+        debug_assert!(
+            window << (N - 1) == 0
+                && (ES == 0 || fbits << (64 - ES) == 0)
+                && tail << (64 - len) == 0,
+            "not a posit(N, ES) value"
+        );
+        window >> (65 - N)
     };
     if negative {
         body.wrapping_neg() & Format::<N, ES>::MASK
@@ -39,48 +152,21 @@ pub(crate) fn pack<const N: u32, const ES: u32>(
     }
 }
 
-/// The rounded `N - 1` body bits of an in-range magnitude.
-#[inline]
-fn round_body<const N: u32, const ES: u32>(scale: i64, frac: u64, sticky: bool) -> u64 {
-    // The shifts by ES are immediates: k = floor(scale / 2^ES).
-    let k = scale >> ES;
-    let e = (scale & ((1 << ES) - 1)) as u64;
-    debug_assert!((-(N as i64 - 2)..(N as i64 - 2)).contains(&k));
-    // Regime, left-aligned: k+1 ones then a zero for k >= 0, -k zeros
-    // then a one for k < 0. Its length is at most N - 1 <= 63.
-    let (regime, len) = if k >= 0 {
-        ((i64::MIN >> k) as u64, k + 2)
-    } else {
-        (1 << 63 >> -k, 1 - k)
-    };
-    // Exponent ++ the 63 fraction bits, left-aligned; the fraction's
-    // lowest ES bits fall off the end.
-    let fbits = frac << 1;
-    let (tail, lost) = if ES == 0 {
-        (fbits, 0)
-    } else {
-        ((e << (64 - ES)) | (fbits >> ES), fbits << (64 - ES))
-    };
-    let window = regime | (tail >> len);
-    let lost = lost | (tail << (64 - len));
-    // Round the infinite pattern at N-1 body bits (RNE on the pattern, as
-    // softposit/MArTo do): the round bit sits right below the kept bits.
-    let kept = window >> (65 - N);
-    let round = (window >> (64 - N)) & 1;
-    let below = window & ((1 << (64 - N)) - 1);
-    let sticky = sticky || lost != 0 || below != 0;
-    // kept can never ripple into the sign bit: reaching the all-ones body
-    // requires scale >= maxpos_scale, handled by the caller.
-    let body = kept + (round & (u64::from(sticky) | kept));
-    debug_assert!(body >> (N - 1) == 0, "rounded into NaR");
-    debug_assert!(body != 0, "rounded to zero");
-    body
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decode::{decode, Decoded, Unpacked};
+
+    /// The nearest pattern: [`round`], then [`encode`].
+    fn pack<const N: u32, const ES: u32>(
+        negative: bool,
+        scale: i64,
+        frac: u64,
+        sticky: bool,
+    ) -> u64 {
+        let (scale, frac) = round::<N, ES>(scale, frac, sticky);
+        encode::<N, ES>(negative, scale, frac)
+    }
 
     fn roundtrip<const N: u32, const ES: u32>(bits: u64) -> u64 {
         match decode::<N, ES>(bits) {

@@ -10,10 +10,24 @@
 //! encoding of Equation (4), arithmetic with round-to-nearest-even on the
 //! bit pattern (matching softposit/MArTo behavior), the standard's
 //! saturation rules (results never round to zero or NaR), and exact
-//! conversions to and from the [`BigFloat`] oracle. Every operation and
-//! conversion runs through one unpack/round/pack datapath that is
-//! const-generic over `N, ES` and inlined into its caller, so each format
-//! gets its own code with its shifts and masks as immediates.
+//! conversions to and from the [`BigFloat`] oracle.
+//!
+//! Posit rounding exists once. [`PositValue`] holds a posit decoded (a
+//! sign, a scale and a Q1.63 significand, or zero, or NaR), and its `+`,
+//! `-`, `*` and `/` round the exact result straight onto the posit grid
+//! at the result's scale, returning another decoded value. `Posit`'s own
+//! operators decode both operands, run the value's operation and encode
+//! the result, exactly; the conversions from `f64` and [`BigFloat`] round
+//! the same way. The whole datapath is const-generic over `N, ES` and
+//! inlined into its caller, so each format gets its own code with its
+//! shifts and masks as immediates.
+//!
+//! A chain of value operations gives the bits of the same chain on
+//! `Posit`s while decoding each input once and encoding only the result.
+//! The recurrences use that: `compstat_core`'s `StatFloat::run_pass`, the
+//! one place a format pass's arithmetic is chosen, runs every posit
+//! format's forward and PBD passes on decoded values
+//! (`compstat_core::DecodedPosit`).
 //!
 //! # Examples
 //!
@@ -34,7 +48,6 @@
     warn(clippy::cast_possible_truncation, clippy::cast_precision_loss)
 )]
 
-mod arith;
 mod decode;
 mod encode;
 mod info;
@@ -42,9 +55,11 @@ mod info;
 /// const-generic kernels replaced. Not a public API.
 #[doc(hidden)]
 pub mod testing;
+mod value;
 
 pub use decode::{Decoded, Unpacked};
 pub use info::FormatInfo;
+pub use value::PositValue;
 
 use compstat_bigfloat::{BigFloat, Kind, Sign};
 use core::fmt;
@@ -132,7 +147,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
 
     /// Wraps a pattern that a kernel produced, so it already fits `N`.
     #[inline]
-    fn from_kernel(bits: u64) -> Self {
+    pub(crate) fn from_kernel(bits: u64) -> Self {
         #[expect(
             clippy::let_unit_value,
             reason = "naming the unit-typed VALID const forces its compile-time width check"
@@ -147,6 +162,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
 
     /// The raw pattern in the low `N` bits.
     #[must_use]
+    #[inline]
     pub fn to_bits(self) -> u64 {
         self.bits
     }
@@ -160,7 +176,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     #[must_use]
     pub fn from_parts(negative: bool, scale: i64, frac: u64) -> Self {
         assert!(frac >> 63 == 1, "hidden bit must be set");
-        Self::from_kernel(encode::pack::<N, ES>(negative, scale, frac, false))
+        PositValue::rounded(negative, scale, frac, false).to_posit()
     }
 
     /// True for the zero pattern.
@@ -238,7 +254,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
                 let limbs = x.limbs();
                 let frac = limbs[limbs.len() - 1];
                 let sticky = limbs[..limbs.len() - 1].iter().any(|&l| l != 0);
-                Self::from_kernel(encode::pack::<N, ES>(negative, scale, frac, sticky))
+                PositValue::rounded(negative, scale, frac, sticky).to_posit()
             }
         }
     }
@@ -256,25 +272,7 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     /// Rounds an `f64` to the nearest posit (NaN/inf become NaR).
     #[must_use]
     pub fn from_f64(x: f64) -> Self {
-        if x == 0.0 {
-            return Self::ZERO;
-        }
-        if !x.is_finite() {
-            return Self::NAR;
-        }
-        let bits = x.to_bits();
-        let negative = bits >> 63 == 1;
-        let biased = ((bits >> 52) & 0x7FF) as i64;
-        let mantissa = bits & ((1u64 << 52) - 1);
-        let (scale, frac) = if biased == 0 {
-            // Subnormal: value = mantissa * 2^-1074; normalizing the top
-            // bit to position 63 gives scale = -1011 - leading_zeros.
-            let shift = mantissa.leading_zeros(); // < 64 since mantissa != 0
-            (-1011 - shift as i64, mantissa << shift)
-        } else {
-            (biased - 1023, (mantissa << 11) | (1u64 << 63))
-        };
-        Self::from_kernel(encode::pack::<N, ES>(negative, scale, frac, false))
+        PositValue::from_f64(x).to_posit()
     }
 
     /// Format metadata (Table I row for this configuration).
@@ -286,18 +284,26 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
 
 impl<const N: u32, const ES: u32> core::ops::Neg for Posit<N, ES> {
     type Output = Self;
+    /// Exact: the two's complement of the pattern.
     fn neg(self) -> Self {
-        Self::from_kernel(arith::neg::<N, ES>(self.bits))
+        Self::from_kernel(self.bits.wrapping_neg() & decode::Format::<N, ES>::MASK)
     }
 }
 
+/// Each operator decodes both operands, runs [`PositValue`]'s operation
+/// and encodes the result, which is exact: the value's operation has
+/// already rounded it onto the posit grid.
 macro_rules! posit_bin_op {
     ($trait:ident, $method:ident) => {
         impl<const N: u32, const ES: u32> core::ops::$trait for Posit<N, ES> {
             type Output = Self;
             #[inline]
             fn $method(self, rhs: Self) -> Self {
-                Self::from_kernel(arith::$method::<N, ES>(self.bits, rhs.bits))
+                core::ops::$trait::$method(
+                    PositValue::from_posit(self),
+                    PositValue::from_posit(rhs),
+                )
+                .to_posit()
             }
         }
         impl<const N: u32, const ES: u32> core::ops::$trait<&Posit<N, ES>> for Posit<N, ES> {

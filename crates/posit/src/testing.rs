@@ -1,7 +1,9 @@
 //! The runtime-`(n, es)` posit datapath that the const-generic kernels
 //! replaced, kept verbatim as their differential reference
-//! (`tests/kernels.rs`). Not a public API, and nothing outside the tests
-//! calls it.
+//! (`tests/kernels.rs`, and the forward and PBD recurrences' posit tests
+//! in `compstat-hmm` and `compstat-pbd`), plus the `f64` import on top
+//! of its `pack`. Not a public API, and nothing outside the tests calls
+//! it.
 //!
 //! Every function takes the width `n` and exponent size `es` as
 //! arguments, aligns in `u128` and packs through a variable-position
@@ -192,6 +194,29 @@ fn finish(body: u64, negative: bool, n: u32) -> u64 {
 #[inline]
 fn nar_bits(n: u32) -> u64 {
     1u64 << (n - 1)
+}
+
+/// Rounds an `f64` to the nearest `n`-bit, `es`-exponent posit pattern
+/// (NaN and infinities become NaR): its sign, scale and Q1.63
+/// significand, packed.
+pub fn from_f64_bits(x: f64, n: u32, es: u32) -> u64 {
+    if x == 0.0 {
+        return 0;
+    }
+    if !x.is_finite() {
+        return nar_bits(n);
+    }
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7FF) as i64;
+    let mantissa = bits & ((1u64 << 52) - 1);
+    let (scale, frac) = if biased == 0 {
+        // Subnormal: value = mantissa * 2^-1074.
+        let shift = mantissa.leading_zeros();
+        (-1011 - shift as i64, mantissa << shift)
+    } else {
+        (biased - 1023, (mantissa << 11) | (1u64 << 63))
+    };
+    pack(bits >> 63 == 1, scale, frac, false, n, es)
 }
 
 /// Exact negation: two's complement of the pattern.

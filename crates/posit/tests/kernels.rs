@@ -2,6 +2,9 @@
 //! datapath they replaced (`compstat_posit::testing`), three ways: every
 //! pair at posit(8, es), a seeded million pairs per posit(16, es), and a
 //! seeded sweep at each of the six posit(64, es) formats of Table I.
+//! Every pair runs twice: through `Posit`'s operators, and through
+//! [`PositValue`]'s, whose decoded result must be the reference posit's
+//! decoded value, so a chain of value operations gives the same bits.
 //!
 //! The seeded operands lean toward the cases where a datapath goes wrong:
 //! near-equal magnitudes of opposite sign (cancellation), long regimes
@@ -9,26 +12,33 @@
 //! sparse significands a few binades apart (carries, exact ties and the
 //! sticky bit).
 
-use compstat_posit::{testing, Posit};
+use compstat_posit::{testing, Posit, PositValue};
 
 /// Checks `+ - * /`, negation and decode of one pair against the
-/// reference.
+/// reference, on patterns and on decoded values.
 fn check<const N: u32, const ES: u32>(a: u64, b: u64) {
     let (pa, pb) = (Posit::<N, ES>::from_bits(a), Posit::<N, ES>::from_bits(b));
-    let ops: [(&str, Posit<N, ES>, u64); 5] = [
-        ("add", pa + pb, testing::add_bits(a, b, N, ES)),
-        ("sub", pa - pb, testing::sub_bits(a, b, N, ES)),
-        ("mul", pa * pb, testing::mul_bits(a, b, N, ES)),
-        ("div", pa / pb, testing::div_bits(a, b, N, ES)),
-        ("neg", -pa, testing::neg_bits(a, N)),
+    let (va, vb) = (PositValue::from_posit(pa), PositValue::from_posit(pb));
+    let ops: [(&str, Posit<N, ES>, PositValue<N, ES>, u64); 5] = [
+        ("add", pa + pb, va + vb, testing::add_bits(a, b, N, ES)),
+        ("sub", pa - pb, va - vb, testing::sub_bits(a, b, N, ES)),
+        ("mul", pa * pb, va * vb, testing::mul_bits(a, b, N, ES)),
+        ("div", pa / pb, va / vb, testing::div_bits(a, b, N, ES)),
+        ("neg", -pa, -va, testing::neg_bits(a, N)),
     ];
-    for (op, got, want) in ops {
+    for (op, got, value, want) in ops {
         assert_eq!(
             got.to_bits(),
             want,
             "posit({N},{ES}) {op}({a:#x}, {b:#x}): kernel {:#x}, reference {want:#x}",
             got.to_bits()
         );
+        assert_eq!(
+            value,
+            PositValue::from_posit(Posit::from_bits(want)),
+            "posit({N},{ES}) value {op}({a:#x}, {b:#x}): reference {want:#x}"
+        );
+        assert_eq!(value.to_posit().to_bits(), want, "posit({N},{ES}) encode");
     }
     assert_eq!(
         pa.decode(),
@@ -172,6 +182,46 @@ fn posit64_formats_match_the_reference() {
     seeded::<64, 15>(64, POSIT64_PAIRS);
     seeded::<64, 18>(64, POSIT64_PAIRS);
     seeded::<64, 21>(64, POSIT64_PAIRS);
+}
+
+#[test]
+fn f64_imports_match_the_reference() {
+    fn sweep<const N: u32, const ES: u32>(seed: u64) {
+        let mut s = Stream(seed);
+        for i in 0..100_000u32 {
+            let r = s.next();
+            // Every binade, subnormals included, and probabilities.
+            let x = match i % 4 {
+                0 => f64::from_bits((r & !(0x7FF << 52)) | (((r >> 11) % 2047) << 52)),
+                1 => f64::from_bits(r >> 12),
+                2 => (r >> 11) as f64 / (1u64 << 53) as f64,
+                _ => 1.0 - (r >> 11) as f64 / (1u64 << 53) as f64,
+            };
+            let want = testing::from_f64_bits(x, N, ES);
+            let value = PositValue::<N, ES>::from_f64(x);
+            assert_eq!(
+                value,
+                PositValue::from_posit(Posit::from_bits(want)),
+                "posit({N},{ES}) from_f64({x:e})"
+            );
+            assert_eq!(Posit::<N, ES>::from_f64(x).to_bits(), want);
+        }
+        for x in [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let want = testing::from_f64_bits(x, N, ES);
+            assert_eq!(
+                PositValue::<N, ES>::from_f64(x),
+                PositValue::from_posit(Posit::from_bits(want))
+            );
+        }
+    }
+    sweep::<8, 0>(11);
+    sweep::<8, 2>(12);
+    sweep::<16, 1>(13);
+    sweep::<32, 2>(14);
+    sweep::<64, 6>(15);
+    sweep::<64, 9>(16);
+    sweep::<64, 12>(17);
+    sweep::<64, 18>(18);
 }
 
 #[test]
