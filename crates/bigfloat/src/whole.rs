@@ -11,7 +11,10 @@
 //!
 //! Both kernels take the exact result to `N` limbs above one guard limb
 //! plus a sticky flag, and round to nearest, ties to even, in registers
-//! ([`round_guarded`]). `Context::{add, sub, mul}` place their
+//! ([`round_guarded`]). None of them branches on the data: a carry out of
+//! the sum and the product's normalization pick between shifted and
+//! unshifted limbs under a mask, and the round-up adds a 0/1 increment,
+//! so a run of operations waits on latency, not on mispredictions. `Context::{add, sub, mul}` place their
 //! whole-limb shapes into arrays and call the same kernels, so each
 //! rounding exists once, and a `WholeFloat` result is bit-identical to
 //! the `Context::new(64 * N)` result of the same operands.
@@ -154,11 +157,11 @@ impl<const N: usize> WholeFloat<N> {
         if self.is_zero() {
             return *other;
         }
-        let (x, y) = if self.exp >= other.exp {
-            (self, other)
-        } else {
-            (other, self)
-        };
+        // The operand with the larger exponent goes first, picked by
+        // index rather than by a branch.
+        let pair = [self, other];
+        let swap = usize::from(self.exp < other.exp);
+        let (x, y) = (pair[swap], pair[1 - swap]);
         WholeFloat::finish(add_kernel(x.exp, &x.limbs, y.exp, &y.limbs))
     }
 
@@ -215,7 +218,9 @@ pub(crate) fn place<const W: usize>(limbs: &[u64]) -> [u64; W] {
 /// rounded to `64 * N` bits: the exponent of the result's top bit and
 /// its limbs. `y` is shifted under `x`, so the limb below the result is
 /// a guard, and whatever falls off the bottom folds into a sticky flag.
-/// A carry out of the top shifts the sum back down one bit.
+/// A carry out of the top shifts the sum back down one bit, the carry
+/// entering at the top: the shifted limbs are picked under the mask of
+/// the carry bit.
 #[inline]
 pub(crate) fn add_kernel<const N: usize>(
     ex: i64,
@@ -223,20 +228,17 @@ pub(crate) fn add_kernel<const N: usize>(
     ey: i64,
     y: &[u64; N],
 ) -> (i128, [u64; N]) {
-    let (y, mut guard, mut sticky) = shr_into_guard(y, ex.abs_diff(ey));
+    let (y, guard, sticky) = shr_into_guard(y, ex.abs_diff(ey));
     // `x` has nothing under its last limb, so the guard takes no carry.
-    let (mut sum, carry) = limb::fixed::add(x, &y);
-    let mut exp = i128::from(ex);
-    if carry {
-        sticky |= guard & 1 == 1;
-        guard = guard >> 1 | sum[0] << 63;
-        for i in 0..N - 1 {
-            sum[i] = sum[i] >> 1 | sum[i + 1] << 63;
-        }
-        sum[N - 1] = sum[N - 1] >> 1 | 1 << 63;
-        exp += 1;
-    }
-    round_guarded(exp, sum, guard, sticky)
+    let (sum, carry) = limb::fixed::add(x, &y);
+    let c = u64::from(carry);
+    let mask = c.wrapping_neg();
+    // Limb `i` of the sum with the carry above it.
+    let s = |i: usize| if i < N { sum[i] } else { c };
+    let hi = core::array::from_fn(|i| select(mask, s(i) >> 1 | s(i + 1) << 63, sum[i]));
+    let sticky = sticky | (guard & c != 0);
+    let guard = select(mask, guard >> 1 | sum[0] << 63, guard);
+    round_guarded(i128::from(ex) + i128::from(c), hi, guard, sticky)
 }
 
 /// `y >> d` over `N` limbs and a guard limb below them, which starts
@@ -264,7 +266,8 @@ fn shr_into_guard<const N: usize>(y: &[u64; N], d: u64) -> ([u64; N], u64, bool)
 /// both normalized, rounded to `64 * N` bits, where `exp_sum` is the sum
 /// of their exponents. The exact product fills `N + 1` limbs; when its
 /// top bit is clear, one left shift normalizes it without losing a bit,
-/// and the limb below the result is the guard.
+/// and the limb below the result is the guard. The shifted limbs are
+/// picked under the mask of that bit.
 #[inline]
 pub(crate) fn mul_kernel<const N: usize>(exp_sum: i128, a: &[u64; N], b: u64) -> (i128, [u64; N]) {
     let mut low = [0; N];
@@ -274,13 +277,20 @@ pub(crate) fn mul_kernel<const N: usize>(exp_sum: i128, a: &[u64; N], b: u64) ->
     }
     // Limb `i` of the `N + 1`-limb product.
     let p = |i: usize| if i < N { low[i] } else { top };
-    // Significands in [1, 2) multiply into [1, 4).
-    if top >> 63 == 1 {
-        round_guarded(exp_sum + 1, core::array::from_fn(|i| p(i + 1)), p(0), false)
-    } else {
-        let hi = core::array::from_fn(|i| p(i + 1) << 1 | p(i) >> 63);
-        round_guarded(exp_sum, hi, p(0) << 1, false)
-    }
+    // Significands in [1, 2) multiply into [1, 4): the top bit is set
+    // from 2 on.
+    let t = top >> 63;
+    let mask = t.wrapping_neg();
+    let hi = core::array::from_fn(|i| select(mask, p(i + 1), p(i + 1) << 1 | p(i) >> 63));
+    let guard = select(mask, p(0), p(0) << 1);
+    round_guarded(exp_sum + i128::from(t), hi, guard, false)
+}
+
+/// `a` where `mask` is all ones, `b` where it is zero: a choice that
+/// costs three operations and no branch.
+#[inline]
+fn select(mask: u64, a: u64, b: u64) -> u64 {
+    b ^ ((a ^ b) & mask)
 }
 
 /// The rounding point of the whole-limb kernels: `hi` holds the `N`
@@ -289,10 +299,10 @@ pub(crate) fn mul_kernel<const N: usize>(exp_sum: i128, a: &[u64; N], b: u64) ->
 /// it.
 ///
 /// The guard's top bit is the round bit, so ties-to-even needs no window
-/// walk: it reads the guard, the flag and the lowest result limb, and
-/// adds one at most. It returns exactly the exponent and limbs that
-/// `BigFloat`'s general rounding core gives the same magnitude and
-/// sticky flag.
+/// walk: it reads the guard, the flag and the lowest result limb into a
+/// 0/1 increment, which always runs through the carry chain. It returns
+/// exactly the exponent and limbs that `BigFloat`'s general rounding
+/// core gives the same magnitude and sticky flag.
 #[inline]
 fn round_guarded<const N: usize>(
     exp: i128,
@@ -300,17 +310,14 @@ fn round_guarded<const N: usize>(
     guard: u64,
     sticky: bool,
 ) -> (i128, [u64; N]) {
-    let mut exp = exp;
-    if guard >> 63 == 1 && (sticky || guard << 1 != 0 || hi[0] & 1 == 1) {
-        let mut carry = true;
-        for l in &mut hi {
-            (*l, carry) = l.overflowing_add(u64::from(carry));
-        }
-        if carry {
-            // 1.111..1 rounded up to 10.000..0.
-            hi[N - 1] = 1 << 63;
-            exp += 1;
-        }
+    let above_tie = u64::from(sticky | (guard << 1 != 0)) | hi[0] & 1;
+    let mut carry = guard >> 63 & above_tie;
+    for l in &mut hi {
+        let (sum, out) = l.overflowing_add(carry);
+        (*l, carry) = (sum, u64::from(out));
     }
-    (exp, hi)
+    // A carry out leaves all-zero limbs: 1.111..1 rounded up to
+    // 10.000..0, whose top bit weighs one more.
+    hi[N - 1] |= carry << 63;
+    (exp + i128::from(carry), hi)
 }

@@ -16,7 +16,10 @@
 //!    check the whole-limb rounding core, including the mixed
 //!    `N x 1`-limb products, carries out of rounding, and exponent
 //!    saturation. The whole-limb cases also run through `WholeFloat`,
-//!    the `Copy` value that calls the same kernels.
+//!    the `Copy` value that calls the same kernels. Each of their
+//!    selects has a case of its own: products landing just below 2 and
+//!    from 2 on, each at a guard tie that rounds up or down, and a sum
+//!    that carries out and then rounds up through every limb.
 
 use compstat_bigfloat::{bit_identical, testing, BigFloat, Context, Kind, WholeFloat};
 use proptest::prelude::*;
@@ -497,6 +500,92 @@ fn whole_limb_ties_round_to_even_and_break_on_the_lowest_sticky_bit() {
             up > Context::new(prec + 2).mul(&odd, &BigFloat::from_f64(1.5)),
             "odd product tie at {prec}"
         );
+    }
+}
+
+/// `0xAAAA...AA` on `n` limbs plus `delta`: `3/2` times it is just
+/// under `2^(64n)`, so with a `1.5` one-limb operand it picks which
+/// side of 2 an `n x 1` product lands on.
+fn alternating_plus(n: usize, delta: i64) -> Vec<u64> {
+    let mut limbs = vec![0xAAAA_AAAA_AAAA_AAAAu64; n];
+    limbs[0] = limbs[0].wrapping_add_signed(delta);
+    limbs
+}
+
+#[test]
+fn whole_limb_products_normalize_and_round_each_guard_tie() {
+    let b = BigFloat::from_f64(1.5);
+    for &prec in &WHOLE_PRECS {
+        let n = prec as usize / 64;
+        let cp = Context::new(prec);
+        // `a = A * 2^(1 - 64n)` with `A` the `n`-limb integer, so `1.5 a`
+        // is `3A * 2^(-64n)`: below 2 it rounds to `2^(1 - 64n)`, and
+        // from 2 on to `2^(2 - 64n)`. Each `A` leaves exactly half of
+        // that step, and its even neighbor is the result.
+        let all_but = |k: u64| {
+            let mut limbs = vec![u64::MAX; n];
+            limbs[0] -= k;
+            limbs
+        };
+        let cases = [
+            // 3A = 2^(64n + 1) - 5: 2 - 2.5 ulps rounds up to 2 - 2 ulps.
+            (
+                alternating_plus(n, -1),
+                from_limbs(&all_but(1), 0),
+                "below 2, tie up",
+            ),
+            // 3A = 2^(64n + 1) - 11: 2 - 5.5 ulps rounds down to 2 - 6 ulps.
+            (
+                alternating_plus(n, -3),
+                from_limbs(&all_but(5), 0),
+                "below 2, tie down",
+            ),
+            // 3A = 2^(64n + 1) + 10: 2 + 2.5 ulps rounds down to 2 + 2 ulps.
+            (
+                alternating_plus(n, 4),
+                one_plus_ulps(prec, 2).mul_pow2(1),
+                "above 2, tie down",
+            ),
+            // 3A = 2^(64n + 1) + 22: 2 + 5.5 ulps rounds up to 2 + 6 ulps.
+            (
+                alternating_plus(n, 8),
+                one_plus_ulps(prec, 6).mul_pow2(1),
+                "above 2, tie up",
+            ),
+        ];
+        for (a, want, what) in &cases {
+            let a = from_limbs(a, 0);
+            for got in [cp.mul(&a, &b), cp.mul(&b, &a)] {
+                assert!(
+                    bit_identical(&got, want),
+                    "{what} at {prec}: {got:?} != {want:?}"
+                );
+            }
+            assert_whole_limb_ops(&a, &b, prec, what);
+        }
+    }
+}
+
+#[test]
+fn whole_limb_sum_carries_out_then_rounds_up_through_every_limb() {
+    for &prec in &WHOLE_PRECS {
+        let cp = Context::new(prec);
+        // `2 - 2^(1 - prec)` (all ones) plus 1 carries out of the top
+        // limb. Shifted back down, the sum is `1.0111...1` with exactly
+        // half an ulp in the guard: the tie rounds its odd last bit up,
+        // and the increment carries through all `prec / 64` limbs to 3.
+        let ones = all_ones(prec).mul_pow2(1);
+        for scale in [0, -1, -3_000] {
+            let (x, y) = (ones.mul_pow2(scale), BigFloat::one().mul_pow2(scale));
+            let want = BigFloat::from_f64(3.0).mul_pow2(scale).round_to(prec);
+            for got in [cp.add(&x, &y), cp.add(&y, &x)] {
+                assert!(
+                    bit_identical(&got, &want),
+                    "ones + 1 at 2^{scale}, prec {prec}: {got:?} != {want:?}"
+                );
+            }
+            assert_whole_limb_ops(&x, &y, prec, &format!("ones + 1 at 2^{scale}"));
+        }
     }
 }
 

@@ -5,6 +5,13 @@
 //! [`Whole<N>`], on the decoded posits of [`DecodedPosit<N, ES>`], and,
 //! through the zero-sized [`Native`], on every `StatFloat`.
 //!
+//! Summation order lives in two methods: [`Arith::sum`], a left fold,
+//! and [`Arith::vec_mat`], the forward step's `h` path sums, each with
+//! the bits of that fold over `p` in order. The default step advances
+//! the `h` folds together, as independent chains. An arithmetic whose
+//! `sum` is not a left fold (the forward pass's n-ary log-sum-exp)
+//! overrides both.
+//!
 //! A format pass, one recurrence computing format `T`'s bits, runs in
 //! the arithmetic that [`StatFloat::run_pass`] picks, the one place
 //! where that choice is made: [`Native<T>`] by default, and for every
@@ -62,11 +69,45 @@ pub trait Arith {
     /// the property tests below).
     /// The iterator is `Clone` so an override may take two passes, as
     /// the n-ary log-sum-exp does.
+    ///
+    /// The forward step's path sums do not come through here but through
+    /// [`Arith::vec_mat`], which gives each the bits of this fold. An
+    /// arithmetic whose `sum` is not a left fold overrides both.
     fn sum(&self, terms: impl Iterator<Item = Self::V> + Clone) -> Self::V {
         let mut terms = terms;
         match terms.next() {
             Some(first) => terms.fold(first, |acc, t| self.add(&acc, &t)),
             None => self.zero(),
+        }
+    }
+
+    /// The forward step's path sums: `out[q] = Σ_p x[p] · w[p·h + q]`,
+    /// where `h = out.len()` and `w` holds `x.len()` rows of `h`.
+    ///
+    /// Each `out[q]` has exactly the bits of [`Arith::sum`] over `p` in
+    /// order. The default seeds every sum with its `p = 0` term and then
+    /// adds row after row, so the `h` sums are independent chains that
+    /// advance together, each in its own order: the bits of the left
+    /// fold in every arithmetic. An arithmetic whose `sum` is not a left
+    /// fold (the forward pass's n-ary log-sum-exp) overrides this too.
+    fn vec_mat(&self, x: &[Self::V], w: &[Self::V], out: &mut [Self::V]) {
+        let h = out.len();
+        debug_assert_eq!(w.len(), x.len() * h, "w is not x.len() rows of out.len()");
+        let Some((x0, rest)) = x.split_first() else {
+            out.fill(self.zero());
+            return;
+        };
+        if h == 0 {
+            return;
+        }
+        let (row0, rows) = w.split_at(h);
+        for (o, w0q) in out.iter_mut().zip(row0) {
+            *o = self.mul(x0, w0q);
+        }
+        for (xp, row) in rest.iter().zip(rows.chunks_exact(h)) {
+            for (o, wpq) in out.iter_mut().zip(row) {
+                *o = self.add(o, &self.mul(xp, wpq));
+            }
         }
     }
 }
@@ -368,8 +409,124 @@ mod tests {
             && (xs.is_empty() || whole_sum.to_bytes() == ctx.sum(rounded.into_iter()).to_bytes())
     }
 
+    /// The path counts the step is checked at: one state, a few, fig10's
+    /// 8 and its paper-scale 13.
+    const STEP_HS: [usize; 5] = [1, 2, 3, 8, 13];
+
+    /// The most terms a step draws: `x` of up to 5 and `w` of 5 rows of
+    /// up to 13.
+    const STEP_TERMS: usize = 5 + 5 * 13;
+
+    /// A forward step's shape: `(h, x, w)`.
+    type Step = (usize, Vec<BigFloat>, Vec<BigFloat>);
+
+    /// `x` of `len` terms and `w` of `len` rows of `h`, decoded from
+    /// `seeds` in that order.
+    ///
+    /// With `near`, each nonzero term keeps its significand but moves to
+    /// within four binades of one, and `x` takes a 320-bit significand
+    /// (a third of its term), as `alpha` carries one. Then products and
+    /// partial sums round in every format, so a path sum's bits depend
+    /// on its order.
+    fn step(h: usize, len: usize, seeds: &[u64], near: bool) -> Step {
+        let wide = Context::new(320);
+        let term = |s: u64| {
+            let t = decode_term(s);
+            match t.exponent() {
+                Some(e) if near => t.mul_pow2(-e - (s >> 3 & 3) as i64),
+                _ => t,
+            }
+        };
+        let x_term = |s: u64| {
+            if near {
+                wide.div(&term(s), &BigFloat::from_f64(3.0))
+            } else {
+                term(s)
+            }
+        };
+        let x = seeds[..len].iter().map(|&s| x_term(s)).collect();
+        let w = seeds[len..len + len * h].iter().map(|&s| term(s)).collect();
+        (h, x, w)
+    }
+
+    /// `ar.vec_mat(x, w)` on `ar`'s values of the terms (made by `value`)
+    /// against one `ar.sum` per column over `p` in order, compared
+    /// through `bits`. `out` starts at one, so every slot must be
+    /// written, an empty `x` included.
+    fn step_is_sum<A: Arith, B: PartialEq>(
+        ar: &A,
+        (h, x, w): &Step,
+        value: impl Fn(&BigFloat) -> A::V,
+        bits: impl Fn(&A::V) -> B,
+    ) -> bool {
+        let h = *h;
+        let x: Vec<A::V> = x.iter().map(&value).collect();
+        let w: Vec<A::V> = w.iter().map(&value).collect();
+        let mut out = vec![ar.one(); h];
+        ar.vec_mat(&x, &w, &mut out);
+        out.iter().enumerate().all(|(q, got)| {
+            let want = ar.sum(
+                x.iter()
+                    .enumerate()
+                    .map(|(p, xp)| ar.mul(xp, &w[p * h + q])),
+            );
+            bits(got) == bits(&want)
+        })
+    }
+
+    fn native_step<T: StatFloat, B: PartialEq>(shape: &Step, bits: impl Fn(&T) -> B) -> bool {
+        step_is_sum(&Native::<T>::new(), shape, T::from_bigfloat, bits)
+    }
+
+    fn decoded_step<const N: u32, const ES: u32>(shape: &Step) -> bool
+    where
+        Posit<N, ES>: StatFloat,
+    {
+        let ar = DecodedPosit::<N, ES>;
+        step_is_sum(
+            &ar,
+            shape,
+            |x| ar.decode(&Posit::from_bigfloat(x)),
+            |v| v.to_posit().to_bits(),
+        )
+    }
+
+    /// The whole-limb step on the terms rounded to `64 * N` bits.
+    fn whole_step<const N: usize>(shape: &Step) -> bool {
+        let ctx = Context::new(WholeFloat::<N>::PREC);
+        let value = |x: &BigFloat| {
+            WholeFloat::<N>::from_bigfloat(&ctx.round(x)).expect("a non-negative term")
+        };
+        step_is_sum(&Whole::<N>, shape, value, |v| *v)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn vec_mat_is_the_per_column_sum(
+            hi in 0..STEP_HS.len(),
+            len in 0..6usize,
+            seeds in proptest::collection::vec(proptest::num::u64::ANY, STEP_TERMS..STEP_TERMS + 1),
+            near in proptest::bool::ANY,
+        ) {
+            let shape = step(STEP_HS[hi], len, &seeds, near);
+            prop_assert!(native_step::<f64, _>(&shape, |v| v.to_bits()), "binary64 {:?}", shape);
+            prop_assert!(native_step::<HdrFloat, _>(&shape, |v| (v.mantissa().to_bits(), v.exponent())), "hdr {:?}", shape);
+            prop_assert!(native_step::<LogF64, _>(&shape, |v| v.ln_value().to_bits()), "Log {:?}", shape);
+            prop_assert!(decoded_step::<64, 9>(&shape), "P64E9 {:?}", shape);
+            prop_assert!(decoded_step::<64, 12>(&shape), "P64E12 {:?}", shape);
+            prop_assert!(decoded_step::<64, 18>(&shape), "P64E18 {:?}", shape);
+            prop_assert!(whole_step::<1>(&shape), "Whole<1> {:?}", shape);
+            prop_assert!(whole_step::<2>(&shape), "Whole<2> {:?}", shape);
+            prop_assert!(whole_step::<3>(&shape), "Whole<3> {:?}", shape);
+            prop_assert!(whole_step::<4>(&shape), "Whole<4> {:?}", shape);
+            prop_assert!(whole_step::<5>(&shape), "Whole<5> {:?}", shape);
+            for prec in [53, 200, 256] {
+                let ctx = Context::new(prec);
+                prop_assert!(step_is_sum(&ctx, &shape, |x| ctx.round(x), |v| v.to_bytes()), "prec {} {:?}", prec, shape);
+            }
+        }
 
         #[test]
         fn seeded_sum_is_a_zero_seeded_fold(xs in terms()) {
@@ -400,6 +557,14 @@ mod tests {
             let lazy = log_sum_exp(vs.iter().map(|&v| v * w));
             prop_assert_eq!(lazy.ln_value().to_bits(), log_sum_exp(collected).ln_value().to_bits());
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "w is not x.len() rows of out.len()")]
+    fn vec_mat_rejects_a_shape_mismatch() {
+        let mut out = [0.0; 2];
+        Native::<f64>::new().vec_mat(&[0.5, 0.5], &[1.0; 3], &mut out);
     }
 
     #[test]

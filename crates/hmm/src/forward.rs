@@ -35,10 +35,13 @@ use compstat_runtime::Runtime;
 /// initialization) and may rewrite it: rescaling does, the Figure 1
 /// trace takes snapshots. It is not called for an empty sequence.
 ///
-/// Each path sum is one [`Arith::sum`] over `p` in order, which mirrors
-/// the software reference's sequential accumulation; the accelerator's
-/// reduction tree reassociates it, which is measured separately by the
-/// FPGA model.
+/// A step is one [`Arith::vec_mat`] of `alpha_{t-1}` and `A`, then the
+/// emission multiply. Each path sum there has the bits of [`Arith::sum`]
+/// over `p` in order, which mirrors the software reference's sequential
+/// accumulation, while the `h` sums advance together; an arithmetic
+/// whose `sum` is not a left fold (the n-ary LSE) overrides both. The
+/// accelerator's reduction tree reassociates the sums, which is measured
+/// separately by the FPGA model.
 fn forward_in<A: Arith>(
     ar: &A,
     model: &PreparedHmm<A::V>,
@@ -56,9 +59,9 @@ fn forward_in<A: Arith>(
     step(0, &mut alpha_prev);
     let mut alpha: Vec<A::V> = vec![ar.zero(); h];
     for (t, &ot) in rest.iter().enumerate() {
-        for q in 0..h {
-            let path_sum = ar.sum((0..h).map(|p| ar.mul(&alpha_prev[p], &model.a[p * h + q])));
-            alpha[q] = ar.mul(&path_sum, &model.b[q * m + ot]);
+        ar.vec_mat(&alpha_prev, &model.a, &mut alpha);
+        for (q, a) in alpha.iter_mut().enumerate() {
+            *a = ar.mul(a, &model.b[q * m + ot]);
         }
         core::mem::swap(&mut alpha, &mut alpha_prev);
         step(t + 1, &mut alpha_prev);
@@ -133,6 +136,15 @@ impl Arith for NaryLse {
 
     fn sum(&self, terms: impl Iterator<Item = LogF64> + Clone) -> LogF64 {
         log_sum_exp(terms)
+    }
+
+    /// One n-ary LSE per column, as [`NaryLse::sum`] gives it.
+    fn vec_mat(&self, x: &[LogF64], w: &[LogF64], out: &mut [LogF64]) {
+        let h = out.len();
+        debug_assert_eq!(w.len(), x.len() * h, "w is not x.len() rows of out.len()");
+        for (q, o) in out.iter_mut().enumerate() {
+            *o = self.sum(x.iter().enumerate().map(|(p, &xp)| xp * w[p * h + q]));
+        }
     }
 }
 
@@ -319,7 +331,7 @@ mod tests {
     use compstat_posit::testing as posit_testing;
     use compstat_posit::{Posit, P64E12, P64E18, P64E6, P64E9};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// The backward recurrence in the arithmetic `ar`: combines the beta
     /// variables into `P(O | lambda)`, or one for an empty sequence. Each
@@ -647,6 +659,35 @@ mod tests {
         }
         let p6 = forward::<P64E6>(&toy().prepare(), &deep).scale().unwrap();
         assert!((P64E6::format_info().min_positive_exp()..-3_520).contains(&p6));
+    }
+
+    #[test]
+    fn nary_lse_step_is_one_lse_per_column() {
+        // Zeros, ordinary probabilities, binary64 subnormals and values
+        // millions of binades down, as the recurrences meet them.
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut term = || match rng.gen_range(0..4) {
+            0 => LogF64::ZERO,
+            1 => LogF64::from_f64(rng.gen_range(0.0..1.0)),
+            2 => LogF64::from_f64(f64::from_bits(rng.gen_range(1..1 << 52))),
+            _ => LogF64::from_ln(-rng.gen_range(0.0..3e6)),
+        };
+        for h in [1, 2, 3, 8, 13] {
+            for len in 0..=5 {
+                let x: Vec<LogF64> = (0..len).map(|_| term()).collect();
+                let w: Vec<LogF64> = (0..len * h).map(|_| term()).collect();
+                let mut out = vec![LogF64::ONE; h];
+                NaryLse.vec_mat(&x, &w, &mut out);
+                for (q, got) in out.iter().enumerate() {
+                    let want = log_sum_exp(x.iter().enumerate().map(|(p, &xp)| xp * w[p * h + q]));
+                    assert_eq!(
+                        got.ln_value().to_bits(),
+                        want.ln_value().to_bits(),
+                        "h {h}, len {len}, q {q}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
